@@ -62,10 +62,6 @@ def _vec(x) -> np.ndarray:
     return arr
 
 
-def _jp_zero(dim: int, depth: int) -> JetPoint:
-    return JetPoint([JetScalar.constant(0.0, depth) for _ in range(dim)], depth)
-
-
 def _jp_add(x: JetPoint, y: JetPoint) -> JetPoint:
     return JetPoint([a + b for a, b in zip(x.entries, y.entries)], x.depth)
 
@@ -74,33 +70,33 @@ def _jp_sub(x: JetPoint, y: JetPoint) -> JetPoint:
     return JetPoint([a - b for a, b in zip(x.entries, y.entries)], x.depth)
 
 
-def _jp_neg(x: JetPoint) -> JetPoint:
-    return JetPoint([-a for a in x.entries], x.depth)
-
-
-def _row_mul(ra, rb):
-    out: dict = {}
-    for c1, e1 in ra:
-        for c2, e2 in rb:
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _acc_terms(acc: dict, terms, scale: float = 1.0):
-    for c, e in terms:
-        acc[e] = acc.get(e, 0.0) + scale * c
-
-
-def _dict_to_row(acc: dict):
-    return tuple((v, e) for e, v in sorted(acc.items()) if v != 0.0)
-
-
 # -- the data of an anchored bracket -----------------------------------------
 
 
+class Anchored:
+    """Anchor evaluation shared by AlgebroidSpec and InvolutionAlgebroid,
+    which provide dim_M, dim_A and the flattened anchor rho."""
+
+    def anchor_matrix(self, m) -> np.ndarray:
+        return self.rho.eval_floats(_vec(m).reshape(self.dim_M)).reshape(self.dim_M, self.dim_A)
+
+    def anchor_apply(self, m, a) -> np.ndarray:
+        return self.anchor_matrix(m) @ _vec(a)
+
+    def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
+        rho_jet = self.rho.eval_jet(mj)
+        depth = mj.depth
+        out = []
+        for i in range(self.dim_M):
+            acc = JetScalar.constant(0.0, depth)
+            for j in range(self.dim_A):
+                acc = acc + rho_jet.entries[i * self.dim_A + j] * aj.entries[j]
+            out.append(acc)
+        return JetPoint(out, depth)
+
+
 @dataclass(frozen=True)
-class AlgebroidSpec:
+class AlgebroidSpec(Anchored):
     """Anchor plus antisymmetric structure functions on a trivialized bundle.
 
     rho maps base coordinates to the flattened anchor matrix (row-major
@@ -148,7 +144,7 @@ class AlgebroidSpec:
                 raise ValueError("constant anchor must have shape (dim_M, dim_A)")
             rho = PolyMap.constant(mat.reshape(-1), dim_M)
         pairs = tuple(itertools.combinations(range(dim_A), 2))
-        rows = [dict() for _ in range(dim_A * len(pairs))]
+        rows = [PolyMap.zero(dim_M, 1)] * (dim_A * len(pairs))
         seen = set()
         for entry in entries:
             i, j, k, value = entry
@@ -159,33 +155,11 @@ class AlgebroidSpec:
             if (i, j, k) in seen:
                 raise ValueError("inconsistent duplicate structure entry (%d, %d, %d)" % (i, j, k))
             seen.add((i, j, k))
-            row = rows[k * len(pairs) + pairs.index((i, j))]
             if isinstance(value, (int, float)):
-                terms = [(float(value), tuple([0] * dim_M))]
-            else:
-                terms = [(float(c), tuple(int(x) for x in e)) for c, e in value]
-            _acc_terms(row, terms)
-        c_pairs = PolyMap(dim_M, dim_A * len(pairs), tuple(_dict_to_row(r) for r in rows))
+                value = [(value, [0] * dim_M)]
+            rows[k * len(pairs) + pairs.index((i, j))] += PolyMap.from_terms(dim_M, [value])
+        c_pairs = PolyMap(dim_M, len(rows), tuple(r.terms[0] for r in rows))
         return AlgebroidSpec(dim_M, dim_A, rho, c_pairs)
-
-    # anchor evaluation
-
-    def anchor_matrix(self, m) -> np.ndarray:
-        return self.rho.eval_floats(_vec(m).reshape(self.dim_M)).reshape(self.dim_M, self.dim_A)
-
-    def anchor_apply(self, m, a) -> np.ndarray:
-        return self.anchor_matrix(m) @ _vec(a)
-
-    def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
-        rho_jet = self.rho.eval_jet(mj)
-        depth = mj.depth
-        out = []
-        for i in range(self.dim_M):
-            acc = JetScalar.constant(0.0, depth)
-            for j in range(self.dim_A):
-                acc = acc + rho_jet.entries[i * self.dim_A + j] * aj.entries[j]
-            out.append(acc)
-        return JetPoint(out, depth)
 
     # structure-function evaluation
 
@@ -250,27 +224,18 @@ class AlgebroidSpec:
             raise ValueError("section dims do not match")
         if Yp.in_dim != self.dim_M or Yp.out_dim != self.dim_A:
             raise ValueError("section dims do not match")
+        dm, da = self.dim_M, self.dim_A
         n_pairs = len(self.pairs)
-        rows = []
-        for k in range(self.dim_A):
-            acc: dict = {}
-            for alpha in range(self.dim_M):
-                for j in range(self.dim_A):
-                    rho_row = self.rho.terms[alpha * self.dim_A + j]
-                    anchored_x = _dict_to_row(_row_mul(rho_row, Xp.terms[j]))
-                    anchored_y = _dict_to_row(_row_mul(rho_row, Yp.terms[j]))
-                    for key, val in _row_mul(Yp.partial(alpha).terms[k], anchored_x).items():
-                        acc[key] = acc.get(key, 0.0) + val
-                    for key, val in _row_mul(Xp.partial(alpha).terms[k], anchored_y).items():
-                        acc[key] = acc.get(key, 0.0) - val
-            for pos, (i, j) in enumerate(self.pairs):
-                c_row = self.c_pairs.terms[k * n_pairs + pos]
-                for key, val in _row_mul(c_row, _dict_to_row(_row_mul(Xp.terms[i], Yp.terms[j]))).items():
-                    acc[key] = acc.get(key, 0.0) + val
-                for key, val in _row_mul(c_row, _dict_to_row(_row_mul(Xp.terms[j], Yp.terms[i]))).items():
-                    acc[key] = acc.get(key, 0.0) - val
-            rows.append(_dict_to_row(acc))
-        return PolyMap(self.dim_M, self.dim_A, tuple(rows))
+
+        def along(T: PolyMap, S: PolyMap) -> PolyMap:  # DT.(rho S)
+            rho_s = sum((self.rho[j::da] * S[j] for j in range(da)), PolyMap.zero(dm, dm))
+            return sum((T.partial(alpha) * rho_s[alpha] for alpha in range(dm)),
+                       PolyMap.zero(dm, da))
+
+        out = along(Yp, Xp) - along(Xp, Yp)
+        for pos, (i, j) in enumerate(self.pairs):
+            out = out + self.c_pairs[pos::n_pairs] * (Xp[i] * Yp[j] - Xp[j] * Yp[i])
+        return out
 
     def jacobiator(self, m, a, b, c) -> np.ndarray:
         """Cyclic bracket defect on constant sections, by brute force."""
@@ -282,8 +247,7 @@ class AlgebroidSpec:
             total += self.bracket_poly(self.bracket_poly(x, y), z).eval_floats(_vec(m).reshape(self.dim_M))
         return total
 
-    def well_formed(self, samples: int = 40, seed: int = 0, tolerance: float = 1e-9,
-                    workers: int = 1) -> Report:
+    def well_formed(self, samples: int = 40, seed: int = 0, tolerance: float = 1e-9) -> Report:
         """Jacobi defect and anchor compatibility on random samples."""
         rng = np.random.default_rng(seed)
         report = Report()
@@ -298,7 +262,7 @@ class AlgebroidSpec:
             return float(np.max(np.abs(self.jacobiator(m, a, b, c))))
 
         report.add(run_check("jacobi", triples, jac, tolerance, seed,
-                             serialize=_ser_arrays, workers=workers))
+                             serialize=_ser_arrays))
 
         def anchor_defect(t):
             m, a, b, _ = t
@@ -308,7 +272,7 @@ class AlgebroidSpec:
             return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
         report.add(run_check("anchor-compatible", triples, anchor_defect, tolerance, seed,
-                             serialize=_ser_arrays, workers=workers))
+                             serialize=_ser_arrays))
         return report
 
     def _anchor_derivative(self, m, u, a) -> np.ndarray:
@@ -363,20 +327,16 @@ class DoubleProlongElement:
 
 
 def _as_anchor(owner):
-    if isinstance(owner, (AlgebroidSpec, InvolutionAlgebroid)):
+    if isinstance(owner, Anchored):
         return owner
     raise TypeError("expected an algebroid spec or involution algebroid")
-
-
-def _dims_rho(owner):
-    return owner.dim_M, owner.dim_A, owner.rho
 
 
 def t_rho_jet(owner, w_jet: JetPoint) -> JetPoint:
     """Tangent prolongation of the anchor: a depth-d jet over the total space
     goes to a depth-(d+1) jet over the base, the base-tangent structure on
     the innermost direction."""
-    dm, da, _ = _dims_rho(owner)
+    dm, da = owner.dim_M, owner.dim_A
     mj = w_jet.take(0, dm)
     aj = w_jet.take(dm, dm + da)
     return join_innermost(mj, owner.anchor_apply_jet(mj, aj))
@@ -386,7 +346,7 @@ def t_rho_jet(owner, w_jet: JetPoint) -> JetPoint:
 
 
 @dataclass(frozen=True)
-class InvolutionAlgebroid:
+class InvolutionAlgebroid(Anchored):
     """Anchored bundle with a flip evaluator on prolongation pairs.
 
     flip(v, w) takes jets over the total-space coordinates with
@@ -400,23 +360,6 @@ class InvolutionAlgebroid:
     flip: Callable[[JetPoint, JetPoint], JetPoint]
     spec: Optional[AlgebroidSpec] = None
     describe: str = ""
-
-    def anchor_matrix(self, m) -> np.ndarray:
-        return self.rho.eval_floats(_vec(m).reshape(self.dim_M)).reshape(self.dim_M, self.dim_A)
-
-    def anchor_apply(self, m, a) -> np.ndarray:
-        return self.anchor_matrix(m) @ _vec(a)
-
-    def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
-        rho_jet = self.rho.eval_jet(mj)
-        depth = mj.depth
-        out = []
-        for i in range(self.dim_M):
-            acc = JetScalar.constant(0.0, depth)
-            for j in range(self.dim_A):
-                acc = acc + rho_jet.entries[i * self.dim_A + j] * aj.entries[j]
-            out.append(acc)
-        return JetPoint(out, depth)
 
     def flip_elements(self, pe: ProlongElement) -> TAElement:
         v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
@@ -463,7 +406,6 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
         if w.depth != v.depth + 1:
             raise ValueError("flip needs w one level deeper than v")
-        depth = v.depth
         w_val, w_dot = split_innermost(w)
         mj = v.take(0, dm)
         av = v.take(dm, dm + da)
@@ -480,17 +422,8 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
         kw = _jp_add(aw_dot, conn.apply_jet(mj, mw_dot, aw))
         bracket_wv = spec.c_apply_jet(mj, aw, av)
         alpha2 = _jp_sub(_jp_add(_jp_sub(k1, k2), kw), bracket_wv)
-        # horizontal through rho(p w), then pad the lift and translate
-        zero_da = _jp_zero(da, depth)
-        zero_dm = _jp_zero(dm, depth)
-        h = (mj, av, u_w, _jp_neg(gamma_wv))
-        lifted = (mj, zero_da, zero_dm, alpha2)
-        zero_v = (mj, av, zero_dm, zero_da)
-        inner = (mj, _jp_add(lifted[1], zero_v[1]), lifted[2], _jp_add(lifted[3], zero_v[3]))
-        out_m, out_a = h[0], h[1]
-        out_mdot = _jp_add(h[2], inner[2])
-        out_adot = _jp_add(h[3], inner[3])
-        return join_innermost(out_m.concat(out_a), out_mdot.concat(out_adot))
+        # horizontal lift of rho(p w) through v, translated by the vertical part
+        return join_innermost(mj.concat(av), u_w.concat(_jp_sub(alpha2, gamma_wv)))
 
     return InvolutionAlgebroid(dm, da, spec.rho, flip, spec=spec, describe=describe)
 
@@ -530,7 +463,7 @@ def sample_prolongation(owner, m, rng) -> ProlongElement:
     """Draw fiber slots uniformly and complete the base velocity through the
     anchor, so the constraint holds by construction."""
     spec_like = _as_anchor(owner)
-    dm, da, _ = _dims_rho(owner)
+    dm, da = owner.dim_M, owner.dim_A
     m = _vec(m).reshape(dm)
     a_v = rng.uniform(-1, 1, da)
     a_w = rng.uniform(-1, 1, da)
@@ -543,7 +476,7 @@ def sample_double_prolongation(owner, m, rng) -> DoubleProlongElement:
     """Extend a sampled prolongation pair with a depth-2 jet whose base block
     is overwritten so the double constraint holds by construction."""
     spec_like = _as_anchor(owner)
-    dm, da, _ = _dims_rho(owner)
+    dm, da = owner.dim_M, owner.dim_A
     pe = sample_prolongation(owner, m, rng)
     target = flip_c(t_rho_jet(spec_like, pe.w.to_jet()), 1, 2)
     rows = []
@@ -558,26 +491,17 @@ def sample_double_prolongation(owner, m, rng) -> DoubleProlongElement:
 
 
 def _lambda_jet(v: JetPoint, dm: int, da: int) -> JetPoint:
-    """Fiber lift of a depth-k bundle jet into a depth-(k+1) tangent jet."""
+    """Fiber lift of a depth-k bundle jet into a depth-(k+1) tangent jet.
+    The lift is linear, so on a tangent jet this is also its tangent."""
     mj = v.take(0, dm)
     av = v.take(dm, dm + da)
-    zero = _jp_zero(da, v.depth)
-    zero_m = _jp_zero(dm, v.depth)
+    zero = JetPoint.constant(np.zeros(da), v.depth)
+    zero_m = JetPoint.constant(np.zeros(dm), v.depth)
     return join_innermost(mj.concat(zero), zero_m.concat(av))
 
 
-def _t_lambda(x: JetPoint, dm: int, da: int) -> JetPoint:
-    """Tangent of the fiber lift; the lift is linear, so it acts on every
-    jet coefficient the same way."""
-    mj = x.take(0, dm)
-    aj = x.take(dm, dm + da)
-    zero = _jp_zero(da, x.depth)
-    zero_m = _jp_zero(dm, x.depth)
-    return join_innermost(mj.concat(zero), zero_m.concat(aj))
-
-
 def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
-                 tolerances: dict = None, workers: int = 1) -> Report:
+                 tolerances: dict = None) -> Report:
     """Evaluate every involution law on random (double-)prolongation samples.
 
     Covered: the flip projects onto its first argument, fixes lifted pairs,
@@ -596,8 +520,7 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
     points = [AElement(rng.uniform(-1, 1, dm), rng.uniform(-1, 1, da)) for _ in range(samples)]
 
     def check(name, inputs, fn, serialize):
-        report.add(run_check(name, inputs, fn, tols[name], seed, serialize=serialize,
-                             workers=workers))
+        report.add(run_check(name, inputs, fn, tols[name], seed, serialize=serialize))
 
     def projection(pe):
         out = inv.flip_elements(pe)
@@ -661,7 +584,7 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
         v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
         w_jet = pe.w.to_jet()
         base = inv.flip(v_jet, w_jet)
-        lhs = inv.flip(insert_zero(v_jet, 1), flip_c(_t_lambda(w_jet, dm, da), 1, 2))
+        lhs = inv.flip(insert_zero(v_jet, 1), flip_c(_lambda_jet(w_jet, dm, da), 1, 2))
         return residual(lhs, lift_l(base, 1))
 
     check("linearity-lift", pes, linearity_lift, _ser_pe)
@@ -672,7 +595,7 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
         base = inv.flip(v_jet, w_jet)
         lam_v = _lambda_jet(v_jet, dm, da)
         lhs = inv.flip(lam_v, lift_l(w_jet, 1))
-        return residual(lhs, flip_c(_t_lambda(base, dm, da), 1, 2))
+        return residual(lhs, flip_c(_lambda_jet(base, dm, da), 1, 2))
 
     check("linearity-anchor", pes, linearity_anchor, _ser_pe)
 
@@ -733,7 +656,7 @@ def braid_permutations() -> tuple:
 
 
 def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0,
-                      tolerances: dict = None, workers: int = 1) -> Report:
+                      tolerances: dict = None) -> Report:
     """Both triple composites of the flip braid on random double samples, plus
     the exact discrete permutation identity."""
     tols = dict(DEFAULT_AXIOM_TOLERANCES)
@@ -754,7 +677,7 @@ def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0
         return max(residual(a, b) for a, b in zip(m1, m2))
 
     report.add(run_check("yang-baxter", dpes, braid, tols["yang-baxter"], seed,
-                         serialize=_ser_dpe, workers=workers))
+                         serialize=_ser_dpe))
 
     p1, p2, expected = braid_permutations()
     symbols = tuple("s%d" % i for i in range(7))
@@ -812,7 +735,7 @@ def section_flip_field(inv: InvolutionAlgebroid, X: SectionSpec):
 
 
 def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 40,
-                       seed: int = 0, tolerance: float = 1e-9, workers: int = 1) -> Report:
+                       seed: int = 0, tolerance: float = 1e-9) -> Report:
     """Laws of the induced section bracket at sampled base points: bilinear,
     antisymmetric, Jacobi; the flip-field morphism; the anchor morphism; and
     additivity of the section-to-flip-field assignment."""
@@ -834,10 +757,10 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return float(np.max(np.abs(bxy(m) + byx(m)), initial=0.0))
 
     report.add(run_check("bracket-antisymmetric", points, antisym, tolerance, seed,
-                         serialize=_ser_point, workers=workers))
+                         serialize=_ser_point))
 
     a_const, b_const = 0.75, -1.25
-    combo = SectionSpec(_poly_combo(X.x_poly, Y.x_poly, a_const, b_const))
+    combo = SectionSpec(a_const * X.x_poly + b_const * Y.x_poly)
     b_combo_z = bracket_from_flip(inv, combo, Z)
     bxz = bracket_from_flip(inv, X, Z)
     byz = bracket_from_flip(inv, Y, Z)
@@ -847,7 +770,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
                             initial=0.0))
 
     report.add(run_check("bracket-bilinear", points, bilinear, tolerance, seed,
-                         serialize=_ser_point, workers=workers))
+                         serialize=_ser_point))
 
     b_yz_poly = spec.bracket_poly(Y.x_poly, Z.x_poly)
     b_xy_poly = spec.bracket_poly(X.x_poly, Y.x_poly)
@@ -860,7 +783,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return float(np.max(np.abs(j1(m) + j2(m) + j3(m)), initial=0.0))
 
     report.add(run_check("bracket-jacobi", points, jacobi, tolerance, seed,
-                         serialize=_ser_point, workers=workers))
+                         serialize=_ser_point))
 
     # flip fields: alpha_[X,Y] = [alpha_X, alpha_Y] as fields on the total space
     f_xy = section_flip_field(inv, SectionSpec(b_xy_poly))
@@ -881,7 +804,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return float(np.max(np.abs(deriv - f_xy(z0).base), initial=0.0))
 
     report.add(run_check("flip-field-morphism", total_points, flip_field_morphism,
-                         tolerance, seed, serialize=_ser_point, workers=workers))
+                         tolerance, seed, serialize=_ser_point))
 
     # anchor morphism: rho[X,Y] equals the base bracket of the anchored fields
     def anchor_field(S: SectionSpec):
@@ -910,9 +833,9 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return float(np.max(np.abs(lhs - field_bracket), initial=0.0))
 
     report.add(run_check("anchor-morphism", points, anchor_morphism, tolerance, seed,
-                         serialize=_ser_point, workers=workers))
+                         serialize=_ser_point))
 
-    f_sum = section_flip_field(inv, SectionSpec(_poly_combo(X.x_poly, Y.x_poly, 1.0, 1.0)))
+    f_sum = section_flip_field(inv, SectionSpec(X.x_poly + Y.x_poly))
 
     def flip_field_additive(z):
         z0 = JetPoint.constant(z, 0)
@@ -921,7 +844,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return residual(lhs, rhs)
 
     report.add(run_check("flip-field-additive", total_points, flip_field_additive,
-                         tolerance, seed, serialize=_ser_point, workers=workers))
+                         tolerance, seed, serialize=_ser_point))
     return report
 
 
@@ -938,23 +861,15 @@ def _random_section_poly(rng, dm: int, da: int, degree: int = 2) -> PolyMap:
     return PolyMap(dm, da, tuple(rows))
 
 
-def _poly_combo(a: PolyMap, b: PolyMap, ca: float, cb: float) -> PolyMap:
-    rows = tuple(
-        tuple((ca * c, e) for c, e in a.terms[i]) + tuple((cb * c, e) for c, e in b.terms[i])
-        for i in range(a.out_dim)
-    )
-    return PolyMap(a.in_dim, a.out_dim, rows)
-
-
 def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
                   f: ScalarFieldSpec, samples: int = 40, seed: int = 0,
-                  tolerance: float = 1e-9, workers: int = 1) -> Report:
+                  tolerance: float = 1e-9) -> Report:
     """Residual of the Leibniz law: bracketing against a scaled section picks
     up the derivative of the scale along the anchored first section."""
     dm = inv.dim_M
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-1, 1, dm) for _ in range(samples)]
-    fY = SectionSpec(_poly_scale_by_scalar(f.f_poly, Y.x_poly))
+    fY = SectionSpec(f.f_poly * Y.x_poly)
     b_fy = bracket_from_flip(inv, X, fY)
     b_xy = bracket_from_flip(inv, X, Y)
 
@@ -966,20 +881,12 @@ def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
 
     report = Report()
     report.add(run_check("leibniz", points, defect, tolerance, seed,
-                         serialize=_ser_point, workers=workers))
+                         serialize=_ser_point))
     return report
 
 
-def _poly_scale_by_scalar(f: PolyMap, Y: PolyMap) -> PolyMap:
-    rows = []
-    for i in range(Y.out_dim):
-        acc = _row_mul(f.terms[0], Y.terms[i])
-        rows.append(_dict_to_row(acc))
-    return PolyMap(Y.in_dim, Y.out_dim, tuple(rows))
-
-
 def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
-                      seed: int = 0, workers: int = 1) -> Report:
+                      seed: int = 0) -> Report:
     """Brackets survive the trip through the flip and back; over a point base
     the flip itself survives the trip through the bracket and back."""
     rng = np.random.default_rng(seed)
@@ -998,7 +905,7 @@ def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
 
     report = Report()
     report.add(run_check("bracket-roundtrip", points, bracket_defect, 1e-12, seed,
-                         serialize=_ser_point, workers=workers))
+                         serialize=_ser_point))
 
     if dm == 0:
         rebuilt = involution_from_spec(spec_from_flip(inv))
@@ -1010,5 +917,5 @@ def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
             return residual(inv.flip(v_jet, w_jet), rebuilt.flip(v_jet, w_jet))
 
         report.add(run_check("flip-roundtrip", pes, flip_defect, 1e-12, seed,
-                             serialize=_ser_pe, workers=workers))
+                             serialize=_ser_pe))
     return report

@@ -138,17 +138,10 @@ def lift_lambda(v: AElement) -> TAElement:
 def lambda_polymap(dim_M: int, dim_A: int) -> PolyMap:
     """The fiber lift as a polynomial map, for jet-level (tangent) evaluation."""
     n = dim_M + dim_A
-    rows = []
-    for i in range(dim_M):
-        exps = [0] * n
-        exps[i] = 1
-        rows.append(((1.0, tuple(exps)),))
-    rows.extend(() for _ in range(dim_A + dim_M))
-    for j in range(dim_A):
-        exps = [0] * n
-        exps[dim_M + j] = 1
-        rows.append(((1.0, tuple(exps)),))
-    return PolyMap(n, 2 * n, tuple(rows))
+    mat = np.zeros((2 * n, n))
+    mat[:dim_M, :dim_M] = np.eye(dim_M)
+    mat[n + dim_M:, dim_M:] = np.eye(dim_A)
+    return PolyMap.linear(mat)
 
 
 def section_polymap(X: PolyMap) -> PolyMap:
@@ -181,30 +174,27 @@ def _check_shared(label: str, bx: np.ndarray, by: np.ndarray, tol: float):
         raise ValueError("projection mismatch in %s: %g" % (label, float(np.max(np.abs(bx - by)))))
 
 
+def _combine_in_fiber(x: TAElement, y: TAElement, which: str, tol: float, op) -> TAElement:
+    if which == "p":
+        _check_shared("base m", x.m, y.m, tol)
+        _check_shared("fiber a", x.a, y.a, tol)
+        return TAElement(x.m, x.a, op(x.mdot, y.mdot), op(x.adot, y.adot))
+    if which == "Tpi":
+        _check_shared("base m", x.m, y.m, tol)
+        _check_shared("base velocity", x.mdot, y.mdot, tol)
+        return TAElement(x.m, op(x.a, y.a), x.mdot, op(x.adot, y.adot))
+    raise ValueError("which must be 'p' or 'Tpi', got %r" % (which,))
+
+
 def add_in_fiber(x: TAElement, y: TAElement, which: str = "p", tol: float = _PROJ_TOL) -> TAElement:
     """Fibered addition: which="p" shares (m, a) and sums the velocities;
     which="Tpi" shares (m, mdot) and sums the fiber blocks."""
-    if which == "p":
-        _check_shared("base m", x.m, y.m, tol)
-        _check_shared("fiber a", x.a, y.a, tol)
-        return TAElement(x.m, x.a, x.mdot + y.mdot, x.adot + y.adot)
-    if which == "Tpi":
-        _check_shared("base m", x.m, y.m, tol)
-        _check_shared("base velocity", x.mdot, y.mdot, tol)
-        return TAElement(x.m, x.a + y.a, x.mdot, x.adot + y.adot)
-    raise ValueError("which must be 'p' or 'Tpi', got %r" % (which,))
+    return _combine_in_fiber(x, y, which, tol, np.add)
 
 
 def sub_in_fiber(x: TAElement, y: TAElement, which: str = "p", tol: float = _PROJ_TOL) -> TAElement:
-    if which == "p":
-        _check_shared("base m", x.m, y.m, tol)
-        _check_shared("fiber a", x.a, y.a, tol)
-        return TAElement(x.m, x.a, x.mdot - y.mdot, x.adot - y.adot)
-    if which == "Tpi":
-        _check_shared("base m", x.m, y.m, tol)
-        _check_shared("base velocity", x.mdot, y.mdot, tol)
-        return TAElement(x.m, x.a - y.a, x.mdot, x.adot - y.adot)
-    raise ValueError("which must be 'p' or 'Tpi', got %r" % (which,))
+    """Fibered subtraction, the inverse of add_in_fiber in the same fiber."""
+    return _combine_in_fiber(x, y, which, tol, np.subtract)
 
 
 # -- affine structure along the combined projection --------------------------
@@ -353,20 +343,8 @@ def vf_bracket_poly(X: PolyMap, Y: PolyMap) -> PolyMap:
     k = X.in_dim
     if X.out_dim != k or Y.in_dim != k or Y.out_dim != k:
         raise ValueError("vector fields must map a space to itself")
-    rows = []
-    for out in range(k):
-        acc: dict = {}
-        for j in range(k):
-            for c1, e1 in Y.partial(j).terms[out]:
-                for c2, e2 in X.terms[j]:
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc[key] = acc.get(key, 0.0) + c1 * c2
-            for c1, e1 in X.partial(j).terms[out]:
-                for c2, e2 in Y.terms[j]:
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc[key] = acc.get(key, 0.0) - c1 * c2
-        rows.append(tuple((v, e) for e, v in sorted(acc.items()) if v != 0.0))
-    return PolyMap(k, k, tuple(rows))
+    return sum((Y.partial(j) * X[j] - X.partial(j) * Y[j] for j in range(k)),
+               PolyMap.zero(k, k))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ out.  Exit codes: 0 all checks pass, 1 a check failed or a flow was rejected,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,26 @@ def _require(node: dict, key: str, where: str):
     return node[key]
 
 
+def _count(node: dict, key: str, where: str) -> int:
+    """A dimension or size: a nonnegative integer."""
+    value = _require(node, key, where)
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FixtureError("%r in %s must be a nonnegative integer, got %r" % (key, where, value))
+
+
+def _finite(value, what: str) -> float:
+    try:
+        if math.isfinite(float(value)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise FixtureError("%s must be a finite number, got %r" % (what, value))
+
+
 def _load_polymap(table, in_dim: int, out_dim: int, where: str) -> PolyMap:
     if not isinstance(table, list) or len(table) != out_dim:
         raise FixtureError("%s needs %d coefficient rows" % (where, out_dim))
@@ -76,16 +97,9 @@ def _load_polymap(table, in_dim: int, out_dim: int, where: str) -> PolyMap:
             if len(exps) != in_dim or any(e < 0 for e in exps):
                 raise FixtureError(
                     "%s row %d: exponents must be %d nonnegative integers" % (where, r, in_dim))
-            terms.append((coeff, tuple(exps)))
+            terms.append((_finite(coeff, "%s row %d coefficient" % (where, r)), tuple(exps)))
         rows.append(terms)
     return PolyMap.from_terms(in_dim, rows)
-
-
-def _merge_terms(terms) -> tuple:
-    acc = {}
-    for c, e in terms:
-        acc[e] = acc.get(e, 0.0) + c
-    return tuple(sorted((e, c) for e, c in acc.items() if c != 0.0))
 
 
 def _load_structure(entries, dim_M: int, dim_A: int) -> list:
@@ -101,7 +115,7 @@ def _load_structure(entries, dim_M: int, dim_A: int) -> list:
             i = int(_require(entry, "i", where))
             j = int(_require(entry, "j", where))
             k = int(_require(entry, "k", where))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FixtureError("%s: indices must be integers" % where)
         if not (0 <= i < dim_A and 0 <= j < dim_A and 0 <= k < dim_A):
             raise FixtureError("%s: indices out of range for %d fiber coordinates"
@@ -110,28 +124,21 @@ def _load_structure(entries, dim_M: int, dim_A: int) -> list:
             raise FixtureError("%s: diagonal entries vanish by antisymmetry; drop it" % where)
         if "terms" in entry:
             pm = _load_polymap([entry["terms"]], dim_M, 1, where)
-            terms = list(pm.terms[0])
         elif "coeff" in entry:
-            try:
-                terms = [(float(entry["coeff"]), tuple([0] * dim_M))]
-            except (TypeError, ValueError):
-                raise FixtureError("%s: coeff must be a number" % where)
+            pm = PolyMap.constant([_finite(entry["coeff"], where + ": coeff")], dim_M)
         else:
             raise FixtureError("%s: needs either coeff or terms" % where)
         sign = 1.0
         if i > j:
             i, j, sign = j, i, -1.0
-        normalized = _merge_terms((sign * c, e) for c, e in terms)
+        normalized = (pm * sign).terms[0]
         key = (i, j, k)
         if key in canon and canon[key] != normalized:
             raise FixtureError(
                 "structure entries for the pair (%d, %d) output %d disagree "
                 "after antisymmetry" % (i, j, k))
         canon[key] = normalized
-    out = []
-    for (i, j, k), normalized in sorted(canon.items()):
-        out.append((i, j, k, [(c, e) for e, c in normalized]))
-    return out
+    return [(i, j, k, list(normalized)) for (i, j, k), normalized in sorted(canon.items())]
 
 
 def _catalog_spec(name) -> AlgebroidSpec:
@@ -141,6 +148,15 @@ def _catalog_spec(name) -> AlgebroidSpec:
         raise FixtureError(str(exc.args[0]) if exc.args else str(exc))
 
 
+def _group_catalog(name):
+    try:
+        return group_catalog(name)
+    except KeyError as exc:
+        raise FixtureError(str(exc.args[0]) if exc.args else str(exc))
+    except ValueError as exc:
+        raise FixtureError("group %s: %s" % (name, exc))
+
+
 def _load_algebroid_node(node, where: str) -> AlgebroidSpec:
     if isinstance(node, str):
         return _catalog_spec(node)
@@ -148,8 +164,8 @@ def _load_algebroid_node(node, where: str) -> AlgebroidSpec:
         raise FixtureError("%s must be an object or a catalog name" % where)
     if "catalog" in node:
         return _catalog_spec(node["catalog"])
-    dm = int(_require(node, "dim_M", where))
-    da = int(_require(node, "dim_A", where))
+    dm = _count(node, "dim_M", where)
+    da = _count(node, "dim_A", where)
     rho = _load_polymap(_require(node, "anchor", where), dm, dm * da, where + ".anchor")
     entries = _load_structure(node.get("structure", []), dm, da)
     try:
@@ -164,6 +180,8 @@ def _load_element(node, dm: int, da: int) -> AElement:
         a = np.asarray(_require(node, "a", "initial"), dtype=float).reshape(da)
     except (TypeError, ValueError):
         raise FixtureError("initial element needs m with %d and a with %d entries" % (dm, da))
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(a))):
+        raise FixtureError("initial element entries must be finite")
     return AElement(m, a)
 
 
@@ -196,12 +214,9 @@ def load_fixture(path: str) -> dict:
             out["connection"] = ConnectionSpec.flat(dm, da)
     elif kind == "group":
         if "catalog" in raw:
-            try:
-                out["group"] = group_catalog(raw["catalog"])
-            except KeyError as exc:
-                raise FixtureError(str(exc.args[0]) if exc.args else str(exc))
+            out["group"] = _group_catalog(raw["catalog"])
         else:
-            n = int(_require(raw, "n", kind))
+            n = _count(raw, "n", kind)
             basis_raw = _require(raw, "basis", kind)
             try:
                 basis = tuple(np.asarray(b, dtype=float).reshape(n, n) for b in basis_raw)
@@ -209,18 +224,19 @@ def load_fixture(path: str) -> dict:
             except (TypeError, ValueError) as exc:
                 raise FixtureError("bad group basis: %s" % exc)
     elif kind == "section":
-        dm = int(_require(raw, "dim_M", kind))
-        da = int(_require(raw, "dim_A", kind))
+        dm = _count(raw, "dim_M", kind)
+        da = _count(raw, "dim_A", kind)
         out["section"] = SectionSpec(_load_polymap(_require(raw, "table", kind), dm, da, kind))
     elif kind == "scalar-field":
-        dm = int(_require(raw, "dim_M", kind))
+        dm = _count(raw, "dim_M", kind)
         out["field"] = ScalarFieldSpec(_load_polymap(_require(raw, "table", kind), dm, 1, kind))
     elif kind == "apath":
         out["spec"] = _load_algebroid_node(_require(raw, "algebroid", kind), "apath.algebroid")
         dm, da = out["spec"].dim_M, out["spec"].dim_A
         blocks = _load_polymap(_require(raw, "blocks", kind), 1, 2 * (dm + da), "apath.blocks")
         try:
-            out["variation"] = APathVariation(dm, da, blocks, float(raw.get("t_end", 1.0)))
+            out["variation"] = APathVariation(dm, da, blocks,
+                                              _finite(raw.get("t_end", 1.0), "apath t_end"))
         except ValueError as exc:
             raise FixtureError(str(exc))
         if "initial" in raw:
@@ -245,13 +261,12 @@ def load_fixture(path: str) -> dict:
 def _structure_entries(spec: AlgebroidSpec) -> list:
     entries = []
     pairs = spec.pairs
+    table = spec.c_pairs.to_table()
     for k in range(spec.dim_A):
         for pos, (i, j) in enumerate(pairs):
-            row = spec.c_pairs.terms[k * len(pairs) + pos]
-            if not row:
-                continue
-            entries.append({"i": i, "j": j, "k": k,
-                            "terms": [{"coeff": c, "exponents": list(e)} for c, e in row]})
+            terms = table[k * len(pairs) + pos]
+            if terms:
+                entries.append({"i": i, "j": j, "k": k, "terms": terms})
     return entries
 
 
@@ -265,43 +280,37 @@ def _dumps(payload, compact: bool) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _differentiate(group_spec, samples: int, seed: int, workers: int):
+def _differentiate(group_spec, samples: int, seed: int):
     if isinstance(group_spec, PairGroupoidSpec):
-        return differentiate_pair_groupoid(group_spec, samples=samples, seed=seed,
-                                           workers=workers)
-    return differentiate_group(group_spec, samples=samples, seed=seed, workers=workers)
+        return differentiate_pair_groupoid(group_spec, samples=samples, seed=seed)
+    return differentiate_group(group_spec, samples=samples, seed=seed)
 
 
 # -- check suites -------------------------------------------------------------
 
 
-def _algebroid_report(inv, samples: int, seed: int, tolerances: dict, workers: int) -> Report:
+def _algebroid_report(inv, samples: int, seed: int, tolerances: dict) -> Report:
     report = Report()
-    report.extend(check_tangent_axioms(samples=samples, seed=seed, workers=workers))
-    report.extend(check_axioms(inv, samples=samples, seed=seed,
-                               tolerances=tolerances, workers=workers))
+    report.extend(check_tangent_axioms(samples=samples, seed=seed))
+    report.extend(check_axioms(inv, samples=samples, seed=seed, tolerances=tolerances))
     report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed,
-                                    tolerances=tolerances, workers=workers))
+                                    tolerances=tolerances))
     rng = np.random.default_rng(seed)
     sections = [SectionSpec(_random_section_poly(rng, inv.dim_M, inv.dim_A))
                 for _ in range(3)]
     field = ScalarFieldSpec(_random_section_poly(rng, inv.dim_M, 1))
     point_count = max(10, samples // 5)
     report.extend(check_bracket_laws(inv, sections=sections, samples=point_count, seed=seed,
-                                     tolerance=tolerances.get("bracket-laws", 1e-9),
-                                     workers=workers))
+                                     tolerance=tolerances.get("bracket-laws", 1e-9)))
     report.extend(check_leibniz(inv, sections[0], sections[1], field, samples=point_count,
-                                seed=seed, tolerance=tolerances.get("leibniz", 1e-9),
-                                workers=workers))
+                                seed=seed, tolerance=tolerances.get("leibniz", 1e-9)))
     return report
 
 
-def _connection_report(spec, conn, samples: int, seed: int, tolerances: dict,
-                       workers: int) -> Report:
+def _connection_report(spec, conn, samples: int, seed: int, tolerances: dict) -> Report:
     inv_conn = flip_from_bracket(spec, conn)
     inv_canon = involution_from_spec(spec)
-    report = check_axioms(inv_conn, samples=samples, seed=seed,
-                          tolerances=tolerances, workers=workers)
+    report = check_axioms(inv_conn, samples=samples, seed=seed, tolerances=tolerances)
     rng = np.random.default_rng(seed)
     pes = [sample_prolongation(inv_canon, rng.uniform(-1, 1, spec.dim_M), rng)
            for _ in range(samples)]
@@ -310,8 +319,7 @@ def _connection_report(spec, conn, samples: int, seed: int, tolerances: dict,
         return ta_residual(inv_conn.flip_elements(pe), inv_canon.flip_elements(pe))
 
     report.add(run_check("connection-independence", pes, agreement,
-                         tolerances.get("connection-independence", 1e-12), seed,
-                         workers=workers))
+                         tolerances.get("connection-independence", 1e-12), seed))
     return report
 
 
@@ -332,19 +340,16 @@ def _membership_report(fx: dict, tolerances: dict) -> Report:
     return report
 
 
-def _check_report(fx: dict, samples: int, seed: int, tolerances: dict,
-                  workers: int) -> Report:
+def _check_report(fx: dict, samples: int, seed: int, tolerances: dict) -> Report:
     if samples == 0:
         return Report()
     kind = fx["kind"]
     if kind in ("algebroid", "involution-flip"):
-        return _algebroid_report(involution_from_spec(fx["spec"]), samples, seed,
-                                 tolerances, workers)
+        return _algebroid_report(involution_from_spec(fx["spec"]), samples, seed, tolerances)
     if kind == "connection":
-        return _connection_report(fx["spec"], fx["connection"], samples, seed,
-                                  tolerances, workers)
+        return _connection_report(fx["spec"], fx["connection"], samples, seed, tolerances)
     if kind == "group":
-        _, report = _differentiate(fx["group"], samples, seed, workers)
+        _, report = _differentiate(fx["group"], samples, seed)
         return report
     if kind in ("apath", "ahomotopy"):
         return _membership_report(fx, tolerances)
@@ -354,12 +359,17 @@ def _check_report(fx: dict, samples: int, seed: int, tolerances: dict,
 # -- commands -----------------------------------------------------------------
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FixtureError("cannot write %s: %s" % (path, exc))
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        _write(out_path, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -372,23 +382,22 @@ def _format_report(report: Report, fmt: str) -> str:
     return report.to_text()
 
 
-def do_check(args, workers: int) -> int:
+def do_check(args) -> int:
     fx = load_fixture(args.fixture)
     tolerances = _parse_tolerances(args.tolerance)
-    report = _check_report(fx, args.samples, args.seed, tolerances, workers)
+    report = _check_report(fx, args.samples, args.seed, tolerances)
     _emit(_format_report(report, args.format), args.out)
     return 0 if report.passed else 1
 
 
-def do_convert(args, workers: int) -> int:
+def do_convert(args) -> int:
     fx = load_fixture(args.fixture)
     kind = fx["kind"]
     if args.direction == "to-flip":
         if kind == "algebroid":
             spec = fx["spec"]
         elif kind == "group":
-            inv_g, _ = _differentiate(fx["group"], max(10, args.samples // 4),
-                                      args.seed, workers)
+            inv_g, _ = _differentiate(fx["group"], max(10, args.samples // 4), args.seed)
             spec = inv_g.spec
         else:
             raise FixtureError("convert to-flip needs an algebroid or group fixture, got %r"
@@ -448,7 +457,7 @@ def do_convert(args, workers: int) -> int:
     return 0
 
 
-def do_transport(args, workers: int) -> int:
+def do_transport(args) -> int:
     fx = load_fixture(args.fixture)
     kind = fx["kind"]
     if kind not in ("apath", "ahomotopy"):
@@ -466,21 +475,19 @@ def do_transport(args, workers: int) -> int:
                                run.anchor_residual <= tol, None))
         csv_text = run.to_csv()
     else:
-        run = ahomotopy_transport(inv, fx["variation"], fx["initial"], h=args.step,
-                                  workers=workers)
+        run = ahomotopy_transport(inv, fx["variation"], fx["initial"], h=args.step)
         tol = tolerances.get("homotopy-discrepancy", 1e-6)
         report.add(CheckResult("homotopy-discrepancy",
                                len(run.s_nodes) * len(run.t_nodes), None,
                                float(run.discrepancy), tol,
                                run.discrepancy <= tol, None))
         csv_text = run.to_csv()
-    with open(args.out, "w") as fh:
-        fh.write(csv_text)
+    _write(args.out, csv_text)
     print(_format_report(report, args.format))
     return 0 if report.passed else 1
 
 
-def do_differentiate_group(args, workers: int) -> int:
+def do_differentiate_group(args) -> int:
     target = args.group
     if os.path.exists(target):
         fx = load_fixture(target)
@@ -489,12 +496,9 @@ def do_differentiate_group(args, workers: int) -> int:
         spec = fx["group"]
         label = spec.name or target
     else:
-        try:
-            spec = group_catalog(target)
-        except KeyError as exc:
-            raise FixtureError(str(exc.args[0]) if exc.args else str(exc))
+        spec = _group_catalog(target)
         label = target
-    inv, report = _differentiate(spec, args.samples, args.seed, workers)
+    inv, report = _differentiate(spec, args.samples, args.seed)
     constants = _structure_entries(inv.spec)
     if args.format == "json":
         text = _dumps({"group": label, "constants": constants,
@@ -547,13 +551,13 @@ def _parse_tolerances(pairs) -> dict:
     return tols
 
 
-def _workers() -> int:
-    raw = os.environ.get("INVALG_THREADS", "")
-    try:
-        count = int(raw) if raw else 1
-    except ValueError:
-        count = 1
-    return max(1, count)
+def _check_flags(args) -> None:
+    """Reject flag values no command can use."""
+    if getattr(args, "samples", 0) < 0:
+        raise FixtureError("--samples must be nonnegative, got %d" % args.samples)
+    step = getattr(args, "step", 1.0)
+    if not (math.isfinite(step) and step > 0):
+        raise FixtureError("--step must be a positive finite number, got %r" % step)
 
 
 def _add_common(sub, step=False):
@@ -600,18 +604,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = _workers()
     try:
+        _check_flags(args)
         if args.command == "check":
-            return do_check(args, workers)
+            return do_check(args)
         if args.command == "convert":
-            return do_convert(args, workers)
+            return do_convert(args)
         if args.command == "transport":
             if not args.out:
                 raise FixtureError("transport needs --out for the trajectory table")
-            return do_transport(args, workers)
+            return do_transport(args)
         if args.command == "differentiate-group":
-            return do_differentiate_group(args, workers)
+            return do_differentiate_group(args)
         if args.command == "catalog":
             return do_catalog(args)
         raise FixtureError("unknown command %r" % args.command)

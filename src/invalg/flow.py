@@ -13,7 +13,6 @@ variations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -359,7 +358,7 @@ class HomotopyTransport:
 
 
 def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
-                        h: float = 1e-3, grid: int = 11, workers: int = 1) -> HomotopyTransport:
+                        h: float = 1e-3, grid: int = 11) -> HomotopyTransport:
     """Transport a fiber element over the unit square both ways: vertically
     then horizontally, and in the transposed order.  For well-formed
     homotopy variations the two surfaces agree; the discrepancy is measured
@@ -392,20 +391,13 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
         base = np.empty((grid, grid, dm))
         fiber = np.empty((grid, grid, da))
 
-        def solve_row(j):
+        for j in range(grid):
             anchor_idx = j * stride
             init = AElement(spine.base[anchor_idx], spine.fiber[anchor_idx])
             slice_pm = _fix_second(hv.h0, nodes[j]) if first_dir else _fix_first(hv.h1, nodes[j])
             run = apath_transport(inv, APathVariation(dm, da, slice_pm, 1.0), init,
                                   hs, composability_tol=np.inf)
-            return run.base[::stride], run.fiber[::stride]
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(solve_row, range(grid)))
-        else:
-            rows = [solve_row(j) for j in range(grid)]
-        for j, (brow, frow) in enumerate(rows):
+            brow, frow = run.base[::stride], run.fiber[::stride]
             if first_dir:
                 base[:, j], fiber[:, j] = brow, frow
             else:
@@ -424,21 +416,6 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
 # -- differentiation and integration between fiber data and variations --------
 
 
-def _linear_rows(mat: np.ndarray, pm: PolyMap) -> PolyMap:
-    """Compose a constant matrix with a polynomial map, exactly."""
-    mat = np.asarray(mat, dtype=float)
-    rows = []
-    for k in range(mat.shape[0]):
-        acc = {}
-        for j in range(mat.shape[1]):
-            if mat[k, j] == 0.0:
-                continue
-            for c, exps in pm.terms[j]:
-                acc[exps] = acc.get(exps, 0.0) + mat[k, j] * c
-        rows.append(tuple((c, e) for e, c in sorted(acc.items()) if c != 0.0))
-    return PolyMap(pm.in_dim, mat.shape[0], tuple(rows))
-
-
 def inf_apath_vee(inv: InvolutionAlgebroid, chi: PolyMap, m) -> APathVariation:
     """Differentiate a fiber path starting at zero into an infinitesimal
     path variation: the flip of the zero section against the path's tangent,
@@ -452,7 +429,7 @@ def inf_apath_vee(inv: InvolutionAlgebroid, chi: PolyMap, m) -> APathVariation:
     m = np.asarray(m, dtype=float).reshape(dm)
     blocks = PolyMap.constant(m, 1)
     blocks = blocks.stack(PolyMap.zero(1, da))
-    blocks = blocks.stack(_linear_rows(inv.anchor_matrix(m), chi))
+    blocks = blocks.stack(PolyMap.linear(inv.anchor_matrix(m)).compose(chi))
     blocks = blocks.stack(chi.partial(0))
     return APathVariation(dm, da, blocks, 1.0)
 
@@ -521,7 +498,7 @@ def inf_ahomotopy_vee(inv: InvolutionAlgebroid, eta: PolyMap, m) -> AHomotopyVar
     if float(np.max(np.abs(start), initial=0.0)) > 1e-12:
         raise ValueError("fiber surface must start at zero")
     m = np.asarray(m, dtype=float).reshape(dm)
-    anchored = _linear_rows(inv.anchor_matrix(m), eta)
+    anchored = PolyMap.linear(inv.anchor_matrix(m)).compose(eta)
 
     def half(direction: int) -> PolyMap:
         blocks = PolyMap.constant(m, 2)

@@ -114,11 +114,8 @@ class MatrixGroupSpec:
         coords = JetPoint([sum((float(p) * f for p, f in zip(row, flat)),
                                JetScalar.constant(0.0, depth))
                            for row in self._proj], depth)
-        recon = self.matrix_jet(coords)
-        worst = 0.0
-        for a, b in zip(mat.reshape(-1), recon.reshape(-1)):
-            worst = max(worst, max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs)))
-        if worst > tol:
+        recon = JetPoint(self.matrix_jet(coords).reshape(-1), depth)
+        if not residual(JetPoint(flat, depth), recon) <= tol:
             raise ValueError("matrix jet lies outside the algebra span")
         return coords
 
@@ -160,11 +157,11 @@ def jet2_mul(x: GroupJet2, y: GroupJet2) -> GroupJet2:
     )
 
 
-def jet2_inv(x: GroupJet2, base_inv=None) -> GroupJet2:
+def jet2_inv(x: GroupJet2) -> GroupJet2:
     """Closed-form truncated inverse; jet2_mul(x, jet2_inv(x)) is the identity
-    jet to solver precision.  Pass base_inv when the base inverse is known
-    (jet-entried matrices cannot go through the linear solver)."""
-    gi = np.linalg.inv(x.g) if base_inv is None else base_inv
+    jet to solver precision.  The base matrix must hold floats; the
+    derivative slots may hold jet scalars."""
+    gi = np.linalg.inv(x.g)
     return GroupJet2(
         gi,
         -(gi @ x.g1 @ gi),
@@ -175,7 +172,8 @@ def jet2_inv(x: GroupJet2, base_inv=None) -> GroupJet2:
 
 def group_flip_slots(spec: MatrixGroupSpec, V, W_H, W_V):
     """Run the flip composite on matrix slots and return the three derivative
-    slots of the result; the second one vanishes identically."""
+    slots of the result; the second one vanishes identically.  The slots may
+    hold floats or jet scalars."""
     e = np.eye(spec.n)
     z = np.zeros((spec.n, spec.n))
     cw = GroupJet2(e, z, W_H, W_V)
@@ -208,29 +206,17 @@ def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
             raise ValueError("flip needs w one level deeper than v")
         depth = v.depth
         w_val, w_dot = split_innermost(w)
-        V = spec.matrix_jet(v)
-        WH = spec.matrix_jet(w_val)
-        WV = spec.matrix_jet(w_dot)
-        e = np.full((spec.n, spec.n), JetScalar.constant(0.0, depth), dtype=object)
-        for i in range(spec.n):
-            e[i, i] = JetScalar.constant(1.0, depth)
-        z = np.full((spec.n, spec.n), JetScalar.constant(0.0, depth), dtype=object)
-        cw = GroupJet2(e, z, WH, WV)
-        zero_v = GroupJet2(e, V, z, z)
-        c0pw = GroupJet2(e, z, WH, z)
-        out = jet2_mul(jet2_mul(cw, zero_v), jet2_inv(c0pw, base_inv=e))
-        for entry in out.g2.reshape(-1):
+        g1, g2, g12 = group_flip_slots(spec, spec.matrix_jet(v), spec.matrix_jet(w_val),
+                                       spec.matrix_jet(w_dot))
+        for entry in g2.reshape(-1):
             if any(c != 0.0 for c in entry.coeffs):
                 raise ArithmeticError("source slot of the flip composite did not cancel")
-        value = spec.project_jet(out.g1, depth)
-        dot = spec.project_jet(out.g12, depth)
-        return join_innermost(value, dot)
+        return join_innermost(spec.project_jet(g1, depth), spec.project_jet(g12, depth))
 
     return InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip, describe=spec.name)
 
 
-def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0,
-                        workers: int = 1):
+def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0):
     """Differentiate a matrix group and verify the result: the axiom suite,
     the braid form, antisymmetry of the recovered bracket, and the Jacobi
     defect of the recovered structure constants.  Returns the involution
@@ -240,9 +226,8 @@ def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0,
     inv = InvolutionAlgebroid(0, spec.dim, PolyMap.zero(0, 0), first.flip,
                               spec=recovered, describe=spec.name)
     report = Report()
-    report.extend(check_axioms(inv, samples=samples, seed=seed, workers=workers))
-    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed,
-                                    workers=workers))
+    report.extend(check_axioms(inv, samples=samples, seed=seed))
+    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
 
     basis = np.eye(spec.dim)
     pairs = [(i, j) for i in range(spec.dim) for j in range(spec.dim) if i != j]
@@ -256,8 +241,8 @@ def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0,
         return float(np.max(np.abs(fwd + bwd), initial=0.0))
 
     report.add(run_check("bracket-antisymmetric", pairs, antisym, 1e-9, seed,
-                         serialize=list, workers=workers))
-    report.extend(recovered.well_formed(samples=30, seed=seed, workers=workers))
+                         serialize=list))
+    report.extend(recovered.well_formed(samples=30, seed=seed))
     return inv, report
 
 
@@ -271,6 +256,10 @@ class PairGroupoidSpec:
 
     dim: int
     name: str = "pair-groupoid"
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("the pair groupoid needs a base of dimension at least 1")
 
 
 def pair_compose(x, y, tol: float = 1e-9):
@@ -357,7 +346,7 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
 
 
 def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
-                                seed: int = 0, workers: int = 1):
+                                seed: int = 0):
     """Differentiate the pair groupoid and verify it lands on the tangent
     algebroid of the base, bit for bit, besides passing the axiom suite."""
     inv = pair_involution(spec)
@@ -366,9 +355,8 @@ def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
     final = InvolutionAlgebroid(spec.dim, spec.dim, inv.rho, inv.flip,
                                 spec=reference, describe=spec.name)
     report = Report()
-    report.extend(check_axioms(final, samples=samples, seed=seed, workers=workers))
-    report.extend(check_yang_baxter(final, samples=max(10, samples // 2), seed=seed,
-                                    workers=workers))
+    report.extend(check_axioms(final, samples=samples, seed=seed))
+    report.extend(check_yang_baxter(final, samples=max(10, samples // 2), seed=seed))
 
     rng = np.random.default_rng(seed)
     pes = [sample_prolongation(final, rng.uniform(-1, 1, spec.dim), rng)
@@ -380,7 +368,7 @@ def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
         return residual(final.flip(v, w), ref_inv.flip(v, w))
 
     report.add(run_check("matches-tangent-flip", pes, matches, 0.0, seed,
-                         serialize=None, workers=workers))
+                         serialize=None))
     return final, report
 
 

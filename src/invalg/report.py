@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -97,24 +97,17 @@ def run_check(
     tolerance: float,
     seed: Optional[int],
     serialize: Callable[[object], object] = None,
-    workers: int = 1,
 ) -> CheckResult:
     """Evaluate a residual over pre-drawn inputs and fold into a CheckResult.
 
-    Inputs are drawn before any fan-out, and the worst case is the lowest-index
-    maximizer, so the result is identical for every worker count.
+    The worst case is the lowest-index maximizer, with a non-finite residual
+    (NaN included) ranking above every finite one, so it fails the check.
     """
     if not inputs:
         return CheckResult(name, 0, seed, 0.0, tolerance, True, None)
-    if workers > 1 and len(inputs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            residuals = list(pool.map(evaluate, inputs))
-    else:
-        residuals = [evaluate(x) for x in inputs]
-    worst_idx = 0
-    for i, r in enumerate(residuals):
-        if r > residuals[worst_idx]:
-            worst_idx = i
+    residuals = [evaluate(x) for x in inputs]
+    worst_idx = max(range(len(residuals)),
+                    key=lambda i: residuals[i] if math.isfinite(residuals[i]) else math.inf)
     worst = residuals[worst_idx]
     worst_input = None
     if serialize is not None:

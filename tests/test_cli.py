@@ -152,11 +152,37 @@ def test_check_rejects_bad_exponent_length(tmp_path, capsys):
     json.dumps({"schema_version": 7, "kind": "algebroid", "catalog": "so3"}),
     json.dumps({"schema_version": 1, "kind": "mystery"}),
     json.dumps({"schema_version": 1, "kind": "algebroid", "catalog": "no-such"}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": "x", "dim_A": 1,
+                "anchor": []}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 1, "dim_A": 1,
+                "anchor": [[{"coeff": float("nan"), "exponents": [0]}]]}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 0, "dim_A": 2,
+                "anchor": [], "structure": [{"i": 0, "j": 1, "k": 0,
+                                             "coeff": float("inf")}]}),
+    json.dumps({"schema_version": 1, "kind": "group", "catalog": "diag-abelian(0)"}),
 ])
 def test_check_input_errors_exit_2(tmp_path, payload):
     path = tmp_path / "fx.json"
     path.write_text(payload)
     assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "{path}", "--step", "0", "--out", "{out}"],
+    ["transport", "{path}", "--step", "nan", "--out", "{out}"],
+    ["check", "{so3}", "--samples", "-5"],
+    ["differentiate-group", "diag-abelian(0)"],
+    ["differentiate-group", "pair-groupoid(0)"],
+    ["check", "{so3}", "--samples", "5", "--out", "{missing}"],
+])
+def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),
+             "so3": catalog_fixture(tmp_path, "so3"),
+             "out": str(tmp_path / "out.csv"),
+             "missing": str(tmp_path / "no-such-dir" / "r.json")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_missing_file_exit_2(tmp_path):

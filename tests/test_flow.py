@@ -150,6 +150,23 @@ def test_expm_rejects_nonsquare():
         expm(np.zeros((2, 3)))
 
 
+def test_expm_matches_scipy_including_large_norms():
+    # norms of 10-50 take the kernel through six to eight squarings, which the
+    # norm-2 integrator comparison above never reaches
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 6):
+        for norm in (0.3, 2.0, 10.0, 25.0, 50.0):
+            a = rng.standard_normal((n, n))
+            a *= norm / np.linalg.norm(a, 2)
+            ref = scipy_expm(a)
+            assert np.max(np.abs(expm(a) - ref)) <= 1e-10 * np.max(np.abs(ref))
+            # a skew matrix exponentiates to a rotation, entries at most 1
+            skew = a - a.T
+            assert np.max(np.abs(expm(skew) - scipy_expm(skew))) <= 1e-12
+
+
 # -- path variations and membership -------------------------------------------
 
 

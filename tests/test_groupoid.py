@@ -1,5 +1,7 @@
 """Matrix-group jets, the groupoid flip composite, and differentiation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,13 @@ def test_projection_rejects_outside_span():
         spec.as_matrix(np.eye(3))
 
 
+def test_project_jet_rejects_non_finite_matrix():
+    spec = so3_group()
+    coords = JetPoint.from_rows(1, [[0.1, math.nan, 0.3], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        spec.project_jet(spec.matrix_jet(coords), 1)
+
+
 def test_as_matrix_accepts_both_forms():
     spec = sl2_group()
     coords = np.array([1.0, 2.0, -1.0])
@@ -328,3 +337,6 @@ def test_group_catalog_names():
     assert group_catalog("pair-groupoid(2)").dim == 2
     with pytest.raises(KeyError):
         group_catalog("su5")
+    for empty in ("diag-abelian(0)", "pair-groupoid(0)"):
+        with pytest.raises(ValueError):
+            group_catalog(empty)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from invalg.jet import (
     split_innermost,
     sub_tangent,
 )
+from invalg.report import run_check
 
 
 def jp(depth, rows):
@@ -165,6 +168,26 @@ def test_polymap_compose_matches_pointwise():
         assert np.max(np.abs(fg.eval_floats(x) - direct)) < 1e-12
 
 
+def test_polymap_arithmetic_matches_pointwise():
+    rng = np.random.default_rng(17)
+    f = PolyMap.from_terms(2, [[(1.0, (1, 1)), (2.0, (0, 0))], [(3.0, (2, 0)), (-1.0, (2, 0))]])
+    g = PolyMap.from_terms(2, [[(0.5, (0, 1))], [(-2.0, (2, 0)), (1.0, (0, 3))]])
+    for _ in range(10):
+        x = rng.uniform(-1, 1, 2)
+        fx, gx = f.eval_floats(x), g.eval_floats(x)
+        cases = [(f + g, fx + gx), (f - g, fx - gx), (2.5 * f, 2.5 * fx), (f * g, fx * gx),
+                 (f[0] * g, fx[0] * gx), (g * f[1], gx * fx[1]), (f[1:], fx[1:])]
+        for pm, expected in cases:
+            assert np.max(np.abs(pm.eval_floats(x) - expected)) < 1e-12
+    # results are canonical: repeated exponents merged, sorted, zeros dropped
+    assert (f * 1.0).terms == (((2.0, (0, 0)), (1.0, (1, 1))), ((2.0, (2, 0)),))
+    assert (f - f).terms == ((), ())
+    with pytest.raises(ValueError):
+        f + f[0]
+    with pytest.raises(ValueError):
+        f * PolyMap.zero(2, 3)
+
+
 def test_functoriality_exact_on_integer_polynomials():
     # with integer coefficients and integer inputs every float op is exact,
     # so composing then evaluating must agree bit for bit at every depth
@@ -236,10 +259,22 @@ def test_tangent_axiom_suite_passes():
     assert worst is not None
 
 
-def test_tangent_axiom_suite_threaded_matches_serial():
-    serial = check_tangent_axioms(samples=40, seed=9, workers=1)
-    threaded = check_tangent_axioms(samples=40, seed=9, workers=4)
-    assert serial.to_json() == threaded.to_json()
+def test_residual_is_nan_when_any_difference_is():
+    nan = math.nan
+    x = jp(1, [[nan, 1.0], [nan, 2.0]])
+    assert math.isnan(residual(x, x))
+    # a NaN after a finite maximum is not dropped either
+    y = jp(1, [[0.0, 9.0], [0.0, nan]])
+    assert math.isnan(residual(y, jp(1, [[0.0, 0.0], [0.0, 0.0]])))
+
+
+def test_run_check_fails_on_non_finite_residuals():
+    for values in ([1e-15, math.nan, 1e-16], [math.nan, 0.0], [0.0, math.inf, math.nan]):
+        result = run_check("r", values, lambda r: r, 1e-9, 0, serialize=repr)
+        assert not result.passed
+        assert not math.isfinite(result.max_residual)
+        # the worst input is the first non-finite one
+        assert result.worst_input == repr(next(v for v in values if not math.isfinite(v)))
 
 
 def test_corrupted_lift_is_detected():
