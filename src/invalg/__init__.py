@@ -5,7 +5,7 @@ flips, verifies the involution-algebroid laws with nested-jet arithmetic,
 differentiates matrix groupoids, and integrates path and homotopy transport.
 """
 
-from .report import CheckResult, Report, run_check
+from .report import CheckResult, Report, run_check, worst_of
 from .jet import (
     JetScalar,
     JetPoint,

@@ -38,7 +38,7 @@ from .jet import (
     residual,
     split_innermost,
 )
-from .report import Report, run_check
+from .report import Report, run_check, worst_of
 
 DEFAULT_AXIOM_TOLERANCES = {
     "projection": 1e-12,
@@ -78,10 +78,12 @@ class Anchored:
     which provide dim_M, dim_A and the flattened anchor rho."""
 
     def anchor_matrix(self, m) -> np.ndarray:
-        return self.rho.eval_floats(_vec(m).reshape(self.dim_M)).reshape(self.dim_M, self.dim_A)
+        """The anchor at a base point, or at each point of a (..., dim_M) batch."""
+        m = _vec(m)
+        return self.rho.eval_floats(m).reshape(m.shape[:-1] + (self.dim_M, self.dim_A))
 
     def anchor_apply(self, m, a) -> np.ndarray:
-        return self.anchor_matrix(m) @ _vec(a)
+        return np.matmul(self.anchor_matrix(m), _vec(a)[..., None])[..., 0]
 
     def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
         rho_jet = self.rho.eval_jet(mj)
@@ -164,14 +166,14 @@ class AlgebroidSpec(Anchored):
     # structure-function evaluation
 
     def c_tensor(self, m) -> np.ndarray:
-        flat = self.c_pairs.eval_floats(_vec(m).reshape(self.dim_M))
-        n_pairs = len(self.pairs)
-        tensor = np.zeros((self.dim_A, self.dim_A, self.dim_A))
-        for k in range(self.dim_A):
-            for pos, (i, j) in enumerate(self.pairs):
-                val = flat[k * n_pairs + pos]
-                tensor[k, i, j] = val
-                tensor[k, j, i] = -val
+        """C[k, i, j] at a base point, or at each point of a (..., dim_M) batch."""
+        m = _vec(m)
+        da = self.dim_A
+        flat = self.c_pairs.eval_floats(m).reshape(m.shape[:-1] + (da, len(self.pairs)))
+        first, second = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        tensor = np.zeros(m.shape[:-1] + (da, da, da))
+        tensor[..., first, second] = flat
+        tensor[..., second, first] = -flat
         return tensor
 
     def c_apply(self, m, a, b) -> np.ndarray:
@@ -298,10 +300,11 @@ class ProlongElement:
     w: TAElement
 
     def residual(self, owner) -> float:
-        spec_like = _as_anchor(owner)
-        worst = float(np.max(np.abs(self.v.m - self.w.m), initial=0.0))
-        expected = spec_like.anchor_apply(self.v.m, self.v.a)
-        return max(worst, float(np.max(np.abs(self.w.mdot - expected), initial=0.0)))
+        expected = _as_anchor(owner).anchor_apply(self.v.m, self.v.a)
+        return worst_of([
+            float(np.max(np.abs(self.v.m - self.w.m), initial=0.0)),
+            float(np.max(np.abs(self.w.mdot - expected), initial=0.0)),
+        ])
 
 
 @dataclass(frozen=True)
@@ -317,13 +320,11 @@ class DoubleProlongElement:
     def residual(self, owner) -> float:
         spec_like = _as_anchor(owner)
         dm = self.v.dim_M
-        pe = ProlongElement(self.v, self.w)
-        worst = pe.residual(owner)
-        lhs = flip_c(self.x.take(0, dm), 1, 2) if dm else None
-        rhs = t_rho_jet(spec_like, self.w.to_jet())
-        if dm:
-            worst = max(worst, residual(lhs, rhs))
-        return worst
+        worst = ProlongElement(self.v, self.w).residual(owner)
+        if not dm:
+            return worst
+        lhs = flip_c(self.x.take(0, dm), 1, 2)
+        return worst_of([worst, residual(lhs, t_rho_jet(spec_like, self.w.to_jet()))])
 
 
 def _as_anchor(owner):
@@ -524,10 +525,10 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
 
     def projection(pe):
         out = inv.flip_elements(pe)
-        return max(
+        return worst_of([
             float(np.max(np.abs(out.m - pe.v.m), initial=0.0)),
             float(np.max(np.abs(out.a - pe.v.a), initial=0.0)),
-        )
+        ])
 
     check("projection", pes, projection, _ser_pe)
 
@@ -550,10 +551,10 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
     def source(pe):
         out = inv.flip_elements(pe)
         expected = inv.anchor_apply(pe.v.m, pe.w.a)
-        return max(
+        return worst_of([
             float(np.max(np.abs(out.m - pe.v.m), initial=0.0)),
             float(np.max(np.abs(out.mdot - expected), initial=0.0)),
-        )
+        ])
 
     check("source", pes, source, _ser_pe)
 
@@ -603,10 +604,9 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
         v_jet = JetPoint.constant(np.concatenate([u.m, u.a]), 0)
         anchored = inv.anchor_apply(u.m, u.a)
         t_xi = TAElement(u.m, np.zeros(da), anchored, np.zeros(da)).to_jet()
-        worst = residual(inv.flip(v_jet, t_xi), insert_zero(v_jet, 1))
         xi = JetPoint.constant(np.concatenate([u.m, np.zeros(da)]), 0)
-        worst = max(worst, residual(inv.flip(xi, insert_zero(v_jet, 1)), t_xi))
-        return worst
+        return worst_of([residual(inv.flip(v_jet, t_xi), insert_zero(v_jet, 1)),
+                         residual(inv.flip(xi, insert_zero(v_jet, 1)), t_xi)])
 
     check("zero-sections", points, zero_sections, _ser_ae)
     return report
@@ -674,7 +674,7 @@ def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0
         t = (v, w, y)
         m1 = _yb_sigma_c(inv, _yb_id_tsigma(inv, _yb_sigma_c(inv, t)))
         m2 = _yb_id_tsigma(inv, _yb_sigma_c(inv, _yb_id_tsigma(inv, t)))
-        return max(residual(a, b) for a, b in zip(m1, m2))
+        return worst_of(residual(a, b) for a, b in zip(m1, m2))
 
     report.add(run_check("yang-baxter", dpes, braid, tols["yang-baxter"], seed,
                          serialize=_ser_dpe))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jet import JetPoint, JetScalar, PolyMap, flip_c, lift_l
+from .report import worst_of
 
 _PROJ_TOL = 1e-12
 
@@ -97,18 +98,13 @@ class TAElement:
 
 
 def a_residual(x: AElement, y: AElement) -> float:
-    return max(
-        float(np.max(np.abs(x.m - y.m), initial=0.0)),
-        float(np.max(np.abs(x.a - y.a), initial=0.0)),
-    )
+    return worst_of(float(np.max(np.abs(bx - by), initial=0.0))
+                    for bx, by in ((x.m, y.m), (x.a, y.a)))
 
 
 def ta_residual(x: TAElement, y: TAElement) -> float:
-    worst = 0.0
-    for bx, by in ((x.m, y.m), (x.a, y.a), (x.mdot, y.mdot), (x.adot, y.adot)):
-        if bx.size:
-            worst = max(worst, float(np.max(np.abs(bx - by))))
-    return worst
+    return worst_of(float(np.max(np.abs(bx - by), initial=0.0))
+                    for bx, by in ((x.m, y.m), (x.a, y.a), (x.mdot, y.mdot), (x.adot, y.adot)))
 
 
 # -- sections and zero maps --------------------------------------------------

@@ -602,23 +602,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args) -> int:
+    if args.command == "check":
+        return do_check(args)
+    if args.command == "convert":
+        return do_convert(args)
+    if args.command == "transport":
+        if not args.out:
+            raise FixtureError("transport needs --out for the trajectory table")
+        return do_transport(args)
+    if args.command == "differentiate-group":
+        return do_differentiate_group(args)
+    if args.command == "catalog":
+        return do_catalog(args)
+    raise FixtureError("unknown command %r" % args.command)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        if args.command == "check":
-            return do_check(args)
-        if args.command == "convert":
-            return do_convert(args)
-        if args.command == "transport":
-            if not args.out:
-                raise FixtureError("transport needs --out for the trajectory table")
-            return do_transport(args)
-        if args.command == "differentiate-group":
-            return do_differentiate_group(args)
-        if args.command == "catalog":
-            return do_catalog(args)
-        raise FixtureError("unknown command %r" % args.command)
+        # an overflow shows as an inf or NaN residual in the report, which
+        # fails its check; numpy's warnings about it would only be noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _dispatch(args)
     except FixtureError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -5,22 +5,29 @@ tangent of the total space; transporting a fiber element along it means
 solving the flow equation whose right side is the flip of the moving element
 against the variation.  The base equation closes on its own, and the fiber
 equation is affine in the fiber, so the solver runs in two stages: base
-first on a refined grid, then the affine fiber system along it.  The same
-machinery iterated in two parameters gives homotopy transport and the
-differentiation / integration maps between fiber paths and infinitesimal
-variations.
+first on a refined grid, then the affine fiber system along it.
+
+Both stages read a stage table: the variation is evaluated once, in one
+call, at every time an RK4 stage of the refined grid asks for, and the fiber
+coefficients (matrix, offset) are computed from that table at every
+refined-grid time in one batch.  Several transports along different
+variations run as rows of one state through a single RK4 solve; a path
+transport is the one-row case, and a homotopy transport integrates its
+spine, then all rows of the square at once, in each order.  The same
+machinery gives the differentiation / integration maps between fiber paths
+and infinitesimal variations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .algebroid import InvolutionAlgebroid
 from .bundle import AElement, TAElement
 from .jet import JetPoint, PolyMap, flip_c, residual
+from .report import worst_of
 
 
 def rk4_solve(field, x0, t_end: float, h: float):
@@ -80,9 +87,10 @@ def expm(a) -> np.ndarray:
 
 
 def _split_blocks(arr, dm: int, da: int):
-    arr = np.asarray(arr, dtype=float).reshape(2 * (dm + da))
+    """The four blocks along the last axis: base, fiber, base and fiber velocity."""
+    arr = np.asarray(arr, dtype=float)
     n = dm + da
-    return arr[:dm], arr[dm:n], arr[n:n + dm], arr[n + dm:]
+    return arr[..., :dm], arr[..., dm:n], arr[..., n:n + dm], arr[..., n + dm:]
 
 
 @dataclass(frozen=True)
@@ -115,20 +123,16 @@ class APathVariation:
         admissible paths over a uniform time grid: the anchor matching the
         base speed, and its derivative matching along the variation."""
         dm, da = self.dim_M, self.dim_A
-        worst = {"anchor": 0.0, "variation": 0.0}
+        anchor, variation = [], []
         for t in np.linspace(0.0, self.t_end, grid):
             jet = self.phi.eval_jet(JetPoint.from_rows(1, [[t], [1.0]]))
-            val = jet.base
-            dot = np.array([e.coeffs[1] for e in jet.entries])
-            m, a, mdot, adot = _split_blocks(val, dm, da)
-            m_t, _, mdot_t, _ = _split_blocks(dot, dm, da)
-            r1 = np.abs(inv.anchor_apply(m, a) - m_t)
-            worst["anchor"] = max(worst["anchor"], float(np.max(r1, initial=0.0)))
+            m, a, mdot, adot = _split_blocks(jet.row(0), dm, da)
+            m_t, _, mdot_t, _ = _split_blocks(jet.row(1), dm, da)
+            anchor.append(float(np.max(np.abs(inv.anchor_apply(m, a) - m_t), initial=0.0)))
             vel = inv.anchor_apply_jet(
                 JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
-            r2 = [abs(vel.entries[i].coeffs[1] - mdot_t[i]) for i in range(dm)]
-            worst["variation"] = max(worst["variation"], max(r2, default=0.0))
-        return worst
+            variation.append(float(np.max(np.abs(vel.row(1) - mdot_t), initial=0.0)))
+        return {"anchor": worst_of(anchor), "variation": worst_of(variation)}
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class AHomotopyVariation:
         the flip exchanging the two directions' prolongations."""
         dm, da = self.dim_M, self.dim_A
         n = dm + da
-        worst = {"paired-base": 0.0, "horizontal": 0.0, "vertical": 0.0, "continuity": 0.0}
+        found = {"paired-base": [], "horizontal": [], "vertical": [], "continuity": []}
         for s in np.linspace(0.0, 1.0, grid):
             for t in np.linspace(0.0, 1.0, grid):
                 j0 = self._full_jet(self.h0, s, t)
@@ -166,16 +170,12 @@ class AHomotopyVariation:
                 c0 = np.array([e.coeffs for e in j0.entries])
                 c1 = np.array([e.coeffs for e in j1.entries])
 
-                pair = max(
+                found["paired-base"].append(worst_of([
                     float(np.max(np.abs(c0[:dm] - c1[:dm]), initial=0.0)),
                     float(np.max(np.abs(c0[n:n + dm] - c1[n:n + dm]), initial=0.0)),
-                )
-                worst["paired-base"] = max(worst["paired-base"], pair)
-
-                worst["horizontal"] = max(
-                    worst["horizontal"], self._direction_residual(inv, c0, 1))
-                worst["vertical"] = max(
-                    worst["vertical"], self._direction_residual(inv, c1, 2))
+                ]))
+                found["horizontal"].append(self._direction_residual(inv, c0, 1))
+                found["vertical"].append(self._direction_residual(inv, c1, 2))
 
                 # the exchange identity, evaluated through the flip itself
                 v = JetPoint.from_rows(1, [c0[:n, 0], c0[n:, 0]])
@@ -184,9 +184,8 @@ class AHomotopyVariation:
                 lhs = inv.flip(v, flip_c(ts_h1, 1, 2))
                 tt_h0 = JetPoint.from_rows(
                     2, [c0[:n, 0], c0[:n, 2], c0[n:, 0], c0[n:, 2]])
-                worst["continuity"] = max(
-                    worst["continuity"], residual(lhs, flip_c(tt_h0, 1, 2)))
-        return worst
+                found["continuity"].append(residual(lhs, flip_c(tt_h0, 1, 2)))
+        return {name: worst_of(values) for name, values in found.items()}
 
     def _direction_residual(self, inv, coeffs, mask: int) -> float:
         dm, da = self.dim_M, self.dim_A
@@ -194,41 +193,12 @@ class AHomotopyVariation:
         m, a = coeffs[:dm, 0], coeffs[dm:n, 0]
         mdot, adot = coeffs[n:n + dm, 0], coeffs[n + dm:, 0]
         m_d, mdot_d = coeffs[:dm, mask], coeffs[n:n + dm, mask]
-        r1 = float(np.max(np.abs(inv.anchor_apply(m, a) - m_d), initial=0.0))
         vel = inv.anchor_apply_jet(
             JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
-        r2 = max((abs(vel.entries[i].coeffs[1] - mdot_d[i]) for i in range(dm)), default=0.0)
-        return max(r1, r2)
-
-
-@dataclass(frozen=True)
-class LinearDynSys:
-    """Affine fiber system along a precomputed base trajectory: the base is
-    sampled on a grid twice as fine as the fiber step so the fiber solver
-    can evaluate the coefficients at half steps."""
-
-    times: np.ndarray
-    base_points: np.ndarray
-    coefficient: Callable  # (t, m) -> (matrix, offset)
-
-    def base_at(self, t: float) -> np.ndarray:
-        dt = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
-        idx = int(round(t / dt))
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-9:
-            raise ValueError("time %g is off the base grid" % t)
-        return self.base_points[idx]
-
-    def solve(self, b0, t_end: float, h: float):
-        cache = {}
-
-        def field(t, b):
-            key = round(t * 1e12)
-            if key not in cache:
-                cache[key] = self.coefficient(t, self.base_at(t))
-            mat, off = cache[key]
-            return mat @ b + off
-
-        return rk4_solve(field, b0, t_end, h)
+        return worst_of([
+            float(np.max(np.abs(inv.anchor_apply(m, a) - m_d), initial=0.0)),
+            float(np.max(np.abs(vel.row(1) - mdot_d), initial=0.0)),
+        ])
 
 
 @dataclass(frozen=True)
@@ -249,40 +219,76 @@ class PathTransport:
         return "\n".join(lines) + "\n"
 
 
-def _coefficient_evaluator(inv: InvolutionAlgebroid, phi: APathVariation):
-    """The affine right side of the fiber equation, read off the attached
-    structure data when present and from flip evaluations otherwise."""
+def _stage_index(t: float, spacing: float, count: int) -> int:
+    """Position of a solver time on a uniform table of count entries."""
+    k = int(round(t / spacing))
+    if not 0 <= k < count or abs(t / spacing - k) > 1e-6:
+        raise ValueError("time %g is off the stage grid" % t)
+    return k
+
+
+def _fiber_coefficients(inv: InvolutionAlgebroid, blocks: np.ndarray, base: np.ndarray):
+    """The affine right side (matrix, offset) of the fiber equation at every
+    entry of a table: blocks (..., 2(dim_M + dim_A)) of variations, base
+    (..., dim_M) of points on the base trajectory.  Read off the attached
+    structure data in one batch when present, and from flip evaluations,
+    one entry at a time, otherwise."""
     dm, da = inv.dim_M, inv.dim_A
-
+    _, a_phi, mdot_phi, adot_phi = _split_blocks(blocks, dm, da)
     if inv.spec is not None:
-        spec = inv.spec
+        mats = np.matmul(inv.spec.c_tensor(base), a_phi[..., None, :, None])[..., 0]
+        return mats, adot_phi
 
-        def coefficient(t, m):
-            _, a_phi, _, adot_phi = _split_blocks(phi.phi.eval_floats([t]), dm, da)
-            mat = spec.c_tensor(m) @ a_phi
-            return mat, adot_phi
-
-        return coefficient
-
-    def coefficient(t, m):
-        _, a_phi, mdot_phi, adot_phi = _split_blocks(phi.phi.eval_floats([t]), dm, da)
+    mats = np.empty(base.shape[:-1] + (da, da))
+    offs = np.empty(base.shape[:-1] + (da,))
+    basis = np.eye(da)
+    for idx in np.ndindex(base.shape[:-1]):
+        m = base[idx]
+        w = JetPoint.from_rows(
+            1, [np.concatenate([m, a_phi[idx]]), np.concatenate([mdot_phi[idx], adot_phi[idx]])])
 
         def velocity(b):
-            v = JetPoint.constant(np.concatenate([m, b]), 0)
-            w = JetPoint.from_rows(
-                1, [np.concatenate([m, a_phi]),
-                    np.concatenate([mdot_phi, adot_phi])])
-            out = inv.flip(v, w)
+            out = inv.flip(JetPoint.constant(np.concatenate([m, b]), 0), w)
             return np.array([e.coeffs[1] for e in out.entries[dm:]])
 
-        off = velocity(np.zeros(da))
-        mat = np.empty((da, da))
-        basis = np.eye(da)
+        offs[idx] = velocity(np.zeros(da))
         for j in range(da):
-            mat[:, j] = velocity(basis[j]) - off
-        return mat, off
+            mats[idx + (slice(None), j)] = velocity(basis[j]) - offs[idx]
+    return mats, offs
 
-    return coefficient
+
+def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end: float):
+    """Transport one fiber element per row along that row's path variation,
+    all rows as one state.  stages (rows, 4n + 1, 2(dim_M + dim_A)) holds the
+    variations at every quarter step of the n steps.  The base flows first at
+    half steps, whose RK4 stages fall on quarter steps; then the affine fiber
+    system at full steps, its coefficients tabulated once per half step.
+    Returns the times, base (n + 1, rows, dim_M) and fiber (n + 1, rows, dim_A)."""
+    dm, da = inv.dim_M, inv.dim_A
+    rows, count, _ = stages.shape
+    quarter = t_end / (count - 1)
+    a_phi = _split_blocks(stages, dm, da)[1]
+
+    def base_field(t, m):
+        k = _stage_index(t, quarter, count)
+        return inv.anchor_apply(m.reshape(rows, dm), a_phi[:, k]).reshape(-1)
+
+    _, base = rk4_solve(base_field, m0, t_end, 2 * quarter)
+    base = base.reshape(len(base), rows, dm)
+    mats, offs = _fiber_coefficients(inv, stages[:, ::2].swapaxes(0, 1), base)
+
+    def fiber_field(t, b):
+        k = _stage_index(t, 2 * quarter, len(base))
+        return (np.matmul(mats[k], b.reshape(rows, da, 1))[..., 0] + offs[k]).reshape(-1)
+
+    times, fiber = rk4_solve(fiber_field, a0, t_end, 4 * quarter)
+    return times, base[::2], fiber.reshape(len(fiber), rows, da)
+
+
+def _quarter_times(t_end: float, h: float) -> np.ndarray:
+    """Quarter-step times of the fixed-step grid from 0 to t_end."""
+    n = max(1, int(round(t_end / h)))
+    return np.arange(4 * n + 1) * (t_end / (4 * n))
 
 
 def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
@@ -294,44 +300,31 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
     dm, da = inv.dim_M, inv.dim_A
     start = phi.blocks(0.0)
     if composability_tol != np.inf:
-        gap = max(
-            float(np.max(np.abs(np.asarray(a0.m, dtype=float) - start.m), initial=0.0)),
+        gap = worst_of([
+            float(np.max(np.abs(a0.m - start.m), initial=0.0)),
             float(np.max(np.abs(inv.anchor_apply(a0.m, a0.a) - start.mdot), initial=0.0)),
-        )
-        if gap > composability_tol:
+        ])
+        if not gap <= composability_tol:
             raise ValueError(
                 "initial element is not composable with the variation "
                 "(defect %.3e)" % gap)
 
-    n = max(1, int(round(phi.t_end / h)))
-    hs = phi.t_end / n
-
-    def base_field(t, m):
-        _, a_phi, _, _ = _split_blocks(phi.phi.eval_floats([t]), dm, da)
-        return inv.anchor_apply(m, a_phi)
-
-    fine_times, fine_base = rk4_solve(base_field, a0.m, phi.t_end, hs / 2)
-    system = LinearDynSys(fine_times, fine_base, _coefficient_evaluator(inv, phi))
-    times, fiber = system.solve(a0.a, phi.t_end, hs)
-    base = fine_base[::2]
-
-    worst = 0.0
-    for i, t in enumerate(times):
-        v = phi.blocks(t)
-        worst = max(worst, float(np.max(np.abs(base[i] - v.m), initial=0.0)))
-        worst = max(worst, float(np.max(
-            np.abs(inv.anchor_apply(base[i], fiber[i]) - v.mdot), initial=0.0)))
+    stages = phi.phi.eval_floats(_quarter_times(phi.t_end, h)[:, None])
+    times, base, fiber = _transport_rows(inv, stages[None], a0.m, a0.a, phi.t_end)
+    base, fiber = base[:, 0], fiber[:, 0]
+    m_phi, _, mdot_phi, _ = _split_blocks(stages[::4], dm, da)
+    worst = worst_of([
+        float(np.max(np.abs(base - m_phi), initial=0.0)),
+        float(np.max(np.abs(inv.anchor_apply(base, fiber) - mdot_phi), initial=0.0)),
+    ])
     return PathTransport(times, base, fiber, worst)
 
 
-def _fix_first(pm: PolyMap, s0: float) -> PolyMap:
-    inner = PolyMap.from_terms(1, [((s0, (0,)),), ((1.0, (1,)),)])
-    return pm.compose(inner)
-
-
-def _fix_second(pm: PolyMap, t0: float) -> PolyMap:
-    inner = PolyMap.from_terms(1, [((1.0, (1,)),), ((t0, (0,)),)])
-    return pm.compose(inner)
+def _square_stages(pm: PolyMap, fixed, times: np.ndarray, along_s: bool) -> np.ndarray:
+    """A surface variation on lines of the unit square, one row per fixed
+    value: (rows, len(times), out_dim), moving along s or along t."""
+    moving, still = np.broadcast_arrays(times[None, :], np.asarray(fixed, dtype=float)[:, None])
+    return pm.eval_floats(np.stack((moving, still) if along_s else (still, moving), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -366,11 +359,11 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
     dm, da = inv.dim_M, inv.dim_A
     start = hv.h0.eval_floats([0.0, 0.0])
     m0, _, mdot0, _ = _split_blocks(start, dm, da)
-    gap = max(
-        float(np.max(np.abs(np.asarray(a0.m, dtype=float) - m0), initial=0.0)),
+    gap = worst_of([
+        float(np.max(np.abs(a0.m - m0), initial=0.0)),
         float(np.max(np.abs(inv.anchor_apply(a0.m, a0.a) - mdot0), initial=0.0)),
-    )
-    if gap > 1e-9:
+    ])
+    if not gap <= 1e-9:
         raise ValueError(
             "initial element is not composable with the homotopy (defect %.3e)" % gap)
 
@@ -379,37 +372,30 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
     segments = grid - 1
     n = max(segments, int(round(1.0 / h)))
     n = ((n + segments - 1) // segments) * segments
-    hs = 1.0 / n
-    stride = n // segments
     nodes = np.linspace(0.0, 1.0, grid)
+    stage_times = _quarter_times(1.0, 1.0 / n)
+    at_nodes = slice(None, None, n // segments)
 
-    def spine_and_rows(first_dir: bool):
-        # first_dir True: integrate along t at the s=0 edge, then rows in s
-        edge = _fix_first(hv.h1, 0.0) if first_dir else _fix_second(hv.h0, 0.0)
-        spine = apath_transport(inv, APathVariation(dm, da, edge, 1.0), a0,
-                                hs, composability_tol=np.inf)
-        base = np.empty((grid, grid, dm))
-        fiber = np.empty((grid, grid, da))
+    def surface(first_dir: bool):
+        # first_dir True: along t on the edge s = 0, then along s on every
+        # row t = t_j, all rows at once; False: the transposed order
+        edge_pm, row_pm = (hv.h1, hv.h0) if first_dir else (hv.h0, hv.h1)
+        _, spine_base, spine_fiber = _transport_rows(
+            inv, _square_stages(edge_pm, [0.0], stage_times, not first_dir), a0.m, a0.a, 1.0)
+        _, base, fiber = _transport_rows(
+            inv, _square_stages(row_pm, nodes, stage_times, first_dir),
+            spine_base[at_nodes, 0], spine_fiber[at_nodes, 0], 1.0)
+        base, fiber = base[at_nodes], fiber[at_nodes]  # (along the rows, rows, dim)
+        if first_dir:
+            return base, fiber
+        return base.swapaxes(0, 1), fiber.swapaxes(0, 1)
 
-        for j in range(grid):
-            anchor_idx = j * stride
-            init = AElement(spine.base[anchor_idx], spine.fiber[anchor_idx])
-            slice_pm = _fix_second(hv.h0, nodes[j]) if first_dir else _fix_first(hv.h1, nodes[j])
-            run = apath_transport(inv, APathVariation(dm, da, slice_pm, 1.0), init,
-                                  hs, composability_tol=np.inf)
-            brow, frow = run.base[::stride], run.fiber[::stride]
-            if first_dir:
-                base[:, j], fiber[:, j] = brow, frow
-            else:
-                base[j, :], fiber[j, :] = brow, frow
-        return base, fiber
-
-    base0, fiber0 = spine_and_rows(True)
-    base1, fiber1 = spine_and_rows(False)
-    discrepancy = max(
+    base0, fiber0 = surface(True)
+    base1, fiber1 = surface(False)
+    discrepancy = worst_of([
         float(np.max(np.abs(base0 - base1), initial=0.0)),
         float(np.max(np.abs(fiber0 - fiber1), initial=0.0)),
-    )
+    ])
     return HomotopyTransport(nodes, nodes, base0, fiber0, base1, fiber1, discrepancy)
 
 
@@ -439,18 +425,15 @@ def alg1_residuals(inv: InvolutionAlgebroid, phi: APathVariation, grid: int = 33
     variations: zero value part over a constant base, no base speed at the
     start, and the path-variation identity."""
     dm, da = inv.dim_M, inv.dim_A
-    m = phi.blocks(0.0).m
-    starts = 0.0
-    for t in np.linspace(0.0, phi.t_end, grid):
-        v = phi.blocks(t)
-        starts = max(starts,
-                     float(np.max(np.abs(v.a), initial=0.0)),
-                     float(np.max(np.abs(v.m - m), initial=0.0)))
+    start = phi.blocks(0.0)
+    bm, ba, _, _ = _split_blocks(
+        phi.phi.eval_floats(np.linspace(0.0, phi.t_end, grid)[:, None]), dm, da)
     member = phi.membership_residual(inv, grid)
     return {
-        "starts-at-zero": starts,
-        "source-constant": float(np.max(np.abs(phi.blocks(0.0).mdot), initial=0.0)),
-        "variation": max(member.values()),
+        "starts-at-zero": worst_of([float(np.max(np.abs(ba), initial=0.0)),
+                                    float(np.max(np.abs(bm - start.m), initial=0.0))]),
+        "source-constant": float(np.max(np.abs(start.mdot), initial=0.0)),
+        "variation": worst_of(member.values()),
     }
 
 
@@ -474,16 +457,15 @@ def inf_apath_wedge(inv: InvolutionAlgebroid, phi: APathVariation, h: float = 1e
     """Integrate an infinitesimal path variation back into a fiber path
     starting at zero, by transporting the zero vector along it.  The base
     must not move along the way; that is verified, not assumed."""
-    checks = alg1_residuals(inv, phi)
-    defect = max(checks.values())
-    if defect > membership_tol:
+    defect = worst_of(alg1_residuals(inv, phi).values())
+    if not defect <= membership_tol:
         raise ValueError(
             "curve is not an infinitesimal path variation (defect %.3e)" % defect)
     m = phi.blocks(0.0).m
     run = apath_transport(inv, phi, AElement(m, np.zeros(inv.dim_A)), h,
                           composability_tol=membership_tol)
     drift = float(np.max(np.abs(run.base - m), initial=0.0))
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise ArithmeticError("base point drifted by %.3e during integration" % drift)
     return FiberPath(m, run.times, run.fiber)
 
@@ -514,25 +496,20 @@ def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation, grid: int =
     """Defects of the five conditions cutting out infinitesimal homotopy
     variations, plus the shared-base pairing of the two halves."""
     dm, da = inv.dim_M, inv.dim_A
-    m = _split_blocks(hv.h0.eval_floats([0.0, 0.0]), dm, da)[0]
-    starts = 0.0
-    for s in np.linspace(0.0, 1.0, grid):
-        for t in np.linspace(0.0, 1.0, grid):
-            for pm in (hv.h0, hv.h1):
-                bm, ba, _, _ = _split_blocks(pm.eval_floats([s, t]), dm, da)
-                starts = max(starts,
-                             float(np.max(np.abs(ba), initial=0.0)),
-                             float(np.max(np.abs(bm - m), initial=0.0)))
-    source = max(
-        float(np.max(np.abs(_split_blocks(hv.h0.eval_floats([0.0, 0.0]), dm, da)[2]),
-                     initial=0.0)),
-        float(np.max(np.abs(_split_blocks(hv.h1.eval_floats([0.0, 0.0]), dm, da)[2]),
-                     initial=0.0)),
-    )
+    nodes = np.linspace(0.0, 1.0, grid)
+    square = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
+    m, _, _, _ = _split_blocks(hv.h0.eval_floats([0.0, 0.0]), dm, da)
+    starts, source = [], []
+    for pm in (hv.h0, hv.h1):
+        bm, ba, _, _ = _split_blocks(pm.eval_floats(square), dm, da)
+        starts += [float(np.max(np.abs(ba), initial=0.0)),
+                   float(np.max(np.abs(bm - m), initial=0.0))]
+        mdot = _split_blocks(pm.eval_floats([0.0, 0.0]), dm, da)[2]
+        source.append(float(np.max(np.abs(mdot), initial=0.0)))
     member = hv.membership_residual(inv, grid)
     return {
-        "starts-at-zero": starts,
-        "source-constant": source,
+        "starts-at-zero": worst_of(starts),
+        "source-constant": worst_of(source),
         "horizontal": member["horizontal"],
         "vertical": member["vertical"],
         "continuity": member["continuity"],
@@ -562,19 +539,15 @@ def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: flo
     """Integrate an infinitesimal homotopy variation into a fiber surface by
     transporting the zero vector over the square; both integration orders are
     run and must agree."""
-    checks = alg2_residuals(inv, hv)
-    defect = max(checks.values())
-    if defect > membership_tol:
+    defect = worst_of(alg2_residuals(inv, hv).values())
+    if not defect <= membership_tol:
         raise ValueError(
             "surface is not an infinitesimal homotopy variation (defect %.3e)" % defect)
     dm, da = inv.dim_M, inv.dim_A
     m = _split_blocks(hv.h0.eval_floats([0.0, 0.0]), dm, da)[0]
     run = ahomotopy_transport(inv, hv, AElement(m, np.zeros(da)), h, grid)
-    drift = max(
-        float(np.max(np.abs(run.base0 - m), initial=0.0)),
-        float(np.max(np.abs(run.base1 - m), initial=0.0)),
-    )
-    if drift > 1e-9:
+    drift = float(np.max(np.abs(np.stack([run.base0, run.base1]) - m), initial=0.0))
+    if not drift <= 1e-9:
         raise ArithmeticError("base point drifted by %.3e during integration" % drift)
     return FiberSurface(m, run.s_nodes, run.t_nodes, run.fiber0)
 

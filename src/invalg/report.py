@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,18 @@ class Report:
         return "\n".join(lines)
 
 
+def _rank(r: float) -> float:
+    """Sort key of a residual: a non-finite one (NaN included) ranks above
+    every finite one."""
+    return r if math.isfinite(r) else math.inf
+
+
+def worst_of(residuals: Iterable[float]) -> float:
+    """The worst of some residuals: the largest, or the first non-finite one,
+    so that a NaN never hides behind a number; 0.0 when there are none."""
+    return max(residuals, key=_rank, default=0.0)
+
+
 def run_check(
     name: str,
     inputs: list,
@@ -106,8 +118,7 @@ def run_check(
     if not inputs:
         return CheckResult(name, 0, seed, 0.0, tolerance, True, None)
     residuals = [evaluate(x) for x in inputs]
-    worst_idx = max(range(len(residuals)),
-                    key=lambda i: residuals[i] if math.isfinite(residuals[i]) else math.inf)
+    worst_idx = max(range(len(residuals)), key=lambda i: _rank(residuals[i]))
     worst = residuals[worst_idx]
     worst_input = None
     if serialize is not None:

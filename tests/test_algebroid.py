@@ -1,5 +1,7 @@
 """Flip construction, axiom suite, and bracket recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from invalg.algebroid import (
     sigma,
     spec_from_flip,
 )
-from invalg.bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, TAElement
+from invalg.bundle import (
+    AElement,
+    ConnectionSpec,
+    ScalarFieldSpec,
+    SectionSpec,
+    TAElement,
+    ta_residual,
+)
 from invalg.jet import JetPoint, PolyMap, residual
 
 
@@ -393,3 +402,22 @@ def test_spec_recovery_is_exact_over_a_point():
         assert recovered.c_pairs.terms == spec.c_pairs.terms
     with pytest.raises(ValueError):
         spec_from_flip(involution_from_spec(catalog.tangent(1)))
+
+
+def test_nan_anchor_fails_source_and_yang_baxter():
+    # folds that kept their first argument over a later NaN passed these two
+    # checks at 0.0
+    rho = PolyMap.from_terms(1, [[(math.nan, (0,))], [(1.0, (1,))]])
+    inv = involution_from_spec(AlgebroidSpec(1, 2, rho, PolyMap.zero(1, 2)))
+    report = check_axioms(inv, samples=20)
+    report.extend(check_yang_baxter(inv, samples=20))
+    for name in ("source", "zero-sections", "yang-baxter"):
+        assert not report[name].passed
+        assert math.isnan(report[name].max_residual)
+    # a NaN in the second compared block is not dropped either
+    spec = catalog.tangent(1)
+    pe = sample_prolongation(spec, [0.3], np.random.default_rng(0))
+    assert pe.residual(spec) == 0.0
+    bad = ProlongElement(pe.v, TAElement(pe.w.m, pe.w.a, [math.nan], pe.w.adot))
+    assert math.isnan(bad.residual(spec))
+    assert math.isnan(ta_residual(pe.w, bad.w))

@@ -1,6 +1,11 @@
 """End-to-end command line tests: fixture files in, exit codes and files out."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +188,29 @@ def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflowing_anchor_fails_checks_without_warnings(tmp_path):
+    # a finite coefficient that overflows inside the checks: the report shows
+    # the failures at inf or NaN, and stderr stays free of numpy warnings
+    fx = write_fixture(tmp_path, "huge.json", {
+        "schema_version": 1, "kind": "algebroid", "dim_M": 1, "dim_A": 1,
+        "anchor": [[{"coeff": 1e308, "exponents": [0]}]],
+    })
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invalg.cli", "check", fx, "--samples", "10",
+         "--format", "json", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    checks = read_report(out)
+    for name in ("bracket-jacobi", "anchor-morphism"):
+        assert not checks[name]["passed"]
+        assert not math.isfinite(checks[name]["max_residual"])
 
 
 def test_check_missing_file_exit_2(tmp_path):

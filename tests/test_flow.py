@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from invalg.algebroid import InvolutionAlgebroid, involution_from_spec
 from invalg.bundle import AElement
 from invalg.catalog import abelian, action_so3_r3, tangent
+from invalg.cli import load_fixture
 from invalg.flow import (
     AHomotopyVariation,
     APathVariation,
-    LinearDynSys,
-    _coefficient_evaluator,
+    _fiber_coefficients,
+    _stage_index,
     ahomotopy_transport,
     alg1_residuals,
     alg2_residuals,
@@ -24,6 +26,8 @@ from invalg.flow import (
     rk4_solve,
 )
 from invalg.jet import JetPoint, PolyMap
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def tangent_member():
@@ -261,14 +265,44 @@ def test_coefficient_routes_agree_on_curved_anchor():
     inv = involution_from_spec(spec)
     bare = InvolutionAlgebroid(3, 3, inv.rho, inv.flip)
     phi, m0, _ = action_generic_variation(spec)
-    with_spec = _coefficient_evaluator(inv, phi)
-    from_flip = _coefficient_evaluator(bare, phi)
-    for t in (0.0, 0.3, 0.7, 1.0):
-        for m in (m0, m0 + (0.2, -0.4, 0.1)):
-            mat_s, off_s = with_spec(t, np.asarray(m, dtype=float))
-            mat_f, off_f = from_flip(t, np.asarray(m, dtype=float))
-            assert float(np.max(np.abs(mat_s - mat_f))) < 1e-12
-            assert float(np.max(np.abs(off_s - off_f))) < 1e-12
+    # a (time, base point) table, as the transport batches it
+    blocks = phi.phi.eval_floats(np.array([0.0, 0.3, 0.7, 1.0])[:, None, None])
+    blocks = np.broadcast_to(blocks, (4, 2, 12))
+    base = np.stack([m0, m0 + (0.2, -0.4, 0.1)])
+    base = np.broadcast_to(base, (4, 2, 3))
+    mat_s, off_s = _fiber_coefficients(inv, blocks, base)
+    mat_f, off_f = _fiber_coefficients(bare, blocks, base)
+    assert mat_s.shape == mat_f.shape == (4, 2, 3, 3)
+    assert off_s.shape == off_f.shape == (4, 2, 3)
+    assert float(np.max(np.abs(mat_s - mat_f))) < 1e-12
+    assert float(np.max(np.abs(off_s - off_f))) < 1e-12
+    assert float(np.max(np.abs(mat_s[1, 1]))) > 0.1  # the anchor is curved here
+
+
+@pytest.mark.parametrize("case", ["tangent-path fixture", "curved action"])
+def test_transport_matches_solve_ivp(case):
+    # an independent adaptive integrator on the joint (base, fiber) equation
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    if case == "tangent-path fixture":
+        fx = load_fixture(str(FIXTURES / "tangent-path.json"))
+        spec, phi, a0 = fx["spec"], fx["variation"], fx["initial"]
+    else:
+        spec = action_so3_r3()
+        phi, m0, b0 = action_generic_variation(spec)
+        a0 = AElement(m0, b0)
+    dm = spec.dim_M
+
+    def joint(t, x):
+        m, b = x[:dm], x[dm:]
+        v = phi.blocks(t)
+        return np.concatenate([spec.anchor_apply(m, v.a), v.adot + spec.c_apply(m, b, v.a)])
+
+    run = apath_transport(involution_from_spec(spec), phi, a0, 1e-3)
+    ref = solve_ivp(joint, (0.0, phi.t_end), np.concatenate([a0.m, a0.a]), method="DOP853",
+                    t_eval=run.times, rtol=1e-12, atol=1e-12)
+    assert ref.success
+    assert float(np.max(np.abs(run.base - ref.y[:dm].T))) < 1e-9
+    assert float(np.max(np.abs(run.fiber - ref.y[dm:].T))) < 1e-9
 
 
 def test_flip_velocity_affine_in_fiber():
@@ -343,12 +377,12 @@ def test_transport_convergence_order():
     assert 12.0 <= errors[1] / errors[2] <= 20.0
 
 
-def test_dyn_sys_rejects_off_grid_times():
-    sys = LinearDynSys(np.array([0.0, 0.5, 1.0]), np.zeros((3, 1)),
-                       lambda t, m: (np.zeros((1, 1)), np.zeros(1)))
-    assert np.array_equal(sys.base_at(0.5), np.zeros(1))
-    with pytest.raises(ValueError, match="off the base grid"):
-        sys.base_at(0.3)
+def test_stage_lookup_rejects_off_grid_times():
+    assert _stage_index(0.5, 0.5, 3) == 1
+    assert _stage_index(1.0 - 1e-15, 0.5, 3) == 2
+    for t in (0.3, 1.5, -0.5):
+        with pytest.raises(ValueError, match="off the stage grid"):
+            _stage_index(t, 0.5, 3)
 
 
 # -- homotopy variations and transport ----------------------------------------
@@ -389,6 +423,27 @@ def test_homotopy_transport_runs_on_broken_pairing():
     run = ahomotopy_transport(inv, broken, AElement([0.0, 0.0], [0.0, 0.0]), 1e-3)
     assert run.discrepancy > 1e-3
     assert abs(run.discrepancy - 3.0) < 1e-6  # the planted mismatch at (1,1)
+
+
+def test_homotopy_flip_route_matches_spec_route():
+    # a curved anchor with nonzero structure functions, so the coefficients
+    # read off flip evaluations differ from entry to entry of the table
+    spec = action_so3_r3()
+    inv = involution_from_spec(spec)
+    bare = InvolutionAlgebroid(3, 3, inv.rho, inv.flip)
+    phi, m0, b0 = action_generic_variation(spec)
+    along = lambda cs, ct: PolyMap.from_terms(2, [[(cs, (1, 0)), (ct, (0, 1))]])
+    hv = AHomotopyVariation(3, 3, phi.phi.compose(along(1.0, 0.5)),
+                            phi.phi.compose(along(0.3, 1.0)))
+    a0 = AElement(m0, b0)
+    run_s = ahomotopy_transport(inv, hv, a0, 0.1, grid=3)
+    run_f = ahomotopy_transport(bare, hv, a0, 0.1, grid=3)
+    for ours, theirs in ((run_s.base0, run_f.base0), (run_s.fiber0, run_f.fiber0),
+                         (run_s.base1, run_f.base1), (run_s.fiber1, run_f.fiber1)):
+        assert ours.shape == theirs.shape
+        assert float(np.max(np.abs(ours - theirs))) < 1e-12
+    assert run_s.discrepancy > 1e-3  # not a member, so the two orders differ
+    assert abs(run_s.discrepancy - run_f.discrepancy) < 1e-12
 
 
 def test_homotopy_transport_rejects_noncomposable_start():

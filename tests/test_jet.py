@@ -21,7 +21,7 @@ from invalg.jet import (
     split_innermost,
     sub_tangent,
 )
-from invalg.report import run_check
+from invalg.report import run_check, worst_of
 
 
 def jp(depth, rows):
@@ -156,6 +156,58 @@ def test_polymap_eval_and_partial():
     assert f.jacobian_at([2.0, 5.0]).tolist() == [[20.0, 4.0], [1.0, 0.0]]
 
 
+def _eval_per_term(pm, x):
+    """Reference evaluation: one term at a time, added into its output."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1] + (pm.out_dim,))
+    for k, row in enumerate(pm.terms):
+        for c, exps in row:
+            term = np.full(x.shape[:-1], c)
+            for i, e in enumerate(exps):
+                if e:
+                    term = term * x[..., i] ** e
+            out[..., k] += term
+    return out
+
+
+def test_compiled_eval_floats_matches_per_term_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        in_dim, out_dim = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        rows = [[(float(rng.uniform(-2, 2)), tuple(int(e) for e in rng.integers(0, 5, in_dim)))
+                 for _ in range(int(rng.integers(0, 5)))] for _ in range(out_dim)]
+        pm = PolyMap(in_dim, out_dim, tuple(tuple(r) for r in rows))
+        for lead in ((), (4,), (2, 3)):
+            x = rng.uniform(-1.5, 1.5, lead + (in_dim,))
+            got = pm.eval_floats(x)
+            assert got.shape == lead + (out_dim,)
+            # the same products and sums in the same order: equal, not just close
+            np.testing.assert_array_equal(got, _eval_per_term(pm, x))
+    # no inputs: a constant map broadcasts over the leading dimensions
+    const = PolyMap.constant([1.5, 0.0, -2.0], 0)
+    assert const.eval_floats(np.zeros((2, 0))).tolist() == [[1.5, 0.0, -2.0]] * 2
+    with pytest.raises(ValueError):
+        const.eval_floats([1.0])
+
+
+def test_overflowing_term_stays_in_its_own_output():
+    # output 0 overflows to inf; outputs 1 and 2 share the inputs but not the
+    # term, so they stay finite (a dense monomial-times-coefficient product
+    # would turn them into inf * 0 = NaN)
+    pm = PolyMap.from_terms(2, [
+        [(1e300, (2, 0))],
+        [(0.5, (1, 0)), (1.0, (0, 1))],
+        [(3.0, (0, 0))],
+    ])
+    with np.errstate(over="ignore"):
+        out = pm.eval_floats(np.array([[1e10, 2.0], [1.0, 2.0]]))
+    assert out[0].tolist() == [np.inf, 0.5e10 + 2.0, 3.0]
+    assert out[1].tolist() == [1e300, 2.5, 3.0]
+    # a NaN input reaches only the outputs whose terms use it
+    nan_in = pm.eval_floats([np.nan, 2.0])
+    assert np.isnan(nan_in[0]) and np.isnan(nan_in[1]) and nan_in[2] == 3.0
+
+
 def test_polymap_compose_matches_pointwise():
     rng = np.random.default_rng(7)
     f = PolyMap.from_terms(2, [[(1.0, (1, 1))], [(2.0, (0, 2)), (-1.0, (1, 0))]])
@@ -275,6 +327,13 @@ def test_run_check_fails_on_non_finite_residuals():
         assert not math.isfinite(result.max_residual)
         # the worst input is the first non-finite one
         assert result.worst_input == repr(next(v for v in values if not math.isfinite(v)))
+
+
+def test_worst_of_ranks_non_finite_first():
+    assert worst_of([]) == 0.0
+    assert worst_of([1e-15, 3e-16]) == 1e-15
+    assert math.isnan(worst_of([1e-15, math.nan, 1e-16]))
+    assert worst_of(iter([0.0, math.inf, math.nan])) == math.inf
 
 
 def test_corrupted_lift_is_detected():
