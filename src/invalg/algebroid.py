@@ -431,7 +431,7 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
 
 def sigma(inv: InvolutionAlgebroid, pe: ProlongElement, tol: float = 1e-9) -> ProlongElement:
     """Prolongation endomap: (v, w) -> (p w, flip(v, w))."""
-    if pe.residual(inv) > tol:
+    if not pe.residual(inv) <= tol:
         raise ValueError("input does not satisfy the prolongation constraint")
     flipped = inv.flip_elements(pe)
     return ProlongElement(AElement(pe.w.m, pe.w.a), flipped)

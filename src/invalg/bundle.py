@@ -166,7 +166,7 @@ def flatten_tangent_pair(x: JetPoint) -> JetPoint:
 
 
 def _check_shared(label: str, bx: np.ndarray, by: np.ndarray, tol: float):
-    if bx.size and float(np.max(np.abs(bx - by))) > tol:
+    if bx.size and not float(np.max(np.abs(bx - by))) <= tol:
         raise ValueError("projection mismatch in %s: %g" % (label, float(np.max(np.abs(bx - by)))))
 
 

@@ -6,16 +6,21 @@ The flip of a differentiated groupoid is the second-order jet composite
 
 For a matrix group the second-order jets are quadruples of matrices and the
 composite is truncated polynomial algebra, so it runs unchanged whether the
-matrix entries are floats or jet scalars; the latter makes the resulting
-involution algebroid fully checkable by the axiom suite.  The pair groupoid
-over R^m is carried alongside: there the same composite is pure index
-bookkeeping and lands exactly on the tangent-bundle flip.
+derivative slots hold plain (n, n) matrices or matrix jets: float arrays of
+shape (2**d, n, n) whose leading axis is the jet mask of jet.py.  Two matrix
+jets multiply as a subset convolution over disjoint masks (the hyper-dual
+product), a plain matrix times a matrix jet is a broadcast matmul.  Matrix
+jets make the resulting involution algebroid fully checkable by the axiom
+suite.  The pair groupoid over R^m is carried alongside: there the same
+composite is pure index bookkeeping and lands exactly on the tangent-bundle
+flip.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .algebroid import (
 )
 from .catalog import tangent
 from .bundle import SectionSpec, TAElement
-from .jet import JetPoint, JetScalar, PolyMap, flip_c, join_innermost, residual, split_innermost
+from .jet import MAX_DEPTH, JetPoint, JetScalar, PolyMap, flip_c, join_innermost, residual, split_innermost
 from .report import Report, run_check
 
 
@@ -61,6 +66,7 @@ class MatrixGroupSpec:
             raise ValueError("algebra basis is linearly dependent")
         gram = flat @ flat.T
         object.__setattr__(self, "_proj", np.linalg.solve(gram, flat))
+        object.__setattr__(self, "_stack", np.stack(mats))
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 com = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -86,7 +92,7 @@ class MatrixGroupSpec:
     def project(self, mat, tol: float = 1e-9) -> np.ndarray:
         mat = np.asarray(mat, dtype=float)
         coords = self._proj @ mat.reshape(-1)
-        if float(np.max(np.abs(mat - self.to_matrix(coords)), initial=0.0)) > tol:
+        if not float(np.max(np.abs(mat - self.to_matrix(coords)), initial=0.0)) <= tol:
             raise ValueError("matrix lies outside the algebra span")
         return coords
 
@@ -101,30 +107,67 @@ class MatrixGroupSpec:
         raise ValueError("expected %d coordinates or a %dx%d matrix"
                          % (self.dim, self.n, self.n))
 
-    # jet-entried counterparts, for the polymorphic flip
+    # matrix-jet counterparts, for the polymorphic flip
+
+    def _combine(self, rows: np.ndarray) -> np.ndarray:
+        return np.einsum("mk,kij->mij", rows, self._stack)
 
     def matrix_jet(self, coords: JetPoint) -> np.ndarray:
-        out = np.full((self.n, self.n), JetScalar.constant(0.0, coords.depth), dtype=object)
-        for c, b in zip(coords.entries, self.basis):
-            out = out + b * c
-        return out
+        """The (2**depth, n, n) matrix jet of a coordinate jet: one basis
+        combination per mask."""
+        rows = np.array(coords.to_rows(), dtype=float).reshape(1 << coords.depth, -1)
+        if rows.shape[1] != self.dim:
+            raise ValueError("expected %d coordinates, got %d" % (self.dim, rows.shape[1]))
+        return self._combine(rows)
 
     def project_jet(self, mat: np.ndarray, depth: int, tol: float = 1e-9) -> JetPoint:
-        flat = mat.reshape(-1)
-        coords = JetPoint([sum((float(p) * f for p, f in zip(row, flat)),
-                               JetScalar.constant(0.0, depth))
-                           for row in self._proj], depth)
-        recon = JetPoint(self.matrix_jet(coords).reshape(-1), depth)
-        if not residual(JetPoint(flat, depth), recon) <= tol:
+        """Basis coordinates of a matrix jet, mask by mask; raises unless the
+        coordinates rebuild every coefficient within tol (NaN never does)."""
+        mat = np.asarray(mat, dtype=float)
+        if mat.shape != (1 << depth, self.n, self.n):
+            raise ValueError("expected a (%d, %d, %d) matrix jet"
+                             % (1 << depth, self.n, self.n))
+        rows = mat.reshape(1 << depth, -1) @ self._proj.T
+        if not float(np.max(np.abs(mat - self._combine(rows)))) <= tol:
             raise ValueError("matrix jet lies outside the algebra span")
-        return coords
+        return JetPoint.from_rows(depth, rows)
+
+
+_JET_LENGTHS = tuple(1 << d for d in range(MAX_DEPTH + 1))
+
+
+@lru_cache(maxsize=None)
+def _convolution_table(depth: int):
+    """Disjoint mask pairs (T, U) of a depth-d jet, grouped by T | U in
+    increasing order and by T within a group, with the start of each group."""
+    ts, us, starts = [], [], []
+    for m in range(1 << depth):
+        starts.append(len(ts))
+        for t in range(m + 1):
+            if t & m == t:
+                ts.append(t)
+                us.append(m ^ t)
+    return np.array(ts), np.array(us), np.array(starts)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product where either factor may be a (2**d, n, n) matrix jet.
+    Two jets multiply as a subset convolution, out[T | U] = sum a[T] @ b[U]
+    over disjoint T and U, summed in the fixed order of _convolution_table."""
+    if np.ndim(a) < 3 or np.ndim(b) < 3:
+        return a @ b
+    if len(a) != len(b):
+        raise ValueError("mixed matrix-jet depths in product")
+    ts, us, starts = _convolution_table(len(a).bit_length() - 1)
+    return np.add.reduceat(a[ts] @ b[us], starts, axis=0)
 
 
 @dataclass(frozen=True)
 class GroupJet2:
     """Second-order two-parameter jet through a matrix group: base matrix and
-    the three derivative slots.  Entries may be floats or jet scalars; no
-    constraint keeps truncated jets on the group manifold."""
+    the three derivative slots.  The base is a float (n, n) matrix; the
+    derivative slots are either all (n, n) matrices or all (2**d, n, n)
+    matrix jets.  No constraint keeps truncated jets on the group manifold."""
 
     g: np.ndarray
     g1: np.ndarray
@@ -135,9 +178,14 @@ class GroupJet2:
         shape = np.shape(self.g)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("group jets hold square matrices")
-        for part in (self.g1, self.g2, self.g12):
-            if np.shape(part) != shape:
-                raise ValueError("jet slots must share the base shape")
+        slot = np.shape(self.g1)
+        if slot != shape and not (len(slot) == 3 and slot[1:] == shape
+                                  and slot[0] in _JET_LENGTHS):
+            raise ValueError("jet slots hold base-shaped matrices or "
+                             "(2**d, n, n) matrix jets")
+        for part in (self.g2, self.g12):
+            if np.shape(part) != slot:
+                raise ValueError("jet slots must share one shape")
 
 
 def jet2_identity(n: int) -> GroupJet2:
@@ -147,35 +195,35 @@ def jet2_identity(n: int) -> GroupJet2:
 
 def jet2_mul(x: GroupJet2, y: GroupJet2) -> GroupJet2:
     """Truncated product: Leibniz in each direction and in the mixed slot."""
-    if np.shape(x.g) != np.shape(y.g):
+    if np.shape(x.g) != np.shape(y.g) or np.shape(x.g1) != np.shape(y.g1):
         raise ValueError("size mismatch in jet product")
     return GroupJet2(
         x.g @ y.g,
         x.g1 @ y.g + x.g @ y.g1,
         x.g2 @ y.g + x.g @ y.g2,
-        x.g12 @ y.g + x.g1 @ y.g2 + x.g2 @ y.g1 + x.g @ y.g12,
+        x.g12 @ y.g + _matmul(x.g1, y.g2) + _matmul(x.g2, y.g1) + x.g @ y.g12,
     )
 
 
 def jet2_inv(x: GroupJet2) -> GroupJet2:
     """Closed-form truncated inverse; jet2_mul(x, jet2_inv(x)) is the identity
-    jet to solver precision.  The base matrix must hold floats; the
-    derivative slots may hold jet scalars."""
+    jet to solver precision.  The base matrix must be a float matrix; the
+    derivative slots may be matrix jets."""
     gi = np.linalg.inv(x.g)
     return GroupJet2(
         gi,
         -(gi @ x.g1 @ gi),
         -(gi @ x.g2 @ gi),
-        gi @ (x.g1 @ gi @ x.g2 + x.g2 @ gi @ x.g1 - x.g12) @ gi,
+        gi @ (_matmul(x.g1 @ gi, x.g2) + _matmul(x.g2 @ gi, x.g1) - x.g12) @ gi,
     )
 
 
 def group_flip_slots(spec: MatrixGroupSpec, V, W_H, W_V):
     """Run the flip composite on matrix slots and return the three derivative
-    slots of the result; the second one vanishes identically.  The slots may
-    hold floats or jet scalars."""
+    slots of the result; the second one vanishes identically.  The slots are
+    (n, n) matrices or (2**d, n, n) matrix jets, all of one shape."""
     e = np.eye(spec.n)
-    z = np.zeros((spec.n, spec.n))
+    z = np.zeros(np.shape(V))
     cw = GroupJet2(e, z, W_H, W_V)
     zero_v = GroupJet2(e, V, z, z)
     c0pw = GroupJet2(e, z, W_H, z)
@@ -197,21 +245,21 @@ def group_flip(spec: MatrixGroupSpec, v, w) -> TAElement:
 
 def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
     """The differentiated group as an involution algebroid over a point; the
-    flip evaluator runs the group composite with jet-scalar matrix entries,
-    so tangent prolongations come from the same formula."""
+    flip evaluator runs the group composite on matrix jets, so tangent
+    prolongations come from the same formula."""
     k = spec.dim
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
         if w.depth != v.depth + 1:
             raise ValueError("flip needs w one level deeper than v")
-        depth = v.depth
-        w_val, w_dot = split_innermost(w)
-        g1, g2, g12 = group_flip_slots(spec, spec.matrix_jet(v), spec.matrix_jet(w_val),
-                                       spec.matrix_jet(w_dot))
-        for entry in g2.reshape(-1):
-            if any(c != 0.0 for c in entry.coeffs):
-                raise ArithmeticError("source slot of the flip composite did not cancel")
-        return join_innermost(spec.project_jet(g1, depth), spec.project_jet(g12, depth))
+        # the innermost direction of w is the high bit of its masks, so its
+        # value and velocity are the two halves of the mask axis
+        half = 1 << v.depth
+        W = spec.matrix_jet(w)
+        g1, g2, g12 = group_flip_slots(spec, spec.matrix_jet(v), W[:half], W[half:])
+        if not np.all(g2 == 0.0):
+            raise ArithmeticError("source slot of the flip composite did not cancel")
+        return spec.project_jet(np.concatenate((g1, g12)), w.depth)
 
     return InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip, describe=spec.name)
 
@@ -265,7 +313,7 @@ class PairGroupoidSpec:
 def pair_compose(x, y, tol: float = 1e-9):
     """Second-order composition: components are jets of the two endpoint
     paths, composable when the middle paths agree."""
-    if residual(x[1], y[0]) > tol:
+    if not residual(x[1], y[0]) <= tol:
         raise ValueError("pair jets are not composable: middle paths differ")
     return (x[0], y[1])
 
@@ -333,7 +381,8 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
         c_anchor = _extract4(out[1])
         # consistency of the output embedding: anchored component must be the
         # base path prolonged by the new fiber value, with nothing higher
-        if residual(c_anchor[0], c_move[0]) > 1e-9 or residual(c_anchor[1], c_move[1]) > 1e-9:
+        if not (residual(c_anchor[0], c_move[0]) <= 1e-9
+                and residual(c_anchor[1], c_move[1]) <= 1e-9):
             raise ArithmeticError("pair flip output lost its embedding shape")
         for blk in (c_anchor[2], c_anchor[3]):
             if any(c != 0.0 for e in blk.entries for c in e.coeffs):

@@ -55,6 +55,15 @@ class JetScalar:
         self.depth = depth
         self.coeffs = _coerce_coeffs(depth, coeffs)
 
+    @classmethod
+    def _trusted(cls, depth: int, coeffs: tuple) -> "JetScalar":
+        """Build from a tuple of 2**depth Python floats without revalidating;
+        the arithmetic below only ever passes such tuples."""
+        out = object.__new__(cls)
+        out.depth = depth
+        out.coeffs = coeffs
+        return out
+
     @staticmethod
     def constant(value: float, depth: int = 0) -> "JetScalar":
         cs = [0.0] * (1 << depth)
@@ -74,35 +83,35 @@ class JetScalar:
 
     def __add__(self, other) -> "JetScalar":
         o = self._coerce(other)
-        return JetScalar(self.depth, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return JetScalar._trusted(self.depth, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "JetScalar":
         o = self._coerce(other)
-        return JetScalar(self.depth, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return JetScalar._trusted(self.depth, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other) -> "JetScalar":
         o = self._coerce(other)
-        return JetScalar(self.depth, tuple(b - a for a, b in zip(self.coeffs, o.coeffs)))
+        return JetScalar._trusted(self.depth, tuple(b - a for a, b in zip(self.coeffs, o.coeffs)))
 
     def __neg__(self) -> "JetScalar":
-        return JetScalar(self.depth, tuple(-a for a in self.coeffs))
+        return JetScalar._trusted(self.depth, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other) -> "JetScalar":
         if not isinstance(other, JetScalar):
             f = float(other)
-            return JetScalar(self.depth, tuple(a * f for a in self.coeffs))
+            return JetScalar._trusted(self.depth, tuple(a * f for a in self.coeffs))
         o = self._coerce(other)
         a = self.coeffs
         b = o.coeffs
         d = self.depth
         if d == 0:
-            return JetScalar(0, (a[0] * b[0],))
+            return JetScalar._trusted(0, (a[0] * b[0],))
         if d == 1:
-            return JetScalar(1, (a[0] * b[0], a[0] * b[1] + a[1] * b[0]))
+            return JetScalar._trusted(1, (a[0] * b[0], a[0] * b[1] + a[1] * b[0]))
         if d == 2:
-            return JetScalar(
+            return JetScalar._trusted(
                 2,
                 (
                     a[0] * b[0],
@@ -111,7 +120,7 @@ class JetScalar:
                     math.fsum((a[0] * b[3], a[3] * b[0], a[1] * b[2], a[2] * b[1])),
                 ),
             )
-        return JetScalar(
+        return JetScalar._trusted(
             3,
             (
                 a[0] * b[0],
@@ -138,7 +147,7 @@ class JetScalar:
 
     def __rmul__(self, other) -> "JetScalar":
         f = float(other)
-        return JetScalar(self.depth, tuple(f * a for a in self.coeffs))
+        return JetScalar._trusted(self.depth, tuple(f * a for a in self.coeffs))
 
     def __pow__(self, exponent: int) -> "JetScalar":
         if exponent < 0 or exponent != int(exponent):
@@ -364,7 +373,7 @@ def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_
             if m & bit:
                 cs.append(ex.coeffs[m] + ey.coeffs[m])
             else:
-                if abs(ex.coeffs[m] - ey.coeffs[m]) > tol:
+                if not abs(ex.coeffs[m] - ey.coeffs[m]) <= tol:
                     raise ValueError(
                         "incompatible summands: shared coefficient differs by %g"
                         % abs(ex.coeffs[m] - ey.coeffs[m])

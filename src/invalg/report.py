@@ -113,11 +113,21 @@ def run_check(
     """Evaluate a residual over pre-drawn inputs and fold into a CheckResult.
 
     The worst case is the lowest-index maximizer, with a non-finite residual
-    (NaN included) ranking above every finite one, so it fails the check.
+    (NaN included) ranking above every finite one, so it fails the check.  A
+    sample whose evaluation raises ValueError or ArithmeticError (a guard
+    meeting NaN, a singular solve) counts as a NaN residual: it fails this
+    check instead of aborting the report.
     """
     if not inputs:
         return CheckResult(name, 0, seed, 0.0, tolerance, True, None)
-    residuals = [evaluate(x) for x in inputs]
+
+    def residual(x) -> float:
+        try:
+            return evaluate(x)
+        except (ValueError, ArithmeticError):
+            return math.nan
+
+    residuals = [residual(x) for x in inputs]
     worst_idx = max(range(len(residuals)), key=lambda i: _rank(residuals[i]))
     worst = residuals[worst_idx]
     worst_input = None

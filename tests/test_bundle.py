@@ -26,7 +26,10 @@ from invalg.bundle import (
     zero_p,
     zero_tpi,
 )
-from invalg.jet import JetPoint, PolyMap, lift_l, proj_p, residual
+from invalg import catalog
+from invalg.algebroid import ProlongElement, involution_from_spec, sigma
+from invalg.groupoid import pair_compose, so3_group
+from invalg.jet import JetPoint, PolyMap, add_tangent, lift_l, proj_p, residual
 
 
 def lattice(rng, size, scale=64):
@@ -131,6 +134,31 @@ def test_strong_difference_matches_fiber_composite():
         assert ta_residual(composite, lift_lambda(delta)) == 0.0
     x, _ = compatible_pair(rng, 2, 2)
     assert float(np.max(np.abs(strong_difference(x, x).a))) == 0.0
+
+
+def test_projection_guards_reject_nan():
+    # a NaN mismatch compares false against any tolerance, so each guard
+    # must reject it rather than let it through as a match
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        strong_difference(TAElement([0.1], [1.0], [nan], [0.5]),
+                          TAElement([0.1], [1.0], [0.3], [0.2]))
+    with pytest.raises(ValueError):
+        add_in_fiber(TAElement([nan], [1.0], [0.3], [0.5]),
+                     TAElement([0.1], [1.0], [0.3], [0.2]), "p")
+    mat = so3_group().to_matrix([1.0, 2.0, 3.0])
+    mat[0, 1] = nan
+    with pytest.raises(ValueError):
+        so3_group().project(mat)
+    with pytest.raises(ValueError):
+        add_tangent(JetPoint.from_rows(1, [[nan], [1.0]]), JetPoint.from_rows(1, [[0.2], [1.0]]))
+    a = JetPoint.from_rows(1, [[0.0], [1.0]])
+    with pytest.raises(ValueError):
+        pair_compose((a, JetPoint.from_rows(1, [[nan], [1.0]])), (a, a))
+    inv = involution_from_spec(catalog.tangent(1))
+    pe = ProlongElement(AElement([0.3], [1.0]), TAElement([0.3], [0.5], [nan], [0.0]))
+    with pytest.raises(ValueError):
+        sigma(inv, pe)
 
 
 def test_strong_sum_inverse_and_associativity():

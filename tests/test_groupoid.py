@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invalg import catalog
 from invalg.algebroid import (
@@ -13,6 +14,7 @@ from invalg.algebroid import (
 )
 from invalg.groupoid import (
     GroupJet2,
+    _matmul,
     MatrixGroupSpec,
     PairGroupoidSpec,
     diag_abelian_group,
@@ -30,7 +32,7 @@ from invalg.groupoid import (
     sl2_group,
     so3_group,
 )
-from invalg.jet import JetPoint, PolyMap, residual
+from invalg.jet import JetPoint, JetScalar, PolyMap, join_innermost, residual, split_innermost
 
 
 def rand_jet2(rng, n, integer=False):
@@ -89,6 +91,9 @@ def test_jet2_mul_associative():
 def test_jet2_mul_size_mismatch():
     with pytest.raises(ValueError):
         jet2_mul(jet2_identity(2), jet2_identity(3))
+    z = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError):
+        jet2_mul(jet2_identity(2), GroupJet2(np.eye(2), z, z, z))
 
 
 def test_jet2_slot_shapes_checked():
@@ -96,6 +101,14 @@ def test_jet2_slot_shapes_checked():
         GroupJet2(np.eye(2), np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         GroupJet2(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+    # derivative slots are all plain matrices or all matrix jets of one depth
+    with pytest.raises(ValueError):
+        GroupJet2(np.eye(2), np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        GroupJet2(np.eye(2), np.zeros((2, 2, 2)), np.zeros((4, 2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        GroupJet2(np.eye(2), *(np.zeros((3, 2, 2)) for _ in range(3)))
+    GroupJet2(np.eye(2), *(np.zeros((4, 2, 2)) for _ in range(3)))
 
 
 def test_jet2_inv_first_order_slots():
@@ -268,6 +281,119 @@ def test_jet_flip_agrees_with_element_flip():
         out = inv.flip(JetPoint.constant(v, 0), JetPoint.from_rows(1, [wh, wv]))
         assert float(np.max(np.abs(np.array(out.to_rows()) -
                                    np.array([elem.a, elem.adot])))) < 1e-13
+
+
+# -- the object-array route, rebuilt as an oracle -----------------------------
+# Matrix jets were once numpy object arrays of JetScalar, multiplied by
+# numpy's object matmul; the float-array route must agree with that route.
+
+
+def to_object(mat):
+    """(2**d, n, n) matrix jet -> (n, n) object array of JetScalar."""
+    depth = len(mat).bit_length() - 1
+    n = mat.shape[1]
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = JetScalar(depth, mat[:, i, j])
+    return out
+
+
+def from_object(obj):
+    return np.moveaxis(np.array([[e.coeffs for e in row] for row in obj]), -1, 0)
+
+
+def object_matrix_jet(spec, coords):
+    out = np.full((spec.n, spec.n), JetScalar.constant(0.0, coords.depth), dtype=object)
+    for c, b in zip(coords.entries, spec.basis):
+        out = out + b * c
+    return out
+
+
+def object_project(spec, obj, depth):
+    flat = obj.reshape(-1)
+    return JetPoint([sum((float(p) * f for p, f in zip(row, flat)),
+                         JetScalar.constant(0.0, depth))
+                     for row in spec._proj], depth)
+
+
+def object_mul(x, y):
+    g, g1, g2, g12 = x
+    h, h1, h2, h12 = y
+    return (g @ h, g1 @ h + g @ h1, g2 @ h + g @ h2,
+            g12 @ h + g1 @ h2 + g2 @ h1 + g @ h12)
+
+
+def object_inv(x):
+    g, g1, g2, g12 = x
+    gi = np.linalg.inv(g)
+    return (gi, -(gi @ g1 @ gi), -(gi @ g2 @ gi),
+            gi @ (g1 @ gi @ g2 + g2 @ gi @ g1 - g12) @ gi)
+
+
+def object_flip_slots(spec, V, W_H, W_V):
+    e = np.eye(spec.n)
+    z = np.zeros((spec.n, spec.n))
+    out = object_mul(object_mul((e, z, W_H, W_V), (e, V, z, z)), object_inv((e, z, W_H, z)))
+    return out[1:]
+
+
+def max_gap(mat, obj):
+    return float(np.max(np.abs(mat - from_object(obj))))
+
+
+def random_jet(rng, depth, dim):
+    return JetPoint.from_rows(depth, rng.uniform(-1, 1, (1 << depth, dim)))
+
+
+ORACLE_GROUPS = {"so3": so3_group, "sl2": sl2_group, "diag-abelian(3)": lambda: diag_abelian_group(3)}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_matrix_jet_route_matches_object_route(name, depth):
+    spec = ORACLE_GROUPS[name]()
+    flip = group_involution(spec).flip
+    n = spec.n
+    rng = np.random.default_rng(depth)
+    for _ in range(5):
+        v = random_jet(rng, depth, spec.dim)
+        w = random_jet(rng, depth + 1, spec.dim)
+        w_val, w_dot = split_innermost(w)
+        objs = [object_matrix_jet(spec, x) for x in (v, w_val, w_dot)]
+        mats = [spec.matrix_jet(x) for x in (v, w_val, w_dot)]
+        for mat, obj in zip(mats, objs):
+            assert max_gap(mat, obj) <= 1e-14
+        assert residual(spec.project_jet(mats[0], depth), object_project(spec, objs[0], depth)) <= 1e-14
+        slots = group_flip_slots(spec, *mats)
+        ref_slots = object_flip_slots(spec, *objs)
+        for mat, obj in zip(slots, ref_slots):
+            assert max_gap(mat, obj) <= 1e-14
+        ref = join_innermost(object_project(spec, ref_slots[0], depth),
+                             object_project(spec, ref_slots[2], depth))
+        assert residual(flip(v, w), ref) <= 1e-14
+        # generic jets off the algebra span, with a base other than the identity
+        x, y = (GroupJet2(np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)),
+                          *(rng.uniform(-1, 1, (1 << depth, n, n)) for _ in range(3)))
+                for _ in range(2))
+        as_obj = lambda jet: (jet.g, to_object(jet.g1), to_object(jet.g2), to_object(jet.g12))
+        prod, ref_prod = jet2_mul(x, y), object_mul(as_obj(x), as_obj(y))
+        inv, ref_inv = jet2_inv(x), object_inv(as_obj(x))
+        for got, want in ((prod, ref_prod), (inv, ref_inv)):
+            assert np.max(np.abs(got.g - want[0])) <= 1e-14
+            for mat, obj in zip((got.g1, got.g2, got.g12), want[1:]):
+                assert max_gap(mat, obj) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(0, 3), n=st.integers(1, 3), data=st.data())
+def test_subset_convolution_equals_jet_scalar_products(depth, n, data):
+    # small integers keep every product and sum exact on both routes
+    size = (1 << depth) * n * n
+    entries = st.lists(st.integers(-4, 4), min_size=size, max_size=size)
+    a, b = (np.array(data.draw(entries), dtype=float).reshape(1 << depth, n, n)
+            for _ in range(2))
+    assert np.array_equal(_matmul(a, b), from_object(to_object(a) @ to_object(b)))
 
 
 # -- differentiation reports --------------------------------------------------

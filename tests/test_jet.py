@@ -328,6 +328,17 @@ def test_run_check_fails_on_non_finite_residuals():
         # the worst input is the first non-finite one
         assert result.worst_input == repr(next(v for v in values if not math.isfinite(v)))
 
+    # a sample whose evaluation raises fails the check as a NaN residual
+    def evaluate(r):
+        if r > 1.0:
+            raise ValueError("projection mismatch")
+        return r
+
+    result = run_check("r", [1e-15, 2.0, 3.0], evaluate, 1e-9, 0, serialize=repr)
+    assert not result.passed
+    assert math.isnan(result.max_residual)
+    assert result.worst_input == "2.0"
+
 
 def test_worst_of_ranks_non_finite_first():
     assert worst_of([]) == 0.0
