@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,8 +29,8 @@ from .bundle import (
 )
 from .jet import (
     JetPoint,
-    JetScalar,
     PolyMap,
+    _product,
     flip_c,
     insert_zero,
     join_innermost,
@@ -62,14 +63,6 @@ def _vec(x) -> np.ndarray:
     return arr
 
 
-def _jp_add(x: JetPoint, y: JetPoint) -> JetPoint:
-    return JetPoint([a + b for a, b in zip(x.entries, y.entries)], x.depth)
-
-
-def _jp_sub(x: JetPoint, y: JetPoint) -> JetPoint:
-    return JetPoint([a - b for a, b in zip(x.entries, y.entries)], x.depth)
-
-
 # -- the data of an anchored bracket -----------------------------------------
 
 
@@ -86,15 +79,8 @@ class Anchored:
         return np.matmul(self.anchor_matrix(m), _vec(a)[..., None])[..., 0]
 
     def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
-        rho_jet = self.rho.eval_jet(mj)
-        depth = mj.depth
-        out = []
-        for i in range(self.dim_M):
-            acc = JetScalar.constant(0.0, depth)
-            for j in range(self.dim_A):
-                acc = acc + rho_jet.entries[i * self.dim_A + j] * aj.entries[j]
-            out.append(acc)
-        return JetPoint(out, depth)
+        rho = self.rho.eval_jet(mj).coeffs.reshape(1 << mj.depth, self.dim_M, self.dim_A)
+        return JetPoint.from_rows(mj.depth, _product(rho, aj.coeffs[:, None]).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -126,12 +112,14 @@ class AlgebroidSpec(Anchored):
 
     # pair bookkeeping
 
-    @property
+    @cached_property
     def pairs(self) -> tuple:
         return tuple(itertools.combinations(range(self.dim_A), 2))
 
-    def _pair_pos(self, i: int, j: int) -> int:
-        return self.pairs.index((i, j))
+    @cached_property
+    def _pair_index(self) -> tuple:
+        """The first and the second fiber index of every pair, as arrays."""
+        return tuple(np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T)
 
     @staticmethod
     def from_structure(dim_M: int, dim_A: int, rho, entries) -> "AlgebroidSpec":
@@ -170,7 +158,7 @@ class AlgebroidSpec(Anchored):
         m = _vec(m)
         da = self.dim_A
         flat = self.c_pairs.eval_floats(m).reshape(m.shape[:-1] + (da, len(self.pairs)))
-        first, second = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        first, second = self._pair_index
         tensor = np.zeros(m.shape[:-1] + (da, da, da))
         tensor[..., first, second] = flat
         tensor[..., second, first] = -flat
@@ -178,44 +166,25 @@ class AlgebroidSpec(Anchored):
 
     def c_apply(self, m, a, b) -> np.ndarray:
         a, b = _vec(a), _vec(b)
+        first, second = self._pair_index
         flat = self.c_pairs.eval_floats(_vec(m).reshape(self.dim_M))
-        n_pairs = len(self.pairs)
-        out = np.zeros(self.dim_A)
-        for k in range(self.dim_A):
-            acc = 0.0
-            for pos, (i, j) in enumerate(self.pairs):
-                acc += flat[k * n_pairs + pos] * (a[i] * b[j] - a[j] * b[i])
-            out[k] = acc
-        return out
+        wedge = a[first] * b[second] - a[second] * b[first]
+        return (flat.reshape(self.dim_A, len(first)) * wedge).sum(axis=-1)
 
     def c_apply_jet(self, mj: JetPoint, aj: JetPoint, bj: JetPoint) -> JetPoint:
-        coeffs = self.c_pairs.eval_jet(mj)
-        depth = mj.depth
-        n_pairs = len(self.pairs)
-        out = []
-        for k in range(self.dim_A):
-            acc = JetScalar.constant(0.0, depth)
-            for pos, (i, j) in enumerate(self.pairs):
-                g = coeffs.entries[k * n_pairs + pos]
-                acc = acc + g * (aj.entries[i] * bj.entries[j] - aj.entries[j] * bj.entries[i])
-            out.append(acc)
-        return JetPoint(out, depth)
+        first, second = self._pair_index
+        ab = _product(aj.coeffs[:, :, None], bj.coeffs[:, None, :])
+        wedge = ab[:, first, second] - ab[:, second, first]
+        coeffs = self.c_pairs.eval_jet(mj).coeffs.reshape(1 << mj.depth, self.dim_A, len(first))
+        return JetPoint.from_rows(mj.depth, _product(coeffs, wedge[:, None]).sum(axis=-1))
 
     def c_full(self) -> PolyMap:
         """The structure functions as a full dim_A^3 polynomial tensor."""
-        n_pairs = len(self.pairs)
-        empty = ()
+        pos = {pair: n for n, pair in enumerate(self.pairs)}
         rows = []
-        for k in range(self.dim_A):
-            for i in range(self.dim_A):
-                for j in range(self.dim_A):
-                    if i < j:
-                        rows.append(self.c_pairs.terms[k * n_pairs + self._pair_pos(i, j)])
-                    elif i > j:
-                        src = self.c_pairs.terms[k * n_pairs + self._pair_pos(j, i)]
-                        rows.append(tuple((-c, e) for c, e in src))
-                    else:
-                        rows.append(empty)
+        for k, i, j in itertools.product(range(self.dim_A), repeat=3):
+            row = self.c_pairs.terms[k * len(pos) + pos[min(i, j), max(i, j)]] if i != j else ()
+            rows.append(row if i < j else tuple((-c, e) for c, e in row))
         return PolyMap(self.dim_M, self.dim_A ** 3, tuple(rows))
 
     # bracket on polynomial sections, as exact polynomial algebra
@@ -240,13 +209,17 @@ class AlgebroidSpec(Anchored):
         return out
 
     def jacobiator(self, m, a, b, c) -> np.ndarray:
-        """Cyclic bracket defect on constant sections, by brute force."""
-        ca = PolyMap.constant(_vec(a), self.dim_M)
-        cb = PolyMap.constant(_vec(b), self.dim_M)
-        cc = PolyMap.constant(_vec(c), self.dim_M)
+        """Cyclic bracket defect on constant sections.  The bracket of two
+        constant sections x, y is the section m -> C(m)(x, y), so each cyclic
+        term [[x, y], z] is C(m)(C(m)(x, y), z) minus the derivative of that
+        section along rho(m) z, read off one depth-1 jet."""
+        m = _vec(m).reshape(self.dim_M)
+        a, b, c = _vec(a), _vec(b), _vec(c)
         total = np.zeros(self.dim_A)
-        for x, y, z in ((ca, cb, cc), (cb, cc, ca), (cc, ca, cb)):
-            total += self.bracket_poly(self.bracket_poly(x, y), z).eval_floats(_vec(m).reshape(self.dim_M))
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            along = JetPoint.from_rows(1, [m, self.anchor_apply(m, z)])
+            xy = self.c_apply_jet(along, JetPoint.constant(x, 1), JetPoint.constant(y, 1))
+            total += self.c_apply(m, xy.row(0), z) - xy.row(1)
         return total
 
     def well_formed(self, samples: int = 40, seed: int = 0, tolerance: float = 1e-9) -> Report:
@@ -381,9 +354,7 @@ def involution_from_spec(spec: AlgebroidSpec, describe: str = "") -> InvolutionA
         aw = w_val.take(dm, dm + da)
         aw_dot = w_dot.take(dm, dm + da)
         value = mj.concat(av)
-        dot = spec.anchor_apply_jet(mj, aw).concat(
-            _jp_add(aw_dot, spec.c_apply_jet(mj, av, aw))
-        )
+        dot = spec.anchor_apply_jet(mj, aw).concat(aw_dot + spec.c_apply_jet(mj, av, aw))
         return join_innermost(value, dot)
 
     return InvolutionAlgebroid(dm, da, spec.rho, flip, spec=spec, describe=describe)
@@ -420,11 +391,11 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
         gamma_wv = conn.apply_jet(mj, u_w, av)
         k1 = gamma_wv
         k2 = conn.apply_jet(mj, u_v, aw)
-        kw = _jp_add(aw_dot, conn.apply_jet(mj, mw_dot, aw))
+        kw = aw_dot + conn.apply_jet(mj, mw_dot, aw)
         bracket_wv = spec.c_apply_jet(mj, aw, av)
-        alpha2 = _jp_sub(_jp_add(_jp_sub(k1, k2), kw), bracket_wv)
+        alpha2 = k1 - k2 + kw - bracket_wv
         # horizontal lift of rho(p w) through v, translated by the vertical part
-        return join_innermost(mj.concat(av), u_w.concat(_jp_sub(alpha2, gamma_wv)))
+        return join_innermost(mj.concat(av), u_w.concat(alpha2 - gamma_wv))
 
     return InvolutionAlgebroid(dm, da, spec.rho, flip, spec=spec, describe=describe)
 
@@ -480,11 +451,7 @@ def sample_double_prolongation(owner, m, rng) -> DoubleProlongElement:
     dm, da = owner.dim_M, owner.dim_A
     pe = sample_prolongation(owner, m, rng)
     target = flip_c(t_rho_jet(spec_like, pe.w.to_jet()), 1, 2)
-    rows = []
-    for mask in range(4):
-        m_row = target.row(mask)
-        a_row = rng.uniform(-1, 1, da)
-        rows.append(np.concatenate([m_row, a_row]))
+    rows = np.hstack((target.coeffs, rng.uniform(-1, 1, (4, da))))
     return DoubleProlongElement(pe.v, pe.w, JetPoint.from_rows(2, rows))
 
 
@@ -799,8 +766,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         # the directional derivatives that make up the field bracket
         t_fy = f_y(join_innermost(z0, fx0))
         t_fx = f_x(join_innermost(z0, fy0))
-        deriv = np.array([e.coeffs[1] for e in t_fy.entries]) \
-            - np.array([e.coeffs[1] for e in t_fx.entries])
+        deriv = t_fy.row(1) - t_fx.row(1)
         return float(np.max(np.abs(deriv - f_xy(z0).base), initial=0.0))
 
     report.add(run_check("flip-field-morphism", total_points, flip_field_morphism,
@@ -826,9 +792,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         rx0, ry0 = rx(z0), ry(z0)
         t_ry = ry(join_innermost(z0, rx0))
         t_rx = rx(join_innermost(z0, ry0))
-        field_bracket = np.array([e.coeffs[1] for e in t_ry.entries]) - np.array(
-            [e.coeffs[1] for e in t_rx.entries]
-        )
+        field_bracket = t_ry.row(1) - t_rx.row(1)
         lhs = inv.anchor_apply(m, bxy(m))
         return float(np.max(np.abs(lhs - field_bracket), initial=0.0))
 
@@ -840,7 +804,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     def flip_field_additive(z):
         z0 = JetPoint.constant(z, 0)
         lhs = f_sum(z0)
-        rhs = _jp_add(f_x(z0), f_y(z0))
+        rhs = f_x(z0) + f_y(z0)
         return residual(lhs, rhs)
 
     report.add(run_check("flip-field-additive", total_points, flip_field_additive,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet import JetPoint, JetScalar, PolyMap, flip_c, lift_l
+from .jet import JetPoint, PolyMap, _product, flip_c
 from .report import worst_of
 
 _PROJ_TOL = 1e-12
@@ -269,17 +269,10 @@ class ConnectionSpec:
         """Same bilinear form with jet coordinates throughout."""
         if mj.dim != self.dim_M or wj.dim != self.dim_M or aj.dim != self.dim_A:
             raise ValueError("jet block dims do not match the connection")
-        gam = self.gamma.eval_jet(mj)
-        depth = mj.depth
-        out = []
-        for k in range(self.dim_A):
-            acc = JetScalar.constant(0.0, depth)
-            for alpha in range(self.dim_M):
-                for j in range(self.dim_A):
-                    g = gam.entries[(k * self.dim_M + alpha) * self.dim_A + j]
-                    acc = acc + g * wj.entries[alpha] * aj.entries[j]
-            out.append(acc)
-        return JetPoint(out, depth)
+        n, dm, da = 1 << mj.depth, self.dim_M, self.dim_A
+        gam = self.gamma.eval_jet(mj).coeffs.reshape(n, da, dm, da)
+        terms = _product(_product(gam, wj.coeffs[:, None, :, None]), aj.coeffs[:, None, None])
+        return JetPoint.from_rows(mj.depth, terms.reshape(n, da, dm * da).sum(axis=-1))
 
 
 def connection_K(c: ConnectionSpec, x: TAElement) -> AElement:
@@ -389,4 +382,4 @@ def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, rho: PolyMap, m) -> float
     rho_mat = rho.eval_floats(m).reshape(dim_M, dim_A)
     v = rho_mat @ X.eval(m)
     tangent = JetPoint.from_rows(1, [m, v])
-    return f.f_poly.eval_jet(tangent).entries[0].coeffs[1]
+    return float(f.f_poly.eval_jet(tangent).coeffs[1, 0])

@@ -59,12 +59,20 @@ def _require(node: dict, key: str, where: str):
     return node[key]
 
 
+def _integer(value) -> int:
+    """value as an int when it is one: 2 or 2.0, not 1.5, "2" or true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer: %r" % (value,))
+    return int(value)
+
+
 def _count(node: dict, key: str, where: str) -> int:
     """A dimension or size: a nonnegative integer."""
     value = _require(node, key, where)
     try:
-        if int(value) >= 0:
-            return int(value)
+        if _integer(value) >= 0:
+            return _integer(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise FixtureError("%r in %s must be a nonnegative integer, got %r" % (key, where, value))
@@ -90,10 +98,11 @@ def _load_polymap(table, in_dim: int, out_dim: int, where: str) -> PolyMap:
         for entry in row:
             try:
                 coeff = float(entry["coeff"])
-                exps = [int(e) for e in entry["exponents"]]
-            except (TypeError, KeyError, ValueError):
+                exps = [_integer(e) for e in entry["exponents"]]
+            except (TypeError, KeyError, ValueError, OverflowError):
                 raise FixtureError(
-                    "%s row %d: each term needs a coeff and an exponents list" % (where, r))
+                    "%s row %d: each term needs a coeff and a list of integer exponents"
+                    % (where, r))
             if len(exps) != in_dim or any(e < 0 for e in exps):
                 raise FixtureError(
                     "%s row %d: exponents must be %d nonnegative integers" % (where, r, in_dim))
@@ -112,9 +121,9 @@ def _load_structure(entries, dim_M: int, dim_A: int) -> list:
     for pos, entry in enumerate(entries):
         where = "structure entry %d" % pos
         try:
-            i = int(_require(entry, "i", where))
-            j = int(_require(entry, "j", where))
-            k = int(_require(entry, "k", where))
+            i = _integer(_require(entry, "i", where))
+            j = _integer(_require(entry, "j", where))
+            k = _integer(_require(entry, "k", where))
         except (TypeError, ValueError, OverflowError):
             raise FixtureError("%s: indices must be integers" % where)
         if not (0 <= i < dim_A and 0 <= j < dim_A and 0 <= k < dim_A):

@@ -122,17 +122,21 @@ class APathVariation:
         """Largest defect of the two defining identities of a variation of
         admissible paths over a uniform time grid: the anchor matching the
         base speed, and its derivative matching along the variation."""
-        dm, da = self.dim_M, self.dim_A
-        anchor, variation = [], []
-        for t in np.linspace(0.0, self.t_end, grid):
-            jet = self.phi.eval_jet(JetPoint.from_rows(1, [[t], [1.0]]))
-            m, a, mdot, adot = _split_blocks(jet.row(0), dm, da)
-            m_t, _, mdot_t, _ = _split_blocks(jet.row(1), dm, da)
-            anchor.append(float(np.max(np.abs(inv.anchor_apply(m, a) - m_t), initial=0.0)))
-            vel = inv.anchor_apply_jet(
-                JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
-            variation.append(float(np.max(np.abs(vel.row(1) - mdot_t), initial=0.0)))
-        return {"anchor": worst_of(anchor), "variation": worst_of(variation)}
+        defects = [_path_defects(inv, self.phi.eval_jet(JetPoint.from_rows(1, [[t], [1.0]])), 1)
+                   for t in np.linspace(0.0, self.t_end, grid)]
+        return {"anchor": worst_of(d[0] for d in defects),
+                "variation": worst_of(d[1] for d in defects)}
+
+
+def _path_defects(inv: InvolutionAlgebroid, jet: JetPoint, mask: int) -> tuple:
+    """The two path-variation identities of a jet of blocks along the
+    parameter direction of one mask: the anchor matching the base speed, and
+    its derivative matching along the variation."""
+    m, a, mdot, adot = _split_blocks(jet.coeffs[0], inv.dim_M, inv.dim_A)
+    m_d, _, mdot_d, _ = _split_blocks(jet.coeffs[mask], inv.dim_M, inv.dim_A)
+    vel = inv.anchor_apply_jet(JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
+    return (float(np.max(np.abs(inv.anchor_apply(m, a) - m_d), initial=0.0)),
+            float(np.max(np.abs(vel.row(1) - mdot_d), initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -167,38 +171,22 @@ class AHomotopyVariation:
             for t in np.linspace(0.0, 1.0, grid):
                 j0 = self._full_jet(self.h0, s, t)
                 j1 = self._full_jet(self.h1, s, t)
-                c0 = np.array([e.coeffs for e in j0.entries])
-                c1 = np.array([e.coeffs for e in j1.entries])
+                c0, c1 = j0.coeffs, j1.coeffs
 
                 found["paired-base"].append(worst_of([
-                    float(np.max(np.abs(c0[:dm] - c1[:dm]), initial=0.0)),
-                    float(np.max(np.abs(c0[n:n + dm] - c1[n:n + dm]), initial=0.0)),
+                    float(np.max(np.abs(c0[:, :dm] - c1[:, :dm]), initial=0.0)),
+                    float(np.max(np.abs(c0[:, n:n + dm] - c1[:, n:n + dm]), initial=0.0)),
                 ]))
-                found["horizontal"].append(self._direction_residual(inv, c0, 1))
-                found["vertical"].append(self._direction_residual(inv, c1, 2))
+                found["horizontal"].append(worst_of(_path_defects(inv, j0, 1)))
+                found["vertical"].append(worst_of(_path_defects(inv, j1, 2)))
 
                 # the exchange identity, evaluated through the flip itself
-                v = JetPoint.from_rows(1, [c0[:n, 0], c0[n:, 0]])
-                ts_h1 = JetPoint.from_rows(
-                    2, [c1[:n, 0], c1[:n, 1], c1[n:, 0], c1[n:, 1]])
+                v = JetPoint.from_rows(1, [c0[0, :n], c0[0, n:]])
+                ts_h1 = JetPoint.from_rows(2, [c1[0, :n], c1[1, :n], c1[0, n:], c1[1, n:]])
                 lhs = inv.flip(v, flip_c(ts_h1, 1, 2))
-                tt_h0 = JetPoint.from_rows(
-                    2, [c0[:n, 0], c0[:n, 2], c0[n:, 0], c0[n:, 2]])
+                tt_h0 = JetPoint.from_rows(2, [c0[0, :n], c0[2, :n], c0[0, n:], c0[2, n:]])
                 found["continuity"].append(residual(lhs, flip_c(tt_h0, 1, 2)))
         return {name: worst_of(values) for name, values in found.items()}
-
-    def _direction_residual(self, inv, coeffs, mask: int) -> float:
-        dm, da = self.dim_M, self.dim_A
-        n = dm + da
-        m, a = coeffs[:dm, 0], coeffs[dm:n, 0]
-        mdot, adot = coeffs[n:n + dm, 0], coeffs[n + dm:, 0]
-        m_d, mdot_d = coeffs[:dm, mask], coeffs[n:n + dm, mask]
-        vel = inv.anchor_apply_jet(
-            JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
-        return worst_of([
-            float(np.max(np.abs(inv.anchor_apply(m, a) - m_d), initial=0.0)),
-            float(np.max(np.abs(vel.row(1) - mdot_d), initial=0.0)),
-        ])
 
 
 @dataclass(frozen=True)
@@ -249,7 +237,7 @@ def _fiber_coefficients(inv: InvolutionAlgebroid, blocks: np.ndarray, base: np.n
 
         def velocity(b):
             out = inv.flip(JetPoint.constant(np.concatenate([m, b]), 0), w)
-            return np.array([e.coeffs[1] for e in out.entries[dm:]])
+            return out.row(1)[dm:]
 
         offs[idx] = velocity(np.zeros(da))
         for j in range(da):
@@ -410,7 +398,7 @@ def inf_apath_vee(inv: InvolutionAlgebroid, chi: PolyMap, m) -> APathVariation:
     if chi.in_dim != 1 or chi.out_dim != da:
         raise ValueError("fiber path must map one parameter to fiber coordinates")
     start = chi.eval_floats([0.0])
-    if float(np.max(np.abs(start), initial=0.0)) > 1e-12:
+    if not float(np.max(np.abs(start), initial=0.0)) <= 1e-12:
         raise ValueError("fiber path must start at zero")
     m = np.asarray(m, dtype=float).reshape(dm)
     blocks = PolyMap.constant(m, 1)
@@ -477,7 +465,7 @@ def inf_ahomotopy_vee(inv: InvolutionAlgebroid, eta: PolyMap, m) -> AHomotopyVar
     if eta.in_dim != 2 or eta.out_dim != da:
         raise ValueError("fiber surface must map two parameters to fiber coordinates")
     start = eta.eval_floats([0.0, 0.0])
-    if float(np.max(np.abs(start), initial=0.0)) > 1e-12:
+    if not float(np.max(np.abs(start), initial=0.0)) <= 1e-12:
         raise ValueError("fiber surface must start at zero")
     m = np.asarray(m, dtype=float).reshape(dm)
     anchored = PolyMap.linear(inv.anchor_matrix(m)).compose(eta)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +34,16 @@ from .algebroid import (
 )
 from .catalog import tangent
 from .bundle import SectionSpec, TAElement
-from .jet import MAX_DEPTH, JetPoint, JetScalar, PolyMap, flip_c, join_innermost, residual, split_innermost
+from .jet import (
+    MAX_DEPTH,
+    JetPoint,
+    PolyMap,
+    _product,
+    flip_c,
+    join_innermost,
+    residual,
+    split_innermost,
+)
 from .report import Report, run_check
 
 
@@ -83,18 +91,11 @@ class MatrixGroupSpec:
         return len(self.basis)
 
     def to_matrix(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        out = np.zeros((self.n, self.n))
-        for c, b in zip(coords, self.basis):
-            out = out + c * b
-        return out
+        return self._combine(np.asarray(coords, dtype=float)[None])[0]
 
     def project(self, mat, tol: float = 1e-9) -> np.ndarray:
-        mat = np.asarray(mat, dtype=float)
-        coords = self._proj @ mat.reshape(-1)
-        if not float(np.max(np.abs(mat - self.to_matrix(coords)), initial=0.0)) <= tol:
-            raise ValueError("matrix lies outside the algebra span")
-        return coords
+        """Basis coordinates of a matrix: project_jet on a depth-0 matrix jet."""
+        return self.project_jet(np.reshape(mat, (1, self.n, self.n)), 0, tol).row(0)
 
     def as_matrix(self, value) -> np.ndarray:
         """Accept either basis coordinates or a matrix already in the span."""
@@ -115,10 +116,9 @@ class MatrixGroupSpec:
     def matrix_jet(self, coords: JetPoint) -> np.ndarray:
         """The (2**depth, n, n) matrix jet of a coordinate jet: one basis
         combination per mask."""
-        rows = np.array(coords.to_rows(), dtype=float).reshape(1 << coords.depth, -1)
-        if rows.shape[1] != self.dim:
-            raise ValueError("expected %d coordinates, got %d" % (self.dim, rows.shape[1]))
-        return self._combine(rows)
+        if coords.dim != self.dim:
+            raise ValueError("expected %d coordinates, got %d" % (self.dim, coords.dim))
+        return self._combine(coords.coeffs)
 
     def project_jet(self, mat: np.ndarray, depth: int, tol: float = 1e-9) -> JetPoint:
         """Basis coordinates of a matrix jet, mask by mask; raises unless the
@@ -129,37 +129,20 @@ class MatrixGroupSpec:
                              % (1 << depth, self.n, self.n))
         rows = mat.reshape(1 << depth, -1) @ self._proj.T
         if not float(np.max(np.abs(mat - self._combine(rows)))) <= tol:
-            raise ValueError("matrix jet lies outside the algebra span")
+            raise ValueError("matrix lies outside the algebra span")
         return JetPoint.from_rows(depth, rows)
 
 
 _JET_LENGTHS = tuple(1 << d for d in range(MAX_DEPTH + 1))
 
 
-@lru_cache(maxsize=None)
-def _convolution_table(depth: int):
-    """Disjoint mask pairs (T, U) of a depth-d jet, grouped by T | U in
-    increasing order and by T within a group, with the start of each group."""
-    ts, us, starts = [], [], []
-    for m in range(1 << depth):
-        starts.append(len(ts))
-        for t in range(m + 1):
-            if t & m == t:
-                ts.append(t)
-                us.append(m ^ t)
-    return np.array(ts), np.array(us), np.array(starts)
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product where either factor may be a (2**d, n, n) matrix jet.
-    Two jets multiply as a subset convolution, out[T | U] = sum a[T] @ b[U]
-    over disjoint T and U, summed in the fixed order of _convolution_table."""
+    Two jets multiply by the jet product of jet.py with matmul as the
+    coefficient product: out[U] = sum a[S] @ b[U - S] over the subsets S of U."""
     if np.ndim(a) < 3 or np.ndim(b) < 3:
         return a @ b
-    if len(a) != len(b):
-        raise ValueError("mixed matrix-jet depths in product")
-    ts, us, starts = _convolution_table(len(a).bit_length() - 1)
-    return np.add.reduceat(a[ts] @ b[us], starts, axis=0)
+    return _product(a, b, np.matmul)
 
 
 @dataclass(frozen=True)
@@ -324,32 +307,15 @@ def pair_inverse(x):
 
 def _assemble4(b0: JetPoint, b1: JetPoint, b2: JetPoint, b3: JetPoint) -> JetPoint:
     """Attach two outer directions to four depth-k blocks; block dirs shift
-    inward by two."""
-    blocks = (b0, b1, b2, b3)
-    k = b0.depth
-    inner = 1 << k
-    entries = []
-    for i in range(b0.dim):
-        cs = [0.0] * (4 * inner)
-        for outer in range(4):
-            coeffs = blocks[outer].entries[i].coeffs
-            for m in range(inner):
-                cs[outer | (m << 2)] = coeffs[m]
-        entries.append(JetScalar(k + 2, cs))
-    return JetPoint(entries, k + 2)
+    inward by two, so block o's mask m lands on mask o | (m << 2)."""
+    stacked = np.stack([b.coeffs for b in (b0, b1, b2, b3)], axis=1)
+    return JetPoint.from_rows(b0.depth + 2, stacked.reshape(4 << b0.depth, b0.dim))
 
 
 def _extract4(x: JetPoint):
     """Inverse of _assemble4."""
-    k = x.depth - 2
-    inner = 1 << k
-    blocks = []
-    for outer in range(4):
-        entries = []
-        for e in x.entries:
-            entries.append(JetScalar(k, [e.coeffs[outer | (m << 2)] for m in range(inner)]))
-        blocks.append(JetPoint(entries, k))
-    return tuple(blocks)
+    blocks = x.coeffs.reshape(1 << (x.depth - 2), 4, x.dim)
+    return tuple(JetPoint.from_rows(x.depth - 2, blocks[:, outer]) for outer in range(4))
 
 
 def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
@@ -368,7 +334,7 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
         mj, av = v.take(0, d), v.take(d, 2 * d)
         aw = w_val.take(d, 2 * d)
         mdot, adot = w_dot.take(0, d), w_dot.take(d, 2 * d)
-        zero = JetPoint([JetScalar.constant(0.0, depth) for _ in range(d)], depth)
+        zero = JetPoint.constant(np.zeros(d), depth)
         # embeddings: first component carries the moving endpoint, second the
         # anchored one; the fiber direction sits on the second outer slot
         w1 = _assemble4(mj, mdot, aw, adot)
@@ -385,7 +351,7 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
                 and residual(c_anchor[1], c_move[1]) <= 1e-9):
             raise ArithmeticError("pair flip output lost its embedding shape")
         for blk in (c_anchor[2], c_anchor[3]):
-            if any(c != 0.0 for e in blk.entries for c in e.coeffs):
+            if np.any(blk.coeffs != 0.0):
                 raise ArithmeticError("pair flip output lost its embedding shape")
         value = c_move[0].concat(c_move[2])
         dot = c_move[1].concat(c_move[3])

@@ -6,6 +6,10 @@ direction i belongs to S, and the jet represents
 
     sum_S  coeffs[S] * prod_{i in S} eps_i        with  eps_i ** 2 = 0.
 
+A JetPoint holds the jets of all its coordinates in one read-only float
+array of shape (2**d, dim), one row per mask; a JetScalar is the
+one-coordinate case.  The structural maps below are gathers on the mask axis.
+
 Nesting convention.  Direction 1 carries the projection p of the outer
 tangent: dropping direction 1 realizes p on nested tangents, dropping
 direction 2 realizes T(p), direction 3 realizes T(T(p)).  The same indexing
@@ -14,10 +18,14 @@ canonical flip c and on (2, 3) is T(c); lift_l splits direction 1 (pass
 direction=2 for T of the lift); add_tangent in direction 1 is the fibered
 addition of the outer tangent, direction 2 the addition T carries.
 
-Multi-term coefficient sums inside the product are accumulated with
-math.fsum, which is exactly rounded and therefore invariant under direction
-relabelings; this keeps the permutation and lift laws exact in floating
-point, not merely accurate.
+The product (hyper-dual numbers) is a subset convolution over the mask axis,
+c[U] = sum of a[S] b[U - S] over the subsets S of U, taken in an order that
+does not depend on how the directions are labelled: each complementary pair
+a[S] b[U - S] + a[U - S] b[S] is added first, the sum starts with the pair
+{empty, U}, and the remaining pair sums follow in increasing order of value.
+A relabeling maps pairs to pairs and permutes only the sorted summands, so
+the permutation and lift laws hold exactly in floating point, not merely
+accurately.
 """
 
 from __future__ import annotations
@@ -37,117 +45,120 @@ MAX_DEPTH = 3
 _ADD_COMPAT_TOL = 1e-12
 
 
-def _coerce_coeffs(depth: int, coeffs: Iterable[float]) -> tuple:
-    cs = tuple(float(c) for c in coeffs)
-    if len(cs) != 1 << depth:
-        raise ValueError("depth %d needs %d coefficients, got %d" % (depth, 1 << depth, len(cs)))
-    return cs
+@lru_cache(maxsize=None)
+def _product_table(depth: int) -> tuple:
+    """Index arrays of the product at one depth.  s, t list every
+    complementary pair S < T of a nonempty mask U = S | T; for each U in
+    increasing order, first is the position of its pair {empty, U} and rest
+    the positions of its other pairs, padded with len(s), an all-zero sum."""
+    s, t, first, rest = [], [], [], []
+    for u in range(1, 1 << depth):
+        at = []
+        for sub in range(u):
+            if sub & u == sub and sub < u ^ sub:
+                at.append(len(s))
+                s.append(sub)
+                t.append(u ^ sub)
+        first.append(at[0])
+        rest.append(at[1:])
+    width = max(map(len, rest))
+    rest = [r + [len(s)] * (width - len(r)) for r in rest]
+    as_index = lambda xs: _frozen(np.array(xs, dtype=np.intp))
+    return as_index(s), as_index(t), as_index(first), as_index(rest).reshape(len(rest), width)
+
+
+def _product(a: np.ndarray, b: np.ndarray, mul=np.multiply) -> np.ndarray:
+    """Product of two jets whose leading axis is the mask axis; mul combines
+    two coefficients (np.matmul for matrix jets) and broadcasts any trailing
+    axes.  Summed in the relabeling-invariant order of the module docstring."""
+    if len(a) != len(b):
+        raise ValueError("mixed jet depths %d and %d"
+                         % (len(a).bit_length() - 1, len(b).bit_length() - 1))
+    head = mul(a[:1], b[:1])
+    if len(a) == 1:
+        return head
+    s, t, first, rest = _product_table(len(a).bit_length() - 1)
+    pairs = mul(a[s], b[t]) + mul(a[t], b[s])
+    acc = pairs[first]
+    if rest.shape[1]:
+        terms = np.concatenate((pairs, np.zeros_like(pairs[:1])))[rest]
+        if rest.shape[1] > 1:
+            terms = np.sort(terms, axis=1)
+        for k in range(rest.shape[1]):
+            acc = acc + terms[:, k]
+    return np.concatenate((head, acc))
+
+
+def _frozen(coeffs: np.ndarray) -> np.ndarray:
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _check_depth(depth: int, rows: int) -> None:
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError("depth must be between 0 and %d" % MAX_DEPTH)
+    if rows != 1 << depth:
+        raise ValueError("depth %d needs %d coefficients, got %d" % (depth, 1 << depth, rows))
 
 
 class JetScalar:
-    """One truncated nested-tangent number."""
+    """One truncated nested-tangent number: a one-coordinate jet."""
 
-    __slots__ = ("depth", "coeffs")
+    __slots__ = ("depth", "_c")
 
     def __init__(self, depth: int, coeffs: Iterable[float]):
-        if not 0 <= depth <= MAX_DEPTH:
-            raise ValueError("depth must be between 0 and %d" % MAX_DEPTH)
+        c = np.array([float(x) for x in coeffs], dtype=float)
+        _check_depth(depth, len(c))
         self.depth = depth
-        self.coeffs = _coerce_coeffs(depth, coeffs)
+        self._c = _frozen(c)
 
     @classmethod
-    def _trusted(cls, depth: int, coeffs: tuple) -> "JetScalar":
-        """Build from a tuple of 2**depth Python floats without revalidating;
-        the arithmetic below only ever passes such tuples."""
+    def _of(cls, c: np.ndarray) -> "JetScalar":
         out = object.__new__(cls)
-        out.depth = depth
-        out.coeffs = coeffs
+        out.depth = len(c).bit_length() - 1
+        out._c = c
         return out
 
     @staticmethod
     def constant(value: float, depth: int = 0) -> "JetScalar":
-        cs = [0.0] * (1 << depth)
-        cs[0] = float(value)
-        return JetScalar(depth, cs)
+        return JetScalar(depth, [float(value)] + [0.0] * ((1 << depth) - 1))
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self._c.tolist())
 
     @property
     def value(self) -> float:
-        return self.coeffs[0]
+        return float(self._c[0])
 
-    def _coerce(self, other) -> "JetScalar":
+    def _coerce(self, other) -> np.ndarray:
         if isinstance(other, JetScalar):
             if other.depth != self.depth:
                 raise ValueError("mixed jet depths %d and %d" % (self.depth, other.depth))
-            return other
-        return JetScalar.constant(float(other), self.depth)
+            return other._c
+        return JetScalar.constant(float(other), self.depth)._c
 
     def __add__(self, other) -> "JetScalar":
-        o = self._coerce(other)
-        return JetScalar._trusted(self.depth, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return JetScalar._of(self._c + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "JetScalar":
-        o = self._coerce(other)
-        return JetScalar._trusted(self.depth, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return JetScalar._of(self._c - self._coerce(other))
 
     def __rsub__(self, other) -> "JetScalar":
-        o = self._coerce(other)
-        return JetScalar._trusted(self.depth, tuple(b - a for a, b in zip(self.coeffs, o.coeffs)))
+        return JetScalar._of(self._coerce(other) - self._c)
 
     def __neg__(self) -> "JetScalar":
-        return JetScalar._trusted(self.depth, tuple(-a for a in self.coeffs))
+        return JetScalar._of(-self._c)
 
     def __mul__(self, other) -> "JetScalar":
         if not isinstance(other, JetScalar):
-            f = float(other)
-            return JetScalar._trusted(self.depth, tuple(a * f for a in self.coeffs))
-        o = self._coerce(other)
-        a = self.coeffs
-        b = o.coeffs
-        d = self.depth
-        if d == 0:
-            return JetScalar._trusted(0, (a[0] * b[0],))
-        if d == 1:
-            return JetScalar._trusted(1, (a[0] * b[0], a[0] * b[1] + a[1] * b[0]))
-        if d == 2:
-            return JetScalar._trusted(
-                2,
-                (
-                    a[0] * b[0],
-                    a[0] * b[1] + a[1] * b[0],
-                    a[0] * b[2] + a[2] * b[0],
-                    math.fsum((a[0] * b[3], a[3] * b[0], a[1] * b[2], a[2] * b[1])),
-                ),
-            )
-        return JetScalar._trusted(
-            3,
-            (
-                a[0] * b[0],
-                a[0] * b[1] + a[1] * b[0],
-                a[0] * b[2] + a[2] * b[0],
-                math.fsum((a[0] * b[3], a[3] * b[0], a[1] * b[2], a[2] * b[1])),
-                a[0] * b[4] + a[4] * b[0],
-                math.fsum((a[0] * b[5], a[5] * b[0], a[1] * b[4], a[4] * b[1])),
-                math.fsum((a[0] * b[6], a[6] * b[0], a[2] * b[4], a[4] * b[2])),
-                math.fsum(
-                    (
-                        a[0] * b[7],
-                        a[7] * b[0],
-                        a[1] * b[6],
-                        a[6] * b[1],
-                        a[2] * b[5],
-                        a[5] * b[2],
-                        a[3] * b[4],
-                        a[4] * b[3],
-                    )
-                ),
-            ),
-        )
+            return JetScalar._of(self._c * float(other))
+        return JetScalar._of(_product(self._c, self._coerce(other)))
 
     def __rmul__(self, other) -> "JetScalar":
-        f = float(other)
-        return JetScalar._trusted(self.depth, tuple(f * a for a in self.coeffs))
+        return JetScalar._of(float(other) * self._c)
 
     def __pow__(self, exponent: int) -> "JetScalar":
         if exponent < 0 or exponent != int(exponent):
@@ -162,155 +173,162 @@ class JetScalar:
 
 
 class JetPoint:
-    """A point of a coordinate space with every coordinate a JetScalar."""
+    """A point of a coordinate space with every coordinate a jet: coeffs has
+    shape (2**depth, dim), row S holding the eps_S coefficients."""
 
-    __slots__ = ("depth", "entries")
+    __slots__ = ("depth", "coeffs")
 
     def __init__(self, entries: Sequence[JetScalar], depth: int = None):
         entries = tuple(entries)
         if entries:
             d = entries[0].depth
-            for e in entries:
-                if e.depth != d:
-                    raise ValueError("jet point entries must share one depth")
+            if any(e.depth != d for e in entries):
+                raise ValueError("jet point entries must share one depth")
             if depth is not None and depth != d:
                 raise ValueError("declared depth %d does not match entries" % depth)
-            depth = d
-        elif depth is None:
-            depth = 0
+            depth, coeffs = d, np.stack([e._c for e in entries], axis=1)
+        else:
+            depth = 0 if depth is None else depth
+            coeffs = np.zeros((1 << depth, 0))
         self.depth = depth
-        self.entries = entries
+        self.coeffs = _frozen(coeffs)
+
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "JetPoint":
+        """Wrap a (2**d, dim) array the caller hands over for good."""
+        out = object.__new__(cls)
+        out.depth = len(coeffs).bit_length() - 1
+        coeffs.flags.writeable = False
+        out.coeffs = coeffs
+        return out
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.coeffs.shape[1]
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(JetScalar._of(self.coeffs[:, i]) for i in range(self.dim))
 
     @staticmethod
     def from_rows(depth: int, rows: Sequence[Sequence[float]]) -> "JetPoint":
         """Build from one coefficient row per subset mask (2**depth rows)."""
-        rows = [list(map(float, r)) for r in rows]
-        if len(rows) != 1 << depth:
-            raise ValueError("depth %d needs %d rows" % (depth, 1 << depth))
-        dim = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != dim:
-                raise ValueError("ragged coefficient rows")
-        return JetPoint(
-            [JetScalar(depth, [rows[m][i] for m in range(1 << depth)]) for i in range(dim)],
-            depth,
-        )
+        try:
+            coeffs = np.array(rows, dtype=float)
+        except ValueError:
+            raise ValueError("ragged coefficient rows") from None
+        if coeffs.ndim != 2:
+            raise ValueError("ragged coefficient rows")
+        _check_depth(depth, len(coeffs))
+        return JetPoint._of(coeffs)
 
     @staticmethod
     def constant(vec: Sequence[float], depth: int = 0) -> "JetPoint":
-        return JetPoint([JetScalar.constant(v, depth) for v in vec], depth)
+        vec = np.asarray(vec, dtype=float).reshape(-1)
+        _check_depth(depth, 1 << depth)
+        coeffs = np.zeros((1 << depth, len(vec)))
+        coeffs[0] = vec
+        return JetPoint._of(coeffs)
 
     def row(self, mask: int) -> np.ndarray:
-        return np.array([e.coeffs[mask] for e in self.entries], dtype=float)
+        return self.coeffs[mask].copy()
 
     def to_rows(self) -> list:
-        return [[e.coeffs[m] for e in self.entries] for m in range(1 << self.depth)]
+        return self.coeffs.tolist()
 
     @property
     def base(self) -> np.ndarray:
         return self.row(0)
 
     def take(self, start: int, stop: int) -> "JetPoint":
-        return JetPoint(self.entries[start:stop], self.depth)
+        return JetPoint._of(self.coeffs[:, start:stop])
 
     def concat(self, other: "JetPoint") -> "JetPoint":
         if other.depth != self.depth:
             raise ValueError("mixed jet depths in concat")
-        return JetPoint(self.entries + other.entries, self.depth)
+        return JetPoint._of(np.concatenate((self.coeffs, other.coeffs), axis=1))
+
+    def _same_shape(self, other: "JetPoint") -> None:
+        if self.coeffs.shape != other.coeffs.shape:
+            raise ValueError("shape mismatch: depth %d/%d dim %d/%d"
+                             % (self.depth, other.depth, self.dim, other.dim))
+
+    def __add__(self, other: "JetPoint") -> "JetPoint":
+        """Coordinatewise sum in every mask (the linear structure of jets)."""
+        self._same_shape(other)
+        return JetPoint._of(self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "JetPoint") -> "JetPoint":
+        self._same_shape(other)
+        return JetPoint._of(self.coeffs - other.coeffs)
 
     def map_coeffs(self, index_map) -> "JetPoint":
         """index_map: new mask -> old mask or None (zero); shared by all entries."""
-        out = []
-        for e in self.entries:
-            out.append(
-                JetScalar(
-                    _depth_of(len(index_map)),
-                    [0.0 if m is None else e.coeffs[m] for m in index_map],
-                )
-            )
-        return JetPoint(out, _depth_of(len(index_map)))
+        index, zeros = _gather(tuple(index_map))
+        out = self.coeffs[index]
+        if zeros is not None:
+            out[zeros] = 0.0
+        return JetPoint._of(out)
 
     def __repr__(self) -> str:
         return "JetPoint(depth=%d, dim=%d)" % (self.depth, self.dim)
 
 
-def _depth_of(n_coeffs: int) -> int:
-    return n_coeffs.bit_length() - 1
-
-
 def residual(x: JetPoint, y: JetPoint) -> float:
     """Largest absolute coefficient difference between two jet points; NaN
     when any difference is NaN, so a non-finite jet never matches."""
-    if x.depth != y.depth or x.dim != y.dim:
-        raise ValueError("shape mismatch: depth %d/%d dim %d/%d" % (x.depth, y.depth, x.dim, y.dim))
-    worst = 0.0
-    for a, b in zip(x.entries, y.entries):
-        for ca, cb in zip(a.coeffs, b.coeffs):
-            d = abs(ca - cb)
-            if not d <= worst:
-                if d != d:
-                    return d  # a NaN difference outranks every number
-                worst = d
-    return worst
+    x._same_shape(y)
+    return float(np.abs(x.coeffs - y.coeffs).max(initial=0.0))
 
 
 # -- structural maps ---------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
+def _gather(index_map: tuple) -> tuple:
+    """A mask map as a row gather: source rows, and the rows set to zero
+    (None when there are none)."""
+    index = np.array([0 if m is None else m for m in index_map], dtype=np.intp)
+    zeros = np.array([m is None for m in index_map], dtype=bool)
+    return _frozen(index), _frozen(zeros) if zeros.any() else None
+
+
+# Each map sends a new mask to the old mask it reads, or to None for a zero.
+
+
+@lru_cache(maxsize=None)
 def _proj_map(depth: int, direction: int) -> tuple:
     k = direction - 1
-    low_mask = (1 << k) - 1
-    return tuple(((m >> k) << (k + 1)) | (m & low_mask) for m in range(1 << (depth - 1)))
+    return tuple((m >> k << (k + 1)) | (m & ((1 << k) - 1)) for m in range(1 << (depth - 1)))
 
 
 @lru_cache(maxsize=None)
 def _insert_map(depth: int, direction: int) -> tuple:
     k = direction - 1
-    low_mask = (1 << k) - 1
-    out = []
-    for m in range(1 << (depth + 1)):
-        if m & (1 << k):
-            out.append(None)
-        else:
-            out.append(((m >> (k + 1)) << k) | (m & low_mask))
-    return tuple(out)
+    return tuple(None if m >> k & 1 else (m >> (k + 1) << k) | (m & ((1 << k) - 1))
+                 for m in range(2 << depth))
 
 
 @lru_cache(maxsize=None)
 def _flip_map(depth: int, i: int, j: int) -> tuple:
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    out = []
-    for m in range(1 << depth):
-        n = m & ~(bi | bj)
-        if m & bi:
-            n |= bj
-        if m & bj:
-            n |= bi
-        out.append(n)
-    return tuple(out)
+    both = (1 << (i - 1)) | (1 << (j - 1))
+    return tuple(m ^ both if (m & both) not in (0, both) else m for m in range(1 << depth))
 
 
 @lru_cache(maxsize=None)
 def _lift_map(depth: int, direction: int) -> tuple:
+    # the pair of directions k + 1, k + 2 reads direction k + 1 when both are
+    # present, the base when neither is, and nothing otherwise
     k = direction - 1
-    low_mask = (1 << k) - 1
-    out = []
-    for m in range(1 << (depth + 1)):
-        mid = (m >> k) & 3
-        high = m >> (k + 2)
-        low = m & low_mask
-        if mid == 0:
-            out.append((high << (k + 1)) | low)
-        elif mid == 3:
-            out.append((high << (k + 1)) | (1 << k) | low)
-        else:
-            out.append(None)
-    return tuple(out)
+    return tuple(None if (m >> k & 3) in (1, 2)
+                 else (m >> (k + 2) << (k + 1)) | (m >> (k + 1) & 1) << k | (m & ((1 << k) - 1))
+                 for m in range(2 << depth))
+
+
+@lru_cache(maxsize=None)
+def _with_bit(depth: int, direction: int) -> np.ndarray:
+    """Which masks of a depth-d jet contain one direction, as a column."""
+    return _frozen((np.arange(1 << depth) & (1 << (direction - 1)) != 0)[:, None])
 
 
 def proj_p(x: JetPoint, direction: int = 1) -> JetPoint:
@@ -361,26 +379,15 @@ def lift_l(x: JetPoint, direction: int = 1) -> JetPoint:
 def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_COMPAT_TOL) -> JetPoint:
     """Fibered addition in one direction: coefficients containing the direction
     add, the rest must agree (within tol) and are kept from x."""
-    if x.depth != y.depth or x.dim != y.dim:
+    if x.coeffs.shape != y.coeffs.shape:
         raise ValueError("addition needs matching jet shapes")
     if not 1 <= direction <= x.depth:
         raise ValueError("no direction %d in a depth-%d jet" % (direction, x.depth))
-    bit = 1 << (direction - 1)
-    out = []
-    for ex, ey in zip(x.entries, y.entries):
-        cs = []
-        for m in range(1 << x.depth):
-            if m & bit:
-                cs.append(ex.coeffs[m] + ey.coeffs[m])
-            else:
-                if not abs(ex.coeffs[m] - ey.coeffs[m]) <= tol:
-                    raise ValueError(
-                        "incompatible summands: shared coefficient differs by %g"
-                        % abs(ex.coeffs[m] - ey.coeffs[m])
-                    )
-                cs.append(ex.coeffs[m])
-        out.append(JetScalar(x.depth, cs))
-    return JetPoint(out, x.depth)
+    moving = _with_bit(x.depth, direction)
+    gap = float(np.abs(np.where(moving, 0.0, x.coeffs - y.coeffs)).max(initial=0.0))
+    if not gap <= tol:
+        raise ValueError("incompatible summands: shared coefficient differs by %g" % gap)
+    return JetPoint._of(np.where(moving, x.coeffs + y.coeffs, x.coeffs))
 
 
 def sub_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_COMPAT_TOL) -> JetPoint:
@@ -390,46 +397,27 @@ def sub_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_
 
 def neg_tangent(x: JetPoint, direction: int = 1) -> JetPoint:
     """Fiberwise negation in one direction."""
-    bit = 1 << (direction - 1)
-    out = []
-    for e in x.entries:
-        cs = [(-c if (m & bit) else c) for m, c in enumerate(e.coeffs)]
-        out.append(JetScalar(x.depth, cs))
-    return JetPoint(out, x.depth)
+    return JetPoint._of(np.where(_with_bit(x.depth, direction), -x.coeffs, x.coeffs))
 
 
 def split_innermost(x: JetPoint):
     """View a depth-d jet as a depth-(d-1) jet of value/velocity pairs along the
     innermost direction d.  Returns (value, velocity)."""
-    d = x.depth
-    if d < 1:
+    if x.depth < 1:
         raise ValueError("cannot split a depth-0 jet")
-    value = proj_p(x, d)
-    bit = 1 << (d - 1)
-    vel_entries = []
-    for e in x.entries:
-        # lower-depth masks coincide with the bit-(d-1)-clear masks
-        cs = [e.coeffs[m | bit] for m in range(1 << (d - 1))]
-        vel_entries.append(JetScalar(d - 1, cs))
-    return value, JetPoint(vel_entries, d - 1)
+    # the innermost direction is the high bit: value and velocity are the
+    # two halves of the mask axis
+    half = 1 << (x.depth - 1)
+    return JetPoint._of(x.coeffs[:half]), JetPoint._of(x.coeffs[half:])
 
 
 def join_innermost(value: JetPoint, velocity: JetPoint) -> JetPoint:
     """Inverse of split_innermost: attach a velocity along a new innermost direction."""
-    if value.depth != velocity.depth or value.dim != velocity.dim:
+    if value.coeffs.shape != velocity.coeffs.shape:
         raise ValueError("join needs matching jet shapes")
-    d = value.depth + 1
-    if d > MAX_DEPTH:
+    if value.depth + 1 > MAX_DEPTH:
         raise ValueError("depth cap %d exceeded" % MAX_DEPTH)
-    bit = 1 << (d - 1)
-    out = []
-    for ev, ew in zip(value.entries, velocity.entries):
-        cs = [0.0] * (1 << d)
-        for m in range(1 << (d - 1)):
-            cs[m] = ev.coeffs[m]
-            cs[m | bit] = ew.coeffs[m]
-        out.append(JetScalar(d, cs))
-    return JetPoint(out, d)
+    return JetPoint._of(np.concatenate((value.coeffs, velocity.coeffs)))
 
 
 # -- polynomial maps ---------------------------------------------------------
@@ -506,41 +494,35 @@ class PolyMap:
         return deg
 
     def eval_jet(self, x: JetPoint) -> JetPoint:
+        """The nested-tangent extension: each term is its input powers,
+        multiplied in input order, times its coefficient, and is added into
+        its own output in term order."""
         if x.dim != self.in_dim:
             raise ValueError("input dim %d, expected %d" % (x.dim, self.in_dim))
-        depth = x.depth
-        max_exp = [0] * self.in_dim
-        for row in self.terms:
-            for _, exps in row:
-                for i, e in enumerate(exps):
-                    if e > max_exp[i]:
-                        max_exp[i] = e
-        powers = []
-        for i, e_max in enumerate(max_exp):
-            ps = [JetScalar.constant(1.0, depth)]
-            for _ in range(e_max):
-                ps.append(ps[-1] * x.entries[i])
-            powers.append(ps)
-        out = []
-        for row in self.terms:
-            acc = JetScalar.constant(0.0, depth)
-            for c, exps in row:
-                term = None
-                for i, e in enumerate(exps):
-                    if e:
-                        term = powers[i][e] if term is None else term * powers[i][e]
-                if term is None:
-                    acc = acc + JetScalar.constant(c, depth)
-                else:
-                    acc = acc + c * term
-            out.append(acc)
-        return JetPoint(out, depth)
+        rows, coef, factors = self._compiled
+        xs = x.coeffs
+        mono = np.zeros((len(xs), len(coef)))
+        mono[0] = 1.0
+        if factors:
+            powers = np.zeros((max(int(exps.max()) for _, exps, _ in factors) + 1,) + xs.shape)
+            powers[0, 0] = 1.0
+            powers[1] = xs
+            for e in range(2, len(powers)):
+                powers[e] = _product(powers[e - 1], xs)
+            for n, (i, exps, _) in enumerate(factors):
+                power = powers[exps, :, i].T
+                # a term skips the inputs it does not use
+                mono = power if n == 0 else np.where(exps > 0, _product(mono, power), mono)
+        out = np.zeros((len(xs), self.out_dim))
+        np.add.at(out, (slice(None), rows), coef * mono)
+        return JetPoint._of(out)
 
     @cached_property
     def _compiled(self) -> tuple:
-        """The terms as arrays, built once per map: the output row and the
-        coefficient of every term, and for each input that occurs, its exponent
-        in every term and the terms where that exponent is 2."""
+        """The terms as arrays, built once per map and read by eval_floats and
+        eval_jet: the output row and the coefficient of every term, and for
+        each input that occurs, its exponent in every term and the terms where
+        that exponent is 2."""
         flat = [(k, c, e) for k, row in enumerate(self.terms) for c, e in row]
         rows = np.array([k for k, _, _ in flat], dtype=np.intp)
         coef = np.array([c for _, c, _ in flat], dtype=float)
@@ -739,15 +721,10 @@ def _law_add_bundle(parts) -> float:
 def _interchange_square(x, y, z, w):
     """Rebuild four depth-2 jets sharing the slots the interchange law needs:
     all share mask 0; (x, y) and (w, z) share mask 1; (x, w) and (y, z) share mask 2."""
-    rx, ry, rz, rw = x.to_rows(), y.to_rows(), z.to_rows(), w.to_rows()
-    q = rx[0]
-    r1, r2 = rx[1], rw[1]
-    s1, s2 = rx[2], rw[2]
-    xq = JetPoint.from_rows(2, [q, r1, s1, rx[3]])
-    yq = JetPoint.from_rows(2, [q, r1, s2, ry[3]])
-    wq = JetPoint.from_rows(2, [q, r2, s1, rw[3]])
-    zq = JetPoint.from_rows(2, [q, r2, s2, rz[3]])
-    return xq, yq, wq, zq
+    q, r1, s1 = x.coeffs[:3]
+    r2, s2 = w.coeffs[1:3]
+    square = lambda r, s, p: JetPoint.from_rows(2, [q, r, s, p.coeffs[3]])
+    return x, square(r1, s2, y), square(r2, s1, w), square(r2, s2, z)
 
 
 def _law_lift_zero_additive(pair, lift=None) -> float:
@@ -798,37 +775,24 @@ def check_tangent_axioms(samples: int = 200, seed: int = 0) -> Report:
     def make_add_square(rng, dim):
         # x, y, z share every non-direction-1 slot (monoid laws); w is fresh
         # apart from the common base and supplies the second interchange row.
-        q = list(rng.uniform(-1, 1, size=dim))
-        s = list(rng.uniform(-1, 1, size=dim))
-
-        def variant_dir1():
-            return JetPoint.from_rows(
-                2, [q, list(rng.uniform(-1, 1, size=dim)), s,
-                    list(rng.uniform(-1, 1, size=dim))]
-            )
-
-        x, y, z = variant_dir1(), variant_dir1(), variant_dir1()
-        w = JetPoint.from_rows(2, [q] + [list(rng.uniform(-1, 1, size=dim)) for _ in range(3)])
+        q, s = rng.uniform(-1, 1, size=(2, dim))
+        x, y, z = (JetPoint.from_rows(2, [q, rng.uniform(-1, 1, dim), s, rng.uniform(-1, 1, dim)])
+                   for _ in range(3))
+        w = JetPoint.from_rows(2, np.vstack(([q], rng.uniform(-1, 1, size=(3, dim)))))
         return (x, y, z, w)
 
     law("add-bundle-laws", 2, _law_add_bundle, make=make_add_square)
 
     def make_add_pair(rng, dim):
         base = _random_jet(rng, dim, 1)
-        rows = base.to_rows()
-        other = JetPoint.from_rows(1, [rows[0], list(rng.uniform(-1, 1, size=dim))])
-        return (base, other)
+        return (base, JetPoint.from_rows(1, [base.coeffs[0], rng.uniform(-1, 1, size=dim)]))
 
     law("lift-zero-additive", 1, _law_lift_zero_additive, make=make_add_pair)
 
     def make_add_pair_dir2(rng, dim):
         base = _random_jet(rng, dim, 2)
-        rows = base.to_rows()
-        other = JetPoint.from_rows(
-            2, [rows[0], rows[1], list(rng.uniform(-1, 1, size=dim)),
-                list(rng.uniform(-1, 1, size=dim))]
-        )
-        return (base, other)
+        fresh = rng.uniform(-1, 1, size=(2, dim))
+        return (base, JetPoint.from_rows(2, np.concatenate((base.coeffs[:2], fresh))))
 
     law("flip-id-additive", 2, _law_flip_id_additive, make=make_add_pair_dir2)
     return report

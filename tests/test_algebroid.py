@@ -31,6 +31,7 @@ from invalg.bundle import (
     TAElement,
     ta_residual,
 )
+from invalg.groupoid import group_involution, sl2_group, so3_group
 from invalg.jet import JetPoint, PolyMap, residual
 
 
@@ -124,6 +125,32 @@ def test_broken_jacobi_defect_is_e2():
     assert not report["jacobi"].passed
     assert report["jacobi"].max_residual > 1e-3
     assert report["anchor-compatible"].passed
+
+
+def _jacobiator_by_polynomials(spec, m, a, b, c):
+    x, y, z = (PolyMap.constant(v, spec.dim_M) for v in (a, b, c))
+    return sum(spec.bracket_poly(spec.bracket_poly(p, q), r).eval_floats(m)
+               for p, q, r in ((x, y, z), (y, z, x), (z, x, y)))
+
+
+def test_jacobiator_matches_polynomial_brackets():
+    specs = {name: catalog.get(name) for name in catalog.names()}
+    for group in (so3_group(), sl2_group()):
+        specs["recovered " + group.name] = spec_from_flip(group_involution(group))
+    # the catalog has no entry whose bracket varies along a nonzero anchor,
+    # so no derivative term; polynomial data of no particular structure has
+    rng = np.random.default_rng(9)
+    poly = lambda: [(float(rng.uniform(-1, 1)), e) for e in ((0, 0), (1, 0), (0, 2), (1, 1))]
+    specs["polynomial"] = AlgebroidSpec.from_structure(
+        2, 3, PolyMap.from_terms(2, [poly() for _ in range(6)]),
+        [(i, j, k, poly()) for i, j in ((0, 1), (0, 2), (1, 2)) for k in range(3)])
+    for name, spec in specs.items():
+        for _ in range(10):
+            m = rng.uniform(-1, 1, spec.dim_M)
+            a, b, c = (rng.uniform(-1, 1, spec.dim_A) for _ in range(3))
+            direct = spec.jacobiator(m, a, b, c)
+            assert float(np.max(np.abs(direct - _jacobiator_by_polynomials(spec, m, a, b, c)))) \
+                <= 1e-12, name
 
 
 def test_incompatible_anchor_fails_compatibility():

@@ -165,11 +165,25 @@ def test_check_rejects_bad_exponent_length(tmp_path, capsys):
                 "anchor": [], "structure": [{"i": 0, "j": 1, "k": 0,
                                              "coeff": float("inf")}]}),
     json.dumps({"schema_version": 1, "kind": "group", "catalog": "diag-abelian(0)"}),
+    # integers are taken as given, not truncated: a dimension, an exponent
+    # or a structure index that is not an integer is unusable
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 1.5, "dim_A": 1,
+                "anchor": [[{"coeff": 1.0, "exponents": [0]}]]}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": True, "dim_A": 1,
+                "anchor": [[{"coeff": 1.0, "exponents": [0]}]]}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": "1", "dim_A": 1,
+                "anchor": [[{"coeff": 1.0, "exponents": [0]}]]}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 1, "dim_A": 1,
+                "anchor": [[{"coeff": 1.0, "exponents": [1.7]}]]}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 0, "dim_A": 2,
+                "anchor": [], "structure": [{"i": 0.5, "j": 1, "k": 0, "coeff": 1.0}]}),
 ])
-def test_check_input_errors_exit_2(tmp_path, payload):
+def test_check_input_errors_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "fx.json"
     path.write_text(payload)
     assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

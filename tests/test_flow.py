@@ -537,6 +537,15 @@ def test_homotopy_vee_rejects_nonzero_start():
         inf_ahomotopy_vee(inv, PolyMap.from_terms(2, [((2.0, (0, 0)),)]), [0.0])
 
 
+def test_vee_rejects_nan_start():
+    # a NaN start is no zero start: the guard must not pass it
+    inv = involution_from_spec(tangent(1))
+    with pytest.raises(ValueError, match="start at zero"):
+        inf_apath_vee(inv, PolyMap.from_terms(1, [((math.nan, (0,)),)]), [0.0])
+    with pytest.raises(ValueError, match="start at zero"):
+        inf_ahomotopy_vee(inv, PolyMap.from_terms(2, [((math.nan, (0, 0)),)]), [0.0])
+
+
 def test_homotopy_vee_then_wedge_recovers_surface():
     inv = involution_from_spec(action_so3_r3())
     eta = PolyMap.from_terms(2, [

@@ -33,6 +33,7 @@ from invalg.groupoid import (
     so3_group,
 )
 from invalg.jet import JetPoint, JetScalar, PolyMap, join_innermost, residual, split_innermost
+from jet_reference import RefScalar
 
 
 def rand_jet2(rng, n, integer=False):
@@ -388,12 +389,15 @@ def test_matrix_jet_route_matches_object_route(name, depth):
 @settings(max_examples=60, deadline=None)
 @given(depth=st.integers(0, 3), n=st.integers(1, 3), data=st.data())
 def test_subset_convolution_equals_jet_scalar_products(depth, n, data):
-    # small integers keep every product and sum exact on both routes
+    # small integers keep every product and sum exact on both routes; the
+    # object route multiplies by the reference product of the tests
     size = (1 << depth) * n * n
     entries = st.lists(st.integers(-4, 4), min_size=size, max_size=size)
     a, b = (np.array(data.draw(entries), dtype=float).reshape(1 << depth, n, n)
             for _ in range(2))
-    assert np.array_equal(_matmul(a, b), from_object(to_object(a) @ to_object(b)))
+    as_reference = lambda mat: np.array(
+        [[RefScalar(mat[:, i, j]) for j in range(n)] for i in range(n)], dtype=object)
+    assert np.array_equal(_matmul(a, b), from_object(as_reference(a) @ as_reference(b)))
 
 
 # -- differentiation reports --------------------------------------------------

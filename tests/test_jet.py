@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invalg.jet import (
     JetPoint,
     JetScalar,
     PolyMap,
+    _product,
     add_tangent,
     apply_poly,
     check_tangent_axioms,
@@ -22,6 +25,7 @@ from invalg.jet import (
     sub_tangent,
 )
 from invalg.report import run_check, worst_of
+from jet_reference import reference_product
 
 
 def jp(depth, rows):
@@ -64,6 +68,54 @@ def test_scalar_depth3_product_against_reference():
                 break
             s = (s - 1) & u
         assert abs(prod.coeffs[u] - total) < 1e-14
+
+
+def _jet_arrays(depth, width, elements):
+    size = (1 << depth) * width
+    return st.lists(elements, min_size=size, max_size=size).map(
+        lambda xs: np.array(xs, dtype=float).reshape(1 << depth, width))
+
+
+@settings(max_examples=80, deadline=None)
+@given(depth=st.integers(0, 3), width=st.integers(1, 3), data=st.data())
+def test_product_equals_reference_on_small_integers(depth, width, data):
+    # every product and partial sum of small integers is exact on both routes
+    a, b = (data.draw(_jet_arrays(depth, width, st.integers(-9, 9))) for _ in range(2))
+    got = _product(a, b)
+    for col in range(width):
+        assert tuple(got[:, col].tolist()) == reference_product(a[:, col], b[:, col])
+
+
+@settings(max_examples=80, deadline=None)
+@given(depth=st.integers(0, 3), width=st.integers(1, 3), data=st.data())
+def test_product_is_close_to_reference_on_floats(depth, width, data):
+    # relative to the summed magnitudes sum |a[S] b[U - S]| of each mask,
+    # which bound the rounding of any summation order
+    floats = st.floats(-1.0, 1.0)
+    a, b = (data.draw(_jet_arrays(depth, width, floats)) for _ in range(2))
+    got = _product(a, b)
+    for col in range(width):
+        ref = np.array(reference_product(a[:, col], b[:, col]))
+        scale = np.array(reference_product(np.abs(a[:, col]), np.abs(b[:, col])))
+        assert np.all(np.abs(got[:, col] - ref) <= 1e-15 * scale)
+
+
+def _relabel(perm) -> np.ndarray:
+    """Row gather that moves direction i + 1 to direction perm[i] + 1."""
+    index = np.empty(8, dtype=np.intp)
+    for m in range(8):
+        index[sum(1 << perm[i] for i in range(3) if m >> i & 1)] = m
+    return index
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=st.integers(1, 3), data=st.data())
+def test_product_commutes_with_relabeling_exactly(width, data):
+    a, b = (data.draw(_jet_arrays(3, width, st.floats(-1.0, 1.0))) for _ in range(2))
+    prod = _product(a, b)
+    for perm in itertools.permutations(range(3)):
+        index = _relabel(perm)
+        assert np.array_equal(_product(a[index], b[index]), prod[index])
 
 
 def test_depth_mismatch_rejected():
