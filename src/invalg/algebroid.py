@@ -5,7 +5,9 @@ over a trivialized bundle.  From it one can build the canonical flip map
 directly (involution_from_spec) or via the horizontal/vertical connection
 composite (flip_from_bracket); both evaluators are jet-polymorphic, so the
 tangent of the flip comes for free and every axiom, including the depth-2
-flip law and its Yang-Baxter form, can be checked numerically.
+flip law and its Yang-Baxter form, can be checked numerically.  Flips take
+jets with batch axes, and every law evaluates all of its samples in one
+call on jets batched over the samples.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .bundle import (
     TAElement,
     lie_derivative,
     section_polymap,
-    strong_difference,
+    strong_difference_jet,
 )
 from .jet import (
     JetPoint,
     PolyMap,
+    _max_abs,
     _product,
     flip_c,
     insert_zero,
@@ -37,9 +40,10 @@ from .jet import (
     lift_l,
     proj_p,
     residual,
+    residuals,
     split_innermost,
 )
-from .report import Report, run_check, worst_of
+from .report import Report, _fold, quiet, run_check, worst_of
 
 DEFAULT_AXIOM_TOLERANCES = {
     "projection": 1e-12,
@@ -63,6 +67,12 @@ def _vec(x) -> np.ndarray:
     return arr
 
 
+def _points(m, dim: int) -> np.ndarray:
+    """Base points as a (dim,) vector or a (..., dim) batch."""
+    m = _vec(m)
+    return m.reshape(dim) if m.ndim == 1 else m
+
+
 # -- the data of an anchored bracket -----------------------------------------
 
 
@@ -79,8 +89,9 @@ class Anchored:
         return np.matmul(self.anchor_matrix(m), _vec(a)[..., None])[..., 0]
 
     def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
-        rho = self.rho.eval_jet(mj).coeffs.reshape(1 << mj.depth, self.dim_M, self.dim_A)
-        return JetPoint.from_rows(mj.depth, _product(rho, aj.coeffs[:, None]).sum(axis=-1))
+        rho = self.rho.eval_jet(mj).coeffs
+        rho = rho.reshape(rho.shape[:-1] + (self.dim_M, self.dim_A))
+        return JetPoint._of(_product(rho, aj.coeffs[..., None, :]).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -165,18 +176,21 @@ class AlgebroidSpec(Anchored):
         return tensor
 
     def c_apply(self, m, a, b) -> np.ndarray:
+        """C(m)(a, b) at a base point, or at each point of a batch."""
         a, b = _vec(a), _vec(b)
         first, second = self._pair_index
-        flat = self.c_pairs.eval_floats(_vec(m).reshape(self.dim_M))
-        wedge = a[first] * b[second] - a[second] * b[first]
-        return (flat.reshape(self.dim_A, len(first)) * wedge).sum(axis=-1)
+        flat = self.c_pairs.eval_floats(_points(m, self.dim_M))
+        wedge = a[..., first] * b[..., second] - a[..., second] * b[..., first]
+        return (flat.reshape(flat.shape[:-1] + (self.dim_A, len(first)))
+                * wedge[..., None, :]).sum(axis=-1)
 
     def c_apply_jet(self, mj: JetPoint, aj: JetPoint, bj: JetPoint) -> JetPoint:
         first, second = self._pair_index
-        ab = _product(aj.coeffs[:, :, None], bj.coeffs[:, None, :])
-        wedge = ab[:, first, second] - ab[:, second, first]
-        coeffs = self.c_pairs.eval_jet(mj).coeffs.reshape(1 << mj.depth, self.dim_A, len(first))
-        return JetPoint.from_rows(mj.depth, _product(coeffs, wedge[:, None]).sum(axis=-1))
+        ab = _product(aj.coeffs[..., :, None], bj.coeffs[..., None, :])
+        wedge = ab[..., first, second] - ab[..., second, first]
+        coeffs = self.c_pairs.eval_jet(mj).coeffs
+        coeffs = coeffs.reshape(coeffs.shape[:-1] + (self.dim_A, len(first)))
+        return JetPoint._of(_product(coeffs, wedge[..., None, :]).sum(axis=-1))
 
     def c_full(self) -> PolyMap:
         """The structure functions as a full dim_A^3 polynomial tensor."""
@@ -209,13 +223,14 @@ class AlgebroidSpec(Anchored):
         return out
 
     def jacobiator(self, m, a, b, c) -> np.ndarray:
-        """Cyclic bracket defect on constant sections.  The bracket of two
-        constant sections x, y is the section m -> C(m)(x, y), so each cyclic
-        term [[x, y], z] is C(m)(C(m)(x, y), z) minus the derivative of that
-        section along rho(m) z, read off one depth-1 jet."""
-        m = _vec(m).reshape(self.dim_M)
+        """Cyclic bracket defect on constant sections, at one base point or
+        at each point of a batch.  The bracket of two constant sections x, y
+        is the section m -> C(m)(x, y), so each cyclic term [[x, y], z] is
+        C(m)(C(m)(x, y), z) minus the derivative of that section along
+        rho(m) z, read off one depth-1 jet."""
+        m = _points(m, self.dim_M)
         a, b, c = _vec(a), _vec(b), _vec(c)
-        total = np.zeros(self.dim_A)
+        total = np.zeros(a.shape)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             along = JetPoint.from_rows(1, [m, self.anchor_apply(m, z)])
             xy = self.c_apply_jet(along, JetPoint.constant(x, 1), JetPoint.constant(y, 1))
@@ -225,40 +240,37 @@ class AlgebroidSpec(Anchored):
     def well_formed(self, samples: int = 40, seed: int = 0, tolerance: float = 1e-9) -> Report:
         """Jacobi defect and anchor compatibility on random samples."""
         rng = np.random.default_rng(seed)
+        dm, da = self.dim_M, self.dim_A
         report = Report()
-        triples = [
-            (rng.uniform(-1, 1, self.dim_M), rng.uniform(-1, 1, self.dim_A),
-             rng.uniform(-1, 1, self.dim_A), rng.uniform(-1, 1, self.dim_A))
-            for _ in range(samples)
-        ]
+        # per sample a base point and three fiber vectors, drawn in that order
+        draws = rng.uniform(-1, 1, (samples, dm + 3 * da))
+        m = draws[:, :dm]
+        a, b, c = (draws[:, dm + k * da:dm + (k + 1) * da] for k in range(3))
 
-        def jac(t):
-            m, a, b, c = t
-            return float(np.max(np.abs(self.jacobiator(m, a, b, c))))
+        def serialize(i):
+            return [x[i].tolist() for x in (m, a, b, c)]
 
-        report.add(run_check("jacobi", triples, jac, tolerance, seed,
-                             serialize=_ser_arrays))
+        def jac(rows):
+            return _max_abs(self.jacobiator(m[rows], a[rows], b[rows], c[rows]))
 
-        def anchor_defect(t):
-            m, a, b, _ = t
-            lhs = self.anchor_apply(m, self.c_apply(m, a, b))
-            rhs = self._anchor_derivative(m, self.anchor_apply(m, a), b) \
-                - self._anchor_derivative(m, self.anchor_apply(m, b), a)
-            return float(np.max(np.abs(lhs - rhs), initial=0.0))
+        report.add(_fold("jacobi", samples, jac, tolerance, seed, serialize))
 
-        report.add(run_check("anchor-compatible", triples, anchor_defect, tolerance, seed,
-                             serialize=_ser_arrays))
+        def anchor_defect(rows):
+            mr, ar, br = m[rows], a[rows], b[rows]
+            lhs = self.anchor_apply(mr, self.c_apply(mr, ar, br))
+            rhs = self._anchor_derivative(mr, self.anchor_apply(mr, ar), br) \
+                - self._anchor_derivative(mr, self.anchor_apply(mr, br), ar)
+            return _max_abs(lhs - rhs)
+
+        report.add(_fold("anchor-compatible", samples, anchor_defect, tolerance, seed,
+                         serialize))
         return report
 
     def _anchor_derivative(self, m, u, a) -> np.ndarray:
         """Directional derivative of (rho a) along the base direction u."""
-        mj = JetPoint.from_rows(1, [_vec(m).reshape(self.dim_M), _vec(u)])
+        mj = JetPoint.from_rows(1, [_points(m, self.dim_M), _vec(u)])
         aj = JetPoint.constant(_vec(a), 1)
         return self.anchor_apply_jet(mj, aj).row(1)
-
-
-def _ser_arrays(t) -> list:
-    return [np.asarray(x, dtype=float).tolist() for x in t]
 
 
 # -- prolongation elements ---------------------------------------------------
@@ -325,7 +337,9 @@ class InvolutionAlgebroid(Anchored):
 
     flip(v, w) takes jets over the total-space coordinates with
     w.depth == v.depth + 1 and returns a jet of w's depth; depth-0/1 inputs
-    give the flip itself, deeper inputs give its tangent prolongations.
+    give the flip itself, deeper inputs give its tangent prolongations.  The
+    jets may carry batch axes (the same ones for v and w), which the output
+    keeps.
     """
 
     dim_M: int
@@ -336,8 +350,7 @@ class InvolutionAlgebroid(Anchored):
     describe: str = ""
 
     def flip_elements(self, pe: ProlongElement) -> TAElement:
-        v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
-        out = self.flip(v_jet, pe.w.to_jet())
+        out = self.flip(JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0), pe.w.to_jet())
         return TAElement.from_jet(out, self.dim_M)
 
 
@@ -410,62 +423,128 @@ def sigma(inv: InvolutionAlgebroid, pe: ProlongElement, tol: float = 1e-9) -> Pr
 
 def spec_from_flip(inv: InvolutionAlgebroid, describe: str = "") -> AlgebroidSpec:
     """Recover constant structure data from a flip over a point base by
-    evaluating basis brackets."""
+    evaluating all basis brackets in one batch."""
     if inv.dim_M != 0:
         raise ValueError("structure-constant recovery needs dim_M = 0")
     da = inv.dim_A
     basis = np.eye(da)
-    entries = []
-    for i, j in itertools.combinations(range(da), 2):
-        bracket = bracket_from_flip(
-            inv,
-            SectionSpec(PolyMap.constant(basis[i], 0)),
-            SectionSpec(PolyMap.constant(basis[j], 0)),
-        )(np.zeros(0))
-        for k in range(da):
-            if bracket[k] != 0.0:
-                entries.append((i, j, k, float(bracket[k])))
+    pairs = list(itertools.combinations(range(da), 2))
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    brackets = _constant_brackets(inv, basis[first], basis[second]) if pairs else []
+    entries = [(i, j, k, float(bracket[k]))
+               for (i, j), bracket in zip(pairs, brackets) for k in range(da) if bracket[k] != 0.0]
     return AlgebroidSpec.from_structure(0, da, PolyMap.zero(0, 0), entries)
 
 
 # -- samplers ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _PairBatch:
+    """Prolongation pairs stacked along a sample axis: v (N, n) holds the
+    bundle points (m, a_v), w (2, N, n) the two mask rows (m, a_w) and
+    (mdot, adot_w) of the tangents, and x (4, N, n), for double samples, the
+    depth-2 jets; n = dim_M + dim_A.  The jet methods select samples with a
+    slice and keep the sample axis as the batch axis."""
+
+    dim_M: int
+    v: np.ndarray
+    w: np.ndarray
+    x: Optional[np.ndarray] = None
+
+    def v_jet(self, rows) -> JetPoint:
+        return JetPoint.constant(self.v[rows], 0)
+
+    def w_jet(self, rows) -> JetPoint:
+        return JetPoint._of(self.w[:, rows])
+
+    def x_jet(self, rows) -> JetPoint:
+        return JetPoint._of(self.x[:, rows])
+
+    def element(self, i: int):
+        """Sample i as a ProlongElement, or a DoubleProlongElement."""
+        dm = self.dim_M
+        w0, w1 = self.w[:, i]
+        v = AElement(self.v[i, :dm], self.v[i, dm:])
+        w = TAElement(w0[:dm], w0[dm:], w1[:dm], w1[dm:])
+        if self.x is None:
+            return ProlongElement(v, w)
+        return DoubleProlongElement(v, w, JetPoint.from_rows(2, self.x[:, i]))
+
+    def describe(self, i: int) -> dict:
+        """Sample i as a report's worst_input."""
+        dm = self.dim_M
+        w0, w1 = self.w[:, i]
+        out = {"m": self.v[i, :dm].tolist(), "a_v": self.v[i, dm:].tolist(),
+               "w": [w0[dm:].tolist(), w1[:dm].tolist(), w1[dm:].tolist()]}
+        if self.x is not None:
+            out["x"] = self.x[:, i].tolist()
+        return out
+
+
+def _prolongation_pairs(owner, draws: np.ndarray) -> _PairBatch:
+    """Complete drawn data into prolongation pairs.  Each row of draws holds
+    a base point m, the fiber slots a_v, a_w, adot_w and, for double pairs,
+    the fiber rows of x by mask.  The base velocity is the anchored a_v and
+    the base block of x the flipped tangent prolongation of the anchor, so
+    the constraints hold by construction."""
+    spec_like = _as_anchor(owner)
+    dm, da = owner.dim_M, owner.dim_A
+    m, a_v, a_w, adot, x_fiber = np.split(draws, [dm, dm + da, dm + 2 * da, dm + 3 * da], axis=1)
+    with quiet():
+        mdot = spec_like.anchor_apply(m, a_v)
+        w = np.stack((np.concatenate((m, a_w), axis=1), np.concatenate((mdot, adot), axis=1)))
+        x = None
+        if x_fiber.size:
+            target = flip_c(t_rho_jet(spec_like, JetPoint._of(w)), 1, 2)
+            x = np.concatenate((target.coeffs, x_fiber.reshape(len(m), 4, da).swapaxes(0, 1)),
+                               axis=-1)
+    return _PairBatch(dm, np.concatenate((m, a_v), axis=1), w, x)
+
+
+def _sample_pairs(owner, rng, count: int, double: bool = False) -> _PairBatch:
+    """count random (double) prolongation pairs, drawn as count calls of
+    sample_prolongation (sample_double_prolongation) would draw them, each
+    on a base point drawn just before it."""
+    width = owner.dim_M + (7 if double else 3) * owner.dim_A
+    return _prolongation_pairs(owner, rng.uniform(-1, 1, (count, width)))
+
+
 def sample_prolongation(owner, m, rng) -> ProlongElement:
     """Draw fiber slots uniformly and complete the base velocity through the
     anchor, so the constraint holds by construction."""
-    spec_like = _as_anchor(owner)
-    dm, da = owner.dim_M, owner.dim_A
-    m = _vec(m).reshape(dm)
-    a_v = rng.uniform(-1, 1, da)
-    a_w = rng.uniform(-1, 1, da)
-    adot_w = rng.uniform(-1, 1, da)
-    mdot = spec_like.anchor_apply(m, a_v)
-    return ProlongElement(AElement(m, a_v), TAElement(m, a_w, mdot, adot_w))
+    return _pair_at(owner, m, rng.uniform(-1, 1, 3 * owner.dim_A))
 
 
 def sample_double_prolongation(owner, m, rng) -> DoubleProlongElement:
     """Extend a sampled prolongation pair with a depth-2 jet whose base block
     is overwritten so the double constraint holds by construction."""
-    spec_like = _as_anchor(owner)
-    dm, da = owner.dim_M, owner.dim_A
-    pe = sample_prolongation(owner, m, rng)
-    target = flip_c(t_rho_jet(spec_like, pe.w.to_jet()), 1, 2)
-    rows = np.hstack((target.coeffs, rng.uniform(-1, 1, (4, da))))
-    return DoubleProlongElement(pe.v, pe.w, JetPoint.from_rows(2, rows))
+    return _pair_at(owner, m, rng.uniform(-1, 1, 7 * owner.dim_A))
+
+
+def _pair_at(owner, m, slots: np.ndarray):
+    row = np.concatenate((_vec(m).reshape(owner.dim_M), slots))
+    return _prolongation_pairs(owner, row[None]).element(0)
 
 
 # -- axiom suite -------------------------------------------------------------
 
 
-def _lambda_jet(v: JetPoint, dm: int, da: int) -> JetPoint:
-    """Fiber lift of a depth-k bundle jet into a depth-(k+1) tangent jet.
-    The lift is linear, so on a tangent jet this is also its tangent."""
-    mj = v.take(0, dm)
-    av = v.take(dm, dm + da)
-    zero = JetPoint.constant(np.zeros(da), v.depth)
-    zero_m = JetPoint.constant(np.zeros(dm), v.depth)
-    return join_innermost(mj.concat(zero), zero_m.concat(av))
+def _lambda_jet(v: JetPoint, dm: int) -> JetPoint:
+    """Fiber lift of a depth-k bundle jet into a depth-(k+1) tangent jet,
+    (m, a) -> ((m, 0); (0, a)).  The lift is linear, so on a tangent jet this
+    is also its tangent."""
+    velocity = np.zeros_like(v.coeffs)
+    velocity[..., dm:] = v.coeffs[..., dm:]
+    return join_innermost(JetPoint._of(_zero_fiber(v.coeffs, dm)), JetPoint._of(velocity))
+
+
+def _zero_fiber(points: np.ndarray, dm: int) -> np.ndarray:
+    """A copy of total-space coordinates (..., dim_M + dim_A) with the fiber
+    block set to zero."""
+    out = np.array(points, dtype=float)
+    out[..., dm:] = 0.0
+    return out
 
 
 def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
@@ -483,118 +562,93 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     report = Report()
 
-    pes = [sample_prolongation(inv, rng.uniform(-1, 1, dm), rng) for _ in range(samples)]
-    dpes = [sample_double_prolongation(inv, rng.uniform(-1, 1, dm), rng) for _ in range(samples)]
-    points = [AElement(rng.uniform(-1, 1, dm), rng.uniform(-1, 1, da)) for _ in range(samples)]
+    pes = _sample_pairs(inv, rng, samples)
+    dpes = _sample_pairs(inv, rng, samples, double=True)
+    points = rng.uniform(-1, 1, (samples, dm + da))  # per sample m, then a
 
-    def check(name, inputs, fn, serialize):
-        report.add(run_check(name, inputs, fn, tols[name], seed, serialize=serialize))
+    def check(name, fn, serialize):
+        report.add(_fold(name, samples, fn, tols[name], seed, serialize))
 
-    def projection(pe):
-        out = inv.flip_elements(pe)
-        return worst_of([
-            float(np.max(np.abs(out.m - pe.v.m), initial=0.0)),
-            float(np.max(np.abs(out.a - pe.v.a), initial=0.0)),
-        ])
+    describe_point = lambda i: {"m": points[i, :dm].tolist(), "a": points[i, dm:].tolist()}
 
-    check("projection", pes, projection, _ser_pe)
+    def flip_pairs(rows):
+        v, w = pes.v_jet(rows), pes.w_jet(rows)
+        return v, w, inv.flip(v, w)
 
-    def unit(u):
-        lam = _lambda_jet(JetPoint.constant(np.concatenate([u.m, u.a]), 0), dm, da)
-        xi = JetPoint.constant(np.concatenate([u.m, np.zeros(da)]), 0)
-        return residual(inv.flip(xi, lam), lam)
+    def projection(rows):
+        v, _, out = flip_pairs(rows)
+        diff = out.coeffs[0] - v.coeffs[0]
+        return worst_of([_max_abs(diff[:, :dm]), _max_abs(diff[:, dm:])])
 
-    check("unit", points, unit, _ser_ae)
+    check("projection", projection, pes.describe)
 
-    def involution(pe):
-        w_jet = pe.w.to_jet()
-        v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
-        once = inv.flip(v_jet, w_jet)
-        pw = JetPoint.constant(np.concatenate([pe.w.m, pe.w.a]), 0)
-        return residual(inv.flip(pw, once), w_jet)
+    def unit(rows):
+        u = JetPoint.constant(points[rows], 0)
+        lam = _lambda_jet(u, dm)
+        xi = JetPoint.constant(_zero_fiber(points[rows], dm), 0)
+        return residuals(inv.flip(xi, lam), lam)
 
-    check("involution", pes, involution, _ser_pe)
+    check("unit", unit, describe_point)
 
-    def source(pe):
-        out = inv.flip_elements(pe)
-        expected = inv.anchor_apply(pe.v.m, pe.w.a)
-        return worst_of([
-            float(np.max(np.abs(out.m - pe.v.m), initial=0.0)),
-            float(np.max(np.abs(out.mdot - expected), initial=0.0)),
-        ])
+    def involution(rows):
+        _, w_jet, once = flip_pairs(rows)
+        pw = JetPoint.constant(pes.w[0, rows], 0)
+        return residuals(inv.flip(pw, once), w_jet)
 
-    check("source", pes, source, _ser_pe)
+    check("involution", involution, pes.describe)
 
-    def target(pe):
-        w_jet = pe.w.to_jet()
-        v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
-        out = inv.flip(v_jet, w_jet)
+    def source(rows):
+        v, w_jet, out = flip_pairs(rows)
+        expected = inv.anchor_apply(v.coeffs[0, :, :dm], w_jet.coeffs[0, :, dm:])
+        return worst_of([_max_abs(out.coeffs[0, :, :dm] - v.coeffs[0, :, :dm]),
+                         _max_abs(out.coeffs[1, :, :dm] - expected)])
+
+    check("source", source, pes.describe)
+
+    def target(rows):
+        _, w_jet, out = flip_pairs(rows)
         if dm == 0:
             return 0.0
-        lhs = t_rho_jet(inv, out)
-        rhs = flip_c(t_rho_jet(inv, w_jet), 1, 2)
-        return residual(lhs, rhs)
+        return residuals(t_rho_jet(inv, out), flip_c(t_rho_jet(inv, w_jet), 1, 2))
 
-    check("target", pes, target, _ser_pe)
+    check("target", target, pes.describe)
 
-    def flip_law(dpe):
-        v_jet = JetPoint.constant(np.concatenate([dpe.v.m, dpe.v.a]), 0)
-        w_jet = dpe.w.to_jet()
-        x = dpe.x
-        first = inv.flip(inv.flip(v_jet, w_jet), x)
-        inner = inv.flip(w_jet, flip_c(x, 1, 2))
-        second = flip_c(inv.flip(inv.flip(v_jet, proj_p(x, 1)), flip_c(inner, 1, 2)), 1, 2)
-        return residual(first, second)
+    def flip_law(rows):
+        v, w, x = dpes.v_jet(rows), dpes.w_jet(rows), dpes.x_jet(rows)
+        first = inv.flip(inv.flip(v, w), x)
+        inner = inv.flip(w, flip_c(x, 1, 2))
+        second = flip_c(inv.flip(inv.flip(v, proj_p(x, 1)), flip_c(inner, 1, 2)), 1, 2)
+        return residuals(first, second)
 
-    check("flip", dpes, flip_law, _ser_dpe)
+    check("flip", flip_law, dpes.describe)
 
-    def linearity_lift(pe):
-        v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
-        w_jet = pe.w.to_jet()
-        base = inv.flip(v_jet, w_jet)
-        lhs = inv.flip(insert_zero(v_jet, 1), flip_c(_lambda_jet(w_jet, dm, da), 1, 2))
-        return residual(lhs, lift_l(base, 1))
+    def linearity_lift(rows):
+        v, w, base = flip_pairs(rows)
+        lhs = inv.flip(insert_zero(v, 1), flip_c(_lambda_jet(w, dm), 1, 2))
+        return residuals(lhs, lift_l(base, 1))
 
-    check("linearity-lift", pes, linearity_lift, _ser_pe)
+    check("linearity-lift", linearity_lift, pes.describe)
 
-    def linearity_anchor(pe):
-        v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
-        w_jet = pe.w.to_jet()
-        base = inv.flip(v_jet, w_jet)
-        lam_v = _lambda_jet(v_jet, dm, da)
-        lhs = inv.flip(lam_v, lift_l(w_jet, 1))
-        return residual(lhs, flip_c(_lambda_jet(base, dm, da), 1, 2))
+    def linearity_anchor(rows):
+        v, w, base = flip_pairs(rows)
+        lhs = inv.flip(_lambda_jet(v, dm), lift_l(w, 1))
+        return residuals(lhs, flip_c(_lambda_jet(base, dm), 1, 2))
 
-    check("linearity-anchor", pes, linearity_anchor, _ser_pe)
+    check("linearity-anchor", linearity_anchor, pes.describe)
 
-    def zero_sections(u):
-        v_jet = JetPoint.constant(np.concatenate([u.m, u.a]), 0)
-        anchored = inv.anchor_apply(u.m, u.a)
-        t_xi = TAElement(u.m, np.zeros(da), anchored, np.zeros(da)).to_jet()
-        xi = JetPoint.constant(np.concatenate([u.m, np.zeros(da)]), 0)
-        return worst_of([residual(inv.flip(v_jet, t_xi), insert_zero(v_jet, 1)),
-                         residual(inv.flip(xi, insert_zero(v_jet, 1)), t_xi)])
+    def zero_sections(rows):
+        u = points[rows]
+        v_jet = JetPoint.constant(u, 0)
+        anchored = inv.anchor_apply(u[:, :dm], u[:, dm:])
+        xi = _zero_fiber(u, dm)
+        t_xi = JetPoint.from_rows(1, [xi, np.concatenate((anchored, np.zeros_like(u[:, dm:])),
+                                                         axis=1)])
+        return worst_of([residuals(inv.flip(v_jet, t_xi), insert_zero(v_jet, 1)),
+                         residuals(inv.flip(JetPoint.constant(xi, 0), insert_zero(v_jet, 1)),
+                                   t_xi)])
 
-    check("zero-sections", points, zero_sections, _ser_ae)
+    check("zero-sections", zero_sections, describe_point)
     return report
-
-
-def _ser_ae(u: AElement) -> dict:
-    return {"m": u.m.tolist(), "a": u.a.tolist()}
-
-
-def _ser_pe(pe: ProlongElement) -> dict:
-    return {
-        "m": pe.v.m.tolist(),
-        "a_v": pe.v.a.tolist(),
-        "w": [pe.w.a.tolist(), pe.w.mdot.tolist(), pe.w.adot.tolist()],
-    }
-
-
-def _ser_dpe(dpe: DoubleProlongElement) -> dict:
-    out = _ser_pe(ProlongElement(dpe.v, dpe.w))
-    out["x"] = dpe.x.to_rows()
-    return out
 
 
 # -- Yang-Baxter form --------------------------------------------------------
@@ -628,23 +682,18 @@ def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0
     the exact discrete permutation identity."""
     tols = dict(DEFAULT_AXIOM_TOLERANCES)
     tols.update(tolerances or {})
-    dm, da = inv.dim_M, inv.dim_A
     rng = np.random.default_rng(seed)
     report = Report()
 
-    dpes = [sample_double_prolongation(inv, rng.uniform(-1, 1, dm), rng) for _ in range(samples)]
+    dpes = _sample_pairs(inv, rng, samples, double=True)
 
-    def braid(dpe):
-        v = JetPoint.constant(np.concatenate([dpe.v.m, dpe.v.a]), 0)
-        w = dpe.w.to_jet()
-        y = flip_c(dpe.x, 1, 2)
-        t = (v, w, y)
+    def braid(rows):
+        t = (dpes.v_jet(rows), dpes.w_jet(rows), flip_c(dpes.x_jet(rows), 1, 2))
         m1 = _yb_sigma_c(inv, _yb_id_tsigma(inv, _yb_sigma_c(inv, t)))
         m2 = _yb_id_tsigma(inv, _yb_sigma_c(inv, _yb_id_tsigma(inv, t)))
-        return worst_of(residual(a, b) for a, b in zip(m1, m2))
+        return worst_of([residuals(a, b) for a, b in zip(m1, m2)])
 
-    report.add(run_check("yang-baxter", dpes, braid, tols["yang-baxter"], seed,
-                         serialize=_ser_dpe))
+    report.add(_fold("yang-baxter", samples, braid, tols["yang-baxter"], seed, dpes.describe))
 
     p1, p2, expected = braid_permutations()
     symbols = tuple("s%d" % i for i in range(7))
@@ -659,25 +708,35 @@ def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0
 # -- brackets from flips -----------------------------------------------------
 
 
+def _flip_bracket(inv: InvolutionAlgebroid, v: JetPoint, w: JetPoint, second: JetPoint):
+    """The bracket a flip induces, from its jets: flip v against the
+    prolongation w of the second section along the anchored first, and
+    subtract the prolongation second of the first section along the
+    anchored second in the strong sense."""
+    return strong_difference_jet(inv.flip(v, w), second, inv.dim_M, tol=1e-9)
+
+
+def _constant_brackets(inv: InvolutionAlgebroid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Brackets of constant sections over a point base, one per row of x and
+    y (N, dim_A): the prolongations of constant sections do not move."""
+    return _flip_bracket(inv, JetPoint.constant(x, 0), JetPoint.constant(y, 1),
+                         JetPoint.constant(x, 1))
+
+
 def bracket_from_flip(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec):
-    """Evaluator of the section bracket induced by a flip: flip X against the
-    prolongation of Y along the anchored X, subtract the prolongation of X
-    along the anchored Y in the strong sense."""
-    dm, da = inv.dim_M, inv.dim_A
+    """Evaluator of the section bracket induced by a flip, at a base point
+    (dim_M,) or at each point of a batch (N, dim_M)."""
+    dm = inv.dim_M
     graph_X = section_polymap(X.x_poly)
     graph_Y = section_polymap(Y.x_poly)
 
     def evaluate(m) -> np.ndarray:
-        m = _vec(m).reshape(dm)
-        xv, yv = X.eval(m), Y.eval(m)
-        anchor = inv.anchor_matrix(m)
-        w_jet = graph_Y.eval_jet(JetPoint.from_rows(1, [m, anchor @ xv]))
-        v_jet = JetPoint.constant(np.concatenate([m, xv]), 0)
-        first = TAElement.from_jet(inv.flip(v_jet, w_jet), dm)
-        second = TAElement.from_jet(
-            graph_X.eval_jet(JetPoint.from_rows(1, [m, anchor @ yv])), dm
-        )
-        return strong_difference(first, second, tol=1e-9).a
+        m = _points(m, dm)
+        xv, yv = X.x_poly.eval_floats(m), Y.x_poly.eval_floats(m)
+        w_jet = graph_Y.eval_jet(JetPoint.from_rows(1, [m, inv.anchor_apply(m, xv)]))
+        second = graph_X.eval_jet(JetPoint.from_rows(1, [m, inv.anchor_apply(m, yv)]))
+        return _flip_bracket(inv, JetPoint.constant(np.concatenate([m, xv], axis=-1), 0),
+                             w_jet, second)
 
     return evaluate
 
@@ -701,6 +760,24 @@ def section_flip_field(inv: InvolutionAlgebroid, X: SectionSpec):
     return field
 
 
+def _field_bracket(f, g, z: JetPoint) -> np.ndarray:
+    """The bracket [f, g] of two vector fields evaluable on jets, at the
+    depth-0 points z: feeding each field's value as the jet velocity of the
+    other gives the directional derivatives that make up the bracket."""
+    return g(join_innermost(z, f(z))).row(1) - f(join_innermost(z, g(z))).row(1)
+
+
+def _point_checks(report: Report, points: np.ndarray, tolerance: float, seed: int):
+    """Fold laws of batched points (N, k) into report: check(name, fn) with
+    fn taking the selected points."""
+
+    def check(name, fn):
+        report.add(_fold(name, len(points), lambda rows: fn(points[rows]), tolerance, seed,
+                         lambda i: points[i].tolist()))
+
+    return check
+
+
 def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 40,
                        seed: int = 0, tolerance: float = 1e-9) -> Report:
     """Laws of the induced section bracket at sampled base points: bilinear,
@@ -715,29 +792,19 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         sections = [SectionSpec(_random_section_poly(rng, dm, da)) for _ in range(3)]
     X, Y, Z = sections[0], sections[1], sections[2 % len(sections)]
     report = Report()
-    points = [rng.uniform(-1, 1, dm) for _ in range(samples)]
+    at_points = _point_checks(report, rng.uniform(-1, 1, (samples, dm)), tolerance, seed)
 
     bxy = bracket_from_flip(inv, X, Y)
     byx = bracket_from_flip(inv, Y, X)
-
-    def antisym(m):
-        return float(np.max(np.abs(bxy(m) + byx(m)), initial=0.0))
-
-    report.add(run_check("bracket-antisymmetric", points, antisym, tolerance, seed,
-                         serialize=_ser_point))
+    at_points("bracket-antisymmetric", lambda m: _max_abs(bxy(m) + byx(m)))
 
     a_const, b_const = 0.75, -1.25
     combo = SectionSpec(a_const * X.x_poly + b_const * Y.x_poly)
     b_combo_z = bracket_from_flip(inv, combo, Z)
     bxz = bracket_from_flip(inv, X, Z)
     byz = bracket_from_flip(inv, Y, Z)
-
-    def bilinear(m):
-        return float(np.max(np.abs(b_combo_z(m) - a_const * bxz(m) - b_const * byz(m)),
-                            initial=0.0))
-
-    report.add(run_check("bracket-bilinear", points, bilinear, tolerance, seed,
-                         serialize=_ser_point))
+    at_points("bracket-bilinear",
+              lambda m: _max_abs(b_combo_z(m) - a_const * bxz(m) - b_const * byz(m)))
 
     b_yz_poly = spec.bracket_poly(Y.x_poly, Z.x_poly)
     b_xy_poly = spec.bracket_poly(X.x_poly, Y.x_poly)
@@ -745,75 +812,41 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     j1 = bracket_from_flip(inv, X, SectionSpec(b_yz_poly))
     j2 = bracket_from_flip(inv, Z, SectionSpec(b_xy_poly))
     j3 = bracket_from_flip(inv, Y, SectionSpec(b_zx_poly))
-
-    def jacobi(m):
-        return float(np.max(np.abs(j1(m) + j2(m) + j3(m)), initial=0.0))
-
-    report.add(run_check("bracket-jacobi", points, jacobi, tolerance, seed,
-                         serialize=_ser_point))
+    at_points("bracket-jacobi", lambda m: _max_abs(j1(m) + j2(m) + j3(m)))
 
     # flip fields: alpha_[X,Y] = [alpha_X, alpha_Y] as fields on the total space
     f_xy = section_flip_field(inv, SectionSpec(b_xy_poly))
     f_x = section_flip_field(inv, X)
     f_y = section_flip_field(inv, Y)
-    total_points = [np.concatenate([rng.uniform(-1, 1, dm), rng.uniform(-1, 1, da)])
-                    for _ in range(samples)]
+    # per sample a base point, then a fiber point
+    at_total = _point_checks(report, rng.uniform(-1, 1, (samples, dm + da)), tolerance, seed)
 
     def flip_field_morphism(z):
         z0 = JetPoint.constant(z, 0)
-        fx0, fy0 = f_x(z0), f_y(z0)
-        # feeding each field's value as the jet velocity of the other gives
-        # the directional derivatives that make up the field bracket
-        t_fy = f_y(join_innermost(z0, fx0))
-        t_fx = f_x(join_innermost(z0, fy0))
-        deriv = t_fy.row(1) - t_fx.row(1)
-        return float(np.max(np.abs(deriv - f_xy(z0).base), initial=0.0))
+        return _max_abs(_field_bracket(f_x, f_y, z0) - f_xy(z0).base)
 
-    report.add(run_check("flip-field-morphism", total_points, flip_field_morphism,
-                         tolerance, seed, serialize=_ser_point))
+    at_total("flip-field-morphism", flip_field_morphism)
 
     # anchor morphism: rho[X,Y] equals the base bracket of the anchored fields
-    def anchor_field(S: SectionSpec):
-        graph = S.x_poly
-
-        def fld(mz: JetPoint) -> JetPoint:
-            aj = graph.eval_jet(mz)
-            return inv.anchor_apply_jet(mz, aj)
-
-        return fld
-
-    rx, ry = anchor_field(X), anchor_field(Y)
+    rx = lambda mz: inv.anchor_apply_jet(mz, X.x_poly.eval_jet(mz))
+    ry = lambda mz: inv.anchor_apply_jet(mz, Y.x_poly.eval_jet(mz))
 
     def anchor_morphism(m):
-        m = _vec(m).reshape(dm)
         if dm == 0:
             return 0.0
-        z0 = JetPoint.constant(m, 0)
-        rx0, ry0 = rx(z0), ry(z0)
-        t_ry = ry(join_innermost(z0, rx0))
-        t_rx = rx(join_innermost(z0, ry0))
-        field_bracket = t_ry.row(1) - t_rx.row(1)
-        lhs = inv.anchor_apply(m, bxy(m))
-        return float(np.max(np.abs(lhs - field_bracket), initial=0.0))
+        field_bracket = _field_bracket(rx, ry, JetPoint.constant(m, 0))
+        return _max_abs(inv.anchor_apply(m, bxy(m)) - field_bracket)
 
-    report.add(run_check("anchor-morphism", points, anchor_morphism, tolerance, seed,
-                         serialize=_ser_point))
+    at_points("anchor-morphism", anchor_morphism)
 
     f_sum = section_flip_field(inv, SectionSpec(X.x_poly + Y.x_poly))
 
     def flip_field_additive(z):
         z0 = JetPoint.constant(z, 0)
-        lhs = f_sum(z0)
-        rhs = f_x(z0) + f_y(z0)
-        return residual(lhs, rhs)
+        return residuals(f_sum(z0), f_x(z0) + f_y(z0))
 
-    report.add(run_check("flip-field-additive", total_points, flip_field_additive,
-                         tolerance, seed, serialize=_ser_point))
+    at_total("flip-field-additive", flip_field_additive)
     return report
-
-
-def _ser_point(m) -> list:
-    return np.asarray(m, dtype=float).tolist()
 
 
 def _random_section_poly(rng, dm: int, da: int, degree: int = 2) -> PolyMap:
@@ -832,20 +865,17 @@ def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
     up the derivative of the scale along the anchored first section."""
     dm = inv.dim_M
     rng = np.random.default_rng(seed)
-    points = [rng.uniform(-1, 1, dm) for _ in range(samples)]
     fY = SectionSpec(f.f_poly * Y.x_poly)
     b_fy = bracket_from_flip(inv, X, fY)
     b_xy = bracket_from_flip(inv, X, Y)
 
     def defect(m):
-        m = _vec(m).reshape(dm)
         lie = lie_derivative(f, X, inv.rho, m)
-        expect = f.eval(m) * b_xy(m) + lie * Y.eval(m)
-        return float(np.max(np.abs(b_fy(m) - expect), initial=0.0))
+        expect = f.f_poly.eval_floats(m) * b_xy(m) + lie[:, None] * Y.x_poly.eval_floats(m)
+        return _max_abs(b_fy(m) - expect)
 
     report = Report()
-    report.add(run_check("leibniz", points, defect, tolerance, seed,
-                         serialize=_ser_point))
+    _point_checks(report, rng.uniform(-1, 1, (samples, dm)), tolerance, seed)("leibniz", defect)
     return report
 
 
@@ -861,25 +891,18 @@ def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
     inv = involution_from_spec(spec)
     recovered = bracket_from_flip(inv, X, Y)
     oracle = spec.bracket_poly(X.x_poly, Y.x_poly)
-    points = [rng.uniform(-1, 1, dm) for _ in range(samples)]
-
-    def bracket_defect(m):
-        return float(np.max(np.abs(recovered(m) - oracle.eval_floats(_vec(m).reshape(dm))),
-                            initial=0.0))
 
     report = Report()
-    report.add(run_check("bracket-roundtrip", points, bracket_defect, 1e-12, seed,
-                         serialize=_ser_point))
+    _point_checks(report, rng.uniform(-1, 1, (samples, dm)), 1e-12, seed)(
+        "bracket-roundtrip", lambda m: _max_abs(recovered(m) - oracle.eval_floats(m)))
 
     if dm == 0:
         rebuilt = involution_from_spec(spec_from_flip(inv))
-        pes = [sample_prolongation(spec, np.zeros(0), rng) for _ in range(samples)]
+        pes = _sample_pairs(spec, rng, samples)
 
-        def flip_defect(pe):
-            v_jet = JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0)
-            w_jet = pe.w.to_jet()
-            return residual(inv.flip(v_jet, w_jet), rebuilt.flip(v_jet, w_jet))
+        def flip_defect(rows):
+            v, w = pes.v_jet(rows), pes.w_jet(rows)
+            return residuals(inv.flip(v, w), rebuilt.flip(v, w))
 
-        report.add(run_check("flip-roundtrip", pes, flip_defect, 1e-12, seed,
-                             serialize=_ser_pe))
+        report.add(_fold("flip-roundtrip", samples, flip_defect, 1e-12, seed, pes.describe))
     return report

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet import JetPoint, PolyMap, _product, flip_c
+from .jet import JetPoint, PolyMap, _max_abs, _product, flip_c
 from .report import worst_of
 
 _PROJ_TOL = 1e-12
@@ -63,10 +63,8 @@ class TAElement:
     adot: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _vec(self.m))
-        object.__setattr__(self, "a", _vec(self.a))
-        object.__setattr__(self, "mdot", _vec(self.mdot))
-        object.__setattr__(self, "adot", _vec(self.adot))
+        for name in ("m", "a", "mdot", "adot"):
+            object.__setattr__(self, name, _vec(getattr(self, name)))
         if self.mdot.size != self.m.size or self.adot.size != self.a.size:
             raise ValueError("velocity blocks must match the point blocks")
 
@@ -103,8 +101,14 @@ def a_residual(x: AElement, y: AElement) -> float:
 
 
 def ta_residual(x: TAElement, y: TAElement) -> float:
-    return worst_of(float(np.max(np.abs(bx - by), initial=0.0))
-                    for bx, by in ((x.m, y.m), (x.a, y.a), (x.mdot, y.mdot), (x.adot, y.adot)))
+    return float(ta_residuals(x.to_jet(), y.to_jet(), x.dim_M))
+
+
+def ta_residuals(x: JetPoint, y: JetPoint, dim_M: int) -> np.ndarray:
+    """ta_residual of tangents given as depth-1 jets, one per batch entry:
+    the worst of the four blocks m, a, mdot, adot."""
+    blocks = ((row[..., :dim_M], row[..., dim_M:]) for row in x.coeffs - y.coeffs)
+    return worst_of(_max_abs(block) for pair in blocks for block in pair)
 
 
 # -- sections and zero maps --------------------------------------------------
@@ -202,10 +206,19 @@ def strong_difference(x: TAElement, y: TAElement, tol: float = _PROJ_TOL) -> AEl
     Coordinate form of subtracting in the outer-tangent fiber and then
     removing the zero over the shared point: only the adot slots differ.
     """
-    _check_shared("base m", x.m, y.m, tol)
-    _check_shared("fiber a", x.a, y.a, tol)
-    _check_shared("base velocity", x.mdot, y.mdot, tol)
-    return AElement(x.m, x.adot - y.adot)
+    return AElement(x.m, strong_difference_jet(x.to_jet(), y.to_jet(), x.dim_M, tol))
+
+
+def strong_difference_jet(x: JetPoint, y: JetPoint, dim_M: int,
+                          tol: float = _PROJ_TOL) -> np.ndarray:
+    """strong_difference of tangents given as depth-1 jets, batch axes kept:
+    the fiber block of the difference, adot_x - adot_y.  Raises unless every
+    batch entry shares both projections within tol."""
+    (x0, x1), (y0, y1) = x.coeffs, y.coeffs
+    _check_shared("base m", x0[..., :dim_M], y0[..., :dim_M], tol)
+    _check_shared("fiber a", x0[..., dim_M:], y0[..., dim_M:], tol)
+    _check_shared("base velocity", x1[..., :dim_M], y1[..., :dim_M], tol)
+    return x1[..., dim_M:] - y1[..., dim_M:]
 
 
 def strong_sum(x: TAElement, v: AElement, tol: float = _PROJ_TOL) -> TAElement:
@@ -266,13 +279,15 @@ class ConnectionSpec:
         return np.einsum("kij,i,j->k", self.gamma_tensor(m), _vec(w), _vec(a))
 
     def apply_jet(self, mj: JetPoint, wj: JetPoint, aj: JetPoint) -> JetPoint:
-        """Same bilinear form with jet coordinates throughout."""
+        """Same bilinear form with jet coordinates throughout, batch axes kept."""
         if mj.dim != self.dim_M or wj.dim != self.dim_M or aj.dim != self.dim_A:
             raise ValueError("jet block dims do not match the connection")
-        n, dm, da = 1 << mj.depth, self.dim_M, self.dim_A
-        gam = self.gamma.eval_jet(mj).coeffs.reshape(n, da, dm, da)
-        terms = _product(_product(gam, wj.coeffs[:, None, :, None]), aj.coeffs[:, None, None])
-        return JetPoint.from_rows(mj.depth, terms.reshape(n, da, dm * da).sum(axis=-1))
+        dm, da = self.dim_M, self.dim_A
+        lead = mj.coeffs.shape[:-1]
+        gam = self.gamma.eval_jet(mj).coeffs.reshape(lead + (da, dm, da))
+        terms = _product(_product(gam, wj.coeffs[..., None, :, None]),
+                         aj.coeffs[..., None, None, :])
+        return JetPoint._of(terms.reshape(lead + (da, dm * da)).sum(axis=-1))
 
 
 def connection_K(c: ConnectionSpec, x: TAElement) -> AElement:
@@ -309,19 +324,11 @@ def vf_bracket(X: PolyMap, Y: PolyMap):
         x_pt = JetPoint.from_rows(1, [m, X.eval_floats(m)])
         y_pt = JetPoint.from_rows(1, [m, Y.eval_floats(m)])
         along_x = nest_tangent_pair(graph_Y.eval_jet(x_pt), k)
-        along_y = nest_tangent_pair(graph_X.eval_jet(y_pt), k)
-        first = _ta_from_nested(flip_c(along_x, 1, 2))
-        second = _ta_from_nested(along_y)
-        return strong_difference(first, second, tol=1e-9).a
+        # flattened, the flipped depth-2 jet is a tangent of the tangent space
+        first = flatten_tangent_pair(flip_c(along_x, 1, 2))
+        return strong_difference_jet(first, graph_X.eval_jet(y_pt), k, tol=1e-9)
 
     return evaluate
-
-
-def _ta_from_nested(x: JetPoint) -> TAElement:
-    """Read a depth-2 jet over base coordinates as a tangent of the tangent
-    space: point (mask 0), fiber = inner velocity (mask 2), base velocity =
-    outer (mask 1), fiber velocity = mixed (mask 3)."""
-    return TAElement(x.row(0), x.row(2), x.row(1), x.row(3))
 
 
 def vf_bracket_poly(X: PolyMap, Y: PolyMap) -> PolyMap:
@@ -372,14 +379,18 @@ class ScalarFieldSpec:
         return float(self.f_poly.eval_floats(_vec(m))[0])
 
 
-def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, rho: PolyMap, m) -> float:
+def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, rho: PolyMap, m):
     """Derivative of f along the anchored section: push the anchored vector
-    through the tangent of f and read off the velocity slot."""
-    m = _vec(m)
+    through the tangent of f and read off the velocity slot.  At a base
+    point (dim_M,) a float; at each point of a batch (N, dim_M) an array."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2:
+        m = _vec(m)
     dim_M, dim_A = X.dim_M, X.dim_A
     if rho.out_dim != dim_M * dim_A or rho.in_dim != dim_M:
         raise ValueError("anchor shape does not match the section")
-    rho_mat = rho.eval_floats(m).reshape(dim_M, dim_A)
-    v = rho_mat @ X.eval(m)
+    rho_mat = rho.eval_floats(m).reshape(m.shape[:-1] + (dim_M, dim_A))
+    v = np.matmul(rho_mat, X.x_poly.eval_floats(m)[..., None])[..., 0]
     tangent = JetPoint.from_rows(1, [m, v])
-    return float(f.f_poly.eval_jet(tangent).coeffs[1, 0])
+    out = f.f_poly.eval_jet(tangent).coeffs[1, ..., 0]
+    return float(out) if out.ndim == 0 else out

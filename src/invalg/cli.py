@@ -17,6 +17,7 @@ import numpy as np
 from .algebroid import (
     AlgebroidSpec,
     _random_section_poly,
+    _sample_pairs,
     bracket_from_flip,
     check_axioms,
     check_bracket_laws,
@@ -24,10 +25,9 @@ from .algebroid import (
     check_yang_baxter,
     flip_from_bracket,
     involution_from_spec,
-    sample_prolongation,
     spec_from_flip,
 )
-from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, ta_residual
+from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, ta_residuals
 from .catalog import DESCRIPTIONS, get as catalog_get, names as catalog_names
 from .flow import AHomotopyVariation, APathVariation, ahomotopy_transport, apath_transport
 from .groupoid import (
@@ -39,7 +39,7 @@ from .groupoid import (
     group_catalog,
 )
 from .jet import PolyMap, check_tangent_axioms
-from .report import CheckResult, Report, run_check
+from .report import CheckResult, Report, _fold
 
 SCHEMA_VERSION = 1
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
@@ -320,32 +320,27 @@ def _connection_report(spec, conn, samples: int, seed: int, tolerances: dict) ->
     inv_conn = flip_from_bracket(spec, conn)
     inv_canon = involution_from_spec(spec)
     report = check_axioms(inv_conn, samples=samples, seed=seed, tolerances=tolerances)
-    rng = np.random.default_rng(seed)
-    pes = [sample_prolongation(inv_canon, rng.uniform(-1, 1, spec.dim_M), rng)
-           for _ in range(samples)]
+    pes = _sample_pairs(inv_canon, np.random.default_rng(seed), samples)
 
-    def agreement(pe):
-        return ta_residual(inv_conn.flip_elements(pe), inv_canon.flip_elements(pe))
+    def agreement(rows):
+        v, w = pes.v_jet(rows), pes.w_jet(rows)
+        return ta_residuals(inv_conn.flip(v, w), inv_canon.flip(v, w), spec.dim_M)
 
-    report.add(run_check("connection-independence", pes, agreement,
-                         tolerances.get("connection-independence", 1e-12), seed))
+    report.add(_fold("connection-independence", samples, agreement,
+                     tolerances.get("connection-independence", 1e-12), seed))
     return report
 
 
 def _membership_report(fx: dict, tolerances: dict) -> Report:
     inv = involution_from_spec(fx["spec"])
-    if fx["kind"] == "apath":
-        grid = 33
-        residuals = fx["variation"].membership_residual(inv, grid)
-    else:
-        grid = 9
-        residuals = fx["variation"].membership_residual(inv, grid)
-        grid = grid * grid
+    grid = 33 if fx["kind"] == "apath" else 9
+    residuals = fx["variation"].membership_residual(inv, grid)
+    samples = grid if fx["kind"] == "apath" else grid * grid
     report = Report()
     for name in sorted(residuals):
         tol = tolerances.get(name, 1e-9)
         value = float(residuals[name])
-        report.add(CheckResult(name, grid, None, value, tol, value <= tol, None))
+        report.add(CheckResult(name, samples, None, value, tol, value <= tol, None))
     return report
 
 
@@ -412,19 +407,18 @@ def do_convert(args) -> int:
             raise FixtureError("convert to-flip needs an algebroid or group fixture, got %r"
                                % kind)
         inv = involution_from_spec(spec)
-        rng = np.random.default_rng(args.seed)
         n_eval = max(1, min(args.samples, 20))
-        table = []
-        for _ in range(n_eval):
-            pe = sample_prolongation(inv, rng.uniform(-1, 1, spec.dim_M), rng)
-            out = inv.flip_elements(pe)
-            table.append({
-                "v": {"m": _ser_vector(pe.v.m), "a": _ser_vector(pe.v.a)},
-                "w": {"m": _ser_vector(pe.w.m), "a": _ser_vector(pe.w.a),
-                      "mdot": _ser_vector(pe.w.mdot), "adot": _ser_vector(pe.w.adot)},
-                "alpha": {"m": _ser_vector(out.m), "a": _ser_vector(out.a),
-                          "mdot": _ser_vector(out.mdot), "adot": _ser_vector(out.adot)},
-            })
+        pes = _sample_pairs(inv, np.random.default_rng(args.seed), n_eval)
+        alpha = inv.flip(pes.v_jet(slice(None)), pes.w_jet(slice(None))).coeffs
+        dm = spec.dim_M
+
+        def blocks(value, dot):
+            return {"m": _ser_vector(value[:dm]), "a": _ser_vector(value[dm:]),
+                    "mdot": _ser_vector(dot[:dm]), "adot": _ser_vector(dot[dm:])}
+
+        table = [{"v": {"m": _ser_vector(pes.v[i, :dm]), "a": _ser_vector(pes.v[i, dm:])},
+                  "w": blocks(*pes.w[:, i]), "alpha": blocks(*alpha[:, i])}
+                 for i in range(n_eval)]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": "involution-flip",
@@ -442,16 +436,14 @@ def do_convert(args) -> int:
         inv = involution_from_spec(spec)
         dm, da = spec.dim_M, spec.dim_A
         rng = np.random.default_rng(args.seed)
-        points = [rng.uniform(-1, 1, dm) for _ in range(max(1, min(args.samples, 10)))]
+        points = rng.uniform(-1, 1, (max(1, min(args.samples, 10)), dm))
         table = []
         for i in range(da):
             for j in range(i + 1, da):
-                ei = SectionSpec(PolyMap.constant(np.eye(da)[i], dm))
-                ej = SectionSpec(PolyMap.constant(np.eye(da)[j], dm))
-                bracket = bracket_from_flip(inv, ei, ej)
-                for m in points:
-                    table.append({"i": i, "j": j, "m": _ser_vector(m),
-                                  "value": _ser_vector(bracket(m))})
+                sections = (SectionSpec(PolyMap.constant(np.eye(da)[k], dm)) for k in (i, j))
+                values = bracket_from_flip(inv, *sections)(points)
+                table += [{"i": i, "j": j, "m": _ser_vector(m), "value": _ser_vector(value)}
+                          for m, value in zip(points, values)]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "result": "bracket",
@@ -475,23 +467,16 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an initial element in the fixture")
     tolerances = _parse_tolerances(args.tolerance)
     inv = involution_from_spec(fx["spec"])
-    report = Report()
     if kind == "apath":
         run = apath_transport(inv, fx["variation"], fx["initial"], h=args.step)
-        tol = tolerances.get("anchor-relation", 1e-6)
-        report.add(CheckResult("anchor-relation", len(run.times), None,
-                               float(run.anchor_residual), tol,
-                               run.anchor_residual <= tol, None))
-        csv_text = run.to_csv()
+        name, count, value = "anchor-relation", len(run.times), run.anchor_residual
     else:
         run = ahomotopy_transport(inv, fx["variation"], fx["initial"], h=args.step)
-        tol = tolerances.get("homotopy-discrepancy", 1e-6)
-        report.add(CheckResult("homotopy-discrepancy",
-                               len(run.s_nodes) * len(run.t_nodes), None,
-                               float(run.discrepancy), tol,
-                               run.discrepancy <= tol, None))
-        csv_text = run.to_csv()
-    _write(args.out, csv_text)
+        name, count, value = ("homotopy-discrepancy", len(run.s_nodes) * len(run.t_nodes),
+                              run.discrepancy)
+    tol = tolerances.get(name, 1e-6)
+    report = Report([CheckResult(name, count, None, float(value), tol, value <= tol, None)])
+    _write(args.out, run.to_csv())
     print(_format_report(report, args.format))
     return 0 if report.passed else 1
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebroid import InvolutionAlgebroid
 from .bundle import AElement, TAElement
-from .jet import JetPoint, PolyMap, flip_c, residual
+from .jet import JetPoint, PolyMap, _max_abs, flip_c, residuals
 from .report import worst_of
 
 
@@ -121,22 +121,23 @@ class APathVariation:
     def membership_residual(self, inv: InvolutionAlgebroid, grid: int = 33) -> dict:
         """Largest defect of the two defining identities of a variation of
         admissible paths over a uniform time grid: the anchor matching the
-        base speed, and its derivative matching along the variation."""
-        defects = [_path_defects(inv, self.phi.eval_jet(JetPoint.from_rows(1, [[t], [1.0]])), 1)
-                   for t in np.linspace(0.0, self.t_end, grid)]
-        return {"anchor": worst_of(d[0] for d in defects),
-                "variation": worst_of(d[1] for d in defects)}
+        base speed, and its derivative matching along the variation.  The
+        grid is one batch of depth-1 jets."""
+        times = np.linspace(0.0, self.t_end, grid)[:, None]
+        jet = self.phi.eval_jet(JetPoint.from_rows(1, [times, np.ones_like(times)]))
+        anchor, variation = _path_defects(inv, jet, 1)
+        return {"anchor": worst_of(anchor), "variation": worst_of(variation)}
 
 
 def _path_defects(inv: InvolutionAlgebroid, jet: JetPoint, mask: int) -> tuple:
-    """The two path-variation identities of a jet of blocks along the
-    parameter direction of one mask: the anchor matching the base speed, and
-    its derivative matching along the variation."""
+    """The two path-variation identities of a batch of jets of blocks along
+    the parameter direction of one mask, one defect per batch entry: the
+    anchor matching the base speed, and its derivative matching along the
+    variation."""
     m, a, mdot, adot = _split_blocks(jet.coeffs[0], inv.dim_M, inv.dim_A)
     m_d, _, mdot_d, _ = _split_blocks(jet.coeffs[mask], inv.dim_M, inv.dim_A)
     vel = inv.anchor_apply_jet(JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
-    return (float(np.max(np.abs(inv.anchor_apply(m, a) - m_d), initial=0.0)),
-            float(np.max(np.abs(vel.row(1) - mdot_d), initial=0.0)))
+    return _max_abs(inv.anchor_apply(m, a) - m_d), _max_abs(vel.row(1) - mdot_d)
 
 
 @dataclass(frozen=True)
@@ -157,35 +158,32 @@ class AHomotopyVariation:
             if part.out_dim != 2 * (self.dim_M + self.dim_A):
                 raise ValueError("homotopy variation needs four blocks of output")
 
-    def _full_jet(self, pm: PolyMap, s: float, t: float) -> JetPoint:
-        return pm.eval_jet(JetPoint.from_rows(2, [[s, t], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-
     def membership_residual(self, inv: InvolutionAlgebroid, grid: int = 9) -> dict:
         """Defects of the four identities an admissible homotopy variation
         satisfies: shared base blocks, each direction a path variation, and
-        the flip exchanging the two directions' prolongations."""
+        the flip exchanging the two directions' prolongations.  The grid, s
+        major, is one batch of depth-2 jets."""
         dm, da = self.dim_M, self.dim_A
         n = dm + da
-        found = {"paired-base": [], "horizontal": [], "vertical": [], "continuity": []}
-        for s in np.linspace(0.0, 1.0, grid):
-            for t in np.linspace(0.0, 1.0, grid):
-                j0 = self._full_jet(self.h0, s, t)
-                j1 = self._full_jet(self.h1, s, t)
-                c0, c1 = j0.coeffs, j1.coeffs
+        nodes = np.linspace(0.0, 1.0, grid)
+        square = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        e_s, e_t = (np.broadcast_to(e, square.shape) for e in np.eye(2))
+        x = JetPoint.from_rows(2, [square, e_s, e_t, np.zeros_like(square)])
+        j0, j1 = self.h0.eval_jet(x), self.h1.eval_jet(x)
+        c0, c1 = j0.coeffs, j1.coeffs
 
-                found["paired-base"].append(worst_of([
-                    float(np.max(np.abs(c0[:, :dm] - c1[:, :dm]), initial=0.0)),
-                    float(np.max(np.abs(c0[:, n:n + dm] - c1[:, n:n + dm]), initial=0.0)),
-                ]))
-                found["horizontal"].append(worst_of(_path_defects(inv, j0, 1)))
-                found["vertical"].append(worst_of(_path_defects(inv, j1, 2)))
-
-                # the exchange identity, evaluated through the flip itself
-                v = JetPoint.from_rows(1, [c0[0, :n], c0[0, n:]])
-                ts_h1 = JetPoint.from_rows(2, [c1[0, :n], c1[1, :n], c1[0, n:], c1[1, n:]])
-                lhs = inv.flip(v, flip_c(ts_h1, 1, 2))
-                tt_h0 = JetPoint.from_rows(2, [c0[0, :n], c0[2, :n], c0[0, n:], c0[2, n:]])
-                found["continuity"].append(residual(lhs, flip_c(tt_h0, 1, 2)))
+        # the exchange identity, evaluated through the flip itself
+        v = JetPoint.from_rows(1, [c0[0, :, :n], c0[0, :, n:]])
+        ts_h1 = JetPoint.from_rows(2, [c1[0, :, :n], c1[1, :, :n], c1[0, :, n:], c1[1, :, n:]])
+        lhs = inv.flip(v, flip_c(ts_h1, 1, 2))
+        tt_h0 = JetPoint.from_rows(2, [c0[0, :, :n], c0[2, :, :n], c0[0, :, n:], c0[2, :, n:]])
+        found = {
+            "horizontal": worst_of(_path_defects(inv, j0, 1)),
+            "vertical": worst_of(_path_defects(inv, j1, 2)),
+            "continuity": residuals(lhs, flip_c(tt_h0, 1, 2)),
+            "paired-base": worst_of([residuals(j0.take(0, dm), j1.take(0, dm)),
+                                     residuals(j0.take(n, n + dm), j1.take(n, n + dm))]),
+        }
         return {name: worst_of(values) for name, values in found.items()}
 
 
@@ -200,11 +198,12 @@ class PathTransport:
     anchor_residual: float
 
     def to_csv(self) -> str:
-        lines = []
-        for i, t in enumerate(self.times):
-            row = [t, *self.base[i], *self.fiber[i]]
-            lines.append(",".join("%.17g" % x for x in row))
-        return "\n".join(lines) + "\n"
+        return _csv([t, *self.base[i], *self.fiber[i]] for i, t in enumerate(self.times))
+
+
+def _csv(rows) -> str:
+    """One line per row of numbers, each in round-trip form."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows)
 
 
 def _stage_index(t: float, spacing: float, count: int) -> int:
@@ -219,30 +218,25 @@ def _fiber_coefficients(inv: InvolutionAlgebroid, blocks: np.ndarray, base: np.n
     """The affine right side (matrix, offset) of the fiber equation at every
     entry of a table: blocks (..., 2(dim_M + dim_A)) of variations, base
     (..., dim_M) of points on the base trajectory.  Read off the attached
-    structure data in one batch when present, and from flip evaluations,
-    one entry at a time, otherwise."""
+    structure data in one batch when present, and otherwise from one batched
+    flip of the fiber vectors 0, e_1, ..., e_dim_A at every entry."""
     dm, da = inv.dim_M, inv.dim_A
     _, a_phi, mdot_phi, adot_phi = _split_blocks(blocks, dm, da)
     if inv.spec is not None:
         mats = np.matmul(inv.spec.c_tensor(base), a_phi[..., None, :, None])[..., 0]
         return mats, adot_phi
 
-    mats = np.empty(base.shape[:-1] + (da, da))
-    offs = np.empty(base.shape[:-1] + (da,))
-    basis = np.eye(da)
-    for idx in np.ndindex(base.shape[:-1]):
-        m = base[idx]
-        w = JetPoint.from_rows(
-            1, [np.concatenate([m, a_phi[idx]]), np.concatenate([mdot_phi[idx], adot_phi[idx]])])
-
-        def velocity(b):
-            out = inv.flip(JetPoint.constant(np.concatenate([m, b]), 0), w)
-            return out.row(1)[dm:]
-
-        offs[idx] = velocity(np.zeros(da))
-        for j in range(da):
-            mats[idx + (slice(None), j)] = velocity(basis[j]) - offs[idx]
-    return mats, offs
+    lead = base.shape[:-1]
+    probes = np.vstack((np.zeros(da), np.eye(da))).reshape((da + 1,) + (1,) * len(lead) + (da,))
+    shape = (da + 1,) + lead
+    v = np.concatenate((np.broadcast_to(base, shape + (dm,)),
+                        np.broadcast_to(probes, shape + (da,))), axis=-1)
+    w = np.stack((np.concatenate((base, a_phi), axis=-1),
+                  np.concatenate((mdot_phi, adot_phi), axis=-1)))
+    w = np.broadcast_to(w[:, None], (2,) + shape + (dm + da,))
+    velocity = inv.flip(JetPoint.constant(v, 0), JetPoint._of(w)).coeffs[1, ..., dm:]
+    offs = velocity[0]
+    return np.moveaxis(velocity[1:] - offs, 0, -1), offs
 
 
 def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end: float):
@@ -286,16 +280,11 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
     the affine equation read off from the flip.  The anchor identity the
     result satisfies is measured and returned, not assumed."""
     dm, da = inv.dim_M, inv.dim_A
-    start = phi.blocks(0.0)
     if composability_tol != np.inf:
-        gap = worst_of([
-            float(np.max(np.abs(a0.m - start.m), initial=0.0)),
-            float(np.max(np.abs(inv.anchor_apply(a0.m, a0.a) - start.mdot), initial=0.0)),
-        ])
+        gap = _start_gap(inv, a0, phi.phi.eval_floats([0.0]))
         if not gap <= composability_tol:
             raise ValueError(
-                "initial element is not composable with the variation "
-                "(defect %.3e)" % gap)
+                "initial element is not composable with the variation (defect %.3e)" % gap)
 
     stages = phi.phi.eval_floats(_quarter_times(phi.t_end, h)[:, None])
     times, base, fiber = _transport_rows(inv, stages[None], a0.m, a0.a, phi.t_end)
@@ -306,6 +295,14 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
         float(np.max(np.abs(inv.anchor_apply(base, fiber) - mdot_phi), initial=0.0)),
     ])
     return PathTransport(times, base, fiber, worst)
+
+
+def _start_gap(inv: InvolutionAlgebroid, a0: AElement, start: np.ndarray) -> float:
+    """How far a0 is from composable with a variation whose blocks are start
+    at its start: the gap in base point and in anchored base speed."""
+    m, _, mdot, _ = _split_blocks(start, inv.dim_M, inv.dim_A)
+    return worst_of([float(_max_abs(a0.m - m)),
+                     float(_max_abs(inv.anchor_apply(a0.m, a0.a) - mdot))])
 
 
 def _square_stages(pm: PolyMap, fixed, times: np.ndarray, along_s: bool) -> np.ndarray:
@@ -330,12 +327,8 @@ class HomotopyTransport:
 
     def to_csv(self, which: int = 0) -> str:
         fiber = self.fiber0 if which == 0 else self.fiber1
-        lines = []
-        for i, s in enumerate(self.s_nodes):
-            for j, t in enumerate(self.t_nodes):
-                row = [s, t, *fiber[i, j]]
-                lines.append(",".join("%.17g" % x for x in row))
-        return "\n".join(lines) + "\n"
+        return _csv([s, t, *fiber[i, j]]
+                    for i, s in enumerate(self.s_nodes) for j, t in enumerate(self.t_nodes))
 
 
 def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
@@ -344,13 +337,7 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
     then horizontally, and in the transposed order.  For well-formed
     homotopy variations the two surfaces agree; the discrepancy is measured
     and returned either way."""
-    dm, da = inv.dim_M, inv.dim_A
-    start = hv.h0.eval_floats([0.0, 0.0])
-    m0, _, mdot0, _ = _split_blocks(start, dm, da)
-    gap = worst_of([
-        float(np.max(np.abs(a0.m - m0), initial=0.0)),
-        float(np.max(np.abs(inv.anchor_apply(a0.m, a0.a) - mdot0), initial=0.0)),
-    ])
+    gap = _start_gap(inv, a0, hv.h0.eval_floats([0.0, 0.0]))
     if not gap <= 1e-9:
         raise ValueError(
             "initial element is not composable with the homotopy (defect %.3e)" % gap)
@@ -401,11 +388,9 @@ def inf_apath_vee(inv: InvolutionAlgebroid, chi: PolyMap, m) -> APathVariation:
     if not float(np.max(np.abs(start), initial=0.0)) <= 1e-12:
         raise ValueError("fiber path must start at zero")
     m = np.asarray(m, dtype=float).reshape(dm)
-    blocks = PolyMap.constant(m, 1)
-    blocks = blocks.stack(PolyMap.zero(1, da))
-    blocks = blocks.stack(PolyMap.linear(inv.anchor_matrix(m)).compose(chi))
-    blocks = blocks.stack(chi.partial(0))
-    return APathVariation(dm, da, blocks, 1.0)
+    anchored = PolyMap.linear(inv.anchor_matrix(m)).compose(chi)
+    blocks = PolyMap.constant(m, 1).stack(PolyMap.zero(1, da)).stack(anchored)
+    return APathVariation(dm, da, blocks.stack(chi.partial(0)), 1.0)
 
 
 def alg1_residuals(inv: InvolutionAlgebroid, phi: APathVariation, grid: int = 33) -> dict:
@@ -416,12 +401,11 @@ def alg1_residuals(inv: InvolutionAlgebroid, phi: APathVariation, grid: int = 33
     start = phi.blocks(0.0)
     bm, ba, _, _ = _split_blocks(
         phi.phi.eval_floats(np.linspace(0.0, phi.t_end, grid)[:, None]), dm, da)
-    member = phi.membership_residual(inv, grid)
     return {
         "starts-at-zero": worst_of([float(np.max(np.abs(ba), initial=0.0)),
                                     float(np.max(np.abs(bm - start.m), initial=0.0))]),
         "source-constant": float(np.max(np.abs(start.mdot), initial=0.0)),
-        "variation": worst_of(member.values()),
+        "variation": worst_of(phi.membership_residual(inv, grid).values()),
     }
 
 
@@ -434,10 +418,7 @@ class FiberPath:
     values: np.ndarray
 
     def to_csv(self) -> str:
-        lines = []
-        for i, t in enumerate(self.times):
-            lines.append(",".join("%.17g" % x for x in [t, *self.values[i]]))
-        return "\n".join(lines) + "\n"
+        return _csv([t, *self.values[i]] for i, t in enumerate(self.times))
 
 
 def inf_apath_wedge(inv: InvolutionAlgebroid, phi: APathVariation, h: float = 1e-3,
@@ -470,14 +451,8 @@ def inf_ahomotopy_vee(inv: InvolutionAlgebroid, eta: PolyMap, m) -> AHomotopyVar
     m = np.asarray(m, dtype=float).reshape(dm)
     anchored = PolyMap.linear(inv.anchor_matrix(m)).compose(eta)
 
-    def half(direction: int) -> PolyMap:
-        blocks = PolyMap.constant(m, 2)
-        blocks = blocks.stack(PolyMap.zero(2, da))
-        blocks = blocks.stack(anchored)
-        blocks = blocks.stack(eta.partial(direction))
-        return blocks
-
-    return AHomotopyVariation(dm, da, half(0), half(1))
+    blocks = PolyMap.constant(m, 2).stack(PolyMap.zero(2, da)).stack(anchored)
+    return AHomotopyVariation(dm, da, blocks.stack(eta.partial(0)), blocks.stack(eta.partial(1)))
 
 
 def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation, grid: int = 9) -> dict:
@@ -494,15 +469,8 @@ def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation, grid: int =
                    float(np.max(np.abs(bm - m), initial=0.0))]
         mdot = _split_blocks(pm.eval_floats([0.0, 0.0]), dm, da)[2]
         source.append(float(np.max(np.abs(mdot), initial=0.0)))
-    member = hv.membership_residual(inv, grid)
-    return {
-        "starts-at-zero": worst_of(starts),
-        "source-constant": worst_of(source),
-        "horizontal": member["horizontal"],
-        "vertical": member["vertical"],
-        "continuity": member["continuity"],
-        "paired-base": member["paired-base"],
-    }
+    return {"starts-at-zero": worst_of(starts), "source-constant": worst_of(source),
+            **hv.membership_residual(inv, grid)}
 
 
 @dataclass(frozen=True)
@@ -515,11 +483,8 @@ class FiberSurface:
     values: np.ndarray
 
     def to_csv(self) -> str:
-        lines = []
-        for i, s in enumerate(self.s_nodes):
-            for j, t in enumerate(self.t_nodes):
-                lines.append(",".join("%.17g" % x for x in [s, t, *self.values[i, j]]))
-        return "\n".join(lines) + "\n"
+        return _csv([s, t, *self.values[i, j]]
+                    for i, s in enumerate(self.s_nodes) for j, t in enumerate(self.t_nodes))
 
 
 def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: float = 1e-3,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -19,15 +21,7 @@ class CheckResult:
     worst_input: object = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_input": self.worst_input,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -63,30 +57,18 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_text(self) -> str:
-        lines = []
-        for r in self.results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(
-                "%-28s %s  max_residual=%s  tolerance=%s  samples=%d"
-                % (r.name, status, repr(r.max_residual), repr(r.tolerance), r.samples)
-            )
+        lines = ["%-28s %s  max_residual=%r  tolerance=%r  samples=%d"
+                 % (r.name, "pass" if r.passed else "FAIL", r.max_residual, r.tolerance, r.samples)
+                 for r in self.results]
         lines.append("overall: %s" % ("pass" if self.passed else "FAIL"))
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         lines = ["name,passed,max_residual,tolerance,samples,seed"]
         for r in self.results:
-            lines.append(
-                "%s,%s,%s,%s,%d,%s"
-                % (
-                    r.name,
-                    "true" if r.passed else "false",
-                    repr(r.max_residual),
-                    repr(r.tolerance),
-                    r.samples,
-                    "" if r.seed is None else str(r.seed),
-                )
-            )
+            lines.append("%s,%s,%r,%r,%d,%s" % (r.name, "true" if r.passed else "false",
+                                                r.max_residual, r.tolerance, r.samples,
+                                                "" if r.seed is None else r.seed))
         return "\n".join(lines)
 
 
@@ -96,49 +78,72 @@ def _rank(r: float) -> float:
     return r if math.isfinite(r) else math.inf
 
 
-def worst_of(residuals: Iterable[float]) -> float:
+def worst_of(residuals: Iterable) -> object:
     """The worst of some residuals: the largest, or the first non-finite one,
-    so that a NaN never hides behind a number; 0.0 when there are none."""
-    return max(residuals, key=_rank, default=0.0)
+    so that a NaN never hides behind a number; 0.0 when there are none.
+    Residuals given as arrays of one entry per sample are compared sample by
+    sample, and the result is that array of worst parts."""
+    parts = [np.asarray(r, dtype=float) for r in residuals]
+    if not parts:
+        return 0.0
+    stack = np.stack(np.broadcast_arrays(*parts))
+    pick = np.where(np.isfinite(stack), stack, np.inf).argmax(axis=0)
+    worst = np.take_along_axis(stack, pick[None], axis=0)[0]
+    return float(worst) if worst.ndim == 0 else worst
 
 
-def run_check(
-    name: str,
-    inputs: list,
-    evaluate: Callable[[object], float],
-    tolerance: float,
-    seed: Optional[int],
-    serialize: Callable[[object], object] = None,
-) -> CheckResult:
-    """Evaluate a residual over pre-drawn inputs and fold into a CheckResult.
+def quiet() -> np.errstate:
+    """Silence numpy's overflow and invalid-value warnings: an inf or NaN
+    residual already fails its check."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-    The worst case is the lowest-index maximizer, with a non-finite residual
-    (NaN included) ranking above every finite one, so it fails the check.  A
-    sample whose evaluation raises ValueError or ArithmeticError (a guard
-    meeting NaN, a singular solve) counts as a NaN residual: it fails this
-    check instead of aborting the report.
-    """
-    if not inputs:
-        return CheckResult(name, 0, seed, 0.0, tolerance, True, None)
 
-    def residual(x) -> float:
+def _residuals(count: int, evaluate: Callable[[slice], object]) -> list:
+    """The residual of every sample of a batch, from evaluate(rows), which
+    gives the residuals of the samples the slice rows selects.  If the whole
+    batch raises ValueError or ArithmeticError (a guard meeting NaN, a
+    singular solve), the same evaluator runs again on one-sample slices, and
+    a sample that raises on its own counts as a NaN residual."""
+
+    def one(i: int) -> float:
         try:
-            return evaluate(x)
+            return float(np.reshape(evaluate(slice(i, i + 1)), -1)[0])
         except (ValueError, ArithmeticError):
             return math.nan
 
-    residuals = [residual(x) for x in inputs]
-    worst_idx = max(range(len(residuals)), key=lambda i: _rank(residuals[i]))
+    try:
+        values = evaluate(slice(None))
+    except (ValueError, ArithmeticError):
+        values = [one(i) for i in range(count)]
+    return np.broadcast_to(np.asarray(values, dtype=float), (count,)).tolist()
+
+
+def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance: float,
+          seed: Optional[int], serialize: Callable[[int], object] = None) -> CheckResult:
+    """Evaluate a residual over a batch of count pre-drawn samples and fold
+    it into a CheckResult; serialize(i) describes sample i.
+
+    The worst case is the lowest-index maximizer, with a non-finite residual
+    (NaN included) ranking above every finite one, so it fails the check.
+    See _residuals for a batch that raises.  numpy's overflow warnings are
+    silenced while the residuals are computed.
+    """
+    if not count:
+        return CheckResult(name, 0, seed, 0.0, tolerance, True, None)
+    with quiet():
+        residuals = _residuals(count, evaluate)
+        worst_idx = max(range(count), key=lambda i: _rank(residuals[i]))
+        worst_input = None if serialize is None else serialize(worst_idx)
     worst = residuals[worst_idx]
-    worst_input = None
-    if serialize is not None:
-        worst_input = serialize(inputs[worst_idx])
-    return CheckResult(
-        name=name,
-        samples=len(inputs),
-        seed=seed,
-        max_residual=float(worst),
-        tolerance=tolerance,
-        passed=bool(worst <= tolerance),
-        worst_input=worst_input,
-    )
+    return CheckResult(name, count, seed, float(worst), tolerance, bool(worst <= tolerance),
+                       worst_input)
+
+
+def run_check(name: str, inputs: list, evaluate: Callable[[object], float], tolerance: float,
+              seed: Optional[int], serialize: Callable[[object], object] = None) -> CheckResult:
+    """Evaluate a residual over pre-drawn inputs, one at a time, and fold
+    into a CheckResult as _fold does: a sample whose evaluation raises
+    ValueError or ArithmeticError counts as a NaN residual."""
+    inputs = list(inputs)
+    return _fold(name, len(inputs), lambda rows: [evaluate(x) for x in inputs[rows]],
+                 tolerance, seed, None if serialize is None else lambda i: serialize(inputs[i]))

@@ -1,14 +1,21 @@
 """Flip construction, axiom suite, and bracket recovery."""
 
+import contextlib
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invalg import catalog
+from invalg import algebroid, catalog, groupoid, jet
 from invalg.algebroid import (
     AlgebroidSpec,
+    InvolutionAlgebroid,
     ProlongElement,
+    _random_section_poly,
+    _sample_pairs,
     bracket_from_flip,
     braid_permutations,
     check_axioms,
@@ -31,8 +38,16 @@ from invalg.bundle import (
     TAElement,
     ta_residual,
 )
-from invalg.groupoid import group_involution, sl2_group, so3_group
-from invalg.jet import JetPoint, PolyMap, residual
+from invalg.groupoid import (
+    PairGroupoidSpec,
+    differentiate_group,
+    differentiate_pair_groupoid,
+    group_involution,
+    sl2_group,
+    so3_group,
+)
+from invalg.jet import JetPoint, PolyMap, _max_abs, check_tangent_axioms, residual
+from invalg.report import _fold, _residuals, quiet
 
 
 def const_section(vec, dim_M=0):
@@ -448,3 +463,107 @@ def test_nan_anchor_fails_source_and_yang_baxter():
     bad = ProlongElement(pe.v, TAElement(pe.w.m, pe.w.a, [math.nan], pe.w.adot))
     assert math.isnan(bad.residual(spec))
     assert math.isnan(ta_residual(pe.w, bad.w))
+
+
+# -- sample batches -------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def sliced_folds(*modules):
+    """Check every law folded in the given modules: its batched residuals
+    must equal, bit for bit, the same evaluator run on one-sample slices.
+    Yields the names of the laws compared."""
+    compared = []
+
+    def spy(name, count, evaluate, *args, **kwargs):
+        with quiet():
+            batched = np.broadcast_to(np.asarray(evaluate(slice(None)), dtype=float), (count,))
+            sliced = np.array([np.reshape(evaluate(slice(i, i + 1)), -1)[0]
+                               for i in range(count)], dtype=float)
+        assert batched.tobytes() == sliced.tobytes(), name
+        compared.append(name)
+        return _fold(name, count, evaluate, *args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "_fold", spy))
+        yield compared
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(catalog.names()), route=st.sampled_from(["spec", "connection"]),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_laws_match_one_sample_slices(name, route, seed):
+    spec = catalog.get(name)
+    rng = np.random.default_rng(seed)
+    if route == "spec":
+        inv = involution_from_spec(spec)
+    else:
+        inv = flip_from_bracket(spec, ConnectionSpec.random_poly(rng, spec.dim_M, spec.dim_A))
+    sections = [SectionSpec(_random_section_poly(rng, spec.dim_M, spec.dim_A)) for _ in range(2)]
+    field = ScalarFieldSpec(_random_section_poly(rng, spec.dim_M, 1))
+    with sliced_folds(algebroid) as compared:
+        check_axioms(inv, samples=5, seed=seed)
+        check_yang_baxter(inv, samples=4, seed=seed)
+        check_bracket_laws(inv, samples=4, seed=seed)
+        check_leibniz(inv, *sections, field, samples=4, seed=seed)
+        spec.well_formed(samples=4, seed=seed)
+    assert len(compared) == 9 + 1 + 6 + 1 + 2
+
+
+def test_batched_tangent_and_group_laws_match_one_sample_slices():
+    with sliced_folds(jet, algebroid, groupoid) as compared:
+        check_tangent_axioms(samples=30, seed=2)
+        differentiate_group(so3_group(), samples=6, seed=2)
+        differentiate_pair_groupoid(PairGroupoidSpec(2), samples=6, seed=2)
+    assert {"add-bundle-laws", "bracket-antisymmetric", "matches-tangent-flip",
+            "jacobi"} <= set(compared)
+
+
+def test_a_raising_sample_is_the_only_nan():
+    # a flip whose guard refuses one kind of sample: the batch raises, and
+    # the fold runs the same evaluator on one-sample slices
+    spec = catalog.so3()
+    canonical = involution_from_spec(spec)
+
+    def guarded(v, w):
+        if np.any(v.coeffs[0, ..., 0] > 0.9):
+            raise ValueError("guard refuses the sample")
+        return canonical.flip(v, w)
+
+    inv = InvolutionAlgebroid(0, 3, spec.rho, guarded, spec=spec)
+    pairs = _sample_pairs(inv, np.random.default_rng(5), 30)
+    bad = np.flatnonzero(pairs.v[:, 0] > 0.9)
+    assert 0 < len(bad) < 5
+
+    def speed(rows):
+        return _max_abs(inv.flip(pairs.v_jet(rows), pairs.w_jet(rows)).coeffs[1])
+
+    res = np.array(_residuals(30, speed))
+    assert np.flatnonzero(np.isnan(res)).tolist() == bad.tolist()
+    good = np.setdiff1d(np.arange(30), bad)
+    assert res[good].tolist() == [speed(slice(i, i + 1))[0] for i in good]
+    result = _fold("speed", 30, speed, 10.0, 5, pairs.describe)
+    assert math.isnan(result.max_residual) and result.worst_input == pairs.describe(bad[0])
+    # through a whole suite: the check fails on the first refused sample
+    report = check_axioms(inv, samples=30, seed=5)
+    assert math.isnan(report["projection"].max_residual)
+    assert report["projection"].worst_input["a_v"] == pairs.v[bad[0]].tolist()
+
+
+def test_library_checks_stay_silent_on_overflow():
+    # an anchor term of 1e308 overflows inside the checks; the non-finite
+    # residuals fail them, and numpy prints no warning about it
+    rho = PolyMap.from_terms(1, [[(1.0, (0,)), (1e308, (2,))], [(1.0, (1,))]])
+    inv = involution_from_spec(AlgebroidSpec.from_structure(1, 2, rho, [(0, 1, 0, 1.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_axioms(inv, samples=20, seed=3)
+        report.extend(check_yang_baxter(inv, samples=10, seed=3))
+    failed = [r for r in report.results if not r.passed]
+    assert [r.name for r in failed] == ["target", "flip", "yang-baxter"]
+    assert not any(math.isfinite(r.max_residual) for r in failed)
+    # evaluating a polynomial directly keeps numpy's warnings
+    square_plus = PolyMap.from_terms(2, [[(1.0, (2, 0)), (1.0, (0, 1))]])
+    with pytest.warns(RuntimeWarning):
+        square_plus.eval_jet(JetPoint.from_rows(1, [[math.inf, 0.5], [1.0, 0.0]]))

@@ -21,10 +21,11 @@ from invalg.jet import (
     proj_p,
     promote,
     residual,
+    residuals,
     split_innermost,
     sub_tangent,
 )
-from invalg.report import run_check, worst_of
+from invalg.report import _fold, _residuals, run_check, worst_of
 from jet_reference import reference_product
 
 
@@ -420,3 +421,87 @@ def test_depth_cap_enforced():
         promote(x, 1)
     with pytest.raises(ValueError):
         JetScalar(4, [0.0] * 16)
+
+
+# -- sample batches -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(0, 3), count=st.integers(1, 6), width=st.integers(1, 3),
+       matrix=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_product_is_the_per_sample_product(depth, count, width, matrix, seed):
+    # a sample axis between the mask axis and the coefficients changes no bit
+    rng = np.random.default_rng(seed)
+    shape = (1 << depth, count) + ((width, width) if matrix else (width,))
+    a, b = rng.uniform(-2, 2, shape), rng.uniform(-2, 2, shape)
+    mul = np.matmul if matrix else np.multiply
+    per_sample = np.stack([_product(a[:, i], b[:, i], mul) for i in range(count)], axis=1)
+    assert np.array_equal(_product(a, b, mul), per_sample)
+
+
+def test_batched_structural_maps_act_per_sample():
+    rng = np.random.default_rng(4)
+    x = JetPoint.from_rows(2, rng.uniform(-1, 1, (4, 5, 3)))
+    y = JetPoint.from_rows(2, np.concatenate((x.coeffs[:2], rng.uniform(-1, 1, (2, 5, 3)))))
+    one = lambda z, i: JetPoint._of(z.coeffs[:, i])
+    for i in range(5):
+        xi, yi = one(x, i), one(y, i)
+        assert one(lift_l(x, 2), i).to_rows() == lift_l(xi, 2).to_rows()
+        assert one(flip_c(x), i).to_rows() == flip_c(xi).to_rows()
+        assert one(add_tangent(x, y, 2), i).to_rows() == add_tangent(xi, yi, 2).to_rows()
+        assert one(x.take(1, 3), i).to_rows() == xi.take(1, 3).to_rows()
+    per_sample = residuals(x, y)
+    assert per_sample.shape == (5,)
+    assert per_sample.tolist() == [residual(one(x, i), one(y, i)) for i in range(5)]
+    assert residual(x, y) == max(per_sample)
+    # a NaN in one sample is that sample's residual only
+    bad = x.coeffs.copy()
+    bad[3, 2, 1] = math.nan
+    nan_at = np.isnan(residuals(JetPoint._of(bad), x))
+    assert nan_at.tolist() == [False, False, True, False, False]
+
+
+def test_fold_falls_back_to_one_sample_slices():
+    # a guard that raises for the whole batch when one sample is bad: only
+    # that sample becomes NaN, the others keep their one-sample residuals
+    values = np.array([0.25, 3.0, -1.0, 0.5, 3.0, -7.0])
+    calls = []
+
+    def evaluate(rows):
+        calls.append(rows)
+        picked = values[rows]
+        if np.any(picked < 0.0):
+            raise ValueError("guard met a bad sample")
+        return picked * 2.0
+
+    res = _residuals(len(values), evaluate)
+    assert calls[0] == slice(None)
+    for i, r in enumerate(res):
+        if values[i] < 0.0:
+            assert math.isnan(r)
+        else:
+            assert r == evaluate(slice(i, i + 1))[0]
+    result = _fold("guarded", len(values), evaluate, 1e-9, 5, serialize=lambda i: i)
+    assert not result.passed and math.isnan(result.max_residual)
+    assert result.worst_input == 2  # the lowest-index worst sample
+    assert result.samples == 6 and result.seed == 5
+    # without a bad sample the batch is evaluated once
+    values = values[values >= 0.0]
+    calls.clear()
+    clean = _fold("clean", len(values), evaluate, 1e-9, 5, serialize=lambda i: i)
+    assert calls == [slice(None)]
+    assert clean.max_residual == 6.0 and clean.worst_input == 1
+
+
+def test_fold_keeps_a_nan_in_a_later_part():
+    # the worst of several parts per sample: the first non-finite part wins,
+    # so a NaN in the second part beats a larger finite first part
+    first = np.array([0.5, 3.0, 9.0])
+    second = np.array([0.1, 0.2, math.nan])
+    worst = worst_of([first, second])
+    assert worst[:2].tolist() == [0.5, 3.0] and math.isnan(worst[2])
+    assert worst_of([np.array([math.inf, 1.0]), np.array([math.nan, 2.0])]).tolist() \
+        == [math.inf, 2.0]
+    result = _fold("parts", 3, lambda rows: worst_of([first[rows], second[rows]]), 1e-9, 0,
+                   serialize=lambda i: i)
+    assert math.isnan(result.max_residual) and result.worst_input == 2
