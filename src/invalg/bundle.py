@@ -1,9 +1,10 @@
 """Coordinate layer over a trivialized vector bundle R^dim_M x R^dim_A.
 
-Tangent elements of the total space, the two fibered additions they carry,
-the affine strong sum/difference along the combined projection, polynomial
-connections with their vertical and horizontal projectors, and the
-vector-field bracket computed through depth-2 jets.
+Points (AElement) and tangents (TAElement) of the total space, the strong
+difference of two tangents that share both projections, polynomial
+connections, sections and scalar fields, and the Lie derivative along an
+anchored section.  The tangent structure itself (fibered additions, lift,
+zero sections, flip) acts on jets and lives in jet.py.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet import JetPoint, PolyMap, _max_abs, _product, flip_c
+from .jet import JetPoint, PolyMap, _max_abs, _product
 from .report import worst_of
 
 _PROJ_TOL = 1e-12
@@ -95,11 +96,6 @@ class TAElement:
         return self.m.copy(), self.mdot.copy()
 
 
-def a_residual(x: AElement, y: AElement) -> float:
-    return worst_of(float(np.max(np.abs(bx - by), initial=0.0))
-                    for bx, by in ((x.m, y.m), (x.a, y.a)))
-
-
 def ta_residual(x: TAElement, y: TAElement) -> float:
     return float(ta_residuals(x.to_jet(), y.to_jet(), x.dim_M))
 
@@ -111,120 +107,23 @@ def ta_residuals(x: JetPoint, y: JetPoint, dim_M: int) -> np.ndarray:
     return worst_of(_max_abs(block) for pair in blocks for block in pair)
 
 
-# -- sections and zero maps --------------------------------------------------
-
-
-def xi_section(m, dim_A: int) -> AElement:
-    """Zero section of the bundle itself."""
-    return AElement(m, np.zeros(dim_A))
-
-
-def zero_p(v: AElement) -> TAElement:
-    """Zero of the outer tangent over a total-space point."""
-    return TAElement(v.m, v.a, np.zeros(v.dim_M), np.zeros(v.dim_A))
-
-
-def zero_tpi(m, mdot, dim_A: int) -> TAElement:
-    """Zero of the projected-tangent bundle over a base tangent (m, mdot).
-    This is also the tangent prolongation of the zero section."""
-    return TAElement(m, np.zeros(dim_A), mdot, np.zeros(dim_A))
-
-
-def lift_lambda(v: AElement) -> TAElement:
-    """Fiber lift into the tangent of the total space: (m, a) -> (m, 0, 0, a)."""
-    return TAElement(v.m, np.zeros(v.dim_A), np.zeros(v.dim_M), v.a)
-
-
-def lambda_polymap(dim_M: int, dim_A: int) -> PolyMap:
-    """The fiber lift as a polynomial map, for jet-level (tangent) evaluation."""
-    n = dim_M + dim_A
-    mat = np.zeros((2 * n, n))
-    mat[:dim_M, :dim_M] = np.eye(dim_M)
-    mat[n + dim_M:, dim_M:] = np.eye(dim_A)
-    return PolyMap.linear(mat)
-
-
-def section_polymap(X: PolyMap) -> PolyMap:
-    """Graph map of a section: m -> (m, X(m))."""
-    return PolyMap.identity(X.in_dim).stack(X)
-
-
-def nest_tangent_pair(j: JetPoint, n: int) -> JetPoint:
-    """Reshape a depth-1 jet over pair coordinates (value-block, dot-block)
-    into a depth-2 jet over the n underlying coordinates."""
-    if j.depth != 1 or j.dim != 2 * n:
-        raise ValueError("expected a depth-1 jet over %d pair coordinates" % (2 * n))
-    value, dot = j.row(0), j.row(1)
-    return JetPoint.from_rows(2, [value[:n], dot[:n], value[n:], dot[n:]])
-
-
-def flatten_tangent_pair(x: JetPoint) -> JetPoint:
-    """Inverse of nest_tangent_pair."""
-    if x.depth != 2:
-        raise ValueError("expected a depth-2 jet")
-    r0, r1, r2, r12 = (x.row(m) for m in range(4))
-    return JetPoint.from_rows(1, [np.concatenate([r0, r2]), np.concatenate([r1, r12])])
-
-
-# -- the two fibered additions ----------------------------------------------
-
-
 def _check_shared(label: str, bx: np.ndarray, by: np.ndarray, tol: float):
     if bx.size and not float(np.max(np.abs(bx - by))) <= tol:
         raise ValueError("projection mismatch in %s: %g" % (label, float(np.max(np.abs(bx - by)))))
 
 
-def _combine_in_fiber(x: TAElement, y: TAElement, which: str, tol: float, op) -> TAElement:
-    if which == "p":
-        _check_shared("base m", x.m, y.m, tol)
-        _check_shared("fiber a", x.a, y.a, tol)
-        return TAElement(x.m, x.a, op(x.mdot, y.mdot), op(x.adot, y.adot))
-    if which == "Tpi":
-        _check_shared("base m", x.m, y.m, tol)
-        _check_shared("base velocity", x.mdot, y.mdot, tol)
-        return TAElement(x.m, op(x.a, y.a), x.mdot, op(x.adot, y.adot))
-    raise ValueError("which must be 'p' or 'Tpi', got %r" % (which,))
-
-
-def add_in_fiber(x: TAElement, y: TAElement, which: str = "p", tol: float = _PROJ_TOL) -> TAElement:
-    """Fibered addition: which="p" shares (m, a) and sums the velocities;
-    which="Tpi" shares (m, mdot) and sums the fiber blocks."""
-    return _combine_in_fiber(x, y, which, tol, np.add)
-
-
-def sub_in_fiber(x: TAElement, y: TAElement, which: str = "p", tol: float = _PROJ_TOL) -> TAElement:
-    """Fibered subtraction, the inverse of add_in_fiber in the same fiber."""
-    return _combine_in_fiber(x, y, which, tol, np.subtract)
-
-
-# -- affine structure along the combined projection --------------------------
-
-
-def strong_difference(x: TAElement, y: TAElement, tol: float = _PROJ_TOL) -> AElement:
-    """Difference of two tangents sharing both projections; lands in the bundle.
-
-    Coordinate form of subtracting in the outer-tangent fiber and then
-    removing the zero over the shared point: only the adot slots differ.
-    """
-    return AElement(x.m, strong_difference_jet(x.to_jet(), y.to_jet(), x.dim_M, tol))
-
-
 def strong_difference_jet(x: JetPoint, y: JetPoint, dim_M: int,
                           tol: float = _PROJ_TOL) -> np.ndarray:
-    """strong_difference of tangents given as depth-1 jets, batch axes kept:
-    the fiber block of the difference, adot_x - adot_y.  Raises unless every
-    batch entry shares both projections within tol."""
+    """Strong difference of two tangents given as depth-1 jets, batch axes
+    kept.  Tangents sharing both projections (m, a) and (m, mdot) differ only
+    in their adot slots, so the difference lands in the bundle as the fiber
+    block adot_x - adot_y.  Raises unless every batch entry shares both
+    projections within tol."""
     (x0, x1), (y0, y1) = x.coeffs, y.coeffs
     _check_shared("base m", x0[..., :dim_M], y0[..., :dim_M], tol)
     _check_shared("fiber a", x0[..., dim_M:], y0[..., dim_M:], tol)
     _check_shared("base velocity", x1[..., :dim_M], y1[..., :dim_M], tol)
     return x1[..., dim_M:] - y1[..., dim_M:]
-
-
-def strong_sum(x: TAElement, v: AElement, tol: float = _PROJ_TOL) -> TAElement:
-    """Translate a tangent by a bundle element over the same base point."""
-    _check_shared("base m", x.m, v.m, tol)
-    return TAElement(x.m, x.a, x.mdot, x.adot + v.a)
 
 
 # -- connections -------------------------------------------------------------
@@ -290,57 +189,12 @@ class ConnectionSpec:
         return JetPoint._of(terms.reshape(lead + (da, dm * da)).sum(axis=-1))
 
 
-def connection_K(c: ConnectionSpec, x: TAElement) -> AElement:
-    """Vertical projector: retraction of the fiber lift."""
-    return AElement(x.m, x.adot + c.apply(x.m, x.mdot, x.a))
+# -- sections and scalar fields ----------------------------------------------
 
 
-def connection_H(c: ConnectionSpec, v: AElement, w) -> TAElement:
-    """Horizontal lift of a base tangent w through the point v."""
-    w = _vec(w)
-    if w.size != v.dim_M:
-        raise ValueError("base tangent has dimension %d, expected %d" % (w.size, v.dim_M))
-    return TAElement(v.m, v.a, w, -c.apply(v.m, w, v.a))
-
-
-# -- vector fields -----------------------------------------------------------
-
-
-def vf_bracket(X: PolyMap, Y: PolyMap):
-    """Bracket of two polynomial vector fields on R^k, via depth-2 jets.
-
-    Returns an evaluator m -> bracket vector.  The two prolonged sections are
-    assembled as depth-2 jets, one of them flipped, and their strong
-    difference is taken; pointwise this equals DY.X - DX.Y.
-    """
-    k = X.in_dim
-    if X.out_dim != k or Y.in_dim != k or Y.out_dim != k:
-        raise ValueError("vector fields must map a space to itself")
-    graph_X = section_polymap(X)
-    graph_Y = section_polymap(Y)
-
-    def evaluate(m) -> np.ndarray:
-        m = _vec(m)
-        x_pt = JetPoint.from_rows(1, [m, X.eval_floats(m)])
-        y_pt = JetPoint.from_rows(1, [m, Y.eval_floats(m)])
-        along_x = nest_tangent_pair(graph_Y.eval_jet(x_pt), k)
-        # flattened, the flipped depth-2 jet is a tangent of the tangent space
-        first = flatten_tangent_pair(flip_c(along_x, 1, 2))
-        return strong_difference_jet(first, graph_X.eval_jet(y_pt), k, tol=1e-9)
-
-    return evaluate
-
-
-def vf_bracket_poly(X: PolyMap, Y: PolyMap) -> PolyMap:
-    """The same bracket as exact polynomial algebra: sum_j dY/dx_j X_j - dX/dx_j Y_j.
-
-    Independent of the jet pathway; used to cross-check it and to nest brackets.
-    """
-    k = X.in_dim
-    if X.out_dim != k or Y.in_dim != k or Y.out_dim != k:
-        raise ValueError("vector fields must map a space to itself")
-    return sum((Y.partial(j) * X[j] - X.partial(j) * Y[j] for j in range(k)),
-               PolyMap.zero(k, k))
+def section_polymap(X: PolyMap) -> PolyMap:
+    """Graph map of a section: m -> (m, X(m))."""
+    return PolyMap.identity(X.in_dim).stack(X)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .algebroid import (
     spec_from_flip,
 )
 from .catalog import tangent
-from .bundle import TAElement
 from .jet import (
     MAX_DEPTH,
     JetPoint,
@@ -217,18 +216,6 @@ def group_flip_slots(spec: MatrixGroupSpec, V, W_H, W_V):
     c0pw = GroupJet2(e, z, W_H, z)
     out = jet2_mul(jet2_mul(cw, zero_v), jet2_inv(c0pw))
     return out.g1, out.g2, out.g12
-
-
-def group_flip(spec: MatrixGroupSpec, v, w) -> TAElement:
-    """Flip of the differentiated group on one prolongation pair; v and the
-    pair w = (w_H, w_V) are basis coordinates or matrices in the span."""
-    w_h, w_v = w
-    g1, g2, g12 = group_flip_slots(spec, spec.as_matrix(v), spec.as_matrix(w_h),
-                                   spec.as_matrix(w_v))
-    if float(np.max(np.abs(g2), initial=0.0)) != 0.0:
-        raise ArithmeticError("source slot of the flip composite did not cancel")
-    empty = np.zeros(0)
-    return TAElement(empty, spec.project(g1), empty, spec.project(g12))
 
 
 def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:

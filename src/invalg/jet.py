@@ -450,12 +450,21 @@ def join_innermost(value: JetPoint, velocity: JetPoint) -> JetPoint:
 # -- polynomial maps ---------------------------------------------------------
 
 
+def _exponent(e) -> int:
+    """e as an int when it has an integer value: 2 or 2.0, not 1.5."""
+    if int(e) != e:
+        raise ValueError("non-integer exponent %r" % (e,))
+    return int(e)
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Polynomial map between coordinate spaces.
 
-    terms[k] lists (coefficient, exponent-tuple) pairs for output k; exponent
-    tuples have one entry per input coordinate.
+    terms[k] lists (coefficient, exponent-tuple) pairs for output k, one row
+    per output; exponent tuples hold one nonnegative integer per input
+    coordinate.  Construction rejects a wrong row count, arity or a negative
+    exponent, and from_terms a non-integer one.
 
     The arithmetic operators return canonical rows: repeated exponents
     merged, terms sorted by exponent tuple, zero coefficients dropped.
@@ -469,15 +478,21 @@ class PolyMap:
     terms: tuple
 
     def __post_init__(self):
+        if len(self.terms) != self.out_dim:
+            raise ValueError("%d rows of terms for %d outputs" % (len(self.terms), self.out_dim))
+        arity = self.in_dim
         for row in self.terms:
             for _, exps in row:
-                if len(exps) != self.in_dim:
+                if len(exps) != arity:
                     raise ValueError("exponent tuple arity does not match in_dim")
+                for e in exps:
+                    if e < 0:
+                        raise ValueError("negative exponent in %r" % (exps,))
 
     @staticmethod
     def from_terms(in_dim: int, rows: Sequence[Sequence[tuple]]) -> "PolyMap":
         frozen = tuple(
-            tuple((float(c), tuple(int(e) for e in exps)) for c, exps in row) for row in rows
+            tuple((float(c), tuple(_exponent(e) for e in exps)) for c, exps in row) for row in rows
         )
         return PolyMap(in_dim, len(frozen), frozen)
 
@@ -756,9 +771,10 @@ def check_tangent_axioms(samples: int = 200, seed: int = 0) -> Report:
     the fibered-addition bundle laws with the interchange of the two
     additions, and additivity of (lift, zero) and (flip, identity).
 
-    Each sample is a tuple of coefficient arrays over its own dimension 1-3;
-    a law runs once per dimension on the batch of the samples of that
-    dimension, and the residuals go back in sample order.
+    Each sample is a tuple of coefficient arrays over its own dimension 1-3.
+    A law evaluates all samples in one batch of jets over three coordinates,
+    zero past each sample's own dimension: every law acts coordinatewise, so
+    the padding adds nothing to a residual.
     """
     rng = np.random.default_rng(seed)
     report = Report()
@@ -766,16 +782,14 @@ def check_tangent_axioms(samples: int = 200, seed: int = 0) -> Report:
 
     def law(name, fn, draw):
         inputs = [draw(dims[i]) for i in range(samples)]
+        batch = []
+        for part in zip(*inputs):
+            padded = np.zeros((len(part[0]), samples, 3))
+            for i, coeffs in enumerate(part):
+                padded[:, i, :dims[i]] = coeffs
+            batch.append(padded)
 
-        def evaluate(rows):
-            picked = range(samples)[rows]
-            out = np.empty(len(picked))
-            for dim in sorted({dims[i] for i in picked}):
-                at = [k for k, i in enumerate(picked) if dims[i] == dim]
-                parts = zip(*(inputs[picked[k]] for k in at))
-                out[at] = fn(*(JetPoint._of(np.stack(p, axis=1)) for p in parts))
-            return out
-
+        evaluate = lambda rows: fn(*(JetPoint._of(p[:, rows]) for p in batch))
         serialize = lambda i: _serialize_law_input(inputs[i])
         report.add(_fold(name, samples, evaluate, 1e-12, seed, serialize))
 

@@ -405,6 +405,10 @@ def test_bracket_laws_so3_and_action():
     report = check_bracket_laws(involution_from_spec(catalog.action_so3_r3()),
                                 samples=30, seed=10)
     assert report.passed, report.to_text()
+    # the vector-field bracket of R^2 satisfies Jacobi through the flip
+    report = check_bracket_laws(involution_from_spec(catalog.tangent(2)),
+                                samples=30, seed=11)
+    assert report.passed, report.to_text()
 
 
 def test_leibniz_rule():
@@ -435,6 +439,13 @@ def test_roundtrip_bracket_and_flip():
     report = roundtrip_bracket(catalog.sl2(), samples=30, seed=13)
     assert report.passed, report.to_text()
     assert report["flip-roundtrip"].max_residual == 0.0
+
+    # on the tangent algebroid of R^k the polynomial bracket is the
+    # vector-field bracket DY.X - DX.Y, and the flip reproduces it
+    for k in (1, 2, 3):
+        report = roundtrip_bracket(catalog.tangent(k), samples=30, seed=13 + k)
+        assert report.passed, report.to_text()
+        assert report["bracket-roundtrip"].max_residual < 1e-12
 
 
 def test_spec_recovery_is_exact_over_a_point():

@@ -195,6 +195,22 @@ def test_split_join_roundtrip():
         assert residual(join_innermost(value, vel), x) == 0.0
 
 
+def test_polymap_rejects_maps_it_cannot_evaluate():
+    # each of these was accepted and then misevaluated or raised IndexError
+    # only once evaluated
+    with pytest.raises(ValueError):
+        PolyMap.from_terms(2, [[(1.0, (-1, 2))]])
+    with pytest.raises(ValueError):
+        PolyMap.from_terms(1, [[(1.0, (1.5,))]])
+    with pytest.raises(ValueError):
+        PolyMap(1, 3, (((1.0, (1,)),),))
+    with pytest.raises(ValueError):
+        PolyMap(1, 1, (((1.0, (1,)),), ((2.0, (0,)),)))
+    square = PolyMap.from_terms(1, [[(1.0, (2.0,))]])
+    assert square.terms == (((1.0, (2,)),),)
+    assert square.eval_jet(JetPoint.constant([3.0], 0)).row(0).tolist() == [9.0]
+
+
 def test_polymap_eval_and_partial():
     # f(u, v) = (u^2 v, u + 3)
     f = PolyMap.from_terms(2, [[(1.0, (2, 1))], [(1.0, (1, 0)), (3.0, (0, 0))]])
