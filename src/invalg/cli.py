@@ -39,7 +39,7 @@ from .groupoid import (
     group_catalog,
 )
 from .jet import PolyMap, check_tangent_axioms
-from .report import CheckResult, Report, _fold
+from .report import CheckResult, Report, _fold, _passes
 
 SCHEMA_VERSION = 1
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
@@ -340,7 +340,7 @@ def _membership_report(fx: dict, tolerances: dict) -> Report:
     for name in sorted(residuals):
         tol = tolerances.get(name, 1e-9)
         value = float(residuals[name])
-        report.add(CheckResult(name, samples, None, value, tol, value <= tol, None))
+        report.add(CheckResult(name, samples, None, value, tol, _passes(value, tol), None))
     return report
 
 
@@ -475,7 +475,8 @@ def do_transport(args) -> int:
         name, count, value = ("homotopy-discrepancy", len(run.s_nodes) * len(run.t_nodes),
                               run.discrepancy)
     tol = tolerances.get(name, 1e-6)
-    report = Report([CheckResult(name, count, None, float(value), tol, value <= tol, None)])
+    value = float(value)
+    report = Report([CheckResult(name, count, None, value, tol, _passes(value, tol), None)])
     _write(args.out, run.to_csv())
     print(_format_report(report, args.format))
     return 0 if report.passed else 1
@@ -539,9 +540,12 @@ def _parse_tolerances(pairs) -> dict:
         if not sep or not name:
             raise FixtureError("--tolerance expects name=value, got %r" % item)
         try:
-            tols[name.strip()] = float(value)
+            tol = float(value)
         except ValueError:
+            tol = math.nan  # rejected below with the other unusable values
+        if not (math.isfinite(tol) and tol >= 0):
             raise FixtureError("bad tolerance value in %r" % item)
+        tols[name.strip()] = tol
     return tols
 
 

@@ -4,17 +4,16 @@ The flip of a differentiated groupoid is the second-order jet composite
 
     flip(v, w) = cw . 0v . (c0pw)^{-1}
 
-For a matrix group the second-order jets are quadruples of matrices and the
-composite is truncated polynomial algebra, so it runs unchanged whether the
-derivative slots hold plain (n, n) matrices or matrix jets: float arrays of
-shape (2**d, *batch, n, n) whose leading axis is the jet mask of jet.py and
-whose batch axes, as for jets, hold one sample each.  Two matrix jets
-multiply as a subset convolution over disjoint masks (the hyper-dual
-product), a plain matrix times a matrix jet is a broadcast matmul.  Matrix
-jets make the resulting involution algebroid fully checkable by the axiom
-suite.  The pair groupoid over R^m is carried alongside: there the same
-composite is pure index bookkeeping and lands exactly on the tangent-bundle
-flip.
+Both groupoids run it on one nested jet of depth d + 2.  Its two outer
+directions, the low two mask bits laid out by _assemble4, are the two
+parameters of the second-order jets; the inner d directions are those of the
+prolongations being flipped.  For a matrix group that jet is a float array
+of shape (2**(d+2), *batch, n, n) whose batch axes hold one sample each, and
+the composite is the jet product of jet.py with matmul as the coefficient
+product; c0pw = e + eps2 W_H has the exact inverse e - eps2 W_H.  Matrix jets
+make the resulting involution algebroid fully checkable by the axiom suite.
+For the pair groupoid over R^m the same composite is pure index bookkeeping
+on pairs of endpoint-path jets and lands exactly on the tangent-bundle flip.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from .algebroid import (
 )
 from .catalog import tangent
 from .jet import (
-    MAX_DEPTH,
     JetPoint,
     PolyMap,
     _max_abs,
     _product,
     flip_c,
-    join_innermost,
     residual,
     residuals,
     split_innermost,
@@ -136,86 +133,27 @@ class MatrixGroupSpec:
         return JetPoint.from_rows(depth, rows)
 
 
-_JET_LENGTHS = tuple(1 << d for d in range(MAX_DEPTH + 1))
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product where either factor may be a (2**d, *batch, n, n)
-    matrix jet.
-    Two jets multiply by the jet product of jet.py with matmul as the
-    coefficient product: out[U] = sum a[S] @ b[U - S] over the subsets S of U."""
-    if np.ndim(a) < 3 or np.ndim(b) < 3:
-        return a @ b
-    return _product(a, b, np.matmul)
-
-
-@dataclass(frozen=True)
-class GroupJet2:
-    """Second-order two-parameter jet through a matrix group: base matrix and
-    the three derivative slots.  The base is a float (n, n) matrix; the
-    derivative slots are either all (n, n) matrices or all (2**d, n, n)
-    matrix jets.  No constraint keeps truncated jets on the group manifold."""
-
-    g: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    g12: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.g)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("group jets hold square matrices")
-        slot = np.shape(self.g1)
-        if slot != shape and not (len(slot) >= 3 and slot[-2:] == shape
-                                  and slot[0] in _JET_LENGTHS):
-            raise ValueError("jet slots hold base-shaped matrices or "
-                             "(2**d, *batch, n, n) matrix jets")
-        for part in (self.g2, self.g12):
-            if np.shape(part) != slot:
-                raise ValueError("jet slots must share one shape")
-
-
-def jet2_identity(n: int) -> GroupJet2:
-    z = np.zeros((n, n))
-    return GroupJet2(np.eye(n), z, z, z)
-
-
-def jet2_mul(x: GroupJet2, y: GroupJet2) -> GroupJet2:
-    """Truncated product: Leibniz in each direction and in the mixed slot."""
-    if np.shape(x.g) != np.shape(y.g) or np.shape(x.g1) != np.shape(y.g1):
-        raise ValueError("size mismatch in jet product")
-    return GroupJet2(
-        x.g @ y.g,
-        x.g1 @ y.g + x.g @ y.g1,
-        x.g2 @ y.g + x.g @ y.g2,
-        x.g12 @ y.g + _matmul(x.g1, y.g2) + _matmul(x.g2, y.g1) + x.g @ y.g12,
-    )
-
-
-def jet2_inv(x: GroupJet2) -> GroupJet2:
-    """Closed-form truncated inverse; jet2_mul(x, jet2_inv(x)) is the identity
-    jet to solver precision.  The base matrix must be a float matrix; the
-    derivative slots may be matrix jets."""
-    gi = np.linalg.inv(x.g)
-    return GroupJet2(
-        gi,
-        -(gi @ x.g1 @ gi),
-        -(gi @ x.g2 @ gi),
-        gi @ (_matmul(x.g1 @ gi, x.g2) + _matmul(x.g2 @ gi, x.g1) - x.g12) @ gi,
-    )
+def _assemble4(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
+    """Attach two outer directions to four (2**k, ...) jet arrays of one
+    shape: block o's mask m lands on mask o | (m << 2), so the directions of
+    the blocks shift inward by two and x[o::4] reads block o back."""
+    stacked = np.stack((b0, b1, b2, b3), axis=1)
+    return stacked.reshape((4 * len(b0),) + stacked.shape[2:])
 
 
 def group_flip_slots(spec: MatrixGroupSpec, V, W_H, W_V):
-    """Run the flip composite on matrix slots and return the three derivative
-    slots of the result; the second one vanishes identically.  The slots are
-    (n, n) matrices or (2**d, *batch, n, n) matrix jets, all of one shape."""
-    e = np.eye(spec.n)
-    z = np.zeros(np.shape(V))
-    cw = GroupJet2(e, z, W_H, W_V)
-    zero_v = GroupJet2(e, V, z, z)
-    c0pw = GroupJet2(e, z, W_H, z)
-    out = jet2_mul(jet2_mul(cw, zero_v), jet2_inv(c0pw))
-    return out.g1, out.g2, out.g12
+    """Run the flip composite on (2**d, *batch, n, n) matrix jets of one
+    shape and return the three derivative slots of the result; the second
+    one vanishes identically.  c0pw = e + eps2 W_H squares eps2 away, so its
+    inverse is e - eps2 W_H exactly."""
+    e = np.zeros_like(V)
+    e[0] = np.eye(spec.n)
+    z = np.zeros_like(V)
+    cw = _assemble4(e, z, W_H, W_V)
+    zero_v = _assemble4(e, V, z, z)
+    c0pw_inv = _assemble4(e, z, -W_H, z)
+    out = _product(_product(cw, zero_v, np.matmul), c0pw_inv, np.matmul)
+    return out[1::4], out[2::4], out[3::4]
 
 
 def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
@@ -294,19 +232,6 @@ def pair_inverse(x):
     return (x[1], x[0])
 
 
-def _assemble4(b0: JetPoint, b1: JetPoint, b2: JetPoint, b3: JetPoint) -> JetPoint:
-    """Attach two outer directions to four depth-k blocks; block dirs shift
-    inward by two, so block o's mask m lands on mask o | (m << 2)."""
-    stacked = np.stack([b.coeffs for b in (b0, b1, b2, b3)], axis=1)
-    return JetPoint.from_rows(b0.depth + 2, stacked.reshape((4 << b0.depth,) + stacked.shape[2:]))
-
-
-def _extract4(x: JetPoint):
-    """Inverse of _assemble4."""
-    blocks = x.coeffs.reshape((1 << (x.depth - 2), 4) + x.coeffs.shape[1:])
-    return tuple(JetPoint.from_rows(x.depth - 2, blocks[:, outer]) for outer in range(4))
-
-
 def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
     """Differentiate the pair groupoid: embed prolongation pairs as pairs of
     endpoint-path jets, run the flip composite through composition and
@@ -318,30 +243,28 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
         if w.depth != v.depth + 1:
             raise ValueError("flip needs w one level deeper than v")
-        w_val, w_dot = split_innermost(w)
-        mj, av = v.take(0, d), v.take(d, 2 * d)
-        aw = w_val.take(d, 2 * d)
-        mdot, adot = w_dot.take(0, d), w_dot.take(d, 2 * d)
-        zero = JetPoint._of(np.zeros_like(mj.coeffs))
+        w_val, w_dot = (x.coeffs for x in split_innermost(w))
+        mj, av = v.coeffs[..., :d], v.coeffs[..., d:]
+        aw = w_val[..., d:]
+        mdot, adot = w_dot[..., :d], w_dot[..., d:]
+        zero = np.zeros_like(mj)
+        jet = lambda *blocks: JetPoint._of(_assemble4(*blocks))
         # embeddings: first component carries the moving endpoint, second the
         # anchored one; the fiber direction sits on the second outer slot
-        w1 = _assemble4(mj, mdot, aw, adot)
-        w2 = _assemble4(mj, mdot, zero, zero)
-        cw = (flip_c(w1, 1, 2), flip_c(w2, 1, 2))
-        zero_v = (_assemble4(mj, zero, av, zero), _assemble4(mj, zero, zero, zero))
-        c0pw = (_assemble4(mj, aw, zero, zero), _assemble4(mj, zero, zero, zero))
-        out = pair_compose(pair_compose(cw, zero_v), pair_inverse(c0pw))
-        c_move = _extract4(out[0])
-        c_anchor = _extract4(out[1])
+        cw = (flip_c(jet(mj, mdot, aw, adot), 1, 2), flip_c(jet(mj, mdot, zero, zero), 1, 2))
+        zero_v = (jet(mj, zero, av, zero), jet(mj, zero, zero, zero))
+        c0pw = (jet(mj, aw, zero, zero), jet(mj, zero, zero, zero))
+        move, anchor = (x.coeffs for x in pair_compose(pair_compose(cw, zero_v),
+                                                       pair_inverse(c0pw)))
         # consistency of the output embedding: anchored component must be the
         # base path prolonged by the new fiber value, with nothing higher
-        if not (residual(c_anchor[0], c_move[0]) <= 1e-9
-                and residual(c_anchor[1], c_move[1]) <= 1e-9
-                and np.all(c_anchor[2].coeffs == 0.0) and np.all(c_anchor[3].coeffs == 0.0)):
+        if not (float(np.abs(anchor[0::4] - move[0::4]).max(initial=0.0)) <= 1e-9
+                and float(np.abs(anchor[1::4] - move[1::4]).max(initial=0.0)) <= 1e-9
+                and np.all(anchor[2::4] == 0.0) and np.all(anchor[3::4] == 0.0)):
             raise ArithmeticError("pair flip output lost its embedding shape")
-        value = c_move[0].concat(c_move[2])
-        dot = c_move[1].concat(c_move[3])
-        return join_innermost(value, dot)
+        value = np.concatenate((move[0::4], move[2::4]), axis=-1)
+        dot = np.concatenate((move[1::4], move[3::4]), axis=-1)
+        return JetPoint._of(np.concatenate((value, dot)))
 
     return InvolutionAlgebroid(d, d, rho, flip, describe=spec.name)
 

@@ -463,8 +463,8 @@ class PolyMap:
 
     terms[k] lists (coefficient, exponent-tuple) pairs for output k, one row
     per output; exponent tuples hold one nonnegative integer per input
-    coordinate.  Construction rejects a wrong row count, arity or a negative
-    exponent, and from_terms a non-integer one.
+    coordinate.  Construction rejects a wrong row count, arity or an exponent
+    that is negative or not an integer; from_terms turns 2.0 into 2.
 
     The arithmetic operators return canonical rows: repeated exponents
     merged, terms sorted by exponent tuple, zero coefficients dropped.
@@ -486,8 +486,8 @@ class PolyMap:
                 if len(exps) != arity:
                     raise ValueError("exponent tuple arity does not match in_dim")
                 for e in exps:
-                    if e < 0:
-                        raise ValueError("negative exponent in %r" % (exps,))
+                    if not (e >= 0 and e % 1 == 0):
+                        raise ValueError("negative or non-integer exponent in %r" % (exps,))
 
     @staticmethod
     def from_terms(in_dim: int, rows: Sequence[Sequence[tuple]]) -> "PolyMap":

@@ -78,6 +78,12 @@ def _rank(r: float) -> float:
     return r if math.isfinite(r) else math.inf
 
 
+def _passes(residual: float, tolerance: float) -> bool:
+    """A residual passes its check only when it is finite and at most the
+    tolerance, so an inf residual fails even an inf tolerance."""
+    return bool(math.isfinite(residual) and residual <= tolerance)
+
+
 def worst_of(residuals: Iterable) -> object:
     """The worst of some residuals: the largest, or the first non-finite one,
     so that a NaN never hides behind a number; 0.0 when there are none.
@@ -124,7 +130,8 @@ def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance:
     it into a CheckResult; serialize(i) describes sample i.
 
     The worst case is the lowest-index maximizer, with a non-finite residual
-    (NaN included) ranking above every finite one, so it fails the check.
+    (NaN included) ranking above every finite one, so it fails the check
+    whatever the tolerance.
     See _residuals for a batch that raises.  numpy's overflow warnings are
     silenced while the residuals are computed.
     """
@@ -134,8 +141,8 @@ def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance:
         residuals = _residuals(count, evaluate)
         worst_idx = max(range(count), key=lambda i: _rank(residuals[i]))
         worst_input = None if serialize is None else serialize(worst_idx)
-    worst = residuals[worst_idx]
-    return CheckResult(name, count, seed, float(worst), tolerance, bool(worst <= tolerance),
+    worst = float(residuals[worst_idx])
+    return CheckResult(name, count, seed, worst, tolerance, _passes(worst, tolerance),
                        worst_input)
 
 

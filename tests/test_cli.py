@@ -245,6 +245,8 @@ def test_check_bad_tolerance_flag_exit_2(tmp_path):
     fx = catalog_fixture(tmp_path, "so3")
     assert main(["check", fx, "--tolerance", "flip"]) == 2
     assert main(["check", fx, "--tolerance", "flip=abc"]) == 2
+    for value in ("nan", "inf", "-1"):
+        assert main(["check", fx, "--tolerance", "flip=" + value]) == 2
 
 
 def test_check_group_fixture(tmp_path):

@@ -11,28 +11,48 @@ from invalg.algebroid import (
     AlgebroidSpec,
     involution_from_spec,
     sample_prolongation,
+    spec_from_flip,
 )
 from invalg.groupoid import (
-    GroupJet2,
-    _matmul,
     MatrixGroupSpec,
     PairGroupoidSpec,
+    _assemble4,
     diag_abelian_group,
     differentiate_group,
     differentiate_pair_groupoid,
     group_catalog,
     group_flip_slots,
     group_involution,
-    jet2_identity,
-    jet2_inv,
-    jet2_mul,
     pair_compose,
     pair_inverse,
     sl2_group,
     so3_group,
 )
-from invalg.jet import JetPoint, JetScalar, PolyMap, join_innermost, residual, split_innermost
+from invalg.jet import (
+    JetPoint,
+    JetScalar,
+    PolyMap,
+    _product,
+    join_innermost,
+    residual,
+    split_innermost,
+)
 from jet_reference import RefScalar
+
+
+def jet2(g, g1, g2, g12):
+    """The depth-2 matrix jet of a second-order jet through a matrix group:
+    base, the two first-order slots and the mixed slot, each (n, n)."""
+    return _assemble4(*(np.asarray(m, dtype=float)[None] for m in (g, g1, g2, g12)))
+
+
+def identity_jet2(n):
+    z = np.zeros((n, n))
+    return jet2(np.eye(n), z, z, z)
+
+
+def mul(x, y):
+    return _product(x, y, np.matmul)
 
 
 def rand_jet2(rng, n, integer=False):
@@ -42,25 +62,24 @@ def rand_jet2(rng, n, integer=False):
     else:
         draw = lambda: rng.uniform(-1, 1, (n, n))
         g = np.eye(n) + 0.3 * draw()
-    return GroupJet2(g, draw(), draw(), draw())
+    return jet2(g, draw(), draw(), draw())
 
 
 def max_slot_diff(x, y):
-    return max(
-        float(np.max(np.abs(a - b), initial=0.0))
-        for a, b in ((x.g, y.g), (x.g1, y.g1), (x.g2, y.g2), (x.g12, y.g12))
-    )
+    return float(np.max(np.abs(x - y), initial=0.0))
 
 
 # -- second-order jet arithmetic ----------------------------------------------
+# A second-order jet is a depth-2 matrix jet whose two directions are its two
+# parameters; the jet product with matmul is its truncated product.
 
 
 def test_jet2_identity_is_two_sided_unit():
     rng = np.random.default_rng(0)
     x = rand_jet2(rng, 3)
-    e = jet2_identity(3)
-    assert max_slot_diff(jet2_mul(e, x), x) == 0.0
-    assert max_slot_diff(jet2_mul(x, e), x) == 0.0
+    e = identity_jet2(3)
+    assert max_slot_diff(mul(e, x), x) == 0.0
+    assert max_slot_diff(mul(x, e), x) == 0.0
 
 
 def test_jet2_mul_splits_mixed_slot():
@@ -70,11 +89,11 @@ def test_jet2_mul_splits_mixed_slot():
     Y = np.array([[1.0, 0.0], [3.0, -1.0]])
     e = np.eye(2)
     z = np.zeros((2, 2))
-    out = jet2_mul(GroupJet2(e, X, z, z), GroupJet2(e, z, Y, z))
-    assert np.array_equal(out.g, e)
-    assert np.array_equal(out.g1, X)
-    assert np.array_equal(out.g2, Y)
-    assert np.array_equal(out.g12, X @ Y)
+    out = mul(jet2(e, X, z, z), jet2(e, z, Y, z))
+    assert np.array_equal(out[0], e)
+    assert np.array_equal(out[1], X)
+    assert np.array_equal(out[2], Y)
+    assert np.array_equal(out[3], X @ Y)
 
 
 def test_jet2_mul_associative():
@@ -82,73 +101,45 @@ def test_jet2_mul_associative():
     # integer entries make both association orders bitwise identical
     for _ in range(50):
         x, y, z = (rand_jet2(rng, 3, integer=True) for _ in range(3))
-        assert max_slot_diff(jet2_mul(jet2_mul(x, y), z), jet2_mul(x, jet2_mul(y, z))) == 0.0
+        assert max_slot_diff(mul(mul(x, y), z), mul(x, mul(y, z))) == 0.0
     for _ in range(20):
         x, y, z = (rand_jet2(rng, 3) for _ in range(3))
-        assert max_slot_diff(jet2_mul(jet2_mul(x, y), z), jet2_mul(x, jet2_mul(y, z))) < 1e-12
+        assert max_slot_diff(mul(mul(x, y), z), mul(x, mul(y, z))) < 1e-12
 
 
 def test_jet2_mul_size_mismatch():
     with pytest.raises(ValueError):
-        jet2_mul(jet2_identity(2), jet2_identity(3))
+        mul(identity_jet2(2), identity_jet2(3))
+    # a depth-2 jet against one with an inner direction as well
     z = np.zeros((2, 2, 2))
     with pytest.raises(ValueError):
-        jet2_mul(jet2_identity(2), GroupJet2(np.eye(2), z, z, z))
-
-
-def test_jet2_slot_shapes_checked():
-    with pytest.raises(ValueError):
-        GroupJet2(np.eye(2), np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        GroupJet2(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
-    # derivative slots are all plain matrices or all matrix jets of one depth
-    with pytest.raises(ValueError):
-        GroupJet2(np.eye(2), np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        GroupJet2(np.eye(2), np.zeros((2, 2, 2)), np.zeros((4, 2, 2)), np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        GroupJet2(np.eye(2), *(np.zeros((3, 2, 2)) for _ in range(3)))
-    GroupJet2(np.eye(2), *(np.zeros((4, 2, 2)) for _ in range(3)))
+        mul(identity_jet2(2), _assemble4(np.eye(2)[None] + z, z, z, z))
 
 
 def test_jet2_inv_first_order_slots():
+    # e - eps X inverts e + eps X in either direction: the closed form the
+    # group flip takes for (c0pw)^{-1}
     X = np.array([[0.0, 1.0], [-2.0, 0.0]])
     Y = np.array([[1.0, 1.0], [0.0, -1.0]])
     e = np.eye(2)
     z = np.zeros((2, 2))
-    inv1 = jet2_inv(GroupJet2(e, X, z, z))
-    assert max_slot_diff(inv1, GroupJet2(e, -X, z, z)) == 0.0
-    inv2 = jet2_inv(GroupJet2(e, z, Y, z))
-    assert max_slot_diff(inv2, GroupJet2(e, z, -Y, z)) == 0.0
+    for x, x_inv in ((jet2(e, X, z, z), jet2(e, -X, z, z)),
+                     (jet2(e, z, Y, z), jet2(e, z, -Y, z))):
+        assert max_slot_diff(mul(x, x_inv), identity_jet2(2)) == 0.0
+        assert max_slot_diff(mul(x_inv, x), identity_jet2(2)) == 0.0
 
 
 def test_jet2_inv_mixed_slot():
     # over the identity base the mixed slot of the inverse picks up the
-    # anticommutator correction; the product oracle confirms it
+    # anticommutator correction; the product confirms it
     rng = np.random.default_rng(3)
     X = rng.integers(-2, 3, (3, 3)).astype(float)
     Y = rng.integers(-2, 3, (3, 3)).astype(float)
     Z = rng.integers(-2, 3, (3, 3)).astype(float)
-    x = GroupJet2(np.eye(3), X, Y, Z)
-    inv = jet2_inv(x)
-    assert np.array_equal(inv.g1, -X)
-    assert np.array_equal(inv.g2, -Y)
-    assert np.array_equal(inv.g12, -Z + X @ Y + Y @ X)
-    assert max_slot_diff(jet2_mul(x, inv), jet2_identity(3)) == 0.0
-
-
-def test_jet2_inv_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = rand_jet2(rng, 3)
-        assert max_slot_diff(jet2_mul(x, jet2_inv(x)), jet2_identity(3)) < 1e-12
-        assert max_slot_diff(jet2_mul(jet2_inv(x), x), jet2_identity(3)) < 1e-12
-
-
-def test_jet2_inv_singular_base():
-    z = np.zeros((2, 2))
-    with pytest.raises(np.linalg.LinAlgError):
-        jet2_inv(GroupJet2(z, z, z, z))
+    x = jet2(np.eye(3), X, Y, Z)
+    inv = jet2(np.eye(3), -X, -Y, -Z + X @ Y + Y @ X)
+    assert max_slot_diff(mul(x, inv), identity_jet2(3)) == 0.0
+    assert max_slot_diff(mul(inv, x), identity_jet2(3)) == 0.0
 
 
 # -- group specs --------------------------------------------------------------
@@ -240,7 +231,7 @@ def test_group_flip_source_slot_cancels_exactly():
     rng = np.random.default_rng(9)
     for _ in range(25):
         v, wh, wv = (spec.to_matrix(rng.uniform(-2, 2, 3)) for _ in range(3))
-        g1, g2, g12 = group_flip_slots(spec, v, wh, wv)
+        g1, g2, g12 = group_flip_slots(spec, v[None], wh[None], wv[None])
         assert float(np.max(np.abs(g2))) == 0.0
 
 
@@ -369,16 +360,29 @@ def test_matrix_jet_route_matches_object_route(name, depth):
                              object_project(spec, ref_slots[2], depth))
         assert residual(flip(v, w), ref) <= 1e-14
         # generic jets off the algebra span, with a base other than the identity
-        x, y = (GroupJet2(np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)),
-                          *(rng.uniform(-1, 1, (1 << depth, n, n)) for _ in range(3)))
-                for _ in range(2))
-        as_obj = lambda jet: (jet.g, to_object(jet.g1), to_object(jet.g2), to_object(jet.g12))
-        prod, ref_prod = jet2_mul(x, y), object_mul(as_obj(x), as_obj(y))
-        inv, ref_inv = jet2_inv(x), object_inv(as_obj(x))
-        for got, want in ((prod, ref_prod), (inv, ref_inv)):
-            assert np.max(np.abs(got.g - want[0])) <= 1e-14
-            for mat, obj in zip((got.g1, got.g2, got.g12), want[1:]):
-                assert max_gap(mat, obj) <= 1e-14
+        bases = [np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)) for _ in range(2)]
+        slots = [[rng.uniform(-1, 1, (1 << depth, n, n)) for _ in range(3)] for _ in range(2)]
+        as_jet = lambda g, s: _assemble4(np.concatenate((g[None], np.zeros_like(s[0][1:]))), *s)
+        prod = mul(*(as_jet(g, s) for g, s in zip(bases, slots)))
+        ref_prod = object_mul(*((g, *map(to_object, s)) for g, s in zip(bases, slots)))
+        assert np.max(np.abs(prod[0] - ref_prod[0])) <= 1e-14
+        assert not np.any(prod[4::4])
+        for o in (1, 2, 3):
+            assert max_gap(prod[o::4], ref_prod[o]) <= 1e-14
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_group_flip_matches_flip_of_recovered_constants(name, depth):
+    # the composite against the flip that the bracket of its own recovered
+    # structure constants builds, on one batch of random jets
+    spec = ORACLE_GROUPS[name]()
+    group = group_involution(spec)
+    fitted = involution_from_spec(spec_from_flip(group))
+    rng = np.random.default_rng(depth + 17)
+    v = JetPoint.from_rows(depth, rng.uniform(-1, 1, (1 << depth, 16, spec.dim)))
+    w = JetPoint.from_rows(depth + 1, rng.uniform(-1, 1, (2 << depth, 16, spec.dim)))
+    assert residual(group.flip(v, w), fitted.flip(v, w)) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,7 +396,7 @@ def test_subset_convolution_equals_jet_scalar_products(depth, n, data):
             for _ in range(2))
     as_reference = lambda mat: np.array(
         [[RefScalar(mat[:, i, j]) for j in range(n)] for i in range(n)], dtype=object)
-    assert np.array_equal(_matmul(a, b), from_object(as_reference(a) @ as_reference(b)))
+    assert np.array_equal(mul(a, b), from_object(as_reference(a) @ as_reference(b)))
 
 
 # -- differentiation reports --------------------------------------------------

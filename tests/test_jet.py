@@ -206,6 +206,8 @@ def test_polymap_rejects_maps_it_cannot_evaluate():
         PolyMap(1, 3, (((1.0, (1,)),),))
     with pytest.raises(ValueError):
         PolyMap(1, 1, (((1.0, (1,)),), ((2.0, (0,)),)))
+    with pytest.raises(ValueError):
+        PolyMap(1, 1, (((1.0, (1.5,)),),))
     square = PolyMap.from_terms(1, [[(1.0, (2.0,))]])
     assert square.terms == (((1.0, (2,)),),)
     assert square.eval_jet(JetPoint.constant([3.0], 0)).row(0).tolist() == [9.0]
@@ -390,8 +392,10 @@ def test_residual_is_nan_when_any_difference_is():
 
 
 def test_run_check_fails_on_non_finite_residuals():
-    for values in ([1e-15, math.nan, 1e-16], [math.nan, 0.0], [0.0, math.inf, math.nan]):
-        result = run_check("r", values, lambda r: r, 1e-9, 0, serialize=repr)
+    cases = [([1e-15, math.nan, 1e-16], 1e-9), ([math.nan, 0.0], 1e-9),
+             ([0.0, math.inf, math.nan], 1e-9), ([1e-15, math.inf], math.inf)]
+    for values, tolerance in cases:
+        result = run_check("r", values, lambda r: r, tolerance, 0, serialize=repr)
         assert not result.passed
         assert not math.isfinite(result.max_residual)
         # the worst input is the first non-finite one
