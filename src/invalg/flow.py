@@ -10,12 +10,16 @@ first on a refined grid, then the affine fiber system along it.
 Both stages read a stage table: the variation is evaluated once, in one
 call, at every time an RK4 stage of the refined grid asks for, and the fiber
 coefficients (matrix, offset) are computed from that table at every
-refined-grid time in one batch.  Several transports along different
-variations run as rows of one state through a single RK4 solve; a path
-transport is the one-row case, and a homotopy transport integrates its
-spine, then all rows of the square at once, in each order.  The same
-machinery gives the differentiation / integration maps between fiber paths
-and infinitesimal variations.
+refined-grid time in one batch.  One RK4 step of an affine system is an
+affine map, so the step maps of every step are built in one batch and then
+applied in turn.  The fiber always takes that route, and so does the base
+when the anchor has degree at most 1 in the base point; for an anchor of
+degree 2 or more the base equation is nonlinear and is solved stage by
+stage.  Several transports along different variations run as rows of one
+state; a path transport is the one-row case, and a homotopy transport
+integrates its spine, then all rows of the square at once, in each order.
+The same machinery gives the differentiation / integration maps between
+fiber paths and infinitesimal variations.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .algebroid import InvolutionAlgebroid
 from .bundle import AElement, TAElement
 from .jet import JetPoint, PolyMap, _max_abs, flip_c, residuals
-from .report import worst_of
+from .report import quiet, worst_of
 
 
 def rk4_solve(field, x0, t_end: float, h: float):
@@ -36,11 +40,9 @@ def rk4_solve(field, x0, t_end: float, h: float):
     The step is snapped so an integer number of steps lands on t_end
     exactly; samples cover t = 0 through t_end inclusive.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
     if t_end <= 0:
         raise ValueError("final time must be positive")
-    n = max(1, int(round(t_end / h)))
+    n = _step_count(t_end, h)
     hs = t_end / n
     x = np.array(x0, dtype=float).reshape(-1)
     times = np.empty(n + 1)
@@ -59,6 +61,41 @@ def rk4_solve(field, x0, t_end: float, h: float):
         times[i + 1] = (i + 1) * hs
         states[i + 1] = x
     return times, states
+
+
+def _step_count(t_end: float, h: float) -> int:
+    """Number of fixed steps of about h that land on t_end, at least one."""
+    if not 0 < h < np.inf:
+        raise ValueError("step must be positive and finite, got %r" % h)
+    return max(1, int(round(t_end / h)))
+
+
+def _affine_rk4(mats, offs, x0, h: float) -> np.ndarray:
+    """Fixed-step RK4 of the affine system x' = M(t) x + o(t), with M and o
+    given at every half step: mats (2n + 1, rows, d, d), offs (2n + 1, rows,
+    d), x0 (rows, d).  One RK4 step of an affine system is an affine map, so
+    the homogeneous (d + 1) x (d + 1) maps of all n steps are built in one
+    batch and then applied in turn.  Returns the states (n + 1, rows, d)."""
+    steps, rows, d = offs.shape
+    f = np.zeros((steps, rows, d + 1, d + 1))
+    f[..., :d, :d] = mats
+    f[..., :d, d] = offs
+    one = np.eye(d + 1)
+    k1, mid, end = f[:-1:2], f[1::2], f[2::2]
+    k2 = mid @ (one + (h / 2) * k1)
+    k3 = mid @ (one + (h / 2) * k2)
+    k4 = end @ (one + h * k3)
+    maps = one + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    states = np.empty((len(maps) + 1, rows, d + 1, 1))
+    states[0, :, :d, 0] = x0
+    states[0, :, d] = 1.0
+    for i, step in enumerate(maps):
+        states[i + 1] = step @ states[i]
+    bad = ~np.isfinite(states[1:]).all(axis=(1, 2, 3))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ArithmeticError("trajectory diverged at t = %g" % (i * h + h))
+    return states[:, :, :d, 0]
 
 
 def expm(a) -> np.ndarray:
@@ -248,28 +285,31 @@ def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end:
     Returns the times, base (n + 1, rows, dim_M) and fiber (n + 1, rows, dim_A)."""
     dm, da = inv.dim_M, inv.dim_A
     rows, count, _ = stages.shape
-    quarter = t_end / (count - 1)
+    n = (count - 1) // 4
     a_phi = _split_blocks(stages, dm, da)[1]
+    if inv.rho.degree <= 1:
+        # rho(m) = rho(0) + sum_k m_k d_k rho, so the base equation is affine too
+        origin = np.zeros(dm)
+        slope = inv.rho.jacobian_at(origin).reshape(dm, da, dm)
+        a_t = a_phi.swapaxes(0, 1)
+        base = _affine_rk4(np.einsum("ijk,...j->...ik", slope, a_t),
+                           a_t @ inv.anchor_matrix(origin).T, m0, t_end / (2 * n))
+    else:
+        quarter = t_end / (count - 1)
 
-    def base_field(t, m):
-        k = _stage_index(t, quarter, count)
-        return inv.anchor_apply(m.reshape(rows, dm), a_phi[:, k]).reshape(-1)
+        def base_field(t, m):
+            k = _stage_index(t, quarter, count)
+            return inv.anchor_apply(m.reshape(rows, dm), a_phi[:, k]).reshape(-1)
 
-    _, base = rk4_solve(base_field, m0, t_end, 2 * quarter)
-    base = base.reshape(len(base), rows, dm)
+        base = rk4_solve(base_field, m0, t_end, 2 * quarter)[1].reshape(2 * n + 1, rows, dm)
     mats, offs = _fiber_coefficients(inv, stages[:, ::2].swapaxes(0, 1), base)
-
-    def fiber_field(t, b):
-        k = _stage_index(t, 2 * quarter, len(base))
-        return (np.matmul(mats[k], b.reshape(rows, da, 1))[..., 0] + offs[k]).reshape(-1)
-
-    times, fiber = rk4_solve(fiber_field, a0, t_end, 4 * quarter)
-    return times, base[::2], fiber.reshape(len(fiber), rows, da)
+    fiber = _affine_rk4(mats, offs, a0, t_end / n)
+    return np.arange(n + 1) * (t_end / n), base[::2], fiber
 
 
 def _quarter_times(t_end: float, h: float) -> np.ndarray:
     """Quarter-step times of the fixed-step grid from 0 to t_end."""
-    n = max(1, int(round(t_end / h)))
+    n = _step_count(t_end, h)
     return np.arange(4 * n + 1) * (t_end / (4 * n))
 
 
@@ -280,20 +320,21 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
     the affine equation read off from the flip.  The anchor identity the
     result satisfies is measured and returned, not assumed."""
     dm, da = inv.dim_M, inv.dim_A
-    if composability_tol != np.inf:
-        gap = _start_gap(inv, a0, phi.phi.eval_floats([0.0]))
-        if not gap <= composability_tol:
-            raise ValueError(
-                "initial element is not composable with the variation (defect %.3e)" % gap)
+    with quiet():
+        if composability_tol != np.inf:
+            gap = _start_gap(inv, a0, phi.phi.eval_floats([0.0]))
+            if not gap <= composability_tol:
+                raise ValueError(
+                    "initial element is not composable with the variation (defect %.3e)" % gap)
 
-    stages = phi.phi.eval_floats(_quarter_times(phi.t_end, h)[:, None])
-    times, base, fiber = _transport_rows(inv, stages[None], a0.m, a0.a, phi.t_end)
-    base, fiber = base[:, 0], fiber[:, 0]
-    m_phi, _, mdot_phi, _ = _split_blocks(stages[::4], dm, da)
-    worst = worst_of([
-        float(np.max(np.abs(base - m_phi), initial=0.0)),
-        float(np.max(np.abs(inv.anchor_apply(base, fiber) - mdot_phi), initial=0.0)),
-    ])
+        stages = phi.phi.eval_floats(_quarter_times(phi.t_end, h)[:, None])
+        times, base, fiber = _transport_rows(inv, stages[None], a0.m, a0.a, phi.t_end)
+        base, fiber = base[:, 0], fiber[:, 0]
+        m_phi, _, mdot_phi, _ = _split_blocks(stages[::4], dm, da)
+        worst = worst_of([
+            float(np.max(np.abs(base - m_phi), initial=0.0)),
+            float(np.max(np.abs(inv.anchor_apply(base, fiber) - mdot_phi), initial=0.0)),
+        ])
     return PathTransport(times, base, fiber, worst)
 
 
@@ -337,40 +378,41 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
     then horizontally, and in the transposed order.  For well-formed
     homotopy variations the two surfaces agree; the discrepancy is measured
     and returned either way."""
-    gap = _start_gap(inv, a0, hv.h0.eval_floats([0.0, 0.0]))
-    if not gap <= 1e-9:
-        raise ValueError(
-            "initial element is not composable with the homotopy (defect %.3e)" % gap)
+    with quiet():
+        gap = _start_gap(inv, a0, hv.h0.eval_floats([0.0, 0.0]))
+        if not gap <= 1e-9:
+            raise ValueError(
+                "initial element is not composable with the homotopy (defect %.3e)" % gap)
 
-    if grid < 2:
-        raise ValueError("output grid needs at least two nodes per axis")
-    segments = grid - 1
-    n = max(segments, int(round(1.0 / h)))
-    n = ((n + segments - 1) // segments) * segments
-    nodes = np.linspace(0.0, 1.0, grid)
-    stage_times = _quarter_times(1.0, 1.0 / n)
-    at_nodes = slice(None, None, n // segments)
+        if grid < 2:
+            raise ValueError("output grid needs at least two nodes per axis")
+        segments = grid - 1
+        n = max(segments, _step_count(1.0, h))
+        n = ((n + segments - 1) // segments) * segments
+        nodes = np.linspace(0.0, 1.0, grid)
+        stage_times = _quarter_times(1.0, 1.0 / n)
+        at_nodes = slice(None, None, n // segments)
 
-    def surface(first_dir: bool):
-        # first_dir True: along t on the edge s = 0, then along s on every
-        # row t = t_j, all rows at once; False: the transposed order
-        edge_pm, row_pm = (hv.h1, hv.h0) if first_dir else (hv.h0, hv.h1)
-        _, spine_base, spine_fiber = _transport_rows(
-            inv, _square_stages(edge_pm, [0.0], stage_times, not first_dir), a0.m, a0.a, 1.0)
-        _, base, fiber = _transport_rows(
-            inv, _square_stages(row_pm, nodes, stage_times, first_dir),
-            spine_base[at_nodes, 0], spine_fiber[at_nodes, 0], 1.0)
-        base, fiber = base[at_nodes], fiber[at_nodes]  # (along the rows, rows, dim)
-        if first_dir:
-            return base, fiber
-        return base.swapaxes(0, 1), fiber.swapaxes(0, 1)
+        def surface(first_dir: bool):
+            # first_dir True: along t on the edge s = 0, then along s on every
+            # row t = t_j, all rows at once; False: the transposed order
+            edge_pm, row_pm = (hv.h1, hv.h0) if first_dir else (hv.h0, hv.h1)
+            _, spine_base, spine_fiber = _transport_rows(
+                inv, _square_stages(edge_pm, [0.0], stage_times, not first_dir), a0.m, a0.a, 1.0)
+            _, base, fiber = _transport_rows(
+                inv, _square_stages(row_pm, nodes, stage_times, first_dir),
+                spine_base[at_nodes, 0], spine_fiber[at_nodes, 0], 1.0)
+            base, fiber = base[at_nodes], fiber[at_nodes]  # (along the rows, rows, dim)
+            if first_dir:
+                return base, fiber
+            return base.swapaxes(0, 1), fiber.swapaxes(0, 1)
 
-    base0, fiber0 = surface(True)
-    base1, fiber1 = surface(False)
-    discrepancy = worst_of([
-        float(np.max(np.abs(base0 - base1), initial=0.0)),
-        float(np.max(np.abs(fiber0 - fiber1), initial=0.0)),
-    ])
+        base0, fiber0 = surface(True)
+        base1, fiber1 = surface(False)
+        discrepancy = worst_of([
+            float(np.max(np.abs(base0 - base1), initial=0.0)),
+            float(np.max(np.abs(fiber0 - fiber1), initial=0.0)),
+        ])
     return HomotopyTransport(nodes, nodes, base0, fiber0, base1, fiber1, discrepancy)
 
 

@@ -434,6 +434,22 @@ def test_transport_noncomposable_exit_1(tmp_path, capsys):
     assert "composable" in capsys.readouterr().err
 
 
+def test_transport_divergence_exit_1(tmp_path, capsys):
+    # anchor m^2 driven by a = 1 from m0 = 2: the base blows up at t = 0.5
+    const = lambda c: [{"coeff": c, "exponents": [0]}]
+    fx = write_fixture(tmp_path, "blowup.json", {
+        "schema_version": 1, "kind": "apath",
+        "algebroid": {"dim_M": 1, "dim_A": 1,
+                      "anchor": [[{"coeff": 1.0, "exponents": [2]}]]},
+        "blocks": [const(2.0), const(1.0), const(4.0), []],
+        "initial": {"m": [2.0], "a": [1.0]},
+    })
+    code = main(["transport", fx, "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: trajectory diverged")
+
+
 def test_transport_requires_out_and_initial(tmp_path):
     payload = tangent_path_payload()
     fx = write_fixture(tmp_path, "path.json", payload)

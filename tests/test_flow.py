@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invalg.algebroid import InvolutionAlgebroid, involution_from_spec
+from invalg.algebroid import AlgebroidSpec, InvolutionAlgebroid, involution_from_spec
 from invalg.bundle import AElement
-from invalg.catalog import abelian, action_so3_r3, tangent
+from invalg.catalog import abelian, action_so3_r3, so3, tangent
 from invalg.cli import load_fixture
 from invalg.flow import (
     AHomotopyVariation,
@@ -64,6 +64,38 @@ def action_generic_variation(spec):
     return APathVariation(3, 3, PolyMap.from_terms(1, rows), 1.0), m0, b0
 
 
+def quadratic_anchor_path(m0: float):
+    # rank 1 over a line with anchor m^2 and zero bracket, driven by a = 1:
+    # the base solves m' = m^2, so m(t) = m0 / (1 - m0 t)
+    spec = AlgebroidSpec.from_structure(1, 1, PolyMap.from_terms(1, [((1.0, (2,)),)]), [])
+    phi = PolyMap.from_terms(1, [((m0, (0,)),), ((1.0, (0,)),), ((m0 * m0, (0,)),), ()])
+    return involution_from_spec(spec), APathVariation(1, 1, phi, 1.0), AElement([m0], [1.0])
+
+
+def so3_path():
+    # over a point the base is empty and the fiber equation carries the bracket
+    rows = [((1.0, (1,)),), ((0.5, (0,)), (1.0, (2,))), ((-1.0, (0,)),),
+            ((1.0, (0,)),), ((1.0, (1,)), (0.3, (0,))), ()]
+    return APathVariation(0, 3, PolyMap.from_terms(1, rows), 1.0), AElement([], [0.0, 0.5, -1.0])
+
+
+def stepwise_transport(inv, phi, a0, h):
+    # the split equations one RK4 stage at a time: the base at half steps,
+    # then the affine fiber equation along it, as rk4_solve integrates them
+    n = max(1, round(phi.t_end / h))
+    half = phi.t_end / (2 * n)
+    _, base = rk4_solve(lambda t, m: inv.anchor_apply(m, phi.blocks(t).a), a0.m, phi.t_end, half)
+    blocks = phi.phi.eval_floats((np.arange(2 * n + 1) * half)[:, None])
+    mats, offs = _fiber_coefficients(inv, blocks, base)
+
+    def fiber_field(t, b):
+        k = _stage_index(t, half, 2 * n + 1)
+        return mats[k] @ b + offs[k]
+
+    _, fiber = rk4_solve(fiber_field, a0.a, phi.t_end, 2 * half)
+    return base[::2], fiber
+
+
 def holonomic_homotopy():
     # gamma(s,t) = (st, s+t); delta is a polynomial deformation vanishing at
     # the corner, so both transports must reproduce delta itself
@@ -109,8 +141,9 @@ def test_rk4_divergence_raises():
 
 
 def test_rk4_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        rk4_solve(lambda t, x: x, [1.0], 1.0, 0.0)
+    for h in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step"):
+            rk4_solve(lambda t, x: x, [1.0], 1.0, h)
     with pytest.raises(ValueError):
         rk4_solve(lambda t, x: x, [1.0], -1.0, 0.1)
 
@@ -375,6 +408,50 @@ def test_transport_convergence_order():
         errors.append(abs(run.base[-1][0] - (0.4 + c)))
     assert 12.0 <= errors[0] / errors[1] <= 20.0
     assert 12.0 <= errors[1] / errors[2] <= 20.0
+
+
+def test_transport_on_quadratic_anchor():
+    # the base equation is nonlinear here, so it cannot be one affine map a step
+    inv, phi, a0 = quadratic_anchor_path(0.5)
+    run = apath_transport(inv, phi, a0, 1e-3)
+    assert abs(run.base[-1, 0] - 1.0) < 1e-9
+    assert np.array_equal(run.fiber, np.ones_like(run.fiber))
+
+
+def test_transport_divergence_raises():
+    # from m0 = 2 the base blows up at t = 0.5; no numpy warning may pre-empt it
+    inv, phi, a0 = quadratic_anchor_path(2.0)
+    with pytest.raises(ArithmeticError, match="diverged"):
+        apath_transport(inv, phi, a0, 1e-3)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.01, 1e-3])
+@pytest.mark.parametrize("case", ["so3", "curved action"])
+def test_transport_matches_stepwise_split_solve(case, h):
+    if case == "so3":
+        inv = involution_from_spec(so3())
+        phi, a0 = so3_path()
+    else:
+        spec = action_so3_r3()
+        inv = involution_from_spec(spec)
+        phi, m0, b0 = action_generic_variation(spec)
+        a0 = AElement(m0, b0)
+    run = apath_transport(inv, phi, a0, h)
+    base, fiber = stepwise_transport(inv, phi, a0, h)
+    assert run.base.shape == base.shape and run.fiber.shape == fiber.shape
+    assert float(np.max(np.abs(run.base - base), initial=0.0)) < 1e-13
+    assert float(np.max(np.abs(run.fiber - fiber))) < 1e-13
+
+
+def test_transport_rejects_bad_steps():
+    inv = involution_from_spec(tangent(2))
+    hv, _, _ = holonomic_homotopy()
+    for h in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step"):
+            apath_transport(involution_from_spec(tangent(1)), tangent_member(),
+                            AElement([0.4], [1.0]), h)
+        with pytest.raises(ValueError, match="step"):
+            ahomotopy_transport(inv, hv, AElement([0.0, 0.0], [0.0, 0.0]), h)
 
 
 def test_stage_lookup_rejects_off_grid_times():
