@@ -5,9 +5,10 @@ over a trivialized bundle.  From it one can build the canonical flip map
 directly (involution_from_spec) or via the horizontal/vertical connection
 composite (flip_from_bracket); both evaluators are jet-polymorphic, so the
 tangent of the flip comes for free and every axiom, including the depth-2
-flip law and its Yang-Baxter form, can be checked numerically.  Flips take
-jets with batch axes, and every law evaluates all of its samples in one
-call on jets batched over the samples.
+flip law and its Yang-Baxter form, can be checked numerically.  Every law
+evaluates all of its samples at once on jets batched over them; a bracket
+law stacks all its brackets into one flip call, read from one table of
+sections whose nested brackets are evaluated on jets.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .bundle import (
     SectionSpec,
     TAElement,
     lie_derivative,
-    section_polymap,
     strong_difference_jet,
 )
 from .jet import (
@@ -547,6 +547,20 @@ def _zero_fiber(points: np.ndarray, dm: int) -> np.ndarray:
     return out
 
 
+def _per_rows(evaluate):
+    """evaluate(rows) computed once per rows slice and shared by the laws
+    that call it; a call that raises keeps nothing and raises in each law."""
+    kept = {}
+
+    def shared(rows):
+        key = (rows.start, rows.stop, rows.step)
+        if key not in kept:
+            kept[key] = evaluate(rows)
+        return kept[key]
+
+    return shared
+
+
 def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
                  tolerances: dict = None) -> Report:
     """Evaluate every involution law on random (double-)prolongation samples.
@@ -571,6 +585,7 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
 
     describe_point = lambda i: {"m": points[i, :dm].tolist(), "a": points[i, dm:].tolist()}
 
+    @_per_rows
     def flip_pairs(rows):
         v, w = pes.v_jet(rows), pes.w_jet(rows)
         return v, w, inv.flip(v, w)
@@ -723,57 +738,78 @@ def _constant_brackets(inv: InvolutionAlgebroid, x: np.ndarray, y: np.ndarray) -
                          JetPoint.constant(x, 1))
 
 
+class _NestedBracket:
+    """The bracket DT.(rho S) - DS.(rho T) + C(S, T) of two sections of a
+    spec, evaluable on jets (bracket_poly without polynomial algebra): each
+    derivative is a velocity one jet level deeper, along rho of the other."""
+
+    def __init__(self, spec: AlgebroidSpec, S, T):
+        self.spec, self.S, self.T = spec, S, T
+
+    def eval_jet(self, mj: JetPoint) -> JetPoint:
+        spec, s, t = self.spec, self.S.eval_jet(mj), self.T.eval_jet(mj)
+        along = lambda F, g: split_innermost(
+            F.eval_jet(join_innermost(mj, spec.anchor_apply_jet(mj, g))))[1]
+        return along(self.T, s) - along(self.S, t) + spec.c_apply_jet(mj, s, t)
+
+    def eval_floats(self, m) -> np.ndarray:
+        return self.eval_jet(JetPoint.constant(m, 0)).coeffs[0]
+
+
+class _SectionTable:
+    """Sections (PolyMaps or _NestedBrackets) at base points m.  Values,
+    anchored directions and prolongations cannot raise, so each is computed
+    once at all the points and sliced by every law that uses it."""
+
+    def __init__(self, inv: InvolutionAlgebroid, maps, m: np.ndarray):
+        self.inv, self.maps, self._graphs = inv, maps, {}
+        with quiet():
+            values = [S.eval_floats(m) for S in maps]
+            self.points = [np.concatenate((m, a), axis=-1) for a in values]
+            self.along = [JetPoint.from_rows(1, [m, inv.anchor_apply(m, a)]) for a in values]
+
+    def graph(self, j: int, i: int) -> np.ndarray:
+        """Section j along the anchored section i: its depth-1 graph jet."""
+        if (j, i) not in self._graphs:
+            along = self.along[i]
+            self._graphs[j, i] = along.concat(self.maps[j].eval_jet(along)).coeffs
+        return self._graphs[j, i]
+
+    def brackets(self, pairs, rows=slice(None)) -> np.ndarray:
+        """[section i, section j] for the pairs (i, j) at the points m[rows],
+        stacked on a leading axis: one flip and strong difference for all."""
+        stack = lambda parts: JetPoint._of(np.stack(parts, axis=1))
+        v = stack([self.points[i][None, rows] for i, _ in pairs])
+        w = stack([self.graph(j, i)[:, rows] for i, j in pairs])
+        return _flip_bracket(self.inv, v, w, stack([self.graph(i, j)[:, rows] for i, j in pairs]))
+
+
 def bracket_from_flip(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec):
     """Evaluator of the section bracket induced by a flip, at a base point
     (dim_M,) or at each point of a batch (N, dim_M)."""
-    dm = inv.dim_M
-    graph_X = section_polymap(X.x_poly)
-    graph_Y = section_polymap(Y.x_poly)
-
-    def evaluate(m) -> np.ndarray:
-        m = _points(m, dm)
-        xv, yv = X.x_poly.eval_floats(m), Y.x_poly.eval_floats(m)
-        w_jet = graph_Y.eval_jet(JetPoint.from_rows(1, [m, inv.anchor_apply(m, xv)]))
-        second = graph_X.eval_jet(JetPoint.from_rows(1, [m, inv.anchor_apply(m, yv)]))
-        return _flip_bracket(inv, JetPoint.constant(np.concatenate([m, xv], axis=-1), 0),
-                             w_jet, second)
-
-    return evaluate
+    maps = [X.x_poly, Y.x_poly]
+    return lambda m: _SectionTable(inv, maps, _points(m, inv.dim_M)).brackets([(0, 1)])[0]
 
 
-def section_flip_field(inv: InvolutionAlgebroid, X: SectionSpec):
-    """The flip of a section as a vector field on the total space, evaluable
-    on jets: feed the anchored direction through the section's prolongation
-    and flip against it."""
+def _flip_fields(inv: InvolutionAlgebroid, fields) -> np.ndarray:
+    """Flip fields of sections on the total space, one flip call for all: for
+    each (section, z) flip the jets z against the section's prolongation
+    along their anchored direction.  Returns velocities, sections on axis 1."""
     dm, da = inv.dim_M, inv.dim_A
-    graph_X = section_polymap(X.x_poly)
-
-    def field(z: JetPoint) -> JetPoint:
-        mj = z.take(0, dm)
-        aj = z.take(dm, dm + da)
-        u = inv.anchor_apply_jet(mj, aj)
-        w_jet = graph_X.eval_jet(join_innermost(mj, u))
-        flipped = inv.flip(z, w_jet)
-        _, velocity = split_innermost(flipped)
-        return velocity
-
-    return field
-
-
-def _field_bracket(f, g, z: JetPoint) -> np.ndarray:
-    """The bracket [f, g] of two vector fields evaluable on jets, at the
-    depth-0 points z: feeding each field's value as the jet velocity of the
-    other gives the directional derivatives that make up the bracket."""
-    return g(join_innermost(z, f(z))).row(1) - f(join_innermost(z, g(z))).row(1)
+    z = JetPoint._of(np.stack([zk.coeffs for _, zk in fields], axis=1))
+    mj = z.take(0, dm)
+    along = join_innermost(mj, inv.anchor_apply_jet(mj, z.take(dm, dm + da))).coeffs
+    graphs = [np.concatenate((c, S.eval_jet(JetPoint._of(c)).coeffs), axis=-1)
+              for (S, _), c in zip(fields, along.swapaxes(0, 1))]
+    return split_innermost(inv.flip(z, JetPoint._of(np.stack(graphs, axis=1))))[1].coeffs
 
 
 def _point_checks(report: Report, points: np.ndarray, tolerance: float, seed: int):
     """Fold laws of batched points (N, k) into report: check(name, fn) with
-    fn taking the selected points."""
+    fn taking the rows slice of the selected points."""
 
     def check(name, fn):
-        report.add(_fold(name, len(points), lambda rows: fn(points[rows]), tolerance, seed,
-                         lambda i: points[i].tolist()))
+        report.add(_fold(name, len(points), fn, tolerance, seed, lambda i: points[i].tolist()))
 
     return check
 
@@ -782,68 +818,67 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
                        seed: int = 0, tolerance: float = 1e-9) -> Report:
     """Laws of the induced section bracket at sampled base points: bilinear,
     antisymmetric, Jacobi; the flip-field morphism; the anchor morphism; and
-    additivity of the section-to-flip-field assignment."""
+    additivity of the section-to-flip-field assignment.
+
+    Brackets come from one table of the sections, one flip per law; the
+    nested sections [Y, Z], [Z, X], [X, Y] are the spec's bracket on jets,
+    and the two flip-field laws share one flip call for X, Y, [X, Y], X + Y."""
     dm, da = inv.dim_M, inv.dim_A
     if inv.spec is None:
-        raise ValueError("bracket laws need the defining spec for polynomial nesting")
+        raise ValueError("bracket laws need the defining spec for the nested brackets")
     spec = inv.spec
     rng = np.random.default_rng(seed)
     if sections is None:
         sections = [SectionSpec(_random_section_poly(rng, dm, da)) for _ in range(3)]
-    X, Y, Z = sections[0], sections[1], sections[2 % len(sections)]
+    X, Y, Z = (s.x_poly for s in (sections[0], sections[1], sections[2 % len(sections)]))
     report = Report()
-    at_points = _point_checks(report, rng.uniform(-1, 1, (samples, dm)), tolerance, seed)
-
-    bxy = bracket_from_flip(inv, X, Y)
-    byx = bracket_from_flip(inv, Y, X)
-    at_points("bracket-antisymmetric", lambda m: _max_abs(bxy(m) + byx(m)))
-
+    points = rng.uniform(-1, 1, (samples, dm))
+    at_points = _point_checks(report, points, tolerance, seed)
     a_const, b_const = 0.75, -1.25
-    combo = SectionSpec(a_const * X.x_poly + b_const * Y.x_poly)
-    b_combo_z = bracket_from_flip(inv, combo, Z)
-    bxz = bracket_from_flip(inv, X, Z)
-    byz = bracket_from_flip(inv, Y, Z)
-    at_points("bracket-bilinear",
-              lambda m: _max_abs(b_combo_z(m) - a_const * bxz(m) - b_const * byz(m)))
+    b_xy = _NestedBracket(spec, X, Y)
+    # sections 0-6: X, Y, Z, a X + b Y, [Y, Z], [X, Y], [Z, X]
+    table = _SectionTable(inv, [X, Y, Z, a_const * X + b_const * Y, _NestedBracket(spec, Y, Z),
+                                b_xy, _NestedBracket(spec, Z, X)], points)
 
-    b_yz_poly = spec.bracket_poly(Y.x_poly, Z.x_poly)
-    b_xy_poly = spec.bracket_poly(X.x_poly, Y.x_poly)
-    b_zx_poly = spec.bracket_poly(Z.x_poly, X.x_poly)
-    j1 = bracket_from_flip(inv, X, SectionSpec(b_yz_poly))
-    j2 = bracket_from_flip(inv, Z, SectionSpec(b_xy_poly))
-    j3 = bracket_from_flip(inv, Y, SectionSpec(b_zx_poly))
-    at_points("bracket-jacobi", lambda m: _max_abs(j1(m) + j2(m) + j3(m)))
+    def vanishes(name, pairs, weights):  # a combination of brackets that must be zero
+        at_points(name, lambda rows: _max_abs(sum(
+            c * b for c, b in zip(weights, table.brackets(pairs, rows)))))
+
+    vanishes("bracket-antisymmetric", [(0, 1), (1, 0)], (1.0, 1.0))
+    vanishes("bracket-bilinear", [(3, 2), (0, 2), (1, 2)], (1.0, -a_const, -b_const))
+    vanishes("bracket-jacobi", [(0, 4), (2, 5), (1, 6)], (1.0, 1.0, 1.0))
 
     # flip fields: alpha_[X,Y] = [alpha_X, alpha_Y] as fields on the total space
-    f_xy = section_flip_field(inv, SectionSpec(b_xy_poly))
-    f_x = section_flip_field(inv, X)
-    f_y = section_flip_field(inv, Y)
-    # per sample a base point, then a fiber point
-    at_total = _point_checks(report, rng.uniform(-1, 1, (samples, dm + da)), tolerance, seed)
+    total = rng.uniform(-1, 1, (samples, dm + da))  # per sample m, then a
+    at_total = _point_checks(report, total, tolerance, seed)
+    at_z = lambda rows: JetPoint.constant(total[rows], 0)
+    fields = _per_rows(lambda rows: _flip_fields(
+        inv, [(S, at_z(rows)) for S in (X, Y, b_xy, X + Y)])[0])
 
-    def flip_field_morphism(z):
-        z0 = JetPoint.constant(z, 0)
-        return _max_abs(_field_bracket(f_x, f_y, z0) - f_xy(z0).base)
+    def flip_field_morphism(rows):
+        f_x, f_y, f_xy, _ = fields(rows)
+        moved = lambda f: join_innermost(at_z(rows), JetPoint._of(f[None]))
+        across = _flip_fields(inv, [(Y, moved(f_x)), (X, moved(f_y))])[1]
+        return _max_abs(across[0] - across[1] - f_xy)
 
     at_total("flip-field-morphism", flip_field_morphism)
 
     # anchor morphism: rho[X,Y] equals the base bracket of the anchored fields
-    rx = lambda mz: inv.anchor_apply_jet(mz, X.x_poly.eval_jet(mz))
-    ry = lambda mz: inv.anchor_apply_jet(mz, Y.x_poly.eval_jet(mz))
+    rx = lambda mz: inv.anchor_apply_jet(mz, X.eval_jet(mz))
+    ry = lambda mz: inv.anchor_apply_jet(mz, Y.eval_jet(mz))
 
-    def anchor_morphism(m):
+    def anchor_morphism(rows):
         if dm == 0:
             return 0.0
-        field_bracket = _field_bracket(rx, ry, JetPoint.constant(m, 0))
-        return _max_abs(inv.anchor_apply(m, bxy(m)) - field_bracket)
+        m, z = points[rows], JetPoint.constant(points[rows], 0)
+        field_bracket = ry(join_innermost(z, rx(z))).row(1) - rx(join_innermost(z, ry(z))).row(1)
+        return _max_abs(inv.anchor_apply(m, table.brackets([(0, 1)], rows)[0]) - field_bracket)
 
     at_points("anchor-morphism", anchor_morphism)
 
-    f_sum = section_flip_field(inv, SectionSpec(X.x_poly + Y.x_poly))
-
-    def flip_field_additive(z):
-        z0 = JetPoint.constant(z, 0)
-        return residuals(f_sum(z0), f_x(z0) + f_y(z0))
+    def flip_field_additive(rows):
+        f_x, f_y, _, f_sum = fields(rows)
+        return residuals(JetPoint._of(f_sum[None]), JetPoint._of((f_x + f_y)[None]))
 
     at_total("flip-field-additive", flip_field_additive)
     return report
@@ -863,19 +898,19 @@ def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
                   tolerance: float = 1e-9) -> Report:
     """Residual of the Leibniz law: bracketing against a scaled section picks
     up the derivative of the scale along the anchored first section."""
-    dm = inv.dim_M
     rng = np.random.default_rng(seed)
-    fY = SectionSpec(f.f_poly * Y.x_poly)
-    b_fy = bracket_from_flip(inv, X, fY)
-    b_xy = bracket_from_flip(inv, X, Y)
+    points = rng.uniform(-1, 1, (samples, inv.dim_M))
+    table = _SectionTable(inv, [X.x_poly, Y.x_poly, f.f_poly * Y.x_poly], points)
 
-    def defect(m):
+    def defect(rows):
+        m = points[rows]
+        b_fy, b_xy = table.brackets([(0, 2), (0, 1)], rows)
         lie = lie_derivative(f, X, inv.rho, m)
-        expect = f.f_poly.eval_floats(m) * b_xy(m) + lie[:, None] * Y.x_poly.eval_floats(m)
-        return _max_abs(b_fy(m) - expect)
+        expect = f.f_poly.eval_floats(m) * b_xy + lie[:, None] * Y.x_poly.eval_floats(m)
+        return _max_abs(b_fy - expect)
 
     report = Report()
-    _point_checks(report, rng.uniform(-1, 1, (samples, dm)), tolerance, seed)("leibniz", defect)
+    _point_checks(report, points, tolerance, seed)("leibniz", defect)
     return report
 
 
@@ -893,8 +928,9 @@ def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
     oracle = spec.bracket_poly(X.x_poly, Y.x_poly)
 
     report = Report()
-    _point_checks(report, rng.uniform(-1, 1, (samples, dm)), 1e-12, seed)(
-        "bracket-roundtrip", lambda m: _max_abs(recovered(m) - oracle.eval_floats(m)))
+    points = rng.uniform(-1, 1, (samples, dm))
+    _point_checks(report, points, 1e-12, seed)("bracket-roundtrip", lambda rows: _max_abs(
+        recovered(points[rows]) - oracle.eval_floats(points[rows])))
 
     if dm == 0:
         rebuilt = involution_from_spec(spec_from_flip(inv))

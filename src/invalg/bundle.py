@@ -192,11 +192,6 @@ class ConnectionSpec:
 # -- sections and scalar fields ----------------------------------------------
 
 
-def section_polymap(X: PolyMap) -> PolyMap:
-    """Graph map of a section: m -> (m, X(m))."""
-    return PolyMap.identity(X.in_dim).stack(X)
-
-
 @dataclass(frozen=True)
 class SectionSpec:
     """Polynomial section of the bundle: base point to fiber vector."""

@@ -42,6 +42,7 @@ from .jet import PolyMap, check_tangent_axioms
 from .report import CheckResult, Report, _fold, _passes
 
 SCHEMA_VERSION = 1
+MAX_STEPS = 10 ** 6  # the most fixed steps per unit time that --step may ask for
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
 
@@ -550,12 +551,15 @@ def _parse_tolerances(pairs) -> dict:
 
 
 def _check_flags(args) -> None:
-    """Reject flag values no command can use."""
-    if getattr(args, "samples", 0) < 0:
-        raise FixtureError("--samples must be nonnegative, got %d" % args.samples)
+    """Reject flag values no command can use, before anything is allocated."""
+    for flag in ("samples", "seed"):
+        if getattr(args, flag, 0) < 0:
+            raise FixtureError("--%s must be nonnegative, got %d" % (flag, getattr(args, flag)))
     step = getattr(args, "step", 1.0)
     if not (math.isfinite(step) and step > 0):
         raise FixtureError("--step must be a positive finite number, got %r" % step)
+    if step * MAX_STEPS < 1.0:
+        raise FixtureError("--step %r takes over %d steps per unit time" % (step, MAX_STEPS))
 
 
 def _add_common(sub, step=False):

@@ -65,8 +65,8 @@ def rk4_solve(field, x0, t_end: float, h: float):
 
 def _step_count(t_end: float, h: float) -> int:
     """Number of fixed steps of about h that land on t_end, at least one."""
-    if not 0 < h < np.inf:
-        raise ValueError("step must be positive and finite, got %r" % h)
+    if not (0 < h < np.inf and np.isfinite(t_end / h)):
+        raise ValueError("step %r gives no finite step count up to %r" % (h, t_end))
     return max(1, int(round(t_end / h)))
 
 

@@ -529,12 +529,12 @@ class PolyMap:
         its own output in term order.  Batch axes of x are kept."""
         if x.dim != self.in_dim:
             raise ValueError("input dim %d, expected %d" % (x.dim, self.in_dim))
-        rows, coef, factors = self._compiled
+        rows, coef, factors, top = self._compiled
         xs = x.coeffs
         mono = np.zeros(xs.shape[:-1] + (len(coef),))
         mono[0] = 1.0
         if factors:
-            powers = np.zeros((max(int(exps.max()) for _, exps, _ in factors) + 1,) + xs.shape)
+            powers = np.zeros((top + 1,) + xs.shape)
             powers[0, 0] = 1.0
             powers[1] = xs
             for e in range(2, len(powers)):
@@ -554,14 +554,14 @@ class PolyMap:
         """The terms as arrays, built once per map and read by eval_floats and
         eval_jet: the output row and the coefficient of every term, and for
         each input that occurs, its exponent in every term and the terms where
-        that exponent is 2."""
+        that exponent is 2; and the top exponent."""
         flat = [(k, c, e) for k, row in enumerate(self.terms) for c, e in row]
         rows = np.array([k for k, _, _ in flat], dtype=np.intp)
         coef = np.array([c for _, c, _ in flat], dtype=float)
         exps = np.array([e for _, _, e in flat], dtype=np.intp).reshape(len(flat), self.in_dim)
         factors = tuple((i, exps[:, i], np.flatnonzero(exps[:, i] == 2))
                         for i in range(self.in_dim) if exps[:, i].any())
-        return rows, coef, factors
+        return rows, coef, factors, int(exps.max(initial=0))
 
     def eval_floats(self, x) -> np.ndarray:
         """Vectorized evaluation: x has shape (..., in_dim); returns (..., out_dim).
@@ -573,7 +573,7 @@ class PolyMap:
         if arr.shape[-1:] != (self.in_dim,):
             raise ValueError("input shape %r, expected trailing %d" % (arr.shape, self.in_dim))
         lead = arr.shape[:-1]
-        rows, coef, factors = self._compiled
+        rows, coef, factors, _ = self._compiled
         pts = arr.reshape(math.prod(lead), self.in_dim)
         mono = coef
         for i, exps, squares in factors:
@@ -771,58 +771,41 @@ def check_tangent_axioms(samples: int = 200, seed: int = 0) -> Report:
     the fibered-addition bundle laws with the interchange of the two
     additions, and additivity of (lift, zero) and (flip, identity).
 
-    Each sample is a tuple of coefficient arrays over its own dimension 1-3.
-    A law evaluates all samples in one batch of jets over three coordinates,
-    zero past each sample's own dimension: every law acts coordinatewise, so
-    the padding adds nothing to a residual.
+    Each sample is a tuple of jets over its own dimension 1-3, cut from rows
+    of doubles that a law draws for all its samples in one call.  A law
+    evaluates all samples in one batch of jets over three coordinates, zero
+    past each sample's own dimension: every law acts coordinatewise, so the
+    padding adds nothing to a residual.
     """
     rng = np.random.default_rng(seed)
     report = Report()
-    dims = [int(d) for d in rng.integers(1, 4, size=samples)]
+    dims = rng.integers(1, 4, size=samples)
 
-    def law(name, fn, draw):
-        inputs = [draw(dims[i]) for i in range(samples)]
-        batch = []
-        for part in zip(*inputs):
-            padded = np.zeros((len(part[0]), samples, 3))
-            for i, coeffs in enumerate(part):
-                padded[:, i, :dims[i]] = coeffs
-            batch.append(padded)
-
+    def law(name, fn, parts):
+        # parts lists, for each jet of a sample, the rows it is cut from
+        table = np.zeros((samples, 1 + max(map(max, parts)), 3))
+        fill = np.broadcast_to(np.arange(3) < dims[:, None, None], table.shape)
+        table[fill] = rng.uniform(-1, 1, table.shape[1] * int(dims.sum()))
+        batch = [table[:, part].swapaxes(0, 1) for part in parts]
         evaluate = lambda rows: fn(*(JetPoint._of(p[:, rows]) for p in batch))
-        serialize = lambda i: _serialize_law_input(inputs[i])
+        serialize = lambda i: _serialize_law_input([table[i, part, :dims[i]] for part in parts])
         report.add(_fold(name, samples, evaluate, 1e-12, seed, serialize))
 
-    one_jet = lambda depth: lambda dim: (_random_rows(rng, dim, depth),)
+    one_jet = lambda depth: [range(1 << depth)]
     law("flip-involutive", _law_flip_involutive, one_jet(2))
     law("flip-braid", _law_flip_braid, one_jet(3))
     law("lift-flip-fixed", _law_lift_flip_fixed, one_jet(2))
     law("lift-coassociative", _law_lift_coassociative, one_jet(1))
     law("lift-flip-exchange", _law_lift_flip_exchange, one_jet(2))
-
-    def draw_add_square(dim):
-        # x, y, z share every non-direction-1 slot (monoid laws); w is fresh
-        # apart from the common base and supplies the second interchange row.
-        q, s = rng.uniform(-1, 1, size=(2, dim))
-        x, y, z = (np.array([q, rng.uniform(-1, 1, dim), s, rng.uniform(-1, 1, dim)])
-                   for _ in range(3))
-        w = np.vstack(([q], rng.uniform(-1, 1, size=(3, dim))))
-        return (x, y, z, w)
-
-    law("add-bundle-laws", _law_add_bundle, draw_add_square)
-
-    def draw_add_pair(dim):
-        base = _random_rows(rng, dim, 1)
-        return (base, np.array([base[0], rng.uniform(-1, 1, size=dim)]))
-
-    law("lift-zero-additive", _law_lift_zero_additive, draw_add_pair)
-
-    def draw_add_pair_dir2(dim):
-        base = _random_rows(rng, dim, 2)
-        fresh = rng.uniform(-1, 1, size=(2, dim))
-        return (base, np.concatenate((base[:2], fresh)))
-
-    law("flip-id-additive", _law_flip_id_additive, draw_add_pair_dir2)
+    # rows q, s, then two fresh rows each for x, y, z, then three for w: x, y,
+    # z share every non-direction-1 slot (monoid laws); w is fresh apart from
+    # the common base and supplies the second interchange row
+    law("add-bundle-laws", _law_add_bundle,
+        [[0, 2, 1, 3], [0, 4, 1, 5], [0, 6, 1, 7], [0, 8, 9, 10]])
+    # a depth-1 jet and a second velocity at its base
+    law("lift-zero-additive", _law_lift_zero_additive, [[0, 1], [0, 2]])
+    # a depth-2 jet and a second one sharing its value and direction-1 slot
+    law("flip-id-additive", _law_flip_id_additive, [[0, 1, 2, 3], [0, 1, 4, 5]])
     return report
 
 

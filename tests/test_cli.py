@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invalg.bundle import ConnectionSpec
-from invalg.cli import main
+from invalg.cli import MAX_STEPS, FixtureError, _check_flags, main
+from invalg.flow import _step_count
 from invalg.jet import PolyMap
 
 
@@ -193,6 +195,11 @@ def test_check_input_errors_exit_2(tmp_path, capsys, payload):
     ["differentiate-group", "diag-abelian(0)"],
     ["differentiate-group", "pair-groupoid(0)"],
     ["check", "{so3}", "--samples", "5", "--out", "{missing}"],
+    # a step below the cap, one whose step count overflows, and negative seeds
+    ["transport", "{path}", "--step", "1e-300", "--out", "{out}"],
+    ["transport", "{path}", "--step", "5e-324", "--out", "{out}"],
+    ["check", "{so3}", "--seed", "-1"],
+    ["differentiate-group", "so3", "--seed", "-5"],
 ])
 def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),
@@ -225,6 +232,16 @@ def test_overflowing_anchor_fails_checks_without_warnings(tmp_path):
     for name in ("bracket-jacobi", "anchor-morphism"):
         assert not checks[name]["passed"]
         assert not math.isfinite(checks[name]["max_residual"])
+
+
+def test_step_cap_is_checked_before_anything_is_allocated():
+    # a step of 1e-9 is checked, not run: its 10**9 steps would be allocated
+    with pytest.raises(FixtureError, match="steps per unit time"):
+        _check_flags(Namespace(samples=5, seed=0, step=1e-9))
+    _check_flags(Namespace(samples=5, seed=0, step=1.0 / MAX_STEPS))
+    assert _step_count(1.0, 1e-9) == 10 ** 9
+    with pytest.raises(ValueError, match="no finite step count"):
+        _step_count(1.0, 5e-324)
 
 
 def test_check_missing_file_exit_2(tmp_path):
