@@ -86,9 +86,12 @@ class Anchored:
         return self.rho.eval_floats(m).reshape(m.shape[:-1] + (self.dim_M, self.dim_A))
 
     def anchor_apply(self, m, a) -> np.ndarray:
-        return np.matmul(self.anchor_matrix(m), _vec(a)[..., None])[..., 0]
+        """rho(m) a: the value row of anchor_apply_jet."""
+        return self.anchor_apply_jet(JetPoint.constant(m), JetPoint.constant(a)).row(0)
 
     def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
+        if aj.dim != self.dim_A:
+            raise ValueError("fiber dim %d, expected %d" % (aj.dim, self.dim_A))
         rho = self.rho.eval_jet(mj).coeffs
         rho = rho.reshape(rho.shape[:-1] + (self.dim_M, self.dim_A))
         return JetPoint._of(_product(rho, aj.coeffs[..., None, :]).sum(axis=-1))
@@ -176,13 +179,9 @@ class AlgebroidSpec(Anchored):
         return tensor
 
     def c_apply(self, m, a, b) -> np.ndarray:
-        """C(m)(a, b) at a base point, or at each point of a batch."""
-        a, b = _vec(a), _vec(b)
-        first, second = self._pair_index
-        flat = self.c_pairs.eval_floats(_points(m, self.dim_M))
-        wedge = a[..., first] * b[..., second] - a[..., second] * b[..., first]
-        return (flat.reshape(flat.shape[:-1] + (self.dim_A, len(first)))
-                * wedge[..., None, :]).sum(axis=-1)
+        """C(m)(a, b) at a base point or a batch: the value row of c_apply_jet."""
+        mj, aj, bj = (JetPoint.constant(x) for x in (m, a, b))
+        return self.c_apply_jet(mj, aj, bj).row(0)
 
     def c_apply_jet(self, mj: JetPoint, aj: JetPoint, bj: JetPoint) -> JetPoint:
         first, second = self._pair_index
@@ -820,9 +819,10 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     antisymmetric, Jacobi; the flip-field morphism; the anchor morphism; and
     additivity of the section-to-flip-field assignment.
 
-    Brackets come from one table of the sections, one flip per law; the
-    nested sections [Y, Z], [Z, X], [X, Y] are the spec's bracket on jets,
-    and the two flip-field laws share one flip call for X, Y, [X, Y], X + Y."""
+    Brackets come from one table of the sections, one flip per law, the
+    anchor morphism reusing the antisymmetry law's [X, Y]; the nested
+    sections [Y, Z], [Z, X], [X, Y] are the spec's bracket on jets, and the
+    two flip-field laws share one flip call for X, Y, [X, Y], X + Y."""
     dm, da = inv.dim_M, inv.dim_A
     if inv.spec is None:
         raise ValueError("bracket laws need the defining spec for the nested brackets")
@@ -840,13 +840,15 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     table = _SectionTable(inv, [X, Y, Z, a_const * X + b_const * Y, _NestedBracket(spec, Y, Z),
                                 b_xy, _NestedBracket(spec, Z, X)], points)
 
-    def vanishes(name, pairs, weights):  # a combination of brackets that must be zero
+    def vanishes(name, brackets, weights):  # a combination of brackets that must be zero
         at_points(name, lambda rows: _max_abs(sum(
-            c * b for c, b in zip(weights, table.brackets(pairs, rows)))))
+            c * b for c, b in zip(weights, brackets(rows)))))
 
-    vanishes("bracket-antisymmetric", [(0, 1), (1, 0)], (1.0, 1.0))
-    vanishes("bracket-bilinear", [(3, 2), (0, 2), (1, 2)], (1.0, -a_const, -b_const))
-    vanishes("bracket-jacobi", [(0, 4), (2, 5), (1, 6)], (1.0, 1.0, 1.0))
+    stacked = lambda *pairs: lambda rows: table.brackets(pairs, rows)
+    xy_yx = _per_rows(stacked((0, 1), (1, 0)))
+    vanishes("bracket-antisymmetric", xy_yx, (1.0, 1.0))
+    vanishes("bracket-bilinear", stacked((3, 2), (0, 2), (1, 2)), (1.0, -a_const, -b_const))
+    vanishes("bracket-jacobi", stacked((0, 4), (2, 5), (1, 6)), (1.0, 1.0, 1.0))
 
     # flip fields: alpha_[X,Y] = [alpha_X, alpha_Y] as fields on the total space
     total = rng.uniform(-1, 1, (samples, dm + da))  # per sample m, then a
@@ -872,7 +874,7 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
             return 0.0
         m, z = points[rows], JetPoint.constant(points[rows], 0)
         field_bracket = ry(join_innermost(z, rx(z))).row(1) - rx(join_innermost(z, ry(z))).row(1)
-        return _max_abs(inv.anchor_apply(m, table.brackets([(0, 1)], rows)[0]) - field_bracket)
+        return _max_abs(inv.anchor_apply(m, xy_yx(rows)[0]) - field_bracket)
 
     at_points("anchor-morphism", anchor_morphism)
 

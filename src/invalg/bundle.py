@@ -174,8 +174,9 @@ class ConnectionSpec:
         return flat.reshape(self.dim_A, self.dim_M, self.dim_A)
 
     def apply(self, m, w, a) -> np.ndarray:
-        """Evaluate the bilinear form: result_k = sum G[k, alpha, j] w_alpha a_j."""
-        return np.einsum("kij,i,j->k", self.gamma_tensor(m), _vec(w), _vec(a))
+        """result_k = sum G[k, alpha, j] w_alpha a_j: the value row of apply_jet."""
+        mj, wj, aj = (JetPoint.constant(_vec(x)) for x in (m, w, a))
+        return self.apply_jet(mj, wj, aj).row(0)
 
     def apply_jet(self, mj: JetPoint, wj: JetPoint, aj: JetPoint) -> JetPoint:
         """Same bilinear form with jet coordinates throughout, batch axes kept."""
@@ -238,8 +239,8 @@ def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, rho: PolyMap, m):
     dim_M, dim_A = X.dim_M, X.dim_A
     if rho.out_dim != dim_M * dim_A or rho.in_dim != dim_M:
         raise ValueError("anchor shape does not match the section")
-    rho_mat = rho.eval_floats(m).reshape(m.shape[:-1] + (dim_M, dim_A))
-    v = np.matmul(rho_mat, X.x_poly.eval_floats(m)[..., None])[..., 0]
+    v = (rho.eval_floats(m).reshape(m.shape[:-1] + (dim_M, dim_A))
+         * X.x_poly.eval_floats(m)[..., None, :]).sum(axis=-1)
     tangent = JetPoint.from_rows(1, [m, v])
     out = f.f_poly.eval_jet(tangent).coeffs[1, ..., 0]
     return float(out) if out.ndim == 0 else out

@@ -573,8 +573,16 @@ def _add_common(sub, step=False):
         sub.add_argument("--step", type=float, default=1e-3)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subcommand parsers included, that reports an unusable
+    flag as a FixtureError for main, not as a usage block and SystemExit."""
+
+    def error(self, message):
+        raise FixtureError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invalg",
         description="verify and integrate involution algebroids from fixture files")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -621,8 +629,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         # an overflow shows as an inf or NaN residual in the report, which
         # fails its check; numpy's warnings about it would only be noise

@@ -470,7 +470,8 @@ class PolyMap:
     merged, terms sorted by exponent tuple, zero coefficients dropped.
     pm[i] (or a slice) selects outputs; a + b adds output by output; c * pm
     scales; a * b multiplies output by output, a one-output factor
-    broadcasting against the other.
+    broadcasting against the other.  eval_jet is the one evaluator:
+    eval_floats is its value row on constant jets.
     """
 
     in_dim: int
@@ -524,9 +525,11 @@ class PolyMap:
         return max((sum(exps) for row in self.terms for _, exps in row), default=0)
 
     def eval_jet(self, x: JetPoint) -> JetPoint:
-        """The nested-tangent extension: each term is its input powers,
+        """The nested-tangent extension, the package's one polynomial
+        evaluator: each term is its input powers (repeated products x * x),
         multiplied in input order, times its coefficient, and is added into
-        its own output in term order.  Batch axes of x are kept."""
+        its own output only, in term order, so an overflowing term cannot
+        make another output NaN.  Batch axes of x are kept."""
         if x.dim != self.in_dim:
             raise ValueError("input dim %d, expected %d" % (x.dim, self.in_dim))
         rows, coef, factors, top = self._compiled
@@ -534,13 +537,14 @@ class PolyMap:
         mono = np.zeros(xs.shape[:-1] + (len(coef),))
         mono[0] = 1.0
         if factors:
-            powers = np.zeros((top + 1,) + xs.shape)
-            powers[0, 0] = 1.0
-            powers[1] = xs
-            for e in range(2, len(powers)):
-                powers[e] = _product(powers[e - 1], xs)
-            for n, (i, exps, _) in enumerate(factors):
-                power = np.moveaxis(powers[exps, ..., i], 0, -1)
+            # exponent last, so powers[..., i, exps] is every term's factor
+            powers = np.zeros(xs.shape + (top + 1,))
+            powers[0, ..., 0] = 1.0
+            powers[..., 1] = xs
+            for e in range(2, top + 1):
+                powers[..., e] = _product(powers[..., e - 1], xs)
+            for n, (i, exps) in enumerate(factors):
+                power = powers[..., i, exps]
                 # a term skips the inputs it does not use
                 mono = power if n == 0 else np.where(exps > 0, _product(mono, power), mono)
         out = np.zeros(xs.shape[:-1] + (self.out_dim,))
@@ -551,40 +555,23 @@ class PolyMap:
 
     @cached_property
     def _compiled(self) -> tuple:
-        """The terms as arrays, built once per map and read by eval_floats and
-        eval_jet: the output row and the coefficient of every term, and for
-        each input that occurs, its exponent in every term and the terms where
-        that exponent is 2; and the top exponent."""
+        """The terms as arrays, built once per map for eval_jet: the output
+        row and the coefficient of every term, each input that occurs with
+        its exponent in every term, and the top exponent."""
         flat = [(k, c, e) for k, row in enumerate(self.terms) for c, e in row]
         rows = np.array([k for k, _, _ in flat], dtype=np.intp)
         coef = np.array([c for _, c, _ in flat], dtype=float)
         exps = np.array([e for _, _, e in flat], dtype=np.intp).reshape(len(flat), self.in_dim)
-        factors = tuple((i, exps[:, i], np.flatnonzero(exps[:, i] == 2))
-                        for i in range(self.in_dim) if exps[:, i].any())
+        factors = tuple((i, exps[:, i]) for i in range(self.in_dim) if exps[:, i].any())
         return rows, coef, factors, int(exps.max(initial=0))
 
     def eval_floats(self, x) -> np.ndarray:
-        """Vectorized evaluation: x has shape (..., in_dim); returns (..., out_dim).
-
-        Each term is its coefficient times its input powers, taken in input
-        order, and is added into its own output only, in term order; so an
-        overflowing term cannot turn another output into NaN."""
+        """Evaluation at float points: x has shape (..., in_dim); returns
+        (..., out_dim), the value row of eval_jet on the constant jet at x."""
         arr = np.asarray(x, dtype=float)
         if arr.shape[-1:] != (self.in_dim,):
             raise ValueError("input shape %r, expected trailing %d" % (arr.shape, self.in_dim))
-        lead = arr.shape[:-1]
-        rows, coef, factors, _ = self._compiled
-        pts = arr.reshape(math.prod(lead), self.in_dim)
-        mono = coef
-        for i, exps, squares in factors:
-            col = pts[:, i, None]
-            power = col ** exps
-            if len(squares):
-                power[:, squares] = col * col  # the rounding of x ** 2
-            mono = mono * power
-        out = np.zeros((len(pts), self.out_dim))
-        np.add.at(out, (slice(None), rows), mono)
-        return out.reshape(lead + (self.out_dim,))
+        return self.eval_jet(JetPoint.constant(arr, 0)).row(0)
 
     def partial(self, i: int) -> "PolyMap":
         """Exact partial derivative with respect to input i."""

@@ -122,6 +122,9 @@ def test_anchor_jet_matches_matrix():
         assert np.allclose(spec.anchor_apply(m, a), expected, atol=1e-14)
         jet_val = spec.anchor_apply_jet(JetPoint.constant(m, 0), JetPoint.constant(a, 0))
         assert np.allclose(jet_val.row(0), expected, atol=1e-14)
+    # a fiber vector of the wrong length is rejected, not broadcast
+    with pytest.raises(ValueError):
+        spec.anchor_apply(m, a[:1])
 
 
 # -- well-formedness predicate ------------------------------------------------
@@ -317,6 +320,19 @@ def test_axioms_composite_route():
     inv = flip_from_bracket(catalog.action_so3_r3(), conn)
     report = check_axioms(inv, samples=30, seed=4)
     assert report.passed, report.to_text()
+
+
+@pytest.mark.parametrize("name", ["abelian", "tangent-r2", "so3", "sl2", "action-so3-r3",
+                                  "lie-algebra-bundle"])
+def test_source_and_zero_sections_are_exact(name):
+    # the sampler and both flips read the anchor off the one jet evaluator,
+    # so the laws that compare a flip against the sampled anchor read 0.0
+    spec = catalog.get(name)
+    for inv in (involution_from_spec(spec), flip_from_bracket(spec)):
+        for seed in range(6):
+            report = check_axioms(inv, samples=200, seed=seed)
+            assert report["source"].max_residual == 0.0, (seed, report.to_text())
+            assert report["zero-sections"].max_residual == 0.0, (seed, report.to_text())
 
 
 def test_broken_jacobi_fails_flip_axiom_only():

@@ -200,6 +200,10 @@ def test_check_input_errors_exit_2(tmp_path, capsys, payload):
     ["transport", "{path}", "--step", "5e-324", "--out", "{out}"],
     ["check", "{so3}", "--seed", "-1"],
     ["differentiate-group", "so3", "--seed", "-5"],
+    # flags the parser itself rejects: a bad type, an unknown flag, a missing fixture
+    ["check", "{so3}", "--samples", "abc"],
+    ["check", "{so3}", "--bogus"],
+    ["check"],
 ])
 def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),

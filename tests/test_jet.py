@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invalg import ConnectionSpec, catalog_get, catalog_names
 from invalg.jet import (
     JetPoint,
     JetScalar,
@@ -228,17 +229,27 @@ def test_polymap_eval_and_partial():
 
 
 def _eval_per_term(pm, x):
-    """Reference evaluation: one term at a time, added into its output."""
+    """Reference evaluation in the order of the one evaluator, one term at a
+    time: each power a repeated product x * x * ..., the powers multiplied in
+    input order, the coefficient applied last, the term added into its
+    output."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1] + (pm.out_dim,))
     for k, row in enumerate(pm.terms):
         for c, exps in row:
-            term = np.full(x.shape[:-1], c)
+            term = np.ones(x.shape[:-1])
             for i, e in enumerate(exps):
                 if e:
-                    term = term * x[..., i] ** e
-            out[..., k] += term
+                    power = x[..., i]
+                    for _ in range(e - 1):
+                        power = power * x[..., i]
+                    term = term * power
+            out[..., k] += c * term
     return out
+
+
+def _random_jet_batch(rng, depth, lead, dim):
+    return JetPoint._of(rng.uniform(-1.5, 1.5, (1 << depth,) + lead + (dim,)))
 
 
 def test_compiled_eval_floats_matches_per_term_reference():
@@ -254,11 +265,32 @@ def test_compiled_eval_floats_matches_per_term_reference():
             assert got.shape == lead + (out_dim,)
             # the same products and sums in the same order: equal, not just close
             np.testing.assert_array_equal(got, _eval_per_term(pm, x))
+            # float evaluation is the value row of the jet evaluation
+            xj = _random_jet_batch(rng, int(rng.integers(1, 4)), lead, in_dim)
+            np.testing.assert_array_equal(pm.eval_floats(xj.coeffs[0]), pm.eval_jet(xj).coeffs[0])
     # no inputs: a constant map broadcasts over the leading dimensions
     const = PolyMap.constant([1.5, 0.0, -2.0], 0)
     assert const.eval_floats(np.zeros((2, 0))).tolist() == [[1.5, 0.0, -2.0]] * 2
     with pytest.raises(ValueError):
         const.eval_floats([1.0])
+    # so are the anchor, the structure functions and a connection
+    for name in catalog_names():
+        spec = catalog_get(name)
+        dm, da = spec.dim_M, spec.dim_A
+        conn = ConnectionSpec.random_poly(rng, dm, da, degree=2)
+        for depth in (1, 2, 3):
+            mj = _random_jet_batch(rng, depth, (5,), dm)
+            aj, bj = (_random_jet_batch(rng, depth, (5,), da) for _ in range(2))
+            m, a, b = mj.coeffs[0], aj.coeffs[0], bj.coeffs[0]
+            np.testing.assert_array_equal(spec.anchor_apply(m, a),
+                                          spec.anchor_apply_jet(mj, aj).coeffs[0])
+            np.testing.assert_array_equal(spec.c_apply(m, a, b),
+                                          spec.c_apply_jet(mj, aj, bj).coeffs[0])
+            wj = _random_jet_batch(rng, depth, (), dm)
+            np.testing.assert_array_equal(
+                conn.apply(m[0], wj.coeffs[0], a[0]),
+                conn.apply_jet(JetPoint._of(mj.coeffs[:, 0]), wj,
+                               JetPoint._of(aj.coeffs[:, 0])).coeffs[0])
 
 
 def test_overflowing_term_stays_in_its_own_output():
