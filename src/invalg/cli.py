@@ -17,8 +17,8 @@ import numpy as np
 from .algebroid import (
     AlgebroidSpec,
     _random_section_poly,
+    _SectionTable,
     _sample_pairs,
-    bracket_from_flip,
     check_axioms,
     check_bracket_laws,
     check_leibniz,
@@ -39,16 +39,12 @@ from .groupoid import (
     group_catalog,
 )
 from .jet import PolyMap, check_tangent_axioms
-from .report import CheckResult, Report, _fold, _passes
+from .report import FixtureError, Report, _fold, _judged
 
 SCHEMA_VERSION = 1
 MAX_STEPS = 10 ** 6  # the most fixed steps per unit time that --step may ask for
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
-
-
-class FixtureError(ValueError):
-    """Anything wrong with an input file or flag value; maps to exit code 2."""
 
 
 # -- fixture loading ----------------------------------------------------------
@@ -299,65 +295,58 @@ def _differentiate(group_spec, samples: int, seed: int):
 # -- check suites -------------------------------------------------------------
 
 
-def _algebroid_report(inv, samples: int, seed: int, tolerances: dict) -> Report:
+def _algebroid_report(inv, samples: int, seed: int) -> Report:
     report = Report()
     report.extend(check_tangent_axioms(samples=samples, seed=seed))
-    report.extend(check_axioms(inv, samples=samples, seed=seed, tolerances=tolerances))
-    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed,
-                                    tolerances=tolerances))
+    report.extend(check_axioms(inv, samples=samples, seed=seed))
+    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
     rng = np.random.default_rng(seed)
     sections = [SectionSpec(_random_section_poly(rng, inv.dim_M, inv.dim_A))
                 for _ in range(3)]
     field = ScalarFieldSpec(_random_section_poly(rng, inv.dim_M, 1))
     point_count = max(10, samples // 5)
-    report.extend(check_bracket_laws(inv, sections=sections, samples=point_count, seed=seed,
-                                     tolerance=tolerances.get("bracket-laws", 1e-9)))
+    report.extend(check_bracket_laws(inv, sections=sections, samples=point_count, seed=seed))
     report.extend(check_leibniz(inv, sections[0], sections[1], field, samples=point_count,
-                                seed=seed, tolerance=tolerances.get("leibniz", 1e-9)))
+                                seed=seed))
     return report
 
 
-def _connection_report(spec, conn, samples: int, seed: int, tolerances: dict) -> Report:
+def _connection_report(spec, conn, samples: int, seed: int) -> Report:
     inv_conn = flip_from_bracket(spec, conn)
     inv_canon = involution_from_spec(spec)
-    report = check_axioms(inv_conn, samples=samples, seed=seed, tolerances=tolerances)
+    report = check_axioms(inv_conn, samples=samples, seed=seed)
     pes = _sample_pairs(inv_canon, np.random.default_rng(seed), samples)
 
     def agreement(rows):
         v, w = pes.v_jet(rows), pes.w_jet(rows)
         return ta_residuals(inv_conn.flip(v, w), inv_canon.flip(v, w), spec.dim_M)
 
-    report.add(_fold("connection-independence", samples, agreement,
-                     tolerances.get("connection-independence", 1e-12), seed))
+    report.add(_fold("connection-independence", samples, agreement, 1e-12, seed))
     return report
 
 
-def _membership_report(fx: dict, tolerances: dict) -> Report:
+def _membership_report(fx: dict) -> Report:
     inv = involution_from_spec(fx["spec"])
     grid = 33 if fx["kind"] == "apath" else 9
     residuals = fx["variation"].membership_residual(inv, grid)
     samples = grid if fx["kind"] == "apath" else grid * grid
-    report = Report()
-    for name in sorted(residuals):
-        tol = tolerances.get(name, 1e-9)
-        value = float(residuals[name])
-        report.add(CheckResult(name, samples, None, value, tol, _passes(value, tol), None))
-    return report
+    return Report([_fold(name, samples, lambda rows, name=name: residuals[name], 1e-9, None)
+                   for name in sorted(residuals)])
 
 
-def _check_report(fx: dict, samples: int, seed: int, tolerances: dict) -> Report:
+def _check_report(fx: dict, samples: int, seed: int) -> Report:
     if samples == 0:
         return Report()
     kind = fx["kind"]
     if kind in ("algebroid", "involution-flip"):
-        return _algebroid_report(involution_from_spec(fx["spec"]), samples, seed, tolerances)
+        return _algebroid_report(involution_from_spec(fx["spec"]), samples, seed)
     if kind == "connection":
-        return _connection_report(fx["spec"], fx["connection"], samples, seed, tolerances)
+        return _connection_report(fx["spec"], fx["connection"], samples, seed)
     if kind == "group":
         _, report = _differentiate(fx["group"], samples, seed)
         return report
     if kind in ("apath", "ahomotopy"):
-        return _membership_report(fx, tolerances)
+        return _membership_report(fx)
     return Report()  # sections and scalar fields are fully validated at load
 
 
@@ -389,8 +378,7 @@ def _format_report(report: Report, fmt: str) -> str:
 
 def do_check(args) -> int:
     fx = load_fixture(args.fixture)
-    tolerances = _parse_tolerances(args.tolerance)
-    report = _check_report(fx, args.samples, args.seed, tolerances)
+    report = _judged(_check_report(fx, args.samples, args.seed), args.tolerance)
     _emit(_format_report(report, args.format), args.out)
     return 0 if report.passed else 1
 
@@ -438,13 +426,11 @@ def do_convert(args) -> int:
         dm, da = spec.dim_M, spec.dim_A
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(-1, 1, (max(1, min(args.samples, 10)), dm))
-        table = []
-        for i in range(da):
-            for j in range(i + 1, da):
-                sections = (SectionSpec(PolyMap.constant(np.eye(da)[k], dm)) for k in (i, j))
-                values = bracket_from_flip(inv, *sections)(points)
-                table += [{"i": i, "j": j, "m": _ser_vector(m), "value": _ser_vector(value)}
-                          for m, value in zip(points, values)]
+        frame = _SectionTable(inv, [PolyMap.constant(e, dm) for e in np.eye(da)], points)
+        brackets = frame.brackets(spec.pairs) if spec.pairs else []
+        table = [{"i": i, "j": j, "m": _ser_vector(m), "value": _ser_vector(value)}
+                 for (i, j), values in zip(spec.pairs, brackets)
+                 for m, value in zip(points, values)]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "result": "bracket",
@@ -466,7 +452,6 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an apath or ahomotopy fixture, got %r" % kind)
     if "initial" not in fx:
         raise FixtureError("transport needs an initial element in the fixture")
-    tolerances = _parse_tolerances(args.tolerance)
     inv = involution_from_spec(fx["spec"])
     if kind == "apath":
         run = apath_transport(inv, fx["variation"], fx["initial"], h=args.step)
@@ -475,9 +460,7 @@ def do_transport(args) -> int:
         run = ahomotopy_transport(inv, fx["variation"], fx["initial"], h=args.step)
         name, count, value = ("homotopy-discrepancy", len(run.s_nodes) * len(run.t_nodes),
                               run.discrepancy)
-    tol = tolerances.get(name, 1e-6)
-    value = float(value)
-    report = Report([CheckResult(name, count, None, value, tol, _passes(value, tol), None)])
+    report = _judged(Report([_fold(name, count, lambda rows: value, 1e-6, None)]), args.tolerance)
     _write(args.out, run.to_csv())
     print(_format_report(report, args.format))
     return 0 if report.passed else 1
@@ -495,6 +478,7 @@ def do_differentiate_group(args) -> int:
         spec = _group_catalog(target)
         label = target
     inv, report = _differentiate(spec, args.samples, args.seed)
+    report = _judged(report, args.tolerance)
     constants = _structure_entries(inv.spec)
     if args.format == "json":
         text = _dumps({"group": label, "constants": constants,
@@ -534,22 +518,6 @@ def do_catalog(args) -> int:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _parse_tolerances(pairs) -> dict:
-    tols = {}
-    for item in pairs or []:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise FixtureError("--tolerance expects name=value, got %r" % item)
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = math.nan  # rejected below with the other unusable values
-        if not (math.isfinite(tol) and tol >= 0):
-            raise FixtureError("bad tolerance value in %r" % item)
-        tols[name.strip()] = tol
-    return tols
-
-
 def _check_flags(args) -> None:
     """Reject flag values no command can use, before anything is allocated."""
     for flag in ("samples", "seed"):
@@ -566,7 +534,7 @@ def _add_common(sub, step=False):
     sub.add_argument("--samples", type=int, default=200)
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tolerance", action="append", metavar="CHECK=VALUE",
-                     help="override a named check tolerance; repeatable")
+                     help="re-judge the reported check CHECK at tolerance VALUE; repeatable")
     sub.add_argument("--out", metavar="PATH", default=None)
     sub.add_argument("--format", choices=("json", "text", "csv"), default="text")
     if step:

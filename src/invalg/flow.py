@@ -276,6 +276,16 @@ def _fiber_coefficients(inv: InvolutionAlgebroid, blocks: np.ndarray, base: np.n
     return np.moveaxis(velocity[1:] - offs, 0, -1), offs
 
 
+def _affine_anchor(inv: InvolutionAlgebroid, a_t: np.ndarray):
+    """The base equation m' = rho(m) a_t of an anchor of degree <= 1, for
+    a_t (steps, rows, dim_A), as its matrix (steps, rows, dim_M, dim_M) and
+    offset (steps, rows, dim_M): rho(m) a = rho(0) a + sum_k m_k (rho(e_k) -
+    rho(0)) a, read off the one anchor evaluator at 0, e_1, ..., e_dim_M."""
+    probes = np.vstack([np.zeros(inv.dim_M), np.eye(inv.dim_M)])[:, None, None]
+    at = inv.anchor_apply(probes, a_t)
+    return np.moveaxis(at[1:] - at[0], 0, -1), at[0]
+
+
 def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end: float):
     """Transport one fiber element per row along that row's path variation,
     all rows as one state.  stages (rows, 4n + 1, 2(dim_M + dim_A)) holds the
@@ -287,13 +297,8 @@ def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end:
     rows, count, _ = stages.shape
     n = (count - 1) // 4
     a_phi = _split_blocks(stages, dm, da)[1]
-    if inv.rho.degree <= 1:
-        # rho(m) = rho(0) + sum_k m_k d_k rho, so the base equation is affine too
-        origin = np.zeros(dm)
-        slope = inv.rho.jacobian_at(origin).reshape(dm, da, dm)
-        a_t = a_phi.swapaxes(0, 1)
-        base = _affine_rk4(np.einsum("ijk,...j->...ik", slope, a_t),
-                           a_t @ inv.anchor_matrix(origin).T, m0, t_end / (2 * n))
+    if inv.rho.degree <= 1:  # the base equation is affine too
+        base = _affine_rk4(*_affine_anchor(inv, a_phi.swapaxes(0, 1)), m0, t_end / (2 * n))
     else:
         quarter = t_end / (count - 1)
 

@@ -11,10 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invalg.bundle import ConnectionSpec
-from invalg.cli import MAX_STEPS, FixtureError, _check_flags, main
+from invalg.algebroid import bracket_from_flip, check_axioms, involution_from_spec
+from invalg.bundle import ConnectionSpec, SectionSpec
+from invalg.cli import MAX_STEPS, FixtureError, _check_flags, _check_report, load_fixture, main
 from invalg.flow import _step_count
 from invalg.jet import PolyMap
+from invalg.report import Report
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write_fixture(tmp_path, name, payload) -> str:
@@ -204,6 +208,11 @@ def test_check_input_errors_exit_2(tmp_path, capsys, payload):
     ["check", "{so3}", "--samples", "abc"],
     ["check", "{so3}", "--bogus"],
     ["check"],
+    # a --tolerance name that is not a check of the report, the bracket
+    # laws' old group key among them, and any name when nothing is checked
+    ["check", "{so3}", "--samples", "5", "--tolerance", "nosuch=1"],
+    ["check", "{so3}", "--samples", "5", "--tolerance", "bracket-laws=1"],
+    ["check", "{so3}", "--samples", "0", "--tolerance", "flip=1"],
 ])
 def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),
@@ -260,6 +269,52 @@ def test_check_tolerance_override_can_force_failure(tmp_path):
     code = main(["check", fx, "--samples", "30", "--out", out,
                  "--tolerance", "flip=1e-20"])
     assert code == 1
+
+
+VERDICT_CASES = {
+    "check so3": lambda tmp: ["check", str(FIXTURES / "so3.json"), "--samples", "20"],
+    "check action-cross": lambda tmp: ["check", str(FIXTURES / "action-cross.json"),
+                                       "--samples", "20"],
+    "check connection": lambda tmp: ["check", write_fixture(tmp, "conn.json", {
+        "schema_version": 1, "kind": "connection", "algebroid": {"catalog": "so3"}}),
+        "--samples", "20"],
+    "check group": lambda tmp: ["check", write_fixture(tmp, "g.json", {
+        "schema_version": 1, "kind": "group", "catalog": "sl2"}), "--samples", "20"],
+    "check apath": lambda tmp: ["check", write_fixture(tmp, "p.json", tangent_path_payload())],
+    "transport tangent-path": lambda tmp: ["transport", str(FIXTURES / "tangent-path.json"),
+                                           "--step", "0.01", "--out", str(tmp / "t.csv")],
+    "differentiate-group sl2": lambda tmp: ["differentiate-group", "sl2", "--samples", "20"],
+}
+
+
+def report_rows(argv, capsys):
+    code = main(argv + ["--seed", "1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    return code, payload.get("report", payload)["checks"]
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_tolerance_rejudges_exactly_the_named_row(tmp_path, capsys, case):
+    argv = VERDICT_CASES[case](tmp_path)
+    code, rows = report_rows(argv, capsys)
+    assert code == 0 and rows and all(row["passed"] for row in rows)
+    for i, row in enumerate(rows):
+        code, judged = report_rows(argv + ["--tolerance", row["name"] + "=1e-300"], capsys)
+        failing = row["max_residual"] > 1e-300
+        assert judged[i] == dict(row, tolerance=1e-300, passed=not failing)
+        assert judged[:i] + judged[i + 1:] == rows[:i] + rows[i + 1:]
+        assert code == (1 if failing else 0)
+
+
+def test_tolerance_override_matches_the_suite_tolerance(capsys):
+    fx = str(FIXTURES / "so3.json")
+    assert main(["check", fx, "--samples", "20", "--seed", "1", "--format", "json",
+                 "--tolerance", "flip=1e-20"]) == 1
+    inv = involution_from_spec(load_fixture(fx)["spec"])
+    axioms = check_axioms(inv, samples=20, seed=1, tolerances={"flip": 1e-20})
+    full = _check_report(load_fixture(fx), 20, 1)
+    want = Report([axioms[r.name] if r.name in axioms.names() else r for r in full.results])
+    assert capsys.readouterr().out == want.to_json() + "\n"
 
 
 def test_check_bad_tolerance_flag_exit_2(tmp_path):
@@ -388,6 +443,24 @@ def test_convert_group_fixture_recovers_signed_constants(tmp_path):
     flip = json.loads(flip_path.read_text())
     got = {(e["i"], e["j"], e["k"]): e["terms"][0]["coeff"] for e in flip["structure"]}
     assert got == {(1, 2, 0): -1.0, (0, 2, 1): 1.0, (0, 1, 2): -1.0}
+
+
+def test_convert_to_bracket_is_the_pairwise_bracket(tmp_path, capsys):
+    # the one batched flip gives the bracket of each basis pair on its own
+    fx = catalog_fixture(tmp_path, "lie-algebra-bundle")
+    flip_path = tmp_path / "flip.json"
+    assert main(["convert", fx, "to-flip", "--format", "json", "--out", str(flip_path)]) == 0
+    capsys.readouterr()
+    assert main(["convert", str(flip_path), "to-bracket", "--format", "json", "--seed", "3"]) == 0
+    table = json.loads(capsys.readouterr().out)["evaluation"]["table"]
+    spec = load_fixture(str(flip_path))["spec"]
+    basis = lambda k: SectionSpec(PolyMap.constant(np.eye(spec.dim_A)[k], spec.dim_M))
+    assert sorted({(row["i"], row["j"]) for row in table}) == list(spec.pairs)
+    for i, j in spec.pairs:
+        rows = [row for row in table if (row["i"], row["j"]) == (i, j)]
+        points = np.array([row["m"] for row in rows])
+        want = bracket_from_flip(involution_from_spec(spec), basis(i), basis(j))(points)
+        assert [row["value"] for row in rows] == want.tolist()
 
 
 def test_convert_kind_mismatch_exit_2(tmp_path, capsys):

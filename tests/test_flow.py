@@ -6,11 +6,19 @@ import pytest
 
 from invalg.algebroid import AlgebroidSpec, InvolutionAlgebroid, involution_from_spec
 from invalg.bundle import AElement
-from invalg.catalog import abelian, action_so3_r3, so3, tangent
+from invalg.catalog import (
+    abelian,
+    action_so3_r3,
+    get as catalog_get,
+    names as catalog_names,
+    so3,
+    tangent,
+)
 from invalg.cli import load_fixture
 from invalg.flow import (
     AHomotopyVariation,
     APathVariation,
+    _affine_anchor,
     _fiber_coefficients,
     _stage_index,
     ahomotopy_transport,
@@ -310,6 +318,38 @@ def test_coefficient_routes_agree_on_curved_anchor():
     assert float(np.max(np.abs(mat_s - mat_f))) < 1e-12
     assert float(np.max(np.abs(off_s - off_f))) < 1e-12
     assert float(np.max(np.abs(mat_s[1, 1]))) > 0.1  # the anchor is curved here
+
+
+def jacobian_route(inv, a_t):
+    # the affine base equation from the anchor's Jacobian and its matrix at
+    # the origin, each contracted with a_t by its own product
+    origin = np.zeros(inv.dim_M)
+    slope = inv.rho.jacobian_at(origin).reshape(inv.dim_M, inv.dim_A, inv.dim_M)
+    return (np.einsum("ijk,...j->...ik", slope, a_t), a_t @ inv.anchor_matrix(origin).T)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_get(n).rho.degree <= 1])
+def test_affine_anchor_is_the_jacobian_route_exactly(name):
+    inv = involution_from_spec(catalog_get(name))
+    a_t = np.random.default_rng(3).uniform(-1, 1, (9, 2, inv.dim_A))
+    mats, offs = _affine_anchor(inv, a_t)
+    want_mats, want_offs = jacobian_route(inv, a_t)
+    assert mats.shape == want_mats.shape == (9, 2, inv.dim_M, inv.dim_M)
+    assert np.array_equal(mats, want_mats) and np.array_equal(offs, want_offs)
+
+
+def test_affine_anchor_matches_jacobian_route_on_non_dyadic_anchor():
+    rng = np.random.default_rng(11)
+    rho = PolyMap.from_terms(2, [[(c, e) for c, e in zip(rng.uniform(-1, 1, 3),
+                                                            [(0, 0), (1, 0), (0, 1)])]
+                                 for _ in range(6)])
+    inv = involution_from_spec(AlgebroidSpec(2, 3, rho, PolyMap.zero(2, 9)))
+    a_t = rng.uniform(-1, 1, (9, 2, 3))
+    got, want = _affine_anchor(inv, a_t), jacobian_route(inv, a_t)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert float(np.max(np.abs(g - w))) <= 1e-15
+    assert float(np.max(np.abs(got[0]))) > 0.1  # the anchor does depend on m
 
 
 @pytest.mark.parametrize("case", ["tangent-path fixture", "curved action"])
