@@ -11,15 +11,15 @@ Both stages read a stage table: the variation is evaluated once, in one
 call, at every time an RK4 stage of the refined grid asks for, and the fiber
 coefficients (matrix, offset) are computed from that table at every
 refined-grid time in one batch.  One RK4 step of an affine system is an
-affine map, so the step maps of every step are built in one batch and then
-applied in turn.  The fiber always takes that route, and so does the base
-when the anchor has degree at most 1 in the base point; for an anchor of
-degree 2 or more the base equation is nonlinear and is solved stage by
-stage.  Several transports along different variations run as rows of one
-state; a path transport is the one-row case, and a homotopy transport
-integrates its spine, then all rows of the square at once, in each order.
-The same machinery gives the differentiation / integration maps between
-fiber paths and infinitesimal variations.
+affine map, so the step maps of every step are built in one batch and
+composed by prefix products.  The fiber always takes that route, and so
+does the base when the anchor has degree at most 1 in the base point; for
+an anchor of degree 2 or more the base equation is nonlinear and is solved
+stage by stage.  Several transports along different variations run as
+rows of one state; a path transport is the one-row case, and a homotopy
+transport integrates its spine, then all rows of the square at once, in
+each order.  The same machinery gives the differentiation / integration
+maps between fiber paths and infinitesimal variations.
 """
 
 from __future__ import annotations
@@ -70,12 +70,12 @@ def _step_count(t_end: float, h: float) -> int:
     return max(1, int(round(t_end / h)))
 
 
-def _affine_rk4(mats, offs, x0, h: float) -> np.ndarray:
-    """Fixed-step RK4 of the affine system x' = M(t) x + o(t), with M and o
-    given at every half step: mats (2n + 1, rows, d, d), offs (2n + 1, rows,
-    d), x0 (rows, d).  One RK4 step of an affine system is an affine map, so
-    the homogeneous (d + 1) x (d + 1) maps of all n steps are built in one
-    batch and then applied in turn.  Returns the states (n + 1, rows, d)."""
+def _rk4_step_maps(mats, offs, h: float) -> np.ndarray:
+    """The homogeneous (d + 1) x (d + 1) maps (n, rows, d + 1, d + 1) of the
+    n RK4 steps of the affine system x' = M(t) x + o(t), with M and o given
+    at every half step: mats (2n + 1, rows, d, d), offs (2n + 1, rows, d).
+    One RK4 step of an affine system is an affine map, so all n are built
+    in one batch."""
     steps, rows, d = offs.shape
     f = np.zeros((steps, rows, d + 1, d + 1))
     f[..., :d, :d] = mats
@@ -85,16 +85,34 @@ def _affine_rk4(mats, offs, x0, h: float) -> np.ndarray:
     k2 = mid @ (one + (h / 2) * k1)
     k3 = mid @ (one + (h / 2) * k2)
     k4 = end @ (one + h * k3)
-    maps = one + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return one + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _affine_rk4(mats, offs, x0, h: float) -> np.ndarray:
+    """Fixed-step RK4 of the affine system x' = M(t) x + o(t), with M and o
+    given at every half step: mats (2n + 1, rows, d, d), offs (2n + 1, rows,
+    d), x0 (rows, d).  Composing the step maps is associative, so their
+    prefix products come from ceil(log2 n) batched products by doubling
+    (Hillis & Steele, CACM 1986), and every state is one product of its
+    prefix with the start.  A product can overflow where the state it gives
+    does not, so when a state is non-finite the steps are replayed one at a
+    time, and the divergence is reported at the first step whose state is
+    non-finite.  Returns the states (n + 1, rows, d)."""
+    rows, d = offs.shape[1:]
+    maps = _rk4_step_maps(mats, offs, h)
     states = np.empty((len(maps) + 1, rows, d + 1, 1))
     states[0, :, :d, 0] = x0
     states[0, :, d] = 1.0
-    for i, step in enumerate(maps):
-        states[i + 1] = step @ states[i]
-    bad = ~np.isfinite(states[1:]).all(axis=(1, 2, 3))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ArithmeticError("trajectory diverged at t = %g" % (i * h + h))
+    shift = 1
+    while shift < len(maps):  # maps[i] becomes step i @ ... @ step 0
+        maps[shift:] = maps[shift:] @ maps[:-shift]
+        shift *= 2
+    states[1:] = maps @ states[0]
+    if not np.isfinite(states[1:]).all():
+        for i, step in enumerate(_rk4_step_maps(mats, offs, h)):
+            states[i + 1] = step @ states[i]
+            if not np.isfinite(states[i + 1]).all():
+                raise ArithmeticError("trajectory diverged at t = %g" % (i * h + h))
     return states[:, :, :d, 0]
 
 
@@ -235,12 +253,22 @@ class PathTransport:
     anchor_residual: float
 
     def to_csv(self) -> str:
-        return _csv([t, *self.base[i], *self.fiber[i]] for i, t in enumerate(self.times))
+        return _csv(self.times, self.base, self.fiber)
 
 
-def _csv(rows) -> str:
-    """One line per row of numbers, each in round-trip form."""
-    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows)
+def _csv(*columns) -> str:
+    """One line per row of the columns side by side (a 1-d array is one
+    column), each number in round-trip form.  The whole table is formatted
+    by one % over one flat list, with no Python list built per row."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def _square_csv(s_nodes, t_nodes, values) -> str:
+    """One line s, t, values[i, j] per node of a square grid, s major."""
+    s, t = (axis.ravel() for axis in np.meshgrid(s_nodes, t_nodes, indexing="ij"))
+    return _csv(s, t, values.reshape(s.size, values.shape[-1]))
 
 
 def _stage_index(t: float, spacing: float, count: int) -> int:
@@ -372,9 +400,7 @@ class HomotopyTransport:
     discrepancy: float
 
     def to_csv(self, which: int = 0) -> str:
-        fiber = self.fiber0 if which == 0 else self.fiber1
-        return _csv([s, t, *fiber[i, j]]
-                    for i, s in enumerate(self.s_nodes) for j, t in enumerate(self.t_nodes))
+        return _square_csv(self.s_nodes, self.t_nodes, self.fiber0 if which == 0 else self.fiber1)
 
 
 def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
@@ -465,7 +491,7 @@ class FiberPath:
     values: np.ndarray
 
     def to_csv(self) -> str:
-        return _csv([t, *self.values[i]] for i, t in enumerate(self.times))
+        return _csv(self.times, self.values)
 
 
 def inf_apath_wedge(inv: InvolutionAlgebroid, phi: APathVariation, h: float = 1e-3,
@@ -530,8 +556,7 @@ class FiberSurface:
     values: np.ndarray
 
     def to_csv(self) -> str:
-        return _csv([s, t, *self.values[i, j]]
-                    for i, s in enumerate(self.s_nodes) for j, t in enumerate(self.t_nodes))
+        return _square_csv(self.s_nodes, self.t_nodes, self.values)
 
 
 def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: float = 1e-3,

@@ -18,7 +18,12 @@ from invalg.cli import load_fixture
 from invalg.flow import (
     AHomotopyVariation,
     APathVariation,
+    FiberPath,
+    FiberSurface,
+    HomotopyTransport,
+    PathTransport,
     _affine_anchor,
+    _affine_rk4,
     _fiber_coefficients,
     _stage_index,
     ahomotopy_transport,
@@ -34,6 +39,7 @@ from invalg.flow import (
     rk4_solve,
 )
 from invalg.jet import JetPoint, PolyMap
+from invalg.report import quiet
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -154,6 +160,81 @@ def test_rk4_rejects_bad_parameters():
             rk4_solve(lambda t, x: x, [1.0], 1.0, h)
     with pytest.raises(ValueError):
         rk4_solve(lambda t, x: x, [1.0], -1.0, 0.1)
+
+
+def sequential_affine_rk4(mats, offs, x0, h):
+    # the step maps applied one after another, each to the state before it:
+    # the reference for the prefix products of _affine_rk4
+    steps, rows, d = offs.shape
+    f = np.zeros((steps, rows, d + 1, d + 1))
+    f[..., :d, :d] = mats
+    f[..., :d, d] = offs
+    one = np.eye(d + 1)
+    k1, mid, end = f[:-1:2], f[1::2], f[2::2]
+    k2 = mid @ (one + (h / 2) * k1)
+    k3 = mid @ (one + (h / 2) * k2)
+    k4 = end @ (one + h * k3)
+    maps = one + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    states = np.empty((len(maps) + 1, rows, d + 1, 1))
+    states[0, :, :d, 0] = x0
+    states[0, :, d] = 1.0
+    for i, step in enumerate(maps):
+        states[i + 1] = step @ states[i]
+    bad = ~np.isfinite(states[1:]).all(axis=(1, 2, 3))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ArithmeticError("trajectory diverged at t = %g" % (i * h + h))
+    return states[:, :, :d, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
+@pytest.mark.parametrize("rows", [1, 11])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_affine_rk4_prefix_products_match_sequential_steps(d, rows, n):
+    rng = np.random.default_rng(1000 * d + 10 * rows + n)
+    mats = rng.uniform(-1.0, 1.0, (2 * n + 1, rows, d, d))
+    offs = rng.uniform(-1.0, 1.0, (2 * n + 1, rows, d))
+    x0 = rng.uniform(-1.0, 1.0, (rows, d))
+    got = _affine_rk4(mats, offs, x0, 1.0 / n)
+    want = sequential_affine_rk4(mats, offs, x0, 1.0 / n)
+    assert got.shape == want.shape == (n + 1, rows, d)
+    assert np.array_equal(got[0], x0)
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
+
+
+def exploding_system(n: int, rows: int = 1):
+    # x' = 1000 x: each step multiplies by about 2.7, so the state overflows
+    # near t = 0.71 from x0 = 1, and the step products overflow there too
+    mats = np.full((2 * n + 1, rows, 1, 1), 1000.0)
+    return mats, np.zeros((2 * n + 1, rows, 1))
+
+
+def divergence_time(solve, *args) -> str:
+    with quiet(), pytest.raises(ArithmeticError, match="diverged") as caught:
+        solve(*args)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("x0", [1.0, -3e5, 1e-100])
+def test_affine_rk4_divergence_time_matches_sequential_steps(x0):
+    # from 1e-100 the state overflows near t = 0.94, after the products do
+    mats, offs = exploding_system(1000)
+    start = np.array([[x0]])
+    got = divergence_time(_affine_rk4, mats, offs, start, 1e-3)
+    assert got == divergence_time(sequential_affine_rk4, mats, offs, start, 1e-3)
+
+
+def test_affine_rk4_overflowing_products_need_not_diverge():
+    # the step products overflow near t = 0.71, but a state that starts at
+    # 1e-300 (or at exactly 0) stays finite up to t = 1, as in the step loop
+    mats, offs = exploding_system(1000, 2)
+    start = np.array([[1e-300], [0.0]])
+    with quiet():
+        got = _affine_rk4(mats, offs, start, 1e-3)
+        want = sequential_affine_rk4(mats, offs, start, 1e-3)
+    assert np.all(np.isfinite(got)) and got[-1, 0, 0] > 1e120
+    assert np.array_equal(got, want)
 
 
 # -- matrix exponential -------------------------------------------------------
@@ -450,6 +531,21 @@ def test_transport_convergence_order():
     assert 12.0 <= errors[1] / errors[2] <= 20.0
 
 
+def test_curved_fixture_error_falls_at_fourth_order():
+    # RK4 is not exact on this variation, so a wrong stage shows: the end
+    # point error against a fine run falls by about 2**4 when h halves
+    fx = load_fixture(str(FIXTURES / "curved-path.json"))
+    inv = involution_from_spec(fx["spec"])
+
+    def end_point(h):
+        run = apath_transport(inv, fx["variation"], fx["initial"], h)
+        return np.concatenate([run.base[-1], run.fiber[-1]])
+
+    ref = end_point(1e-4)
+    coarse, fine = (float(np.max(np.abs(end_point(h) - ref))) for h in (0.1, 0.05))
+    assert 12.0 <= coarse / fine <= 20.0
+
+
 def test_transport_on_quadratic_anchor():
     # the base equation is nonlinear here, so it cannot be one affine map a step
     inv, phi, a0 = quadratic_anchor_path(0.5)
@@ -710,6 +806,53 @@ def test_surface_csv_shape():
     lines = run.to_csv().strip().split("\n")
     assert len(lines) == 25
     assert all(len(line.split(",")) == 4 for line in lines)
+
+
+def joined_csv(rows) -> str:
+    # every number formatted on its own and joined row by row: the reference
+    # for the one-pass table formatting of to_csv
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows)
+
+
+def square_rows(s_nodes, t_nodes, values):
+    return [[s, t, *values[i, j]] for i, s in enumerate(s_nodes) for j, t in enumerate(t_nodes)]
+
+
+def test_path_csv_bytes_match_joined_rows():
+    runs = [apath_transport(involution_from_spec(so3()), *so3_path(), 0.01),  # no base block
+            apath_transport(involution_from_spec(tangent(1)), tangent_member(),
+                            AElement([0.4], [1.0]), 0.002),
+            PathTransport(np.array([0.5]), np.zeros((1, 0)),
+                          np.array([[1 / 3, -0.0, math.nan, -math.inf, 5e-324]]), 0.0)]
+    assert runs[0].base.shape[1] == 0 and len(runs[2].times) == 1
+    for run in runs:
+        want = joined_csv([t, *run.base[i], *run.fiber[i]] for i, t in enumerate(run.times))
+        assert run.to_csv() == want
+
+
+def test_fiber_path_csv_bytes_match_joined_rows():
+    inv = involution_from_spec(action_so3_r3())
+    chi = PolyMap.from_terms(1, [((1.0, (1,)),), ((1.0, (2,)),), ((2.0, (1,)), (1.0, (3,)))])
+    path = inf_apath_wedge(inv, inf_apath_vee(inv, chi, [0.3, -0.2, 0.5]), 0.01)
+    one = FiberPath(np.zeros(0), np.array([1.0]), np.array([[0.1]]))
+    for fp in (path, one):
+        assert fp.to_csv() == joined_csv([t, *fp.values[i]] for i, t in enumerate(fp.times))
+
+
+def test_square_csv_bytes_match_joined_rows():
+    hv, _, _ = holonomic_homotopy()
+    run = ahomotopy_transport(involution_from_spec(tangent(2)), hv,
+                              AElement([0.0, 0.0], [0.0, 0.0]), 0.01, grid=6)
+    for which, fiber in ((0, run.fiber0), (1, run.fiber1)):
+        assert run.to_csv(which) == joined_csv(square_rows(run.s_nodes, run.t_nodes, fiber))
+    inv = involution_from_spec(action_so3_r3())
+    eta = PolyMap.from_terms(2, [((1.0, (1, 1)),), ((1.0, (2, 0)),), ((1.0, (3, 2)),)])
+    surf = inf_ahomotopy_wedge(inv, inf_ahomotopy_vee(inv, eta, [0.3, -0.2, 0.5]), 0.05, grid=4)
+    one = FiberSurface(np.zeros(0), np.array([0.0]), np.array([1.0]), np.array([[[2.5, -1e300]]]))
+    for sf in (surf, one):
+        assert sf.to_csv() == joined_csv(square_rows(sf.s_nodes, sf.t_nodes, sf.values))
+    single = HomotopyTransport(np.array([0.0]), np.array([1.0]), *[np.ones((1, 1, 2))] * 4, 0.0)
+    assert single.to_csv(1) == "0,1,1,1\n"
 
 
 def test_grid_derivative_exact_on_quartics():
