@@ -7,6 +7,7 @@ out.  Exit codes: 0 all checks pass, 1 a check failed or a flow was rejected,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .algebroid import (
     spec_from_flip,
 )
 from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, ta_residuals
-from .catalog import DESCRIPTIONS, get as catalog_get, names as catalog_names
+from .catalog import DESCRIPTIONS, get as catalog_get, names as catalog_names, tangent
 from .flow import AHomotopyVariation, APathVariation, ahomotopy_transport, apath_transport
 from .groupoid import (
     GROUP_CATALOG_NAMES,
@@ -37,12 +38,14 @@ from .groupoid import (
     differentiate_group,
     differentiate_pair_groupoid,
     group_catalog,
+    group_involution,
 )
 from .jet import PolyMap, check_tangent_axioms
-from .report import FixtureError, Report, _fold, _judged
+from .report import FixtureError, Report, _fold, _judged, quiet
 
 SCHEMA_VERSION = 1
 MAX_STEPS = 10 ** 6  # the most fixed steps per unit time that --step may ask for
+MAX_EXPONENT = int(np.iinfo(np.intp).max)  # PolyMap's evaluator holds exponents as np.intp
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
 
@@ -54,6 +57,21 @@ def _require(node: dict, key: str, where: str):
     if key not in node:
         raise FixtureError("missing %r in %s" % (key, where))
     return node[key]
+
+
+@contextlib.contextmanager
+def _unusable(source: str):
+    """The one boundary between input and the objects built from it: any
+    KeyError, TypeError, ValueError or OverflowError raised inside becomes a
+    FixtureError (exit 2) that names source; a FixtureError passes unchanged."""
+    try:
+        yield
+    except FixtureError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a KeyError's text is its argument, which str() would quote
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise FixtureError("%s: %s" % (source, message)) from None
 
 
 def _integer(value) -> int:
@@ -76,12 +94,20 @@ def _count(node: dict, key: str, where: str) -> int:
 
 
 def _finite(value, what: str) -> float:
+    """value as a float when it is a finite JSON number: an int or a float
+    within float range, not a bool or a string."""
     try:
-        if math.isfinite(float(value)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and math.isfinite(value):
             return float(value)
-    except (TypeError, ValueError):
+    except OverflowError:
         pass
     raise FixtureError("%s must be a finite number, got %r" % (what, value))
+
+
+def _reals(entries: np.ndarray, what: str) -> np.ndarray:
+    """An object array of JSON values as floats, each entry checked by _finite."""
+    return np.array([_finite(x, what) for x in entries.flat], dtype=float).reshape(entries.shape)
 
 
 def _load_polymap(table, in_dim: int, out_dim: int, where: str) -> PolyMap:
@@ -94,15 +120,15 @@ def _load_polymap(table, in_dim: int, out_dim: int, where: str) -> PolyMap:
         terms = []
         for entry in row:
             try:
-                coeff = float(entry["coeff"])
+                coeff = entry["coeff"]
                 exps = [_integer(e) for e in entry["exponents"]]
-            except (TypeError, KeyError, ValueError, OverflowError):
+            except (TypeError, KeyError, ValueError):
                 raise FixtureError(
                     "%s row %d: each term needs a coeff and a list of integer exponents"
                     % (where, r))
-            if len(exps) != in_dim or any(e < 0 for e in exps):
-                raise FixtureError(
-                    "%s row %d: exponents must be %d nonnegative integers" % (where, r, in_dim))
+            if len(exps) != in_dim or not all(0 <= e <= MAX_EXPONENT for e in exps):
+                raise FixtureError("%s row %d: exponents must be %d integers in 0..%d"
+                                   % (where, r, in_dim, MAX_EXPONENT))
             terms.append((_finite(coeff, "%s row %d coefficient" % (where, r)), tuple(exps)))
         rows.append(terms)
     return PolyMap.from_terms(in_dim, rows)
@@ -147,48 +173,27 @@ def _load_structure(entries, dim_M: int, dim_A: int) -> list:
     return [(i, j, k, list(normalized)) for (i, j, k), normalized in sorted(canon.items())]
 
 
-def _catalog_spec(name) -> AlgebroidSpec:
-    try:
-        return catalog_get(name)
-    except KeyError as exc:
-        raise FixtureError(str(exc.args[0]) if exc.args else str(exc))
-
-
-def _group_catalog(name):
-    try:
-        return group_catalog(name)
-    except KeyError as exc:
-        raise FixtureError(str(exc.args[0]) if exc.args else str(exc))
-    except ValueError as exc:
-        raise FixtureError("group %s: %s" % (name, exc))
-
-
 def _load_algebroid_node(node, where: str) -> AlgebroidSpec:
     if isinstance(node, str):
-        return _catalog_spec(node)
+        return catalog_get(node)
     if not isinstance(node, dict):
         raise FixtureError("%s must be an object or a catalog name" % where)
     if "catalog" in node:
-        return _catalog_spec(node["catalog"])
+        return catalog_get(node["catalog"])
     dm = _count(node, "dim_M", where)
     da = _count(node, "dim_A", where)
     rho = _load_polymap(_require(node, "anchor", where), dm, dm * da, where + ".anchor")
     entries = _load_structure(node.get("structure", []), dm, da)
-    try:
-        return AlgebroidSpec.from_structure(dm, da, rho, entries)
-    except ValueError as exc:
-        raise FixtureError(str(exc))
+    return AlgebroidSpec.from_structure(dm, da, rho, entries)
 
 
 def _load_element(node, dm: int, da: int) -> AElement:
     try:
-        m = np.asarray(_require(node, "m", "initial"), dtype=float).reshape(dm)
-        a = np.asarray(_require(node, "a", "initial"), dtype=float).reshape(da)
+        m = np.asarray(_require(node, "m", "initial"), dtype=object).reshape(dm)
+        a = np.asarray(_require(node, "a", "initial"), dtype=object).reshape(da)
     except (TypeError, ValueError):
         raise FixtureError("initial element needs m with %d and a with %d entries" % (dm, da))
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(a))):
-        raise FixtureError("initial element entries must be finite")
-    return AElement(m, a)
+    return AElement(_reals(m, "initial element entry"), _reals(a, "initial element entry"))
 
 
 def load_fixture(path: str) -> dict:
@@ -197,67 +202,57 @@ def load_fixture(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise FixtureError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deep
         raise FixtureError("invalid JSON in %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise FixtureError("fixture must be a JSON object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise FixtureError("unsupported schema_version %r" % (raw.get("schema_version"),))
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise FixtureError("unsupported schema_version %r" % (version,))
     kind = raw.get("kind")
     if kind not in KINDS:
         raise FixtureError("unknown kind %r; expected one of %s" % (kind, ", ".join(KINDS)))
     out = {"kind": kind, "raw": raw}
-
-    if kind in ("algebroid", "involution-flip"):
-        out["spec"] = _load_algebroid_node(raw, kind)
-    elif kind == "connection":
-        out["spec"] = _load_algebroid_node(_require(raw, "algebroid", kind), "connection.algebroid")
-        dm, da = out["spec"].dim_M, out["spec"].dim_A
-        if "gamma" in raw:
-            gamma = _load_polymap(raw["gamma"], dm, da * dm * da, "connection.gamma")
-            out["connection"] = ConnectionSpec(dm, da, gamma)
-        else:
-            out["connection"] = ConnectionSpec.flat(dm, da)
-    elif kind == "group":
-        if "catalog" in raw:
-            out["group"] = _group_catalog(raw["catalog"])
-        else:
-            n = _count(raw, "n", kind)
-            basis_raw = _require(raw, "basis", kind)
-            try:
-                basis = tuple(np.asarray(b, dtype=float).reshape(n, n) for b in basis_raw)
+    with _unusable(path):
+        if kind in ("algebroid", "involution-flip"):
+            out["spec"] = _load_algebroid_node(raw, kind)
+        elif kind == "group":
+            if "catalog" in raw:
+                out["group"] = group_catalog(raw["catalog"])
+            else:
+                n = _count(raw, "n", kind)
+                basis = tuple(_reals(np.asarray(b, dtype=object).reshape(n, n),
+                                     "group basis entry")
+                              for b in _require(raw, "basis", kind))
                 out["group"] = MatrixGroupSpec(n, basis, name=str(raw.get("name", "")))
-            except (TypeError, ValueError) as exc:
-                raise FixtureError("bad group basis: %s" % exc)
-    elif kind == "section":
-        dm = _count(raw, "dim_M", kind)
-        da = _count(raw, "dim_A", kind)
-        out["section"] = SectionSpec(_load_polymap(_require(raw, "table", kind), dm, da, kind))
-    elif kind == "scalar-field":
-        dm = _count(raw, "dim_M", kind)
-        out["field"] = ScalarFieldSpec(_load_polymap(_require(raw, "table", kind), dm, 1, kind))
-    elif kind == "apath":
-        out["spec"] = _load_algebroid_node(_require(raw, "algebroid", kind), "apath.algebroid")
-        dm, da = out["spec"].dim_M, out["spec"].dim_A
-        blocks = _load_polymap(_require(raw, "blocks", kind), 1, 2 * (dm + da), "apath.blocks")
-        try:
-            out["variation"] = APathVariation(dm, da, blocks,
-                                              _finite(raw.get("t_end", 1.0), "apath t_end"))
-        except ValueError as exc:
-            raise FixtureError(str(exc))
-        if "initial" in raw:
-            out["initial"] = _load_element(raw["initial"], dm, da)
-    elif kind == "ahomotopy":
-        out["spec"] = _load_algebroid_node(_require(raw, "algebroid", kind), "ahomotopy.algebroid")
-        dm, da = out["spec"].dim_M, out["spec"].dim_A
-        h0 = _load_polymap(_require(raw, "h0", kind), 2, 2 * (dm + da), "ahomotopy.h0")
-        h1 = _load_polymap(_require(raw, "h1", kind), 2, 2 * (dm + da), "ahomotopy.h1")
-        try:
-            out["variation"] = AHomotopyVariation(dm, da, h0, h1)
-        except ValueError as exc:
-            raise FixtureError(str(exc))
-        if "initial" in raw:
-            out["initial"] = _load_element(raw["initial"], dm, da)
+        elif kind == "section":
+            dm = _count(raw, "dim_M", kind)
+            da = _count(raw, "dim_A", kind)
+            out["section"] = SectionSpec(_load_polymap(_require(raw, "table", kind), dm, da, kind))
+        elif kind == "scalar-field":
+            dm = _count(raw, "dim_M", kind)
+            out["field"] = ScalarFieldSpec(_load_polymap(_require(raw, "table", kind), dm, 1, kind))
+        else:  # the kinds that carry an algebroid: connection, apath, ahomotopy
+            spec = out["spec"] = _load_algebroid_node(_require(raw, "algebroid", kind),
+                                                      kind + ".algebroid")
+            dm, da = spec.dim_M, spec.dim_A
+            if kind == "connection":
+                if "gamma" in raw:
+                    gamma = _load_polymap(raw["gamma"], dm, da * dm * da, "connection.gamma")
+                    out["connection"] = ConnectionSpec(dm, da, gamma)
+                else:
+                    out["connection"] = ConnectionSpec.flat(dm, da)
+            elif kind == "apath":
+                blocks = _load_polymap(_require(raw, "blocks", kind), 1, 2 * (dm + da),
+                                       "apath.blocks")
+                out["variation"] = APathVariation(dm, da, blocks,
+                                                  _finite(raw.get("t_end", 1.0), "apath t_end"))
+            else:
+                h0 = _load_polymap(_require(raw, "h0", kind), 2, 2 * (dm + da), "ahomotopy.h0")
+                h1 = _load_polymap(_require(raw, "h1", kind), 2, 2 * (dm + da), "ahomotopy.h1")
+                out["variation"] = AHomotopyVariation(dm, da, h0, h1)
+            if kind != "connection" and "initial" in raw:
+                out["initial"] = _load_element(raw["initial"], dm, da)
     return out
 
 
@@ -390,8 +385,12 @@ def do_convert(args) -> int:
         if kind == "algebroid":
             spec = fx["spec"]
         elif kind == "group":
-            inv_g, _ = _differentiate(fx["group"], max(10, args.samples // 4), args.seed)
-            spec = inv_g.spec
+            # the constants differentiate-group recovers, without its checks
+            group = fx["group"]
+            if isinstance(group, PairGroupoidSpec):
+                spec = tangent(group.dim)
+            else:
+                spec = spec_from_flip(group_involution(group))
         else:
             raise FixtureError("convert to-flip needs an algebroid or group fixture, got %r"
                                % kind)
@@ -475,7 +474,8 @@ def do_differentiate_group(args) -> int:
         spec = fx["group"]
         label = spec.name or target
     else:
-        spec = _group_catalog(target)
+        with _unusable("group %s" % target):
+            spec = group_catalog(target)
         label = target
     inv, report = _differentiate(spec, args.samples, args.seed)
     report = _judged(report, args.tolerance)
@@ -528,6 +528,8 @@ def _check_flags(args) -> None:
         raise FixtureError("--step must be a positive finite number, got %r" % step)
     if step * MAX_STEPS < 1.0:
         raise FixtureError("--step %r takes over %d steps per unit time" % (step, MAX_STEPS))
+    if getattr(args, "command", None) == "transport" and not args.out:
+        raise FixtureError("transport needs --out for the trajectory table")
 
 
 def _add_common(sub, step=False):
@@ -556,44 +558,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the verification suites on a fixture")
+    p.set_defaults(handler=do_check)
     p.add_argument("fixture")
     _add_common(p)
 
     p = sub.add_parser("convert", help="convert between bracket and flip presentations")
+    p.set_defaults(handler=do_convert)
     p.add_argument("fixture")
     p.add_argument("direction", choices=("to-flip", "to-bracket"))
     _add_common(p)
 
     p = sub.add_parser("transport", help="integrate a path or homotopy transport to CSV")
+    p.set_defaults(handler=do_transport)
     p.add_argument("fixture")
     _add_common(p, step=True)
 
     p = sub.add_parser("differentiate-group", help="differentiate a matrix group")
+    p.set_defaults(handler=do_differentiate_group)
     p.add_argument("group", help="catalog name or group fixture path")
     _add_common(p)
 
     p = sub.add_parser("catalog", help="list built-in fixtures")
+    p.set_defaults(handler=do_catalog)
     p.add_argument("action", choices=("list",))
     p.add_argument("--format", choices=("json", "text", "csv"), default="text")
     p.add_argument("--out", metavar="PATH", default=None)
 
     return parser
-
-
-def _dispatch(args) -> int:
-    if args.command == "check":
-        return do_check(args)
-    if args.command == "convert":
-        return do_convert(args)
-    if args.command == "transport":
-        if not args.out:
-            raise FixtureError("transport needs --out for the trajectory table")
-        return do_transport(args)
-    if args.command == "differentiate-group":
-        return do_differentiate_group(args)
-    if args.command == "catalog":
-        return do_catalog(args)
-    raise FixtureError("unknown command %r" % args.command)
 
 
 def main(argv=None) -> int:
@@ -602,8 +593,8 @@ def main(argv=None) -> int:
         _check_flags(args)
         # an overflow shows as an inf or NaN residual in the report, which
         # fails its check; numpy's warnings about it would only be noise
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _dispatch(args)
+        with quiet():
+            return args.handler(args)
     except FixtureError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -354,11 +354,11 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
     result satisfies is measured and returned, not assumed."""
     dm, da = inv.dim_M, inv.dim_A
     with quiet():
-        if composability_tol != np.inf:
-            gap = _start_gap(inv, a0, phi.phi.eval_floats([0.0]))
-            if not gap <= composability_tol:
-                raise ValueError(
-                    "initial element is not composable with the variation (defect %.3e)" % gap)
+        # a NaN gap fails every tolerance, an infinite one included
+        gap = _start_gap(inv, a0, phi.phi.eval_floats([0.0]))
+        if not gap <= composability_tol:
+            raise ValueError(
+                "initial element is not composable with the variation (defect %.3e)" % gap)
 
         stages = phi.phi.eval_floats(_quarter_times(phi.t_end, h)[:, None])
         times, base, fiber = _transport_rows(inv, stages[None], a0.m, a0.a, phi.t_end)

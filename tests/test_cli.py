@@ -1,5 +1,6 @@
 """End-to-end command line tests: fixture files in, exit codes and files out."""
 
+import copy
 import json
 import math
 import os
@@ -19,6 +20,8 @@ from invalg.jet import PolyMap
 from invalg.report import Report
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BUNDLED = sorted(FIXTURES.glob("*.json")) + sorted(
+    (FIXTURES.parent / "perfbench" / "fixtures").glob("*.json"))
 
 
 def write_fixture(tmp_path, name, payload) -> str:
@@ -66,6 +69,27 @@ def holonomic_homotopy_payload():
         "h0": h0.to_table(), "h1": h1.to_table(),
         "initial": {"m": [0.0, 0.0], "a": [0.0, 0.0]},
     }
+
+
+def group_payload():
+    # so(2) inside gl(2): one generator, so nothing to close under commutators
+    return {"schema_version": 1, "kind": "group", "n": 2, "name": "so2",
+            "basis": [[[0.0, -1.0], [1.0, 0.0]]]}
+
+
+def structure_payload(coeff):
+    return {"schema_version": 1, "kind": "algebroid", "dim_M": 0, "dim_A": 2,
+            "anchor": [], "structure": [{"i": 0, "j": 1, "k": 0, "coeff": coeff}]}
+
+
+def mutated(payload, value, *path):
+    """A copy of payload whose entry at path (keys and list indices) is value."""
+    doc = copy.deepcopy(payload)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 def read_report(path) -> dict:
@@ -159,6 +183,7 @@ def test_check_rejects_bad_exponent_length(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [
     "not json at all",
+    pytest.param("[" * 100000, id="nested-deeper-than-the-parser-recurses"),
     json.dumps([1, 2, 3]),
     json.dumps({"schema_version": 7, "kind": "algebroid", "catalog": "so3"}),
     json.dumps({"schema_version": 1, "kind": "mystery"}),
@@ -183,6 +208,32 @@ def test_check_rejects_bad_exponent_length(tmp_path, capsys):
                 "anchor": [[{"coeff": 1.0, "exponents": [1.7]}]]}),
     json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 0, "dim_A": 2,
                 "anchor": [], "structure": [{"i": 0.5, "j": 1, "k": 0, "coeff": 1.0}]}),
+    # a catalog name that is not a string, on an algebroid, an apath and a group
+    json.dumps({"schema_version": 1, "kind": "algebroid", "catalog": []}),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "catalog": {}}),
+    json.dumps(mutated(tangent_path_payload(), [], "algebroid", "catalog")),
+    json.dumps(mutated(tangent_path_payload(), {}, "algebroid", "catalog")),
+    json.dumps({"schema_version": 1, "kind": "group", "catalog": []}),
+    json.dumps({"schema_version": 1, "kind": "group", "catalog": {}}),
+    # an integer beyond float range, and an exponent beyond the evaluator's
+    # integer type
+    json.dumps(mutated(tangent_path_payload(), 10 ** 400, "t_end")),
+    json.dumps(mutated(tangent_path_payload(), 10 ** 400, "initial", "m", 0)),
+    json.dumps(mutated(group_payload(), 10 ** 400, "basis", 0, 0, 0)),
+    json.dumps(structure_payload(10 ** 400)),
+    json.dumps(mutated(tangent_path_payload(), 10 ** 19, "blocks", 0, 1, "exponents", 0)),
+    # numbers must be JSON numbers: a string or a boolean is not converted
+    json.dumps({"schema_version": True, "kind": "algebroid", "catalog": "so3"}),
+    json.dumps(mutated(tangent_path_payload(), "0.4", "blocks", 0, 0, "coeff")),
+    json.dumps(mutated(tangent_path_payload(), True, "blocks", 0, 0, "coeff")),
+    json.dumps(structure_payload("0.4")),
+    json.dumps(structure_payload(True)),
+    json.dumps(mutated(tangent_path_payload(), "1", "t_end")),
+    json.dumps(mutated(tangent_path_payload(), True, "t_end")),
+    json.dumps(mutated(tangent_path_payload(), ["0.4"], "initial", "m")),
+    json.dumps(mutated(tangent_path_payload(), True, "initial", "a", 0)),
+    json.dumps(mutated(group_payload(), "1", "basis", 0, 1, 0)),
+    json.dumps(mutated(group_payload(), True, "basis", 0, 1, 0)),
 ])
 def test_check_input_errors_exit_2(tmp_path, capsys, payload):
     path = tmp_path / "fx.json"
@@ -190,6 +241,57 @@ def test_check_input_errors_exit_2(tmp_path, capsys, payload):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def fields(node, path=()):
+    """The path of every object member and list entry below node, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from fields(value, path + (key,))
+
+
+def test_loader_raises_only_fixture_errors(tmp_path):
+    # every field of every bundled fixture and of one document of each other
+    # kind, replaced in turn by a value of each other JSON type: the loader
+    # builds the objects or raises FixtureError, never anything else
+    documents = {path.name: json.loads(path.read_text()) for path in BUNDLED}
+    documents.update({
+        "group": group_payload(),
+        "connection": {
+            "schema_version": 1, "kind": "connection",
+            "algebroid": {"dim_M": 1, "dim_A": 2,
+                          "anchor": [[{"coeff": 1.0, "exponents": [0]}], []],
+                          "structure": [{"i": 0, "j": 1, "k": 1,
+                                         "terms": [{"coeff": 2.0, "exponents": [1]}]}]},
+            "gamma": [[{"coeff": 0.5, "exponents": [1]}], [], [], []],
+        },
+        "section": {"schema_version": 1, "kind": "section", "dim_M": 2, "dim_A": 1,
+                    "table": [[{"coeff": -2.0, "exponents": [0, 2]}]]},
+        "scalar-field": {"schema_version": 1, "kind": "scalar-field", "dim_M": 1,
+                         "table": [[{"coeff": 1.0, "exponents": [3]}]]},
+    })
+    target = tmp_path / "fx.json"
+    escaped, loads = [], 0
+    for name, doc in documents.items():
+        load_fixture(write_fixture(tmp_path, "fx.json", doc))
+        for path in fields(doc):
+            for value in ("x", True, None, [], {}):
+                target.write_text(json.dumps(mutated(doc, value, *path)))
+                loads += 1
+                try:
+                    load_fixture(str(target))
+                except FixtureError:
+                    pass
+                except Exception as exc:  # anything else got past the loader's guard
+                    escaped.append((name, path, value, repr(exc)))
+    assert loads > 2000
+    assert not escaped, escaped[:10]
 
 
 @pytest.mark.parametrize("argv", [
@@ -259,6 +361,15 @@ def test_step_cap_is_checked_before_anything_is_allocated():
 
 def test_check_missing_file_exit_2(tmp_path):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
+
+
+def test_check_undecodable_file_exit_2(tmp_path, capsys):
+    # bytes that are not UTF-8 are malformed JSON, not a failed check
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
 def test_check_tolerance_override_can_force_failure(tmp_path):

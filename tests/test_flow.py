@@ -380,6 +380,12 @@ def test_transport_rejects_noncomposable_start():
         apath_transport(inv, tangent_member(), AElement([0.9], [1.0]))
     with pytest.raises(ValueError, match="composable"):
         apath_transport(inv, tangent_member(), AElement([0.4], [0.3]))
+    # a NaN gap is no small gap: it fails every tolerance, an infinite one
+    # included, rather than diverging later in the integration
+    for tol in (1e-9, math.inf):
+        with pytest.raises(ValueError, match="composable"):
+            apath_transport(inv, tangent_member(), AElement([math.nan], [1.0]), h=1e-2,
+                            composability_tol=tol)
 
 
 def test_coefficient_routes_agree_on_curved_anchor():
