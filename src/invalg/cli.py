@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list built-in fixtures")
     p.set_defaults(handler=do_catalog)
     p.add_argument("action", choices=("list",))
-    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", metavar="PATH", default=None)
 
     return parser

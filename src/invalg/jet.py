@@ -50,27 +50,30 @@ MAX_DEPTH = 3
 
 _ADD_COMPAT_TOL = 1e-12
 
+# PolyMap.eval_jet keeps this many results per map, of inputs up to this size
+_MEMO_ENTRIES = 16
+_MEMO_BYTES = 4096
+
 
 @lru_cache(maxsize=None)
 def _product_table(depth: int) -> tuple:
-    """Index arrays of the product at one depth.  s, t list every
-    complementary pair S < T of a nonempty mask U = S | T; for each U in
-    increasing order, first is the position of its pair {empty, U} and rest
-    the positions of its other pairs, padded with len(s), an all-zero sum."""
-    s, t, first, rest = [], [], [], []
-    for u in range(1, 1 << depth):
-        at = []
-        for sub in range(u):
-            if sub & u == sub and sub < u ^ sub:
-                at.append(len(s))
-                s.append(sub)
-                t.append(u ^ sub)
-        first.append(at[0])
-        rest.append(at[1:])
-    width = max(map(len, rest))
-    rest = [r + [len(s)] * (width - len(r)) for r in rest]
+    """The complementary pairs S < T = U - S of each mask U beyond its
+    leading pair {empty, U}, at depth 2 or more.  st is s + t and ts is
+    t + s, so a[st] b[ts] holds both products of every pair.  The masks
+    with k such pairs form one group (masks, k), groups in increasing order
+    of k, and a group's pairs follow each other mask by mask, in increasing
+    order of S.  A group of one mask is a slice, which indexes a view."""
+    extra = {u: [(sub, u ^ sub) for sub in range(1, u) if sub & u == sub and sub < u ^ sub]
+             for u in range(1, 1 << depth)}
+    groups, pairs = [], []
+    for k in sorted({len(p) for p in extra.values()} - {0}):
+        masks = [u for u in extra if len(extra[u]) == k]
+        groups.append((slice(masks[0], masks[0] + 1) if len(masks) == 1
+                       else _frozen(np.array(masks, dtype=np.intp)), k))
+        pairs += [pair for u in masks for pair in extra[u]]
+    s, t = zip(*pairs)
     as_index = lambda xs: _frozen(np.array(xs, dtype=np.intp))
-    return as_index(s), as_index(t), as_index(first), as_index(rest).reshape(len(rest), width)
+    return as_index(s + t), as_index(t + s), tuple(groups)
 
 
 def _product(a: np.ndarray, b: np.ndarray, mul=np.multiply) -> np.ndarray:
@@ -82,19 +85,35 @@ def _product(a: np.ndarray, b: np.ndarray, mul=np.multiply) -> np.ndarray:
     if len(a) != len(b):
         raise ValueError("mixed jet depths %d and %d"
                          % (len(a).bit_length() - 1, len(b).bit_length() - 1))
-    head = mul(a[:1], b[:1])
-    if len(a) == 1:
-        return head
-    s, t, first, rest = _product_table(len(a).bit_length() - 1)
-    pairs = mul(a[s], b[t]) + mul(a[t], b[s])
-    acc = pairs[first]
-    if rest.shape[1]:
-        terms = np.concatenate((pairs, np.zeros_like(pairs[:1])))[rest]
-        if rest.shape[1] > 1:
-            terms = np.sort(terms, axis=1)
-        for k in range(rest.shape[1]):
-            acc = acc + terms[:, k]
-    return np.concatenate((head, acc))
+    out = mul(a[:1], b)
+    if not out.flags.c_contiguous:
+        # numpy sums 8 or more contiguous entries pairwise and strided ones
+        # in sequence: a C-ordered product is summed alike whatever the
+        # layout of a and b
+        out = np.ascontiguousarray(out)
+    if len(a) > 1:
+        # the leading pair {empty, U} of every nonempty mask U
+        out[1:] += mul(a[1:], b[:1])
+    if len(a) > 2:
+        st, ts, groups = _product_table(len(a).bit_length() - 1)
+        terms = mul(a[st], b[ts])
+        pairs = terms[:len(st) // 2] + terms[len(st) // 2:]
+        start = 0
+        for masks, k in groups:
+            acc = out[masks]
+            stop = start + len(acc) * k
+            block = pairs[start:stop].reshape((len(acc), k) + pairs.shape[1:])
+            if k > 1:
+                block = np.sort(block, axis=1)
+            for j in range(k):
+                acc += block[:, j]
+            out[masks] = acc
+            start = stop
+        # +0.0 turns a zero of every mask but the empty and the full one
+        # positive, as the zero-padded pair lists of the reference product
+        # in the tests do
+        out[1:-1] += 0.0
+    return out
 
 
 def _frozen(coeffs: np.ndarray) -> np.ndarray:
@@ -471,7 +490,10 @@ class PolyMap:
     pm[i] (or a slice) selects outputs; a + b adds output by output; c * pm
     scales; a * b multiplies output by output, a one-output factor
     broadcasting against the other.  eval_jet is the one evaluator:
-    eval_floats is its value row on constant jets.
+    eval_floats is its value row on constant jets.  Each map keeps the
+    results of its last 16 distinct float inputs of at most 4 KiB and shares
+    them read-only; a repeated evaluation repeats neither the work nor
+    numpy's warnings.
     """
 
     in_dim: int
@@ -529,11 +551,35 @@ class PolyMap:
         evaluator: each term is its input powers (repeated products x * x),
         multiplied in input order, times its coefficient, and is added into
         its own output only, in term order, so an overflowing term cannot
-        make another output NaN.  Batch axes of x are kept."""
+        make another output NaN.  Batch axes of x are kept.
+
+        The map keeps the results of its last 16 distinct float inputs of at
+        most 4 KiB, keyed by the shape, dtype and bytes of the coefficients,
+        and hands the same read-only JetPoint back for an equal input,
+        repeating neither the work nor numpy's warnings.  Larger inputs and
+        object arrays are evaluated every time."""
         if x.dim != self.in_dim:
             raise ValueError("input dim %d, expected %d" % (x.dim, self.in_dim))
-        rows, coef, factors, top = self._compiled
         xs = x.coeffs
+        if xs.dtype.kind != "f" or xs.nbytes > _MEMO_BYTES:
+            return self._evaluate(xs)
+        key = (xs.shape, xs.dtype, xs.tobytes())
+        memo = self._memo
+        out = memo.get(key)
+        if out is None:
+            out = self._evaluate(xs)
+            if len(memo) == _MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key] = out
+        return out
+
+    @cached_property
+    def _memo(self) -> dict:
+        """eval_jet's results by input key, oldest first."""
+        return {}
+
+    def _evaluate(self, xs: np.ndarray) -> JetPoint:
+        rows, coef, factors, top = self._compiled
         mono = np.zeros(xs.shape[:-1] + (len(coef),))
         mono[0] = 1.0
         if factors:

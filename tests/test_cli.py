@@ -1,11 +1,13 @@
 """End-to-end command line tests: fixture files in, exit codes and files out."""
 
 import copy
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from argparse import Namespace
 from pathlib import Path
 
@@ -315,6 +317,8 @@ def test_loader_raises_only_fixture_errors(tmp_path):
     ["check", "{so3}", "--samples", "5", "--tolerance", "nosuch=1"],
     ["check", "{so3}", "--samples", "5", "--tolerance", "bracket-laws=1"],
     ["check", "{so3}", "--samples", "0", "--tolerance", "flip=1"],
+    # a format the command does not write
+    ["catalog", "list", "--format", "csv"],
 ])
 def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),
@@ -324,6 +328,31 @@ def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_no_kept_evaluation_outlives_main(tmp_path, capsys, monkeypatch):
+    # eval_jet keeps its results on each map, not at module level: once main
+    # returns, no map it evaluated and no result it returned is reachable
+    evaluated = []
+    eval_jet = PolyMap.eval_jet
+
+    def spy(pm, x):
+        out = eval_jet(pm, x)
+        evaluated.extend((weakref.ref(pm), weakref.ref(out.coeffs)))
+        return out
+
+    monkeypatch.setattr(PolyMap, "eval_jet", spy)
+    out = str(tmp_path / "out")
+    for argv in (["check", str(FIXTURES / "action-cross.json"), "--samples", "5"],
+                 ["check", catalog_fixture(tmp_path, "lie-algebra-bundle"), "--samples", "5"],
+                 ["convert", str(FIXTURES / "so3.json"), "to-flip", "--out", out],
+                 ["transport", str(FIXTURES / "holonomy.json"), "--step", "0.05", "--out", out],
+                 ["differentiate-group", "sl2", "--samples", "5"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(evaluated) > 100
+    assert not [ref for ref in evaluated if ref() is not None]
 
 
 def test_overflowing_anchor_fails_checks_without_warnings(tmp_path):

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invalg import ConnectionSpec, catalog_get, catalog_names
+from invalg import (
+    AlgebroidSpec,
+    ConnectionSpec,
+    ScalarFieldSpec,
+    SectionSpec,
+    catalog_get,
+    catalog_names,
+    lie_derivative,
+)
 from invalg.jet import (
     JetPoint,
     JetScalar,
@@ -27,7 +35,7 @@ from invalg.jet import (
     sub_tangent,
 )
 from invalg.report import _fold, _residuals, run_check, worst_of
-from jet_reference import reference_product
+from jet_reference import padded_product, reference_product
 
 
 def jp(depth, rows):
@@ -118,6 +126,45 @@ def test_product_commutes_with_relabeling_exactly(width, data):
     for perm in itertools.permutations(range(3)):
         index = _relabel(perm)
         assert np.array_equal(_product(a[index], b[index]), prod[index])
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan, 1e308)
+
+
+def _same_bits(x, y) -> bool:
+    """Equal shapes and values, NaN in the same places and zeros of the
+    same sign."""
+    known = ~np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x[known]), np.signbit(y[known])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(depth=st.integers(0, 4), width=st.integers(1, 3), matrix=st.booleans(),
+       special=st.booleans(), data=st.data())
+def test_product_reproduces_the_padded_product(depth, width, matrix, special, data):
+    # depth 4 is the group flip composite on a depth-2 jet
+    shape = (1 << depth,) + ((width, width) if matrix else (width,))
+    entries = st.sampled_from(SPECIAL_FLOATS) if special else st.floats(width=64)
+    a, b = (data.draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape))
+                      .map(lambda xs: np.array(xs, dtype=float).reshape(shape)))
+            for _ in range(2))
+    mul = np.matmul if matrix else np.multiply
+    with np.errstate(all="ignore"):
+        assert _same_bits(_product(a, b, mul), padded_product(a, b, mul))
+
+
+def test_batched_product_reproduces_the_padded_product():
+    # random floats with batch axes and the broadcasts of the anchor and C
+    rng = np.random.default_rng(3)
+    for depth in range(5):
+        n = 1 << depth
+        for shape_a, shape_b, mul in (((n, 20, 3), (n, 20, 3), np.multiply),
+                                      ((n, 20, 3, 4), (n, 20, 1, 4), np.multiply),
+                                      ((n, 20, 3, 1), (n, 20, 1, 3), np.multiply),
+                                      ((n, 20, 3, 3), (n, 20, 3, 3), np.matmul)):
+            a, b = rng.uniform(-2, 2, shape_a), rng.uniform(-2, 2, shape_b)
+            assert _same_bits(_product(a, b, mul), padded_product(a, b, mul))
 
 
 def test_depth_mismatch_rejected():
@@ -309,6 +356,102 @@ def test_overflowing_term_stays_in_its_own_output():
     # a NaN input reaches only the outputs whose terms use it
     nan_in = pm.eval_floats([np.nan, 2.0])
     assert np.isnan(nan_in[0]) and np.isnan(nan_in[1]) and nan_in[2] == 3.0
+
+
+def _copy(pm: PolyMap) -> PolyMap:
+    """A fresh map with the terms of pm and nothing evaluated yet."""
+    return PolyMap(pm.in_dim, pm.out_dim, pm.terms)
+
+
+def test_eval_jet_returns_the_kept_result_of_an_equal_input():
+    f = PolyMap.from_terms(2, [[(1.5, (2, 1)), (-1.0, (0, 3))], [(2.0, (1, 0))]])
+    x = _random_jet_batch(np.random.default_rng(2), 2, (3,), 2)
+    first = f.eval_jet(x)
+    # a hit is the same read-only result, equal to a fresh map's evaluation
+    again = f.eval_jet(JetPoint._of(x.coeffs.copy()))
+    assert again is first and not again.coeffs.flags.writeable
+    assert again.coeffs.tobytes() == _copy(f).eval_jet(x).coeffs.tobytes()
+    assert len(f._memo) == 1
+    # -0.0 and +0.0 differ in their bytes, and equal bytes of another shape
+    # are another input
+    f.eval_jet(JetPoint.constant([0.0, 1.0]))
+    f.eval_jet(JetPoint.constant([-0.0, 1.0]))
+    flat = x.coeffs.reshape(2, 6, 2)
+    assert f.eval_jet(JetPoint._of(flat)).coeffs.shape == (2, 6, 2)
+    assert len(f._memo) == 4
+    assert len({id(out) for out in f._memo.values()}) == 4
+
+
+def test_eval_jet_keeps_at_most_sixteen_small_float_inputs():
+    f = PolyMap.from_terms(1, [[(1.0, (2,))]])
+    points = [JetPoint.constant([float(k)]) for k in range(40)]
+    results = []
+    for k, x in enumerate(points):
+        results.append(f.eval_jet(x))
+        assert len(f._memo) == min(k + 1, 16)
+    # the last 16 inputs are kept: the oldest went first
+    assert [key[2] for key in f._memo] == [x.coeffs.tobytes() for x in points[-16:]]
+    assert f.eval_jet(points[-1]) is results[-1]
+    assert f.eval_jet(points[0]) is not results[0]
+    # 4 KiB is kept, one more double is not, and neither is an object array
+    g = _copy(f)
+    g.eval_jet(JetPoint._of(np.ones((1, 512, 1))))
+    assert len(g._memo) == 1
+    big = JetPoint._of(np.ones((1, 513, 1)))
+    assert g.eval_jet(big) is not g.eval_jet(big)
+    objects = JetPoint._of(np.array([[2.0]], dtype=object))
+    assert g.eval_jet(objects).to_rows() == [[4.0]]
+    assert g.eval_jet(objects) is not g.eval_jet(objects)
+    assert len(g._memo) == 1
+
+
+def _layouts(arr: np.ndarray) -> tuple:
+    """Equal values as a C-ordered, a Fortran-ordered and a strided array."""
+    strided = np.empty(arr.shape + (2,))[..., 0]
+    strided[...] = arr
+    return np.ascontiguousarray(arr), np.asfortranarray(arr), strided
+
+
+def _same_bytes(results) -> bool:
+    return all(r.shape == results[0].shape and r.tobytes() == results[0].tobytes()
+               for r in results)
+
+
+def _random_map(rng, in_dim: int, out_dim: int) -> PolyMap:
+    return PolyMap.from_terms(in_dim, [
+        [(float(rng.uniform(-2, 2)), tuple(rng.integers(0, 3, in_dim).tolist())) for _ in range(2)]
+        for _ in range(out_dim)])
+
+
+def test_results_do_not_depend_on_memory_layout():
+    # eval_jet keys a result by the bytes of the input's C-ordered copy, so
+    # an input of one layout may get the result computed for another.  The
+    # contractions below sum 9 or more entries, where numpy sums contiguous
+    # entries pairwise and strided ones in sequence; each layout gets fresh
+    # maps, so no result is shared between them.
+    rng = np.random.default_rng(5)
+    dm, da, pairs = 2, 9, 36
+    rho, c_pairs = _random_map(rng, dm, dm * da), _random_map(rng, dm, da * pairs)
+    gamma, f, x = _random_map(rng, 3, 27), _random_map(rng, dm, 1), _random_map(rng, dm, da)
+    for depth in range(4):
+        shape = lambda dim: (1 << depth, 50, dim)
+        a, b = rng.uniform(-1, 1, shape(9)), rng.uniform(-1, 1, shape(9))
+        assert _same_bytes([_product(u, v) for u, v in zip(_layouts(a), _layouts(b))])
+        assert _same_bytes([_copy(c_pairs).eval_jet(JetPoint._of(u)).coeffs
+                            for u in _layouts(rng.uniform(-1, 1, shape(dm)))])
+        m, u, v = (_layouts(rng.uniform(-1, 1, shape(dim))) for dim in (dm, da, da))
+        specs = [AlgebroidSpec(dm, da, _copy(rho), _copy(c_pairs)) for _ in range(3)]
+        assert _same_bytes([spec.anchor_apply_jet(JetPoint._of(mi), JetPoint._of(ui)).coeffs
+                            for spec, mi, ui in zip(specs, m, u)])
+        assert _same_bytes([spec.c_apply_jet(*map(JetPoint._of, (mi, ui, vi))).coeffs
+                            for spec, mi, ui, vi in zip(specs, m, u, v)])
+        m, w, u = (_layouts(rng.uniform(-1, 1, shape(3))) for _ in range(3))
+        conns = [ConnectionSpec(3, 3, _copy(gamma)) for _ in range(3)]
+        assert _same_bytes([conn.apply_jet(*map(JetPoint._of, (mi, wi, ui))).coeffs
+                            for conn, mi, wi, ui in zip(conns, m, w, u)])
+    assert _same_bytes([lie_derivative(ScalarFieldSpec(_copy(f)), SectionSpec(_copy(x)),
+                                       _copy(rho), m)
+                        for m in _layouts(rng.uniform(-1, 1, (50, dm)))])
 
 
 def test_polymap_compose_matches_pointwise():
