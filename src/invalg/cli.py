@@ -30,16 +30,6 @@ from .algebroid import (
 )
 from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, ta_residuals
 from .catalog import DESCRIPTIONS, get as catalog_get, names as catalog_names, tangent
-from .flow import AHomotopyVariation, APathVariation, ahomotopy_transport, apath_transport
-from .groupoid import (
-    GROUP_CATALOG_NAMES,
-    MatrixGroupSpec,
-    PairGroupoidSpec,
-    differentiate_group,
-    differentiate_pair_groupoid,
-    group_catalog,
-    group_involution,
-)
 from .jet import PolyMap, check_tangent_axioms
 from .report import FixtureError, Report, _fold, _judged, quiet
 
@@ -48,6 +38,17 @@ MAX_STEPS = 10 ** 6  # the most fixed steps per unit time that --step may ask fo
 MAX_EXPONENT = int(np.iinfo(np.intp).max)  # PolyMap's evaluator holds exponents as np.intp
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
+
+
+def __getattr__(name):
+    """Serve ``group_catalog`` as an attribute of this module (PEP 562).
+
+    The groupoid and transport layers are imported inside the code paths
+    that use them, so a command that needs neither does not load them."""
+    if name == "group_catalog":
+        from .groupoid import group_catalog
+        return group_catalog
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # -- fixture loading ----------------------------------------------------------
@@ -217,6 +218,7 @@ def load_fixture(path: str) -> dict:
         if kind in ("algebroid", "involution-flip"):
             out["spec"] = _load_algebroid_node(raw, kind)
         elif kind == "group":
+            from .groupoid import MatrixGroupSpec, group_catalog
             if "catalog" in raw:
                 out["group"] = group_catalog(raw["catalog"])
             else:
@@ -243,11 +245,13 @@ def load_fixture(path: str) -> dict:
                 else:
                     out["connection"] = ConnectionSpec.flat(dm, da)
             elif kind == "apath":
+                from .flow import APathVariation
                 blocks = _load_polymap(_require(raw, "blocks", kind), 1, 2 * (dm + da),
                                        "apath.blocks")
                 out["variation"] = APathVariation(dm, da, blocks,
                                                   _finite(raw.get("t_end", 1.0), "apath t_end"))
             else:
+                from .flow import AHomotopyVariation
                 h0 = _load_polymap(_require(raw, "h0", kind), 2, 2 * (dm + da), "ahomotopy.h0")
                 h1 = _load_polymap(_require(raw, "h1", kind), 2, 2 * (dm + da), "ahomotopy.h1")
                 out["variation"] = AHomotopyVariation(dm, da, h0, h1)
@@ -282,6 +286,7 @@ def _dumps(payload, compact: bool) -> str:
 
 
 def _differentiate(group_spec, samples: int, seed: int):
+    from .groupoid import PairGroupoidSpec, differentiate_group, differentiate_pair_groupoid
     if isinstance(group_spec, PairGroupoidSpec):
         return differentiate_pair_groupoid(group_spec, samples=samples, seed=seed)
     return differentiate_group(group_spec, samples=samples, seed=seed)
@@ -386,6 +391,7 @@ def do_convert(args) -> int:
             spec = fx["spec"]
         elif kind == "group":
             # the constants differentiate-group recovers, without its checks
+            from .groupoid import PairGroupoidSpec, group_involution
             group = fx["group"]
             if isinstance(group, PairGroupoidSpec):
                 spec = tangent(group.dim)
@@ -451,6 +457,7 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an apath or ahomotopy fixture, got %r" % kind)
     if "initial" not in fx:
         raise FixtureError("transport needs an initial element in the fixture")
+    from .flow import ahomotopy_transport, apath_transport
     inv = involution_from_spec(fx["spec"])
     if kind == "apath":
         run = apath_transport(inv, fx["variation"], fx["initial"], h=args.step)
@@ -466,6 +473,7 @@ def do_transport(args) -> int:
 
 
 def do_differentiate_group(args) -> int:
+    from .groupoid import group_catalog
     target = args.group
     if os.path.exists(target):
         fx = load_fixture(target)
@@ -501,6 +509,7 @@ def do_differentiate_group(args) -> int:
 
 
 def do_catalog(args) -> int:
+    from .groupoid import GROUP_CATALOG_NAMES
     if args.format == "json":
         text = _dumps({"algebroids": catalog_names(),
                        "groups": list(GROUP_CATALOG_NAMES)}, compact=True)
@@ -532,13 +541,13 @@ def _check_flags(args) -> None:
         raise FixtureError("transport needs --out for the trajectory table")
 
 
-def _add_common(sub, step=False):
+def _add_common(sub, formats=("json", "text", "csv"), step=False):
     sub.add_argument("--samples", type=int, default=200)
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tolerance", action="append", metavar="CHECK=VALUE",
                      help="re-judge the reported check CHECK at tolerance VALUE; repeatable")
     sub.add_argument("--out", metavar="PATH", default=None)
-    sub.add_argument("--format", choices=("json", "text", "csv"), default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     if step:
         sub.add_argument("--step", type=float, default=1e-3)
 
@@ -566,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=do_convert)
     p.add_argument("fixture")
     p.add_argument("direction", choices=("to-flip", "to-bracket"))
-    _add_common(p)
+    _add_common(p, formats=("json", "text"))
 
     p = sub.add_parser("transport", help="integrate a path or homotopy transport to CSV")
     p.set_defaults(handler=do_transport)
@@ -594,9 +603,17 @@ def main(argv=None) -> int:
         # an overflow shows as an inf or NaN residual in the report, which
         # fails its check; numpy's warnings about it would only be noise
         with quiet():
-            return args.handler(args)
+            code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except FixtureError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # unusable like an --out path that cannot be written; stdout goes to
+        # devnull so that the flush at exit cannot fail again (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to stdout: %s" % exc.strerror, file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)

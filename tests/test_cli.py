@@ -32,6 +32,12 @@ def write_fixture(tmp_path, name, payload) -> str:
     return str(path)
 
 
+def src_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's invalg."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(FIXTURES.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def catalog_fixture(tmp_path, name) -> str:
     return write_fixture(tmp_path, name + ".json",
                          {"schema_version": 1, "kind": "algebroid", "catalog": name})
@@ -319,6 +325,7 @@ def test_loader_raises_only_fixture_errors(tmp_path):
     ["check", "{so3}", "--samples", "0", "--tolerance", "flip=1"],
     # a format the command does not write
     ["catalog", "list", "--format", "csv"],
+    ["convert", "{so3}", "to-flip", "--format", "csv"],
 ])
 def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),
@@ -328,6 +335,52 @@ def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", str(FIXTURES / "so3.json"), "to-flip"],  # fails inside the command
+    ["catalog", "list"],  # fits the buffer: fails at the flush before main returns
+])
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # like an --out path that cannot be written, and with nothing left for
+    # the interpreter to report as ignored when it flushes at exit
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default on a pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "invalg.cli"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=600)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# each command and the one of the lazily loaded layers, invalg.flow and
+# invalg.groupoid, that it runs
+IMPORT_SCOPE = {
+    "check so3": (["check", str(FIXTURES / "so3.json"), "--samples", "5"], set()),
+    "differentiate-group so3": (["differentiate-group", "so3", "--samples", "5"],
+                                {"invalg.groupoid"}),
+    "transport tangent-path": (["transport", str(FIXTURES / "tangent-path.json"),
+                                "--step", "0.01", "--out", "{out}"], {"invalg.flow"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_SCOPE))
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, case):
+    argv, layers = IMPORT_SCOPE[case]
+    script = ("import json, sys\n"
+              "from invalg.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script] + [a.format(out=tmp_path / "t.csv") for a in argv],
+        capture_output=True, text=True, env=src_env(), timeout=600)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert {"invalg.flow", "invalg.groupoid"} & set(loaded) == layers
 
 
 def test_no_kept_evaluation_outlives_main(tmp_path, capsys, monkeypatch):
@@ -363,13 +416,10 @@ def test_overflowing_anchor_fails_checks_without_warnings(tmp_path):
         "anchor": [[{"coeff": 1e308, "exponents": [0]}]],
     })
     out = tmp_path / "r.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src")]
-        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "invalg.cli", "check", fx, "--samples", "10",
          "--format", "json", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=600)
+        capture_output=True, text=True, env=src_env(), timeout=600)
     assert proc.returncode == 1
     assert proc.stderr == ""
     checks = read_report(out)

@@ -1,0 +1,90 @@
+"""The public surface of ``import invalg``: the same names whether a layer is
+loaded at import or on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import invalg
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# dir(invalg) after a fresh ``import invalg``, without its underscored names
+PUBLIC_NAMES = [
+    "AElement", "AHomotopyVariation", "APathVariation", "AlgebroidSpec", "CheckResult",
+    "ConnectionSpec", "InvolutionAlgebroid", "JetPoint", "JetScalar", "MatrixGroupSpec",
+    "PairGroupoidSpec", "PolyMap", "Report", "ScalarFieldSpec", "SectionSpec", "TAElement",
+    "add_tangent", "ahomotopy_transport", "algebroid", "apath_transport", "apply_poly",
+    "bracket_from_flip", "bundle", "catalog", "catalog_get", "catalog_names", "check_axioms",
+    "check_bracket_laws", "check_leibniz", "check_tangent_axioms", "check_yang_baxter",
+    "differentiate_group", "differentiate_pair_groupoid", "expm", "flip_c",
+    "flip_from_bracket", "flow", "grid_derivative", "group_catalog", "groupoid",
+    "inf_ahomotopy_vee", "inf_ahomotopy_wedge", "inf_apath_vee", "inf_apath_wedge",
+    "insert_zero", "involution_from_spec", "jet", "join_innermost", "lie_derivative",
+    "lift_l", "neg_tangent", "proj_p", "promote", "report", "residual", "rk4_solve",
+    "run_check", "sample_double_prolongation", "sample_prolongation", "spec_from_flip",
+    "split_innermost", "sub_tangent", "ta_residual", "worst_of",
+]
+
+# the exports of the layers that load on first use
+LAZY_NAMES = {
+    "groupoid": ("MatrixGroupSpec", "PairGroupoidSpec", "differentiate_group",
+                 "differentiate_pair_groupoid", "group_catalog"),
+    "flow": ("APathVariation", "AHomotopyVariation", "apath_transport", "ahomotopy_transport",
+             "inf_apath_vee", "inf_apath_wedge", "inf_ahomotopy_vee", "inf_ahomotopy_wedge",
+             "rk4_solve", "expm", "grid_derivative"),
+}
+
+
+def fresh(script: str):
+    """Run script in a new interpreter that imports this checkout's invalg and
+    return the JSON value of its last output line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_invalg_leaves_the_groupoid_and_transport_layers_unloaded():
+    loaded = fresh("import json, sys, invalg\n"
+                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('invalg'))))")
+    assert loaded == ["invalg", "invalg.algebroid", "invalg.bundle", "invalg.catalog",
+                      "invalg.jet", "invalg.report"]
+
+
+def test_dir_and_star_import_give_the_pinned_public_names():
+    listed, starred = fresh(
+        "import json, invalg\n"
+        "listed = [n for n in dir(invalg) if not n.startswith('_')]\n"
+        "namespace = {}\n"
+        "exec('from invalg import *', namespace)\n"
+        "print(json.dumps([listed, sorted(n for n in namespace if n != '__builtins__')]))")
+    assert listed == PUBLIC_NAMES
+    assert starred == PUBLIC_NAMES
+
+
+def test_submodule_attributes_resolve_in_a_fresh_interpreter():
+    # invalg.flow.X and invalg.groupoid.X work without importing the submodule first
+    assert fresh("import json, invalg\n"
+                 "print(json.dumps([invalg.flow.expm.__module__,"
+                 " invalg.groupoid.group_catalog('so3').name]))") == ["invalg.flow", "so3"]
+
+
+@pytest.mark.parametrize("module", sorted(LAZY_NAMES))
+def test_each_lazy_name_is_its_home_module_attribute(module):
+    home = importlib.import_module("invalg." + module)
+    assert getattr(invalg, module) is home
+    for name in LAZY_NAMES[module]:
+        assert getattr(invalg, name) is getattr(home, name), name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        invalg.nosuch
