@@ -272,6 +272,19 @@ class AlgebroidSpec(Anchored):
         return self.anchor_apply_jet(mj, aj).row(1)
 
 
+def _structure_entries(spec: AlgebroidSpec) -> list:
+    """The nonzero structure functions of spec as fixture entries, k-major."""
+    entries = []
+    pairs = spec.pairs
+    table = spec.c_pairs.to_table()
+    for k in range(spec.dim_A):
+        for pos, (i, j) in enumerate(pairs):
+            terms = table[k * len(pairs) + pos]
+            if terms:
+                entries.append({"i": i, "j": j, "k": k, "terms": terms})
+    return entries
+
+
 # -- prolongation elements ---------------------------------------------------
 
 

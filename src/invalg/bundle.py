@@ -169,10 +169,6 @@ class ConnectionSpec:
             rows.append(tuple(row))
         return ConnectionSpec(dim_M, dim_A, PolyMap(dim_M, len(rows), tuple(rows)))
 
-    def gamma_tensor(self, m) -> np.ndarray:
-        flat = self.gamma.eval_floats(_vec(m))
-        return flat.reshape(self.dim_A, self.dim_M, self.dim_A)
-
     def apply(self, m, w, a) -> np.ndarray:
         """result_k = sum G[k, alpha, j] w_alpha a_j: the value row of apply_jet."""
         mj, wj, aj = (JetPoint.constant(_vec(x)) for x in (m, w, a))

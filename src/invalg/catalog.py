@@ -1,8 +1,11 @@
-"""Built-in algebroid fixtures, including ill-formed ones.
+"""Built-in fixtures: algebroids, including ill-formed ones, and group names.
 
-Every entry is a zero-argument builder returning an AlgebroidSpec; negative
-fixtures (broken Jacobi, an anchor that the zero bracket cannot match) are
-listed alongside the valid ones so detection tests have something to detect.
+Every algebroid entry is a zero-argument builder returning an AlgebroidSpec,
+with its description; negative fixtures (broken Jacobi, an anchor that the
+zero bracket cannot match) are listed alongside the valid ones so detection
+tests have something to detect.  The group builders are in groupoid.py,
+which loads on first use; their names are kept here so that `catalog list`
+loads no other layer.
 """
 
 from __future__ import annotations
@@ -89,38 +92,32 @@ def incompatible_anchor() -> AlgebroidSpec:
     return AlgebroidSpec(1, 2, rho, PolyMap.zero(1, 2))
 
 
-BUILDERS = {
-    "abelian": abelian,
-    "tangent-r1": lambda: tangent(1),
-    "tangent-r2": lambda: tangent(2),
-    "so3": so3,
-    "sl2": sl2,
-    "action-so3-r3": action_so3_r3,
-    "lie-algebra-bundle": lie_algebra_bundle,
-    "broken-jacobi": broken_jacobi,
-    "incompatible-anchor": incompatible_anchor,
+# name -> (builder, the line `invalg catalog list` prints for it)
+ENTRIES = {
+    "abelian": (abelian, "zero anchor and bracket on a rank-2 bundle over a line"),
+    "tangent-r1": (lambda: tangent(1), "tangent algebroid of the line"),
+    "tangent-r2": (lambda: tangent(2), "tangent algebroid of the plane"),
+    "so3": (so3, "rotation Lie algebra over a point"),
+    "sl2": (sl2, "traceless 2x2 Lie algebra over a point"),
+    "action-so3-r3": (action_so3_r3, "rotation algebra acting on R^3 by the cross product"),
+    "lie-algebra-bundle": (lie_algebra_bundle, "rotation algebras scaled by 1 + m^2 over a line"),
+    "broken-jacobi": (broken_jacobi, "bracket with a nonzero cyclic defect (ill-formed)"),
+    "incompatible-anchor": (incompatible_anchor,
+                            "anchor the zero bracket cannot match (ill-formed)"),
 }
 
-DESCRIPTIONS = {
-    "abelian": "zero anchor and bracket on a rank-2 bundle over a line",
-    "tangent-r1": "tangent algebroid of the line",
-    "tangent-r2": "tangent algebroid of the plane",
-    "so3": "rotation Lie algebra over a point",
-    "sl2": "traceless 2x2 Lie algebra over a point",
-    "action-so3-r3": "rotation algebra acting on R^3 by the cross product",
-    "lie-algebra-bundle": "rotation algebras scaled by 1 + m^2 over a line",
-    "broken-jacobi": "bracket with a nonzero cyclic defect (ill-formed)",
-    "incompatible-anchor": "anchor the zero bracket cannot match (ill-formed)",
-}
+# the names groupoid.group_catalog builds; n and m stand for a dimension
+GROUP_CATALOG_NAMES = ("so3", "sl2", "diag-abelian(n)", "pair-groupoid(m)")
 
 
 def get(name: str) -> AlgebroidSpec:
     try:
-        return BUILDERS[name]()
+        builder, _ = ENTRIES[name]
     except KeyError:
         raise KeyError("unknown catalog entry %r; known: %s"
-                       % (name, ", ".join(sorted(BUILDERS)))) from None
+                       % (name, ", ".join(sorted(ENTRIES)))) from None
+    return builder()
 
 
 def names() -> list:
-    return sorted(BUILDERS)
+    return sorted(ENTRIES)

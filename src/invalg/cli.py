@@ -20,6 +20,7 @@ from .algebroid import (
     _random_section_poly,
     _SectionTable,
     _sample_pairs,
+    _structure_entries,
     check_axioms,
     check_bracket_laws,
     check_leibniz,
@@ -29,7 +30,8 @@ from .algebroid import (
     spec_from_flip,
 )
 from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, ta_residuals
-from .catalog import DESCRIPTIONS, get as catalog_get, names as catalog_names, tangent
+from .catalog import ENTRIES, GROUP_CATALOG_NAMES, tangent
+from .catalog import get as catalog_get, names as catalog_names
 from .jet import PolyMap, check_tangent_axioms
 from .report import FixtureError, Report, _fold, _judged, quiet
 
@@ -261,18 +263,6 @@ def load_fixture(path: str) -> dict:
 
 
 # -- serialization helpers ----------------------------------------------------
-
-
-def _structure_entries(spec: AlgebroidSpec) -> list:
-    entries = []
-    pairs = spec.pairs
-    table = spec.c_pairs.to_table()
-    for k in range(spec.dim_A):
-        for pos, (i, j) in enumerate(pairs):
-            terms = table[k * len(pairs) + pos]
-            if terms:
-                entries.append({"i": i, "j": j, "k": k, "terms": terms})
-    return entries
 
 
 def _ser_vector(v) -> list:
@@ -509,17 +499,13 @@ def do_differentiate_group(args) -> int:
 
 
 def do_catalog(args) -> int:
-    from .groupoid import GROUP_CATALOG_NAMES
     if args.format == "json":
         text = _dumps({"algebroids": catalog_names(),
                        "groups": list(GROUP_CATALOG_NAMES)}, compact=True)
     else:
-        lines = []
-        for name in catalog_names():
-            lines.append("algebroid  %-22s %s" % (name, DESCRIPTIONS.get(name, "")))
-        for name in GROUP_CATALOG_NAMES:
-            lines.append("group      %s" % name)
-        text = "\n".join(lines)
+        text = "\n".join(["algebroid  %-22s %s" % (name, ENTRIES[name][1])
+                          for name in catalog_names()]
+                         + ["group      %s" % name for name in GROUP_CATALOG_NAMES])
     _emit(text, args.out)
     return 0
 

@@ -411,12 +411,18 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
     and returned either way."""
     with quiet():
         gap = _start_gap(inv, a0, hv.h0.eval_floats([0.0, 0.0]))
-        if not gap <= 1e-9:
-            raise ValueError(
-                "initial element is not composable with the homotopy (defect %.3e)" % gap)
+    if not gap <= 1e-9:
+        raise ValueError(
+            "initial element is not composable with the homotopy (defect %.3e)" % gap)
+    return _homotopy_transport(inv, hv, a0, h, grid)
 
-        if grid < 2:
-            raise ValueError("output grid needs at least two nodes per axis")
+
+def _homotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
+                        h: float, grid: int) -> HomotopyTransport:
+    """ahomotopy_transport past its check that a0 is composable with hv."""
+    if grid < 2:
+        raise ValueError("output grid needs at least two nodes per axis")
+    with quiet():
         segments = grid - 1
         n = max(segments, _step_count(1.0, h))
         n = ((n + segments - 1) // segments) * segments
@@ -570,7 +576,8 @@ def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: flo
             "surface is not an infinitesimal homotopy variation (defect %.3e)" % defect)
     dm, da = inv.dim_M, inv.dim_A
     m = _split_blocks(hv.h0.eval_floats([0.0, 0.0]), dm, da)[0]
-    run = ahomotopy_transport(inv, hv, AElement(m, np.zeros(da)), h, grid)
+    # the start gap of (m, 0) is h0's source-constant defect, bounded above
+    run = _homotopy_transport(inv, hv, AElement(m, np.zeros(da)), h, grid)
     drift = float(np.max(np.abs(np.stack([run.base0, run.base1]) - m), initial=0.0))
     if not drift <= 1e-9:
         raise ArithmeticError("base point drifted by %.3e during integration" % drift)

@@ -32,7 +32,7 @@ from .algebroid import (
     involution_from_spec,
     spec_from_flip,
 )
-from .catalog import tangent
+from .catalog import GROUP_CATALOG_NAMES, tangent
 from .jet import (
     JetPoint,
     PolyMap,
@@ -319,8 +319,6 @@ def diag_abelian_group(n: int) -> MatrixGroupSpec:
 
 
 def group_catalog(name: str):
-    """Named group and groupoid fixtures: so3, sl2, diag-abelian(n),
-    pair-groupoid(m)."""
     if name == "so3":
         return so3_group()
     if name == "sl2":
@@ -331,8 +329,7 @@ def group_catalog(name: str):
     m = re.fullmatch(r"pair-groupoid\((\d+)\)", name)
     if m:
         return PairGroupoidSpec(int(m.group(1)))
-    raise KeyError("unknown group fixture %r; known: so3, sl2, diag-abelian(n), "
-                   "pair-groupoid(m)" % (name,))
+    raise KeyError("unknown group fixture %r; known: %s" % (name, ", ".join(GROUP_CATALOG_NAMES)))
 
 
-GROUP_CATALOG_NAMES = ("so3", "sl2", "diag-abelian(n)", "pair-groupoid(m)")
+group_catalog.__doc__ = "Named group and groupoid fixtures: %s." % ", ".join(GROUP_CATALOG_NAMES)

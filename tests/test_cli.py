@@ -16,8 +16,10 @@ import pytest
 
 from invalg.algebroid import bracket_from_flip, check_axioms, involution_from_spec
 from invalg.bundle import ConnectionSpec, SectionSpec
+from invalg.catalog import ENTRIES, names as catalog_names
 from invalg.cli import MAX_STEPS, FixtureError, _check_flags, _check_report, load_fixture, main
 from invalg.flow import _step_count
+from invalg.groupoid import group_catalog
 from invalg.jet import PolyMap
 from invalg.report import Report
 
@@ -360,6 +362,7 @@ def test_closed_stdout_exits_2_with_one_error_line(argv):
 # each command and the one of the lazily loaded layers, invalg.flow and
 # invalg.groupoid, that it runs
 IMPORT_SCOPE = {
+    "catalog list": (["catalog", "list"], set()),
     "check so3": (["check", str(FIXTURES / "so3.json"), "--samples", "5"], set()),
     "differentiate-group so3": (["differentiate-group", "so3", "--samples", "5"],
                                 {"invalg.groupoid"}),
@@ -780,6 +783,23 @@ def test_catalog_list_contents(tmp_path):
         "abelian", "tangent-r1", "tangent-r2", "so3", "sl2", "action-so3-r3",
         "lie-algebra-bundle", "broken-jacobi", "incompatible-anchor"}
     assert "pair-groupoid(m)" in listing["groups"]
+
+
+def test_every_catalog_entry_has_a_description():
+    for name in catalog_names():
+        _, description = ENTRIES[name]
+        assert description.strip(), name
+
+
+def test_unknown_group_error_lists_the_catalog_groups(capsys):
+    assert main(["catalog", "list", "--format", "json"]) == 0
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    assert main(["differentiate-group", "su5"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: group su5: unknown group fixture 'su5'; known: " + ", ".join(groups)]
+    assert ", ".join(groups) in group_catalog.__doc__
+    for name in groups:  # each listed name builds, n and m read as 2
+        assert group_catalog(name.replace("(n)", "(2)").replace("(m)", "(2)"))
 
 
 # -- determinism --------------------------------------------------------------

@@ -791,6 +791,28 @@ def test_homotopy_wedge_rejects_nonmember():
         inf_ahomotopy_wedge(inv, bad)
 
 
+def test_homotopy_wedge_judges_the_start_at_its_membership_tolerance():
+    # a base speed of 1e-7 at the origin is the one defect: the start gap of
+    # the zero vector equals h0's source-constant defect, so the wedge's own
+    # membership check at membership_tol decides it, as in the path twin
+    inv = involution_from_spec(tangent(1))
+    eta = PolyMap.from_terms(2, [((1.0, (1, 1)), (0.5, (2, 0)))])
+    hv = inf_ahomotopy_vee(inv, eta, [0.3])
+    speed = PolyMap.constant([0.0, 0.0, 1e-7, 0.0], 2)
+    hv = AHomotopyVariation(1, 1, hv.h0 + speed, hv.h1 + speed)
+    res = alg2_residuals(inv, hv)
+    assert res.pop("source-constant") == 1e-7 and max(res.values()) == 0.0
+
+    surf = inf_ahomotopy_wedge(inv, hv, 1e-2, membership_tol=1e-6)
+    assert isinstance(surf, FiberSurface)
+    ref = np.array([[eta.eval_floats([s, t]) for t in surf.t_nodes] for s in surf.s_nodes])
+    assert float(np.max(np.abs(surf.values - ref))) < 1e-9
+    with pytest.raises(ValueError, match="infinitesimal"):
+        inf_ahomotopy_wedge(inv, hv, 1e-2)
+    with pytest.raises(ValueError, match="not composable"):
+        ahomotopy_transport(inv, hv, AElement([0.3], [0.0]), 1e-2)
+
+
 # -- sampled output helpers ---------------------------------------------------
 
 
