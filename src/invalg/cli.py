@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -540,7 +541,12 @@ def _add_common(sub, formats=("json", "text", "csv"), step=False):
 
 class _Parser(argparse.ArgumentParser):
     """A parser, its subcommand parsers included, that reports an unusable
-    flag as a FixtureError for main, not as a usage block and SystemExit."""
+    flag as a FixtureError for main, not as a usage block and SystemExit.
+    Its help is laid out for 80 columns whatever the terminal, so building
+    one asks the terminal nothing."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
 
     def error(self, message):
         raise FixtureError(message)

@@ -192,7 +192,7 @@ def _path_defects(inv: InvolutionAlgebroid, jet: JetPoint, mask: int) -> tuple:
     m, a, mdot, adot = _split_blocks(jet.coeffs[0], inv.dim_M, inv.dim_A)
     m_d, _, mdot_d, _ = _split_blocks(jet.coeffs[mask], inv.dim_M, inv.dim_A)
     vel = inv.anchor_apply_jet(JetPoint.from_rows(1, [m, mdot]), JetPoint.from_rows(1, [a, adot]))
-    return _max_abs(inv.anchor_apply(m, a) - m_d), _max_abs(vel.row(1) - mdot_d)
+    return _max_abs(vel.row(0) - m_d), _max_abs(vel.row(1) - mdot_d)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def _product(a: np.ndarray, b: np.ndarray, mul=np.multiply) -> np.ndarray:
 
 
 def _frozen(coeffs: np.ndarray) -> np.ndarray:
-    coeffs.flags.writeable = False
+    coeffs.setflags(write=False)
     return coeffs
 
 
@@ -226,7 +226,7 @@ class JetPoint:
         """Wrap a (2**d, *batch, dim) array the caller hands over for good."""
         out = object.__new__(cls)
         out.depth = len(coeffs).bit_length() - 1
-        coeffs.flags.writeable = False
+        coeffs.setflags(write=False)
         out.coeffs = coeffs
         return out
 
@@ -593,11 +593,15 @@ class PolyMap:
                 power = powers[..., i, exps]
                 # a term skips the inputs it does not use
                 mono = power if n == 0 else np.where(exps > 0, _product(mono, power), mono)
-        out = np.zeros(xs.shape[:-1] + (self.out_dim,))
-        lead = math.prod(xs.shape[:-1])
-        np.add.at(out.reshape(lead, self.out_dim), (slice(None), rows),
-                  (coef * mono).reshape(lead, len(coef)))
-        return JetPoint._of(out)
+        shape = xs.shape[:-1] + (self.out_dim,)
+        size = math.prod(shape)
+        if not (size and len(coef)):
+            # np.bincount of no bins gives int64 zeros
+            return JetPoint._of(np.zeros(shape))
+        # bin (point, output): each adds its terms in term order from +0.0
+        bins = (np.arange(0, size, self.out_dim)[:, None] + rows).ravel()
+        out = np.bincount(bins, (coef * mono).ravel(), size)
+        return JetPoint._of(out.reshape(shape))
 
     @cached_property
     def _compiled(self) -> tuple:

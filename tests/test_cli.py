@@ -359,6 +359,18 @@ def test_closed_stdout_exits_2_with_one_error_line(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_is_laid_out_for_80_columns_on_any_terminal(argv):
+    printed = []
+    for columns in ("40", "200"):
+        proc = subprocess.run([sys.executable, "-m", "invalg.cli"] + argv, capture_output=True,
+                              env=dict(src_env(), COLUMNS=columns), timeout=600)
+        assert proc.returncode == 0 and proc.stderr == b""
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
+    assert max(len(line) for line in printed[0].splitlines()) <= 80
+
+
 # each command and the one of the lazily loaded layers, invalg.flow and
 # invalg.groupoid, that it runs
 IMPORT_SCOPE = {

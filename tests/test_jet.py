@@ -358,6 +358,70 @@ def test_overflowing_term_stays_in_its_own_output():
     assert np.isnan(nan_in[0]) and np.isnan(nan_in[1]) and nan_in[2] == 3.0
 
 
+def _add_at_evaluate(pm: PolyMap, xs: np.ndarray) -> np.ndarray:
+    """The evaluator with its former scatter: the terms of the compiled map,
+    as eval_jet forms them, added into zeros by np.add.at, which adds each
+    output's terms in term order."""
+    rows, coef, factors, top = pm._compiled
+    mono = np.zeros(xs.shape[:-1] + (len(coef),))
+    mono[0] = 1.0
+    if factors:
+        powers = np.zeros(xs.shape + (top + 1,))
+        powers[0, ..., 0] = 1.0
+        powers[..., 1] = xs
+        for e in range(2, top + 1):
+            powers[..., e] = _product(powers[..., e - 1], xs)
+        for n, (i, exps) in enumerate(factors):
+            power = powers[..., i, exps]
+            mono = power if n == 0 else np.where(exps > 0, _product(mono, power), mono)
+    out = np.zeros(xs.shape[:-1] + (pm.out_dim,))
+    lead = math.prod(xs.shape[:-1])
+    np.add.at(out.reshape(lead, pm.out_dim), (slice(None), rows),
+              (coef * mono).reshape(lead, len(coef)))
+    return out
+
+
+SCATTER_VALUES = (0.0, -0.0, 1.0, -1.5, 1e200, -1e200, math.inf, -math.inf, math.nan)
+
+
+def test_scatter_reproduces_the_add_at_scatter_bit_for_bit():
+    # terms of one output added in term order from +0.0: -0.0 terms, inf
+    # against -inf and overflowing products keep their bits, and NaNs their
+    # places.  Where two NaNs meet, which one's sign and payload survive is
+    # the compiled loop's choice of operand order, which numpy leaves open.
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):
+        for _ in range(80):
+            in_dim, out_dim = int(rng.integers(0, 4)), int(rng.integers(0, 5))
+            rows = [[(float(rng.choice(SCATTER_VALUES + (2.5, -0.25))),
+                      tuple(rng.integers(0, 4, in_dim).tolist()))
+                     for _ in range(int(rng.integers(0, 6)))] for _ in range(out_dim)]
+            pm = PolyMap(in_dim, out_dim, tuple(tuple(r) for r in rows))
+            for depth in range(4):
+                for lead in ((), (1,), (5,), (2, 3), (0,)):
+                    shape = (1 << depth,) + lead + (in_dim,)
+                    xs = rng.uniform(-2, 2, shape)
+                    special = rng.random(shape) < 0.3
+                    xs[special] = rng.choice(SCATTER_VALUES, int(special.sum()))
+                    got = pm._evaluate(xs).coeffs
+                    want = _add_at_evaluate(pm, xs)
+                    assert got.dtype == np.float64 and got.shape == want.shape
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+def test_a_map_without_terms_evaluates_to_float_zeros():
+    x = _random_jet_batch(np.random.default_rng(4), 2, (4,), 2)
+    out = PolyMap.zero(2, 3).eval_jet(x).coeffs
+    assert out.dtype == np.float64 and out.shape == (4, 4, 3) and not out.any()
+    for pm, point in ((PolyMap.zero(2, 3), [1.0, 2.0]), (PolyMap.zero(0, 0), np.zeros(0)),
+                      (PolyMap.identity(2), np.zeros((0, 2)))):
+        out = pm.eval_floats(point)
+        assert out.dtype == np.float64
+        assert out.shape == np.shape(point)[:-1] + (pm.out_dim,) and not out.any()
+
+
 def _copy(pm: PolyMap) -> PolyMap:
     """A fresh map with the terms of pm and nothing evaluated yet."""
     return PolyMap(pm.in_dim, pm.out_dim, pm.terms)
