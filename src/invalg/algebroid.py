@@ -318,8 +318,6 @@ class DoubleProlongElement:
         spec_like = _as_anchor(owner)
         dm = self.v.dim_M
         worst = ProlongElement(self.v, self.w).residual(owner)
-        if not dm:
-            return worst
         lhs = flip_c(self.x.take(0, dm), 1, 2)
         return worst_of([worst, residual(lhs, t_rho_jet(spec_like, self.w.to_jet()))])
 
@@ -634,8 +632,6 @@ def check_axioms(inv: InvolutionAlgebroid, samples: int = 100, seed: int = 0,
 
     def target(rows):
         _, w_jet, out = flip_pairs(rows)
-        if dm == 0:
-            return 0.0
         return residuals(t_rho_jet(inv, out), flip_c(t_rho_jet(inv, w_jet), 1, 2))
 
     check("target", target, pes.describe)
@@ -883,8 +879,6 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     ry = lambda mz: inv.anchor_apply_jet(mz, Y.eval_jet(mz))
 
     def anchor_morphism(rows):
-        if dm == 0:
-            return 0.0
         m, z = points[rows], JetPoint.constant(points[rows], 0)
         field_bracket = ry(join_innermost(z, rx(z))).row(1) - rx(join_innermost(z, ry(z))).row(1)
         return _max_abs(inv.anchor_apply(m, xy_yx(rows)[0]) - field_bracket)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet import JetPoint, PolyMap, _max_abs, _product
-from .report import worst_of
+from .jet import JetPoint, PolyMap, _product, residual
 
 _PROJ_TOL = 1e-12
 
@@ -97,14 +96,8 @@ class TAElement:
 
 
 def ta_residual(x: TAElement, y: TAElement) -> float:
-    return float(ta_residuals(x.to_jet(), y.to_jet(), x.dim_M))
-
-
-def ta_residuals(x: JetPoint, y: JetPoint, dim_M: int) -> np.ndarray:
-    """ta_residual of tangents given as depth-1 jets, one per batch entry:
-    the worst of the four blocks m, a, mdot, adot."""
-    blocks = ((row[..., :dim_M], row[..., dim_M:]) for row in x.coeffs - y.coeffs)
-    return worst_of(_max_abs(block) for pair in blocks for block in pair)
+    """Largest absolute difference of two tangents, NaN when any is NaN."""
+    return residual(x.to_jet(), y.to_jet())
 
 
 def _check_shared(label: str, bx: np.ndarray, by: np.ndarray, tol: float):

@@ -30,10 +30,10 @@ from .algebroid import (
     involution_from_spec,
     spec_from_flip,
 )
-from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec, ta_residuals
-from .catalog import ENTRIES, GROUP_CATALOG_NAMES, tangent
+from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec
+from .catalog import ENTRIES, GROUP_CATALOG_NAMES
 from .catalog import get as catalog_get, names as catalog_names
-from .jet import PolyMap, check_tangent_axioms
+from .jet import PolyMap, check_tangent_axioms, residuals
 from .report import FixtureError, Report, _fold, _judged, quiet
 
 SCHEMA_VERSION = 1
@@ -216,7 +216,7 @@ def load_fixture(path: str) -> dict:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise FixtureError("unknown kind %r; expected one of %s" % (kind, ", ".join(KINDS)))
-    out = {"kind": kind, "raw": raw}
+    out = {"kind": kind}
     with _unusable(path):
         if kind in ("algebroid", "involution-flip"):
             out["spec"] = _load_algebroid_node(raw, kind)
@@ -310,7 +310,7 @@ def _connection_report(spec, conn, samples: int, seed: int) -> Report:
 
     def agreement(rows):
         v, w = pes.v_jet(rows), pes.w_jet(rows)
-        return ta_residuals(inv_conn.flip(v, w), inv_canon.flip(v, w), spec.dim_M)
+        return residuals(inv_conn.flip(v, w), inv_canon.flip(v, w))
 
     report.add(_fold("connection-independence", samples, agreement, 1e-12, seed))
     return report
@@ -319,10 +319,10 @@ def _connection_report(spec, conn, samples: int, seed: int) -> Report:
 def _membership_report(fx: dict) -> Report:
     inv = involution_from_spec(fx["spec"])
     grid = 33 if fx["kind"] == "apath" else 9
-    residuals = fx["variation"].membership_residual(inv, grid)
+    defects = fx["variation"].membership_residual(inv, grid)
     samples = grid if fx["kind"] == "apath" else grid * grid
-    return Report([_fold(name, samples, lambda rows, name=name: residuals[name], 1e-9, None)
-                   for name in sorted(residuals)])
+    return Report([_fold(name, samples, lambda rows, name=name: defects[name], 1e-9, None)
+                   for name in sorted(defects)])
 
 
 def _check_report(fx: dict, samples: int, seed: int) -> Report:
@@ -382,12 +382,10 @@ def do_convert(args) -> int:
             spec = fx["spec"]
         elif kind == "group":
             # the constants differentiate-group recovers, without its checks
-            from .groupoid import PairGroupoidSpec, group_involution
+            from .groupoid import PairGroupoidSpec, group_involution, pair_involution
             group = fx["group"]
-            if isinstance(group, PairGroupoidSpec):
-                spec = tangent(group.dim)
-            else:
-                spec = spec_from_flip(group_involution(group))
+            build = pair_involution if isinstance(group, PairGroupoidSpec) else group_involution
+            spec = build(group).spec
         else:
             raise FixtureError("convert to-flip needs an algebroid or group fixture, got %r"
                                % kind)

@@ -19,7 +19,7 @@ on pairs of endpoint-path jets and lands exactly on the tangent-bundle flip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,7 +159,8 @@ def group_flip_slots(spec: MatrixGroupSpec, V, W_H, W_V):
 def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
     """The differentiated group as an involution algebroid over a point; the
     flip evaluator runs the group composite on matrix jets, so tangent
-    prolongations come from the same formula."""
+    prolongations come from the same formula.  Its spec holds the structure
+    constants recovered from that flip."""
     k = spec.dim
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
@@ -174,7 +175,8 @@ def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
             raise ArithmeticError("source slot of the flip composite did not cancel")
         return spec.project_jet(np.concatenate((g1, g12)), w.depth)
 
-    return InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip, describe=spec.name)
+    inv = InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip, describe=spec.name)
+    return replace(inv, spec=spec_from_flip(inv))
 
 
 def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0):
@@ -182,10 +184,7 @@ def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0)
     the braid form, antisymmetry of the recovered bracket, and the Jacobi
     defect of the recovered structure constants.  Returns the involution
     algebroid (carrying the recovered constants) and the report."""
-    first = group_involution(spec)
-    recovered = spec_from_flip(first)
-    inv = InvolutionAlgebroid(0, spec.dim, PolyMap.zero(0, 0), first.flip,
-                              spec=recovered, describe=spec.name)
+    inv = group_involution(spec)
     report = Report()
     report.extend(check_axioms(inv, samples=samples, seed=seed))
     report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
@@ -200,7 +199,7 @@ def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0)
 
     report.add(_fold("bracket-antisymmetric", len(pairs), antisym, 1e-9, seed,
                      lambda i: pairs[i].tolist()))
-    report.extend(recovered.well_formed(samples=30, seed=seed))
+    report.extend(inv.spec.well_formed(samples=30, seed=seed))
     return inv, report
 
 
@@ -236,7 +235,8 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
     """Differentiate the pair groupoid: embed prolongation pairs as pairs of
     endpoint-path jets, run the flip composite through composition and
     inversion, and read the result back.  Everything is relabeling, so the
-    output coincides bit for bit with the tangent-bundle flip."""
+    output coincides bit for bit with the tangent-bundle flip; its spec is
+    that tangent algebroid."""
     d = spec.dim
     rho = PolyMap.constant(np.eye(d).reshape(-1), d)
 
@@ -266,7 +266,7 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
         dot = np.concatenate((move[1::4], move[3::4]), axis=-1)
         return JetPoint._of(np.concatenate((value, dot)))
 
-    return InvolutionAlgebroid(d, d, rho, flip, describe=spec.name)
+    return InvolutionAlgebroid(d, d, rho, flip, spec=tangent(d), describe=spec.name)
 
 
 def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
@@ -274,22 +274,19 @@ def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
     """Differentiate the pair groupoid and verify it lands on the tangent
     algebroid of the base, bit for bit, besides passing the axiom suite."""
     inv = pair_involution(spec)
-    reference = tangent(spec.dim)
-    ref_inv = involution_from_spec(reference)
-    final = InvolutionAlgebroid(spec.dim, spec.dim, inv.rho, inv.flip,
-                                spec=reference, describe=spec.name)
+    ref_inv = involution_from_spec(inv.spec)
     report = Report()
-    report.extend(check_axioms(final, samples=samples, seed=seed))
-    report.extend(check_yang_baxter(final, samples=max(10, samples // 2), seed=seed))
+    report.extend(check_axioms(inv, samples=samples, seed=seed))
+    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
 
-    pes = _sample_pairs(final, np.random.default_rng(seed), samples)
+    pes = _sample_pairs(inv, np.random.default_rng(seed), samples)
 
     def matches(rows):
         v, w = pes.v_jet(rows), pes.w_jet(rows)
-        return residuals(final.flip(v, w), ref_inv.flip(v, w))
+        return residuals(inv.flip(v, w), ref_inv.flip(v, w))
 
     report.add(_fold("matches-tangent-flip", samples, matches, 0.0, seed))
-    return final, report
+    return inv, report
 
 
 # -- the group catalog --------------------------------------------------------

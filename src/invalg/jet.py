@@ -741,9 +741,8 @@ def _law_flip_braid(x: JetPoint) -> np.ndarray:
     return residuals(a, b)
 
 
-def _law_lift_flip_fixed(x: JetPoint, lift=None) -> np.ndarray:
-    lift = lift or lift_l
-    lx = lift(x, 1)
+def _law_lift_flip_fixed(x: JetPoint) -> np.ndarray:
+    lx = lift_l(x, 1)
     return residuals(flip_c(lx, 1, 2), lx)
 
 

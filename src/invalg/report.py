@@ -76,12 +76,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _rank(r: float) -> float:
-    """Sort key of a residual: a non-finite one (NaN included) ranks above
-    every finite one."""
-    return r if math.isfinite(r) else math.inf
-
-
 def _passes(residual: float, tolerance: float) -> bool:
     """A residual passes its check only when it is finite and at most the
     tolerance, so an inf residual fails even an inf tolerance."""
@@ -112,6 +106,13 @@ def _judged(report: Report, overrides) -> Report:
                    if r.name in tolerances else r for r in report.results])
 
 
+def _worst_index(stack: np.ndarray) -> np.ndarray:
+    """Index along the first axis of the worst residual: the largest, with a
+    non-finite one (NaN included) ranking above every finite one, and the
+    lowest index winning a tie."""
+    return np.where(np.isfinite(stack), stack, np.inf).argmax(axis=0)
+
+
 def worst_of(residuals: Iterable) -> object:
     """The worst of some residuals: the largest, or the first non-finite one,
     so that a NaN never hides behind a number; 0.0 when there are none.
@@ -121,8 +122,7 @@ def worst_of(residuals: Iterable) -> object:
     if not parts:
         return 0.0
     stack = np.stack(np.broadcast_arrays(*parts))
-    pick = np.where(np.isfinite(stack), stack, np.inf).argmax(axis=0)
-    worst = np.take_along_axis(stack, pick[None], axis=0)[0]
+    worst = np.take_along_axis(stack, _worst_index(stack)[None], axis=0)[0]
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -132,7 +132,7 @@ def quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _residuals(count: int, evaluate: Callable[[slice], object]) -> list:
+def _residuals(count: int, evaluate: Callable[[slice], object]) -> np.ndarray:
     """The residual of every sample of a batch, from evaluate(rows), which
     gives the residuals of the samples the slice rows selects.  If the whole
     batch raises ValueError or ArithmeticError (a guard meeting NaN, a
@@ -149,7 +149,7 @@ def _residuals(count: int, evaluate: Callable[[slice], object]) -> list:
         values = evaluate(slice(None))
     except (ValueError, ArithmeticError):
         values = [one(i) for i in range(count)]
-    return np.broadcast_to(np.asarray(values, dtype=float), (count,)).tolist()
+    return np.broadcast_to(np.asarray(values, dtype=float), (count,))
 
 
 def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance: float,
@@ -157,9 +157,8 @@ def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance:
     """Evaluate a residual over a batch of count pre-drawn samples and fold
     it into a CheckResult; serialize(i) describes sample i.
 
-    The worst case is the lowest-index maximizer, with a non-finite residual
-    (NaN included) ranking above every finite one, so it fails the check
-    whatever the tolerance.
+    The worst sample is picked by worst_of's rule (_worst_index), so a
+    non-finite residual fails the check whatever the tolerance.
     See _residuals for a batch that raises.  numpy's overflow warnings are
     silenced while the residuals are computed.
     """
@@ -167,7 +166,7 @@ def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance:
         return CheckResult(name, 0, seed, 0.0, tolerance, True, None)
     with quiet():
         residuals = _residuals(count, evaluate)
-        worst_idx = max(range(count), key=lambda i: _rank(residuals[i]))
+        worst_idx = int(_worst_index(residuals))
         worst_input = None if serialize is None else serialize(worst_idx)
     worst = float(residuals[worst_idx])
     return CheckResult(name, count, seed, worst, tolerance, _passes(worst, tolerance),

@@ -185,14 +185,25 @@ def test_incompatible_anchor_fails_compatibility():
 
 
 def test_sampled_elements_satisfy_constraints_exactly():
-    spec = catalog.action_so3_r3()
+    # so3 sits over a point: its double constraint compares empty base blocks
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        m = rng.uniform(-1, 1, 3)
-        pe = sample_prolongation(spec, m, rng)
-        assert pe.residual(spec) == 0.0
-        dpe = sample_double_prolongation(spec, m, rng)
-        assert dpe.residual(spec) == 0.0
+    for spec in (catalog.action_so3_r3(), catalog.so3()):
+        for _ in range(10):
+            m = rng.uniform(-1, 1, spec.dim_M)
+            pe = sample_prolongation(spec, m, rng)
+            assert pe.residual(spec) == 0.0
+            dpe = sample_double_prolongation(spec, m, rng)
+            assert dpe.residual(spec) == 0.0
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+def test_base_laws_read_zero_on_a_point_base(name):
+    # target and anchor-morphism evaluate their empty base blocks like any
+    # other base, and read exactly 0.0
+    inv = involution_from_spec(catalog.get(name))
+    assert check_axioms(inv, samples=20, seed=3)["target"].max_residual == 0.0
+    laws = check_bracket_laws(inv, samples=10, seed=3)
+    assert laws["anchor-morphism"].max_residual == 0.0
 
 
 def test_sigma_rejects_invalid_pairs():

@@ -118,6 +118,21 @@ def test_projection_guards_reject_nan():
         sigma(inv, pe)
 
 
+def test_ta_residual_is_the_residual_of_the_two_jets():
+    rng = np.random.default_rng(4)
+    inf, nan = float("inf"), float("nan")
+    for _ in range(20):
+        x, y = (TAElement(*(lattice(rng, n) for n in (2, 3, 2, 3))) for _ in range(2))
+        assert ta_residual(x, y) == residual(x.to_jet(), y.to_jet()) > 0.0
+    # an inf in the m block and a NaN in a later block: NaN, as residual gives
+    x = TAElement([inf, 0.0], [0.0], [0.0, 0.0], [nan])
+    y = TAElement([0.0, 0.0], [0.0], [0.0, 0.0], [0.0])
+    assert np.isnan(ta_residual(x, y)) and np.isnan(residual(x.to_jet(), y.to_jet()))
+    # over a point base the m and mdot blocks are empty
+    x, y = TAElement([], [1.0], [], [2.0]), TAElement([], [1.0], [], [-0.5])
+    assert ta_residual(x, y) == residual(x.to_jet(), y.to_jet()) == 2.5
+
+
 def test_ta_jet_roundtrip_and_projections():
     x = TAElement([1.0, 2.0], [3.0], [4.0, 5.0], [6.0])
     j = x.to_jet()

@@ -787,6 +787,59 @@ def test_differentiate_group_unknown_name_exit_2(capsys):
     assert main(["differentiate-group", "no-such-group"]) == 2
 
 
+def test_differentiate_group_file_is_labelled_by_name_or_path(tmp_path, capsys):
+    named = write_fixture(tmp_path, "named.json", group_payload())
+    unnamed = write_fixture(tmp_path, "unnamed.json",
+                            {k: v for k, v in group_payload().items() if k != "name"})
+    for path, label in ((named, "so2"), (unnamed, unnamed)):
+        assert main(["differentiate-group", path, "--samples", "20", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["group"] == label
+
+
+def test_differentiate_group_rejects_a_non_group_fixture(capsys):
+    assert main(["differentiate-group", str(FIXTURES / "so3.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "group fixture" in err
+
+
+def test_differentiate_abelian_group_prints_all_zero(capsys):
+    assert main(["differentiate-group", "diag-abelian(2)", "--samples", "20"]) == 0
+    assert capsys.readouterr().out.endswith("recovered structure constants:\n  (all zero)\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_convert_pair_groupoid_prints_its_tangent_algebroid(tmp_path, capsys, fmt):
+    pair = write_fixture(tmp_path, "pair.json",
+                         {"schema_version": 1, "kind": "group", "catalog": "pair-groupoid(2)"})
+    outputs = []
+    for fx in (pair, catalog_fixture(tmp_path, "tangent-r2")):
+        assert main(["convert", fx, "to-flip", "--samples", "6", "--seed", "3",
+                     "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(FIXTURES / "so3.json")],
+    ["check", str(FIXTURES / "tangent-path.json")],
+    ["differentiate-group", "sl2"],
+])
+def test_csv_report_has_one_line_per_row_in_report_order(capsys, argv):
+    flags = ["--samples", "20", "--seed", "1", "--format"]
+    assert main(argv + flags + ["json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rows = payload.get("report", payload)["checks"]
+    assert main(argv + flags + ["csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "name,passed,max_residual,tolerance,samples,seed"
+    assert lines[1:] == ["%s,%s,%r,%r,%d,%s" % (
+        r["name"], "true" if r["passed"] else "false", r["max_residual"], r["tolerance"],
+        r["samples"], "" if r["seed"] is None else r["seed"]) for r in rows]
+    # the membership rows of a path fixture are seedless: an empty seed column
+    if argv[1].endswith("tangent-path.json"):
+        assert rows and all(line.endswith(",") for line in lines[1:])
+
+
 def test_catalog_list_contents(tmp_path):
     out = tmp_path / "c.json"
     assert main(["catalog", "list", "--format", "json", "--out", str(out)]) == 0

@@ -659,7 +659,33 @@ def test_worst_of_ranks_non_finite_first():
     assert worst_of(iter([0.0, math.inf, math.nan])) == math.inf
 
 
-def test_corrupted_lift_is_detected():
+def test_fold_picks_the_sample_worst_of_ranks_worst():
+    # random residuals with planted NaN, +-inf, -0.0 and ties: _fold's worst
+    # sample is the one the per-sample ranking by sort key picks, and the
+    # first sample holding the value worst_of returns
+    def ranked_pick(values):
+        key = lambda r: r if math.isfinite(r) else math.inf
+        return max(range(len(values)), key=lambda i: key(values[i]))
+
+    def worst_of_pick(values):
+        worst = worst_of(values)
+        return next(i for i, r in enumerate(values)
+                    if r == worst or (math.isnan(r) and math.isnan(worst)))
+
+    rng = np.random.default_rng(19)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    for _ in range(300):
+        values = rng.integers(-2, 4, size=int(rng.integers(1, 9))) / 4.0
+        for i in rng.choice(len(values), size=int(rng.integers(0, 3))):
+            values[i] = specials[rng.integers(len(specials))]
+        result = _fold("ranked", len(values), lambda rows: values[rows], 1e-9, 0,
+                       serialize=lambda i: i)
+        picked = values.tolist()
+        assert result.worst_input == ranked_pick(picked) == worst_of_pick(picked)
+        assert np.float64(result.max_residual).tobytes() == values[result.worst_input].tobytes()
+
+
+def test_corrupted_lift_is_detected(monkeypatch):
     # a "lift" that parks the coefficient in a pure slot instead of the mixed
     # slot behaves like a zero section; the fixed-point law must notice
     def bad_lift(x, direction=1):
@@ -667,8 +693,9 @@ def test_corrupted_lift_is_detected():
 
     from invalg.jet import _law_lift_flip_fixed, _random_jet
 
+    monkeypatch.setattr("invalg.jet.lift_l", bad_lift)
     rng = np.random.default_rng(21)
-    worst = max(_law_lift_flip_fixed(_random_jet(rng, 2, 2), lift=bad_lift) for _ in range(20))
+    worst = max(_law_lift_flip_fixed(_random_jet(rng, 2, 2)) for _ in range(20))
     assert worst > 1e-3
 
 
