@@ -277,10 +277,8 @@ def _dumps(payload, compact: bool) -> str:
 
 
 def _differentiate(group_spec, samples: int, seed: int):
-    from .groupoid import PairGroupoidSpec, differentiate_group, differentiate_pair_groupoid
-    if isinstance(group_spec, PairGroupoidSpec):
-        return differentiate_pair_groupoid(group_spec, samples=samples, seed=seed)
-    return differentiate_group(group_spec, samples=samples, seed=seed)
+    from .groupoid import _routes
+    return _routes(group_spec)[1](group_spec, samples=samples, seed=seed)
 
 
 # -- check suites -------------------------------------------------------------
@@ -382,10 +380,9 @@ def do_convert(args) -> int:
             spec = fx["spec"]
         elif kind == "group":
             # the constants differentiate-group recovers, without its checks
-            from .groupoid import PairGroupoidSpec, group_involution, pair_involution
+            from .groupoid import _routes
             group = fx["group"]
-            build = pair_involution if isinstance(group, PairGroupoidSpec) else group_involution
-            spec = build(group).spec
+            spec = _routes(group)[0](group).spec
         else:
             raise FixtureError("convert to-flip needs an algebroid or group fixture, got %r"
                                % kind)

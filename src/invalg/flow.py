@@ -12,8 +12,11 @@ call, at every time an RK4 stage of the refined grid asks for, and the fiber
 coefficients (matrix, offset) are computed from that table at every
 refined-grid time in one batch.  One RK4 step of an affine system is an
 affine map, so the step maps of every step are built in one batch and
-composed by prefix products.  The fiber always takes that route, and so
-does the base when the anchor has degree at most 1 in the base point; for
+composed by a blocked prefix scan (Blelloch 1990): doubling inside blocks
+of eight steps, then across the block totals.  The fiber always takes that
+route, and so does the base when the anchor has degree at most 1 in the
+base point, its matrix and offset contracted from the anchor at 0, e_1,
+..., e_dim_M one fiber index at a time, the table axis innermost; for
 an anchor of degree 2 or more the base equation is nonlinear and is solved
 stage by stage.  Several transports along different variations run as
 rows of one state; a path transport is the one-row case, and a homotopy
@@ -88,28 +91,50 @@ def _rk4_step_maps(mats, offs, h: float) -> np.ndarray:
     return one + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+_BLOCK = 8  # steps per block of the prefix scan in _affine_rk4
+
+
 def _affine_rk4(mats, offs, x0, h: float) -> np.ndarray:
     """Fixed-step RK4 of the affine system x' = M(t) x + o(t), with M and o
     given at every half step: mats (2n + 1, rows, d, d), offs (2n + 1, rows,
-    d), x0 (rows, d).  Composing the step maps is associative, so their
-    prefix products come from ceil(log2 n) batched products by doubling
-    (Hillis & Steele, CACM 1986), and every state is one product of its
-    prefix with the start.  A product can overflow where the state it gives
-    does not, so when a state is non-finite the steps are replayed one at a
-    time, and the divergence is reported at the first step whose state is
-    non-finite.  Returns the states (n + 1, rows, d)."""
+    d), x0 (rows, d).  Composing the step maps is associative, so the states
+    come from a blocked prefix scan (Blelloch, "Prefix sums and their
+    applications", CMU-CS-90-190, 1990): the step maps are cut into blocks
+    of _BLOCK, the last padded with identity maps; each block's prefix
+    products come from log2 _BLOCK batched doubling rounds, and the block
+    totals are composed by doubling.  Every block start is one product of a
+    composed total with x0, and every state one product of its in-block
+    prefix with its block start, about 3n products in all where doubling
+    over every step takes n log2 n.  A product can overflow where the state
+    it gives does not, so when a state is non-finite the steps are replayed
+    one at a time, and the divergence is reported at the first step whose
+    state is non-finite.  Returns the states (n + 1, rows, d)."""
     rows, d = offs.shape[1:]
     maps = _rk4_step_maps(mats, offs, h)
-    states = np.empty((len(maps) + 1, rows, d + 1, 1))
-    states[0, :, :d, 0] = x0
-    states[0, :, d] = 1.0
+    n = len(maps)
+    blocks = -(-n // _BLOCK)
+    scan = np.empty((blocks * _BLOCK, rows, d + 1, d + 1))
+    scan[:n] = maps
+    scan[n:] = np.eye(d + 1)
+    scan = scan.reshape((blocks, _BLOCK) + scan.shape[1:])
     shift = 1
-    while shift < len(maps):  # maps[i] becomes step i @ ... @ step 0
-        maps[shift:] = maps[shift:] @ maps[:-shift]
+    while shift < _BLOCK:  # scan[b, i] becomes step bB + i @ ... @ step bB
+        scan[:, shift:] = scan[:, shift:] @ scan[:, :-shift]
         shift *= 2
-    states[1:] = maps @ states[0]
+    totals = scan[:-1, -1].copy()  # totals[b] becomes block b @ ... @ block 0
+    shift = 1
+    while shift < len(totals):
+        totals[shift:] = totals[shift:] @ totals[:-shift]
+        shift *= 2
+    starts = np.empty((blocks, rows, d + 1, 1))
+    starts[0, :, :d, 0] = x0
+    starts[0, :, d] = 1.0
+    starts[1:] = totals @ starts[0]
+    states = np.empty((n + 1, rows, d + 1, 1))
+    states[0] = starts[0]
+    states[1:] = (scan @ starts[:, None]).reshape((-1,) + states.shape[1:])[:n]
     if not np.isfinite(states[1:]).all():
-        for i, step in enumerate(_rk4_step_maps(mats, offs, h)):
+        for i, step in enumerate(maps):
             states[i + 1] = step @ states[i]
             if not np.isfinite(states[i + 1]).all():
                 raise ArithmeticError("trajectory diverged at t = %g" % (i * h + h))
@@ -308,10 +333,18 @@ def _affine_anchor(inv: InvolutionAlgebroid, a_t: np.ndarray):
     """The base equation m' = rho(m) a_t of an anchor of degree <= 1, for
     a_t (steps, rows, dim_A), as its matrix (steps, rows, dim_M, dim_M) and
     offset (steps, rows, dim_M): rho(m) a = rho(0) a + sum_k m_k (rho(e_k) -
-    rho(0)) a, read off the one anchor evaluator at 0, e_1, ..., e_dim_M."""
-    probes = np.vstack([np.zeros(inv.dim_M), np.eye(inv.dim_M)])[:, None, None]
-    at = inv.anchor_apply(probes, a_t)
-    return np.moveaxis(at[1:] - at[0], 0, -1), at[0]
+    rho(0)) a, with rho read off the one anchor evaluator at 0, e_1, ...,
+    e_dim_M.  The contraction with a_t runs one fiber index at a time,
+    adding in index order, with the table axis innermost."""
+    dm, da = inv.dim_M, inv.dim_A
+    lead = a_t.shape[:-1]
+    rho = inv.anchor_matrix(np.vstack([np.zeros(dm), np.eye(dm)]))[..., None]
+    a = np.ascontiguousarray(np.reshape(a_t, (-1, da)).T)
+    at = np.zeros((dm + 1, dm, a.shape[1]))  # (probe, base index, table)
+    for j in range(da):
+        at += rho[:, :, j] * a[j]
+    mats = (at[1:] - at[0]).transpose(2, 1, 0).reshape(lead + (dm, dm))
+    return mats, at[0].T.reshape(lead + (dm,))
 
 
 def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end: float):

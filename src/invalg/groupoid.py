@@ -289,6 +289,15 @@ def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
     return inv, report
 
 
+def _routes(spec) -> tuple:
+    """The involution builder and the differentiate function of a group
+    fixture spec: one entry per kind of spec."""
+    return {
+        MatrixGroupSpec: (group_involution, differentiate_group),
+        PairGroupoidSpec: (pair_involution, differentiate_pair_groupoid),
+    }[type(spec)]
+
+
 # -- the group catalog --------------------------------------------------------
 
 

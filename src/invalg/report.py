@@ -117,11 +117,16 @@ def worst_of(residuals: Iterable) -> object:
     """The worst of some residuals: the largest, or the first non-finite one,
     so that a NaN never hides behind a number; 0.0 when there are none.
     Residuals given as arrays of one entry per sample are compared sample by
-    sample, and the result is that array of worst parts."""
-    parts = [np.asarray(r, dtype=float) for r in residuals]
-    if not parts:
+    sample, and the result is that array of worst parts.  An array given
+    whole is its first axis of parts, as iterating it gives, and is ranked
+    as one stack without converting its entries one by one."""
+    if isinstance(residuals, np.ndarray) and residuals.ndim:
+        stack = residuals.astype(float, copy=False)
+    else:
+        parts = [np.asarray(r, dtype=float) for r in residuals]
+        stack = np.stack(np.broadcast_arrays(*parts)) if parts else np.empty(0)
+    if not len(stack):
         return 0.0
-    stack = np.stack(np.broadcast_arrays(*parts))
     worst = np.take_along_axis(stack, _worst_index(stack)[None], axis=0)[0]
     return float(worst) if worst.ndim == 0 else worst
 

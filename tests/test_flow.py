@@ -187,7 +187,7 @@ def sequential_affine_rk4(mats, offs, x0, h):
     return states[:, :, :d, 0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1001])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 64, 1001])
 @pytest.mark.parametrize("rows", [1, 11])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_affine_rk4_prefix_products_match_sequential_steps(d, rows, n):
@@ -437,6 +437,14 @@ def test_affine_anchor_matches_jacobian_route_on_non_dyadic_anchor():
         assert g.shape == w.shape
         assert float(np.max(np.abs(g - w))) <= 1e-15
     assert float(np.max(np.abs(got[0]))) > 0.1  # the anchor does depend on m
+
+
+def test_affine_anchor_on_a_point_base_is_empty():
+    # so3 lives over a point: the base equation has no rows and no columns
+    inv = involution_from_spec(so3())
+    a_t = np.random.default_rng(5).uniform(-1, 1, (7, 3, inv.dim_A))
+    mats, offs = _affine_anchor(inv, a_t)
+    assert mats.shape == (7, 3, 0, 0) and offs.shape == (7, 3, 0)
 
 
 @pytest.mark.parametrize("case", ["tangent-path fixture", "curved action"])

@@ -659,6 +659,37 @@ def test_worst_of_ranks_non_finite_first():
     assert worst_of(iter([0.0, math.inf, math.nan])) == math.inf
 
 
+def test_worst_of_an_array_matches_its_parts_one_by_one():
+    # an array given whole is folded as the list of its first-axis parts,
+    # each converted on its own: same type and same bits, NaN in place
+    def per_part(values):
+        parts = [np.asarray(r, dtype=float) for r in values]
+        if not parts:
+            return 0.0
+        stack = np.stack(np.broadcast_arrays(*parts))
+        index = np.where(np.isfinite(stack), stack, np.inf).argmax(axis=0)
+        worst = np.take_along_axis(stack, index[None], axis=0)[0]
+        return float(worst) if worst.ndim == 0 else worst
+
+    rng = np.random.default_rng(23)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    cases = [np.empty(0), np.empty((0, 3)), np.empty((3, 0)), np.array([-0.0, 0.0]),
+             np.array([[1.0, math.nan], [1.0, 2.0]]), np.array([-math.inf, 5.0])]
+    for _ in range(200):
+        shape = (int(rng.integers(1, 9)),) + ((int(rng.integers(1, 4)),) if rng.random() < 0.5
+                                              else ())
+        values = rng.integers(-2, 4, size=shape) / 4.0  # ties are common
+        flat = values.reshape(-1)
+        for i in rng.choice(flat.size, size=int(rng.integers(0, 3))):
+            flat[i] = specials[rng.integers(len(specials))]
+        cases.append(values)
+    for values in cases:
+        got, want = worst_of(values), per_part(values)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_fold_picks_the_sample_worst_of_ranks_worst():
     # random residuals with planted NaN, +-inf, -0.0 and ties: _fold's worst
     # sample is the one the per-sample ranking by sort key picks, and the
