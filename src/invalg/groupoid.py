@@ -4,14 +4,17 @@ The flip of a differentiated groupoid is the second-order jet composite
 
     flip(v, w) = cw . 0v . (c0pw)^{-1}
 
-Both groupoids run it on one nested jet of depth d + 2.  Its two outer
-directions, the low two mask bits laid out by _assemble4, are the two
-parameters of the second-order jets; the inner d directions are those of the
-prolongations being flipped.  For a matrix group that jet is a float array
-of shape (2**(d+2), *batch, n, n) whose batch axes hold one sample each, and
-the composite is the jet product of jet.py with matmul as the coefficient
-product; c0pw = e + eps2 W_H has the exact inverse e - eps2 W_H.  Matrix jets
-make the resulting involution algebroid fully checkable by the axiom suite.
+Both groupoids run it on second-order jets whose two parameters are two
+outer directions, the low two mask bits laid out by _assemble4, around the
+inner d directions of the prolongations being flipped.  A matrix group
+evaluates it block by block over the two outer directions: each factor is
+four (2**d, *batch, n, n) float matrix jets, one per outer mask, whose batch
+axes hold one sample each, and each of the two products is one jet product
+of depth d (jet.py's, with matmul as the coefficient product) over the
+stacked block pairs that are not zero by construction.  c0pw = e + eps2 W_H
+has the exact inverse e - eps2 W_H.  Matrix jets make the resulting
+involution algebroid fully checkable by the axiom suite.
+
 For the pair groupoid over R^m the same composite is pure index bookkeeping
 on pairs of endpoint-path jets and lands exactly on the tangent-bundle flip.
 """
@@ -137,23 +140,50 @@ def _assemble4(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -
     """Attach two outer directions to four (2**k, ...) jet arrays of one
     shape: block o's mask m lands on mask o | (m << 2), so the directions of
     the blocks shift inward by two and x[o::4] reads block o back."""
-    stacked = np.stack((b0, b1, b2, b3), axis=1)
-    return stacked.reshape((4 * len(b0),) + stacked.shape[2:])
+    out = np.empty((4 * len(b0),) + b0.shape[1:], dtype=np.result_type(b0, b1, b2, b3))
+    out[0::4], out[1::4], out[2::4], out[3::4] = b0, b1, b2, b3
+    return out
 
 
 def group_flip_slots(spec: MatrixGroupSpec, V, W_H, W_V):
     """Run the flip composite on (2**d, *batch, n, n) matrix jets of one
     shape and return the three derivative slots of the result; the second
     one vanishes identically.  c0pw = e + eps2 W_H squares eps2 away, so its
-    inverse is e - eps2 W_H exactly."""
-    e = np.zeros_like(V)
-    e[0] = np.eye(spec.n)
-    z = np.zeros_like(V)
-    cw = _assemble4(e, z, W_H, W_V)
-    zero_v = _assemble4(e, V, z, z)
-    c0pw_inv = _assemble4(e, z, -W_H, z)
-    out = _product(_product(cw, zero_v, np.matmul), c0pw_inv, np.matmul)
-    return out[1::4], out[2::4], out[3::4]
+    inverse is e - eps2 W_H exactly.
+
+    The factors are blocks over the two outer directions, block o the
+    coefficient of outer mask o: cw = (e, 0, W_H, W_V), 0v = (e, V, 0, 0)
+    and (c0pw)^{-1} = (e, 0, -W_H, 0), with e the depth-d identity jet.
+    Block o of a product sums x_p y_{o - p} over the outer submasks p of o,
+    so each stage is one jet product of depth d over the stacked block
+    pairs that are not zero by construction; the pairs with e are
+    multiplied too, which keeps the cancellation of the source slot
+    computed rather than assumed."""
+    eye = np.eye(spec.n)
+    stacked = (len(V), 5) + V.shape[1:]
+    # cw . 0v over the pairs (e, e), (e, V), (W_H, e), (W_H, V), (W_V, e):
+    # its blocks are p0, p1, p2 and p3 + p4
+    left = np.zeros(stacked)
+    right = np.zeros(stacked)
+    left[0, :2] = eye
+    left[:, 2:4] = W_H[:, None]
+    left[:, 4] = W_V
+    right[0, 0::2] = eye
+    right[:, 1::2] = V[:, None]
+    p = _product(left, right, np.matmul)
+    # times (c0pw)^{-1} over (p0, -W_H), (p1, e), (p2, e), (p1, -W_H) and
+    # (p3 + p4, e): the slots are q1, q0 + q2 and q3 + q4, and block 0 of
+    # the composite is no slot
+    left[:, :3] = p[:, :3]
+    left[:, 3] = p[:, 1]
+    np.add(p[:, 3], p[:, 4], out=left[:, 4])
+    right = np.zeros(stacked)
+    right[0, 1:3] = eye
+    right[0, 4] = eye
+    np.negative(W_H, out=right[:, 0])
+    right[:, 3] = right[:, 0]
+    q = _product(left, right, np.matmul)
+    return q[:, 1], q[:, 0] + q[:, 2], q[:, 3] + q[:, 4]
 
 
 def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:

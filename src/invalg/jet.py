@@ -723,14 +723,6 @@ def apply_poly(f: PolyMap, x: JetPoint) -> JetPoint:
 # sample.
 
 
-def _random_rows(rng, dim: int, depth: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=(1 << depth, dim))
-
-
-def _random_jet(rng, dim: int, depth: int) -> JetPoint:
-    return JetPoint.from_rows(depth, _random_rows(rng, dim, depth))
-
-
 def _law_flip_involutive(x: JetPoint) -> np.ndarray:
     return residuals(flip_c(flip_c(x, 1, 2), 1, 2), x)
 

@@ -35,8 +35,10 @@ from invalg.jet import (
     _product,
     join_innermost,
     residual,
+    residuals,
     split_innermost,
 )
+from invalg.report import _fold, quiet
 from jet_reference import RefScalar
 
 
@@ -235,6 +237,33 @@ def test_group_flip_source_slot_cancels_exactly():
         assert float(np.max(np.abs(g2))) == 0.0
 
 
+def test_group_flip_source_slot_guard_fires():
+    # an inf in the value of w makes the source slot inf - inf, so the guard
+    # raises; the fold reruns the batch one sample at a time and charges the
+    # raising sample a NaN residual, which fails the check
+    spec = so3_group()
+    group = group_involution(spec)
+    fitted = involution_from_spec(group.spec)
+    rng = np.random.default_rng(6)
+    v = JetPoint._of(rng.uniform(-1, 1, (1, 4, 3)))
+    w_rows = rng.uniform(-1, 1, (2, 4, 3))
+    w_rows[0, 2, 1] = np.inf
+    w = JetPoint._of(w_rows)
+    with quiet(), pytest.raises(ArithmeticError, match="did not cancel"):
+        group.flip(v, w)
+
+    def against_fitted(rows):
+        vs, ws = (JetPoint._of(x.coeffs[:, rows]) for x in (v, w))
+        return residuals(group.flip(vs, ws), fitted.flip(vs, ws))
+
+    result = _fold("flip-vs-constants", 4, against_fitted, 1e-12, 6, lambda i: i)
+    assert math.isnan(result.max_residual)
+    assert not result.passed
+    assert result.worst_input == 2
+    finite = _fold("flip-vs-constants", 2, against_fitted, 1e-12, 6)
+    assert finite.passed and finite.max_residual <= 1e-12
+
+
 def test_group_flip_correction_matches_commutator():
     spec = sl2_group()
     rng = np.random.default_rng(13)
@@ -383,6 +412,40 @@ def test_group_flip_matches_flip_of_recovered_constants(name, depth):
     v = JetPoint.from_rows(depth, rng.uniform(-1, 1, (1 << depth, 16, spec.dim)))
     w = JetPoint.from_rows(depth + 1, rng.uniform(-1, 1, (2 << depth, 16, spec.dim)))
     assert residual(group.flip(v, w), fitted.flip(v, w)) <= 1e-14
+
+
+def flat_flip_slots(spec, V, W_H, W_V):
+    """The flip composite as one jet product of depth d + 2 per stage, the
+    structurally zero blocks of the factors multiplied along."""
+    e = np.zeros_like(V)
+    e[0] = np.eye(spec.n)
+    z = np.zeros_like(V)
+    out = mul(mul(_assemble4(e, z, W_H, W_V), _assemble4(e, V, z, z)), _assemble4(e, z, -W_H, z))
+    return out[1::4], out[2::4], out[3::4]
+
+
+BLOCK_GROUPS = {"so3": so3_group, "sl2": sl2_group, "diag-abelian(2)": lambda: diag_abelian_group(2)}
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(BLOCK_GROUPS))
+def test_block_composite_matches_flat_composite(name, depth, batch):
+    spec = BLOCK_GROUPS[name]()
+    rng = np.random.default_rng(depth + 3 * len(batch))
+    shape = (1 << depth,) + batch + (spec.dim,)
+    # integer coordinates keep every product and sum exact on both routes
+    mats = [spec.matrix_jet(JetPoint._of(rng.integers(-3, 4, shape).astype(float)))
+            for _ in range(3)]
+    for got, want in zip(group_flip_slots(spec, *mats), flat_flip_slots(spec, *mats)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # on floats the two routes associate the mixed slot's sums differently;
+    # the other two slots still agree bit for bit
+    for _ in range(10):
+        mats = [spec.matrix_jet(JetPoint._of(rng.uniform(-1, 1, shape))) for _ in range(3)]
+        (g1, g2, g12), (f1, f2, f12) = group_flip_slots(spec, *mats), flat_flip_slots(spec, *mats)
+        assert g1.tobytes() == f1.tobytes() and g2.tobytes() == f2.tobytes()
+        assert max_slot_diff(g12, f12) <= 1e-15 * max(1.0, float(np.max(np.abs(f12))))
 
 
 @settings(max_examples=60, deadline=None)

@@ -295,6 +295,10 @@ def _eval_per_term(pm, x):
     return out
 
 
+def _random_jet(rng, dim, depth):
+    return JetPoint.from_rows(depth, rng.uniform(-1.0, 1.0, size=(1 << depth, dim)))
+
+
 def _random_jet_batch(rng, depth, lead, dim):
     return JetPoint._of(rng.uniform(-1.5, 1.5, (1 << depth,) + lead + (dim,)))
 
@@ -722,7 +726,7 @@ def test_corrupted_lift_is_detected(monkeypatch):
     def bad_lift(x, direction=1):
         return insert_zero(x, direction)
 
-    from invalg.jet import _law_lift_flip_fixed, _random_jet
+    from invalg.jet import _law_lift_flip_fixed
 
     monkeypatch.setattr("invalg.jet.lift_l", bad_lift)
     rng = np.random.default_rng(21)
