@@ -32,16 +32,15 @@ from .bundle import (
 from .jet import (
     JetPoint,
     PolyMap,
+    _join,
     _max_abs,
     _product,
     flip_c,
     insert_zero,
-    join_innermost,
     lift_l,
     proj_p,
     residual,
     residuals,
-    split_innermost,
 )
 from .report import Report, _fold, quiet, run_check, worst_of
 
@@ -87,14 +86,18 @@ class Anchored:
 
     def anchor_apply(self, m, a) -> np.ndarray:
         """rho(m) a: the value row of anchor_apply_jet."""
-        return self.anchor_apply_jet(JetPoint.constant(m), JetPoint.constant(a)).row(0)
+        return self._anchor(_vec(m)[None], _vec(a)[None])[0]
 
     def anchor_apply_jet(self, mj: JetPoint, aj: JetPoint) -> JetPoint:
-        if aj.dim != self.dim_A:
-            raise ValueError("fiber dim %d, expected %d" % (aj.dim, self.dim_A))
-        rho = self.rho.eval_jet(mj).coeffs
+        return JetPoint._of(self._anchor(mj.coeffs, aj.coeffs))
+
+    def _anchor(self, m: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """anchor_apply_jet on coefficient arrays."""
+        if a.shape[-1] != self.dim_A:
+            raise ValueError("fiber dim %d, expected %d" % (a.shape[-1], self.dim_A))
+        rho = self.rho._eval_coeffs(m)
         rho = rho.reshape(rho.shape[:-1] + (self.dim_M, self.dim_A))
-        return JetPoint._of(_product(rho, aj.coeffs[..., None, :]).sum(axis=-1))
+        return np.add.reduce(_product(rho, a[..., None, :]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -180,16 +183,22 @@ class AlgebroidSpec(Anchored):
 
     def c_apply(self, m, a, b) -> np.ndarray:
         """C(m)(a, b) at a base point or a batch: the value row of c_apply_jet."""
-        mj, aj, bj = (JetPoint.constant(x) for x in (m, a, b))
-        return self.c_apply_jet(mj, aj, bj).row(0)
+        return self._c_apply(*(_vec(x)[None] for x in (m, a, b)))[0]
 
     def c_apply_jet(self, mj: JetPoint, aj: JetPoint, bj: JetPoint) -> JetPoint:
+        return JetPoint._of(self._c_apply(mj.coeffs, aj.coeffs, bj.coeffs))
+
+    def _c_apply(self, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """c_apply_jet on coefficient arrays."""
+        for x in (a, b):
+            if x.shape[-1] != self.dim_A:
+                raise ValueError("fiber dim %d, expected %d" % (x.shape[-1], self.dim_A))
         first, second = self._pair_index
-        ab = _product(aj.coeffs[..., :, None], bj.coeffs[..., None, :])
+        ab = _product(a[..., :, None], b[..., None, :])
         wedge = ab[..., first, second] - ab[..., second, first]
-        coeffs = self.c_pairs.eval_jet(mj).coeffs
+        coeffs = self.c_pairs._eval_coeffs(m)
         coeffs = coeffs.reshape(coeffs.shape[:-1] + (self.dim_A, len(first)))
-        return JetPoint._of(_product(coeffs, wedge[..., None, :]).sum(axis=-1))
+        return np.add.reduce(_product(coeffs, wedge[..., None, :]), axis=-1)
 
     def c_full(self) -> PolyMap:
         """The structure functions as a full dim_A^3 polynomial tensor."""
@@ -332,10 +341,14 @@ def t_rho_jet(owner, w_jet: JetPoint) -> JetPoint:
     """Tangent prolongation of the anchor: a depth-d jet over the total space
     goes to a depth-(d+1) jet over the base, the base-tangent structure on
     the innermost direction."""
+    return JetPoint._of(_t_rho(owner, w_jet.coeffs))
+
+
+def _t_rho(owner, w: np.ndarray) -> np.ndarray:
+    """t_rho_jet on coefficient arrays."""
     dm, da = owner.dim_M, owner.dim_A
-    mj = w_jet.take(0, dm)
-    aj = w_jet.take(dm, dm + da)
-    return join_innermost(mj, owner.anchor_apply_jet(mj, aj))
+    m = w[..., :dm]
+    return _join(m, owner._anchor(m, w[..., dm:dm + da]))
 
 
 # -- involution algebroids ---------------------------------------------------
@@ -369,16 +382,11 @@ def involution_from_spec(spec: AlgebroidSpec, describe: str = "") -> InvolutionA
     dm, da = spec.dim_M, spec.dim_A
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
-        if w.depth != v.depth + 1:
-            raise ValueError("flip needs w one level deeper than v")
-        w_val, w_dot = split_innermost(w)
-        mj = v.take(0, dm)
-        av = v.take(dm, dm + da)
-        aw = w_val.take(dm, dm + da)
-        aw_dot = w_dot.take(dm, dm + da)
-        value = mj.concat(av)
-        dot = spec.anchor_apply_jet(mj, aw).concat(aw_dot + spec.c_apply_jet(mj, av, aw))
-        return join_innermost(value, dot)
+        v, w = _flip_args(spec, v, w)
+        m, av = v[..., :dm], v[..., dm:]
+        aw, aw_dot = w[:len(v), ..., dm:], w[len(v):, ..., dm:]
+        dot = np.concatenate((spec._anchor(m, aw), aw_dot + spec._c_apply(m, av, aw)), axis=-1)
+        return JetPoint._of(_join(v, dot))
 
     return InvolutionAlgebroid(dm, da, spec.rho, flip, spec=spec, describe=describe)
 
@@ -399,28 +407,33 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
     dm, da = spec.dim_M, spec.dim_A
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
-        if w.depth != v.depth + 1:
-            raise ValueError("flip needs w one level deeper than v")
-        w_val, w_dot = split_innermost(w)
-        mj = v.take(0, dm)
-        av = v.take(dm, dm + da)
-        aw = w_val.take(dm, dm + da)
-        mw_dot = w_dot.take(0, dm)
-        aw_dot = w_dot.take(dm, dm + da)
-        u_w = spec.anchor_apply_jet(mj, aw)
-        u_v = spec.anchor_apply_jet(mj, av)
+        v, w = _flip_args(spec, v, w)
+        m, av = v[..., :dm], v[..., dm:]
+        aw, w_dot = w[:len(v), ..., dm:], w[len(v):]
+        u_w, u_v = spec._anchor(m, aw), spec._anchor(m, av)
         # vertical projections of the three tangents; constant extensions
         # differentiate to zero, so only connection terms survive the first two
-        gamma_wv = conn.apply_jet(mj, u_w, av)
+        gamma_wv = conn._apply(m, u_w, av)
         k1 = gamma_wv
-        k2 = conn.apply_jet(mj, u_v, aw)
-        kw = aw_dot + conn.apply_jet(mj, mw_dot, aw)
-        bracket_wv = spec.c_apply_jet(mj, aw, av)
+        k2 = conn._apply(m, u_v, aw)
+        kw = w_dot[..., dm:] + conn._apply(m, w_dot[..., :dm], aw)
+        bracket_wv = spec._c_apply(m, aw, av)
         alpha2 = k1 - k2 + kw - bracket_wv
         # horizontal lift of rho(p w) through v, translated by the vertical part
-        return join_innermost(mj.concat(av), u_w.concat(alpha2 - gamma_wv))
+        return JetPoint._of(_join(v, np.concatenate((u_w, alpha2 - gamma_wv), axis=-1)))
 
     return InvolutionAlgebroid(dm, da, spec.rho, flip, spec=spec, describe=describe)
+
+
+def _flip_args(spec: AlgebroidSpec, v: JetPoint, w: JetPoint) -> tuple:
+    """The coefficients of a spec flip's arguments, checked once: w one level
+    deeper than v, both over the dim_M + dim_A total-space coordinates."""
+    if w.depth != v.depth + 1:
+        raise ValueError("flip needs w one level deeper than v")
+    width = spec.dim_M + spec.dim_A
+    if v.dim != width or w.dim != width:
+        raise ValueError("flip needs %d coordinates, got %d and %d" % (width, v.dim, w.dim))
+    return v.coeffs, w.coeffs
 
 
 def sigma(inv: InvolutionAlgebroid, pe: ProlongElement, tol: float = 1e-9) -> ProlongElement:
@@ -463,7 +476,7 @@ class _PairBatch:
     x: Optional[np.ndarray] = None
 
     def v_jet(self, rows) -> JetPoint:
-        return JetPoint.constant(self.v[rows], 0)
+        return JetPoint._of(self.v[None, rows])
 
     def w_jet(self, rows) -> JetPoint:
         return JetPoint._of(self.w[:, rows])
@@ -546,7 +559,7 @@ def _lambda_jet(v: JetPoint, dm: int) -> JetPoint:
     is also its tangent."""
     velocity = np.zeros_like(v.coeffs)
     velocity[..., dm:] = v.coeffs[..., dm:]
-    return join_innermost(JetPoint._of(_zero_fiber(v.coeffs, dm)), JetPoint._of(velocity))
+    return JetPoint._of(_join(_zero_fiber(v.coeffs, dm), velocity))
 
 
 def _zero_fiber(points: np.ndarray, dm: int) -> np.ndarray:
@@ -754,14 +767,13 @@ class _NestedBracket:
     def __init__(self, spec: AlgebroidSpec, S, T):
         self.spec, self.S, self.T = spec, S, T
 
-    def eval_jet(self, mj: JetPoint) -> JetPoint:
-        spec, s, t = self.spec, self.S.eval_jet(mj), self.T.eval_jet(mj)
-        along = lambda F, g: split_innermost(
-            F.eval_jet(join_innermost(mj, spec.anchor_apply_jet(mj, g))))[1]
-        return along(self.T, s) - along(self.S, t) + spec.c_apply_jet(mj, s, t)
+    def _eval_coeffs(self, m: np.ndarray) -> np.ndarray:
+        spec, s, t = self.spec, self.S._eval_coeffs(m), self.T._eval_coeffs(m)
+        along = lambda F, g: F._eval_coeffs(_join(m, spec._anchor(m, g)))[len(m):]
+        return along(self.T, s) - along(self.S, t) + spec._c_apply(m, s, t)
 
     def eval_floats(self, m) -> np.ndarray:
-        return self.eval_jet(JetPoint.constant(m, 0)).coeffs[0]
+        return self._eval_coeffs(m[None])[0]
 
 
 class _SectionTable:
@@ -774,13 +786,14 @@ class _SectionTable:
         with quiet():
             values = [S.eval_floats(m) for S in maps]
             self.points = [np.concatenate((m, a), axis=-1) for a in values]
-            self.along = [JetPoint.from_rows(1, [m, inv.anchor_apply(m, a)]) for a in values]
+            self.along = [np.stack((m, inv.anchor_apply(m, a))) for a in values]
 
     def graph(self, j: int, i: int) -> np.ndarray:
         """Section j along the anchored section i: its depth-1 graph jet."""
         if (j, i) not in self._graphs:
             along = self.along[i]
-            self._graphs[j, i] = along.concat(self.maps[j].eval_jet(along)).coeffs
+            self._graphs[j, i] = np.concatenate((along, self.maps[j]._eval_coeffs(along)),
+                                                axis=-1)
         return self._graphs[j, i]
 
     def brackets(self, pairs, rows=slice(None)) -> np.ndarray:
@@ -800,16 +813,14 @@ def bracket_from_flip(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec):
 
 
 def _flip_fields(inv: InvolutionAlgebroid, fields) -> np.ndarray:
-    """Flip fields of sections on the total space, one flip call for all: for
-    each (section, z) flip the jets z against the section's prolongation
+    """Flip fields of sections on the total space, one flip call for all: flip
+    each (section, z) pair's coefficients z against the section's prolongation
     along their anchored direction.  Returns velocities, sections on axis 1."""
-    dm, da = inv.dim_M, inv.dim_A
-    z = JetPoint._of(np.stack([zk.coeffs for _, zk in fields], axis=1))
-    mj = z.take(0, dm)
-    along = join_innermost(mj, inv.anchor_apply_jet(mj, z.take(dm, dm + da))).coeffs
-    graphs = [np.concatenate((c, S.eval_jet(JetPoint._of(c)).coeffs), axis=-1)
+    z = np.stack([zk for _, zk in fields], axis=1)
+    along = _t_rho(inv, z)
+    graphs = [np.concatenate((c, S._eval_coeffs(c)), axis=-1)
               for (S, _), c in zip(fields, along.swapaxes(0, 1))]
-    return split_innermost(inv.flip(z, JetPoint._of(np.stack(graphs, axis=1))))[1].coeffs
+    return inv.flip(JetPoint._of(z), JetPoint._of(np.stack(graphs, axis=1))).coeffs[len(z):]
 
 
 def _point_checks(report: Report, points: np.ndarray, tolerance: float, seed: int):
@@ -862,32 +873,32 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     # flip fields: alpha_[X,Y] = [alpha_X, alpha_Y] as fields on the total space
     total = rng.uniform(-1, 1, (samples, dm + da))  # per sample m, then a
     at_total = _point_checks(report, total, tolerance, seed)
-    at_z = lambda rows: JetPoint.constant(total[rows], 0)
+    at_z = lambda rows: total[None, rows]
     fields = _per_rows(lambda rows: _flip_fields(
         inv, [(S, at_z(rows)) for S in (X, Y, b_xy, X + Y)])[0])
 
     def flip_field_morphism(rows):
         f_x, f_y, f_xy, _ = fields(rows)
-        moved = lambda f: join_innermost(at_z(rows), JetPoint._of(f[None]))
+        moved = lambda f: _join(at_z(rows), f[None])
         across = _flip_fields(inv, [(Y, moved(f_x)), (X, moved(f_y))])[1]
         return _max_abs(across[0] - across[1] - f_xy)
 
     at_total("flip-field-morphism", flip_field_morphism)
 
     # anchor morphism: rho[X,Y] equals the base bracket of the anchored fields
-    rx = lambda mz: inv.anchor_apply_jet(mz, X.eval_jet(mz))
-    ry = lambda mz: inv.anchor_apply_jet(mz, Y.eval_jet(mz))
+    rx = lambda mz: inv._anchor(mz, X._eval_coeffs(mz))
+    ry = lambda mz: inv._anchor(mz, Y._eval_coeffs(mz))
 
     def anchor_morphism(rows):
-        m, z = points[rows], JetPoint.constant(points[rows], 0)
-        field_bracket = ry(join_innermost(z, rx(z))).row(1) - rx(join_innermost(z, ry(z))).row(1)
+        m, z = points[rows], points[None, rows]
+        field_bracket = ry(_join(z, rx(z)))[1] - rx(_join(z, ry(z)))[1]
         return _max_abs(inv.anchor_apply(m, xy_yx(rows)[0]) - field_bracket)
 
     at_points("anchor-morphism", anchor_morphism)
 
     def flip_field_additive(rows):
         f_x, f_y, _, f_sum = fields(rows)
-        return residuals(JetPoint._of(f_sum[None]), JetPoint._of((f_x + f_y)[None]))
+        return _max_abs(f_sum - (f_x + f_y))
 
     at_total("flip-field-additive", flip_field_additive)
     return report

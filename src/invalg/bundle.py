@@ -164,19 +164,21 @@ class ConnectionSpec:
 
     def apply(self, m, w, a) -> np.ndarray:
         """result_k = sum G[k, alpha, j] w_alpha a_j: the value row of apply_jet."""
-        mj, wj, aj = (JetPoint.constant(_vec(x)) for x in (m, w, a))
-        return self.apply_jet(mj, wj, aj).row(0)
+        return self._apply(*(_vec(x)[None] for x in (m, w, a)))[0]
 
     def apply_jet(self, mj: JetPoint, wj: JetPoint, aj: JetPoint) -> JetPoint:
         """Same bilinear form with jet coordinates throughout, batch axes kept."""
-        if mj.dim != self.dim_M or wj.dim != self.dim_M or aj.dim != self.dim_A:
-            raise ValueError("jet block dims do not match the connection")
+        return JetPoint._of(self._apply(mj.coeffs, wj.coeffs, aj.coeffs))
+
+    def _apply(self, m: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """apply_jet on coefficient arrays."""
         dm, da = self.dim_M, self.dim_A
-        lead = mj.coeffs.shape[:-1]
-        gam = self.gamma.eval_jet(mj).coeffs.reshape(lead + (da, dm, da))
-        terms = _product(_product(gam, wj.coeffs[..., None, :, None]),
-                         aj.coeffs[..., None, None, :])
-        return JetPoint._of(terms.reshape(lead + (da, dm * da)).sum(axis=-1))
+        if m.shape[-1] != dm or w.shape[-1] != dm or a.shape[-1] != da:
+            raise ValueError("jet block dims do not match the connection")
+        lead = m.shape[:-1]
+        gam = self.gamma._eval_coeffs(m).reshape(lead + (da, dm, da))
+        terms = _product(_product(gam, w[..., None, :, None]), a[..., None, None, :])
+        return np.add.reduce(terms.reshape(lead + (da, dm * da)), axis=-1)
 
 
 # -- sections and scalar fields ----------------------------------------------

@@ -15,6 +15,9 @@ shape (2**d, N, dim) (vector forward mode); an unbatched jet is
 below are gathers on the mask axis and act on every batch entry alike;
 take, concat and the coordinate blocks act on the last axis.  residual
 folds a whole jet into one number, residuals one number per batch entry.
+JetPoint is the public type at entry and return; the kernels behind it
+(PolyMap._eval_coeffs, which shares eval_jet's memo, and _join) pass bare
+coefficient arrays, so a computation wraps one JetPoint, where it returns.
 
 Nesting convention.  Direction 1 carries the projection p of the outer
 tangent: dropping direction 1 realizes p on nested tangents, dropping
@@ -40,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -202,7 +205,8 @@ class JetScalar:
 class JetPoint:
     """A point of a coordinate space with every coordinate a jet, or a batch
     of such points: coeffs has shape (2**depth, *batch, dim), row S holding
-    the eps_S coefficients."""
+    the eps_S coefficients.  The public type at entry and return; the
+    kernels pass the bare coeffs arrays among themselves."""
 
     __slots__ = ("depth", "coeffs")
 
@@ -310,20 +314,20 @@ def residual(x: JetPoint, y: JetPoint) -> float:
     """Largest absolute coefficient difference between two jet points; NaN
     when any difference is NaN, so a non-finite jet never matches."""
     x._same_shape(y)
-    return float(np.abs(x.coeffs - y.coeffs).max(initial=0.0))
+    return float(np.maximum.reduce(np.abs(x.coeffs - y.coeffs), axis=None, initial=0.0))
 
 
 def residuals(x: JetPoint, y: JetPoint) -> np.ndarray:
     """residual for each batch entry: the largest absolute difference over
     the masks and the coordinates, NaN when any of them is NaN."""
     x._same_shape(y)
-    return np.abs(x.coeffs - y.coeffs).max(axis=(0, -1), initial=0.0)
+    return np.maximum.reduce(np.abs(x.coeffs - y.coeffs), axis=(0, -1), initial=0.0)
 
 
 def _max_abs(diff) -> np.ndarray:
     """Largest absolute entry along the last axis, one per leading index;
     NaN when any entry is NaN, 0.0 for an empty axis."""
-    return np.abs(diff).max(axis=-1, initial=0.0)
+    return np.maximum.reduce(np.abs(diff), axis=-1, initial=0.0)
 
 
 # -- structural maps ---------------------------------------------------------
@@ -370,11 +374,12 @@ def _lift_map(depth: int, direction: int) -> tuple:
                  for m in range(2 << depth))
 
 
-def _with_bit(x: JetPoint, direction: int) -> np.ndarray:
-    """Which masks of x contain one direction, shaped to broadcast against
-    its coefficients."""
-    bits = np.arange(1 << x.depth) & (1 << (direction - 1)) != 0
-    return bits.reshape((-1,) + (1,) * (x.coeffs.ndim - 1))
+@lru_cache(maxsize=None)
+def _with_bit(depth: int, direction: int, ndim: int) -> np.ndarray:
+    """Which masks of a depth-d jet contain one direction, shaped to
+    broadcast against coefficients of ndim axes."""
+    bits = np.arange(1 << depth) & (1 << (direction - 1)) != 0
+    return _frozen(bits.reshape((-1,) + (1,) * (ndim - 1)))
 
 
 def proj_p(x: JetPoint, direction: int = 1) -> JetPoint:
@@ -429,8 +434,9 @@ def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_
         raise ValueError("addition needs matching jet shapes")
     if not 1 <= direction <= x.depth:
         raise ValueError("no direction %d in a depth-%d jet" % (direction, x.depth))
-    moving = _with_bit(x, direction)
-    gap = float(np.abs(np.where(moving, 0.0, x.coeffs - y.coeffs)).max(initial=0.0))
+    moving = _with_bit(x.depth, direction, x.coeffs.ndim)
+    gap = float(np.maximum.reduce(np.abs(np.where(moving, 0.0, x.coeffs - y.coeffs)),
+                                  axis=None, initial=0.0))
     if not gap <= tol:
         raise ValueError("incompatible summands: shared coefficient differs by %g" % gap)
     return JetPoint._of(np.where(moving, x.coeffs + y.coeffs, x.coeffs))
@@ -443,7 +449,8 @@ def sub_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_
 
 def neg_tangent(x: JetPoint, direction: int = 1) -> JetPoint:
     """Fiberwise negation in one direction."""
-    return JetPoint._of(np.where(_with_bit(x, direction), -x.coeffs, x.coeffs))
+    return JetPoint._of(np.where(_with_bit(x.depth, direction, x.coeffs.ndim),
+                                 -x.coeffs, x.coeffs))
 
 
 def split_innermost(x: JetPoint):
@@ -459,11 +466,16 @@ def split_innermost(x: JetPoint):
 
 def join_innermost(value: JetPoint, velocity: JetPoint) -> JetPoint:
     """Inverse of split_innermost: attach a velocity along a new innermost direction."""
-    if value.coeffs.shape != velocity.coeffs.shape:
+    return JetPoint._of(_join(value.coeffs, velocity.coeffs))
+
+
+def _join(value: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """join_innermost on coefficient arrays."""
+    if value.shape != velocity.shape:
         raise ValueError("join needs matching jet shapes")
-    if value.depth + 1 > MAX_DEPTH:
+    if len(value) << 1 > 1 << MAX_DEPTH:
         raise ValueError("depth cap %d exceeded" % MAX_DEPTH)
-    return JetPoint._of(np.concatenate((value.coeffs, velocity.coeffs)))
+    return np.concatenate((value, velocity))
 
 
 # -- polynomial maps ---------------------------------------------------------
@@ -558,16 +570,26 @@ class PolyMap:
         and hands the same read-only JetPoint back for an equal input,
         repeating neither the work nor numpy's warnings.  Larger inputs and
         object arrays are evaluated every time."""
-        if x.dim != self.in_dim:
-            raise ValueError("input dim %d, expected %d" % (x.dim, self.in_dim))
-        xs = x.coeffs
+        return self._kept(x.coeffs) or JetPoint._of(self._evaluate(x.coeffs))
+
+    def _eval_coeffs(self, xs: np.ndarray) -> np.ndarray:
+        """eval_jet on bare coefficients (2**d, *batch, in_dim), through the
+        same memo: a kept result comes back as its read-only array."""
+        kept = self._kept(xs)
+        return self._evaluate(xs) if kept is None else kept.coeffs
+
+    def _kept(self, xs: np.ndarray) -> Optional[JetPoint]:
+        """The memo's result for the coefficients xs, evaluated now if they
+        are new; None for an input the memo does not keep."""
+        if xs.shape[-1] != self.in_dim:
+            raise ValueError("input dim %d, expected %d" % (xs.shape[-1], self.in_dim))
         if xs.dtype.kind != "f" or xs.nbytes > _MEMO_BYTES:
-            return self._evaluate(xs)
+            return None
         key = (xs.shape, xs.dtype, xs.tobytes())
         memo = self._memo
         out = memo.get(key)
         if out is None:
-            out = self._evaluate(xs)
+            out = JetPoint._of(self._evaluate(xs))
             if len(memo) == _MEMO_ENTRIES:
                 del memo[next(iter(memo))]
             memo[key] = out
@@ -578,10 +600,8 @@ class PolyMap:
         """eval_jet's results by input key, oldest first."""
         return {}
 
-    def _evaluate(self, xs: np.ndarray) -> JetPoint:
+    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
         rows, coef, factors, top = self._compiled
-        mono = np.zeros(xs.shape[:-1] + (len(coef),))
-        mono[0] = 1.0
         if factors:
             # exponent last, so powers[..., i, exps] is every term's factor
             powers = np.zeros(xs.shape + (top + 1,))
@@ -589,30 +609,34 @@ class PolyMap:
             powers[..., 1] = xs
             for e in range(2, top + 1):
                 powers[..., e] = _product(powers[..., e - 1], xs)
-            for n, (i, exps) in enumerate(factors):
+            for n, (i, exps, used) in enumerate(factors):
                 power = powers[..., i, exps]
                 # a term skips the inputs it does not use
-                mono = power if n == 0 else np.where(exps > 0, _product(mono, power), mono)
+                mono = power if n == 0 else np.where(used, _product(mono, power), mono)
+        else:
+            mono = np.zeros(xs.shape[:-1] + (len(coef),))
+            mono[0] = 1.0
         shape = xs.shape[:-1] + (self.out_dim,)
         size = math.prod(shape)
         if not (size and len(coef)):
             # np.bincount of no bins gives int64 zeros
-            return JetPoint._of(np.zeros(shape))
+            return np.zeros(shape)
         # bin (point, output): each adds its terms in term order from +0.0
         bins = (np.arange(0, size, self.out_dim)[:, None] + rows).ravel()
-        out = np.bincount(bins, (coef * mono).ravel(), size)
-        return JetPoint._of(out.reshape(shape))
+        return np.bincount(bins, (coef * mono).ravel(), size).reshape(shape)
 
     @cached_property
     def _compiled(self) -> tuple:
         """The terms as arrays, built once per map for eval_jet: the output
         row and the coefficient of every term, each input that occurs with
-        its exponent in every term, and the top exponent."""
+        its exponent in every term and the terms that use it, and the top
+        exponent."""
         flat = [(k, c, e) for k, row in enumerate(self.terms) for c, e in row]
         rows = np.array([k for k, _, _ in flat], dtype=np.intp)
         coef = np.array([c for _, c, _ in flat], dtype=float)
         exps = np.array([e for _, _, e in flat], dtype=np.intp).reshape(len(flat), self.in_dim)
-        factors = tuple((i, exps[:, i]) for i in range(self.in_dim) if exps[:, i].any())
+        factors = tuple((i, exps[:, i], exps[:, i] > 0)
+                        for i in range(self.in_dim) if exps[:, i].any())
         return rows, coef, factors, int(exps.max(initial=0))
 
     def eval_floats(self, x) -> np.ndarray:
@@ -621,7 +645,7 @@ class PolyMap:
         arr = np.asarray(x, dtype=float)
         if arr.shape[-1:] != (self.in_dim,):
             raise ValueError("input shape %r, expected trailing %d" % (arr.shape, self.in_dim))
-        return self.eval_jet(JetPoint.constant(arr, 0)).row(0)
+        return self._eval_coeffs(arr[None])[0].copy()
 
     def partial(self, i: int) -> "PolyMap":
         """Exact partial derivative with respect to input i."""

@@ -154,7 +154,8 @@ def _residuals(count: int, evaluate: Callable[[slice], object]) -> np.ndarray:
         values = evaluate(slice(None))
     except (ValueError, ArithmeticError):
         values = [one(i) for i in range(count)]
-    return np.broadcast_to(np.asarray(values, dtype=float), (count,))
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == (count,) else np.broadcast_to(values, (count,))
 
 
 def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance: float,

@@ -49,7 +49,16 @@ from invalg.groupoid import (
     sl2_group,
     so3_group,
 )
-from invalg.jet import JetPoint, PolyMap, _max_abs, check_tangent_axioms, residual
+from invalg.jet import (
+    JetPoint,
+    PolyMap,
+    _max_abs,
+    _product,
+    check_tangent_axioms,
+    join_innermost,
+    residual,
+    split_innermost,
+)
 from invalg.report import _fold, _residuals, quiet
 
 
@@ -100,6 +109,26 @@ def test_c_apply_antisymmetry_is_exact():
         jb = spec.c_apply_jet(JetPoint.constant(m, 0), JetPoint.constant(b, 0),
                               JetPoint.constant(a, 0))
         assert all(x.coeffs[0] + y.coeffs[0] == 0.0 for x, y in zip(jf.entries, jb.entries))
+
+
+def test_structure_functions_reject_fiber_vectors_of_the_wrong_length():
+    spec = catalog.action_so3_r3()
+    m, a = np.zeros(3), np.ones(3)
+    for bad in (np.ones(2), np.ones(4)):
+        message = "fiber dim %d, expected 3" % len(bad)
+        for args in ((m, bad, a), (m, a, bad)):
+            with pytest.raises(ValueError, match=message):
+                spec.c_apply(*args)
+            with pytest.raises(ValueError, match=message):
+                spec.c_apply_jet(*(JetPoint.constant(x, 1) for x in args))
+        for slot in range(3):
+            fibers = [a, a, a]
+            fibers[slot] = bad
+            with pytest.raises(ValueError, match=message):
+                spec.jacobiator(m, *fibers)
+        # inside a fold the refused sample is a NaN residual, not an escape
+        result = _fold("c", 2, lambda rows: _max_abs(spec.c_apply(m, bad, a)), 1.0, 0)
+        assert math.isnan(result.max_residual) and not result.passed
 
 
 def test_c_tensor_reflection():
@@ -269,6 +298,93 @@ def test_point_base_tangent_flip_formula():
         expect3 = rows[5] + np.cross(rows[0], rows[4]) + np.cross(rows[1], rows[2])
         assert np.max(np.abs(out.row(2) - expect2)) < 1e-15
         assert np.max(np.abs(out.row(3) - expect3)) < 1e-15
+
+
+@pytest.mark.parametrize("route", ["spec", "connection"])
+def test_spec_flips_reject_jets_of_the_wrong_width(route):
+    spec = catalog.action_so3_r3()
+    inv = involution_from_spec(spec) if route == "spec" else flip_from_bracket(spec)
+    rng = np.random.default_rng(3)
+    v = {n: JetPoint.constant(rng.uniform(-1, 1, n), 0) for n in (5, 6, 7)}
+    w = {n: JetPoint.from_rows(1, rng.uniform(-1, 1, (2, n))) for n in (5, 6, 7)}
+    assert inv.flip(v[6], w[6]).coeffs.shape == (2, 6)
+    for nv, nw in ((7, 6), (6, 7), (7, 7), (5, 6), (6, 5)):
+        with pytest.raises(ValueError, match="flip needs 6 coordinates, got %d and %d" % (nv, nw)):
+            inv.flip(v[nv], w[nw])
+
+
+# -- the array kernels against JetPoint compositions of the same arithmetic ---
+
+
+def _anchor_by_jetpoints(spec, mj, aj):
+    rho = spec.rho.eval_jet(mj).coeffs
+    rho = rho.reshape(rho.shape[:-1] + (spec.dim_M, spec.dim_A))
+    return JetPoint._of(_product(rho, aj.coeffs[..., None, :]).sum(axis=-1))
+
+
+def _t_rho_by_jetpoints(spec, w):
+    mj = w.take(0, spec.dim_M)
+    return join_innermost(mj, _anchor_by_jetpoints(spec, mj, w.take(spec.dim_M, w.dim)))
+
+
+def _canonical_flip_by_jetpoints(spec, v, w):
+    dm, da = spec.dim_M, spec.dim_A
+    w_val, w_dot = split_innermost(w)
+    mj, av = v.take(0, dm), v.take(dm, dm + da)
+    aw, aw_dot = w_val.take(dm, dm + da), w_dot.take(dm, dm + da)
+    dot = spec.anchor_apply_jet(mj, aw).concat(aw_dot + spec.c_apply_jet(mj, av, aw))
+    return join_innermost(mj.concat(av), dot)
+
+
+def _connection_flip_by_jetpoints(spec, conn, v, w):
+    dm, da = spec.dim_M, spec.dim_A
+    w_val, w_dot = split_innermost(w)
+    mj, av = v.take(0, dm), v.take(dm, dm + da)
+    aw, mw_dot, aw_dot = w_val.take(dm, dm + da), w_dot.take(0, dm), w_dot.take(dm, dm + da)
+    u_w, u_v = spec.anchor_apply_jet(mj, aw), spec.anchor_apply_jet(mj, av)
+    gamma_wv = conn.apply_jet(mj, u_w, av)
+    alpha2 = (gamma_wv - conn.apply_jet(mj, u_v, aw) + (aw_dot + conn.apply_jet(mj, mw_dot, aw))
+              - spec.c_apply_jet(mj, aw, av))
+    return join_innermost(mj.concat(av), u_w.concat(alpha2 - gamma_wv))
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _planted(rng, shape):
+    """Uniform doubles with about one entry in eight an inf, -inf or NaN."""
+    out = rng.uniform(-2, 2, shape)
+    special = rng.random(shape) < 0.125
+    out[special] = rng.choice([math.inf, -math.inf, math.nan], int(special.sum()))
+    return out
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_array_kernels_match_the_jetpoint_composition_bit_for_bit(name):
+    spec = catalog.get(name)
+    dm, da = spec.dim_M, spec.dim_A
+    rng = np.random.default_rng(31)
+    conn = ConnectionSpec.random_poly(rng, dm, da)
+    canonical, connection = involution_from_spec(spec), flip_from_bracket(spec, conn)
+    with np.errstate(all="ignore"):
+        for depth in range(3):
+            for batch in ((), (5,), (2, 3)):
+                shape = lambda rows, dim: (rows,) + batch + (dim,)
+                v = JetPoint._of(_planted(rng, shape(1 << depth, dm + da)))
+                w = JetPoint._of(_planted(rng, shape(2 << depth, dm + da)))
+                assert _same_bits(canonical.flip(v, w).coeffs,
+                                  _canonical_flip_by_jetpoints(spec, v, w).coeffs)
+                assert _same_bits(connection.flip(v, w).coeffs,
+                                  _connection_flip_by_jetpoints(spec, conn, v, w).coeffs)
+                assert _same_bits(algebroid.t_rho_jet(spec, v).coeffs,
+                                  _t_rho_by_jetpoints(spec, v).coeffs)
+                mj, aj = v.take(0, dm), v.take(dm, dm + da)
+                assert _same_bits(spec.anchor_apply_jet(mj, aj).coeffs,
+                                  _anchor_by_jetpoints(spec, mj, aj).coeffs)
+                m, a = mj.coeffs[0], aj.coeffs[0]
+                want = _anchor_by_jetpoints(spec, JetPoint.constant(m), JetPoint.constant(a))
+                assert _same_bits(spec.anchor_apply(m, a), want.row(0))
 
 
 # -- connection independence of the composite route ---------------------------
@@ -484,7 +600,7 @@ def test_nested_bracket_on_jets_matches_bracket_poly(name):
     Y, Z = (_random_section_poly(rng, dm, da) for _ in range(2))
     nested, oracle = _NestedBracket(spec, Y, Z), spec.bracket_poly(Y, Z)
     mj = JetPoint.from_rows(1, rng.uniform(-1, 1, (2, 6, dm)))
-    assert _max_abs(nested.eval_jet(mj).coeffs - oracle.eval_jet(mj).coeffs).max() <= 1e-13
+    assert _max_abs(nested._eval_coeffs(mj.coeffs) - oracle.eval_jet(mj).coeffs).max() <= 1e-13
     m = mj.coeffs[0]
     assert _max_abs(nested.eval_floats(m) - oracle.eval_floats(m)).max() <= 1e-13
 
@@ -495,17 +611,17 @@ def test_flipped_c_in_the_nested_brackets_fails_the_bracket_laws():
     # so the flip negates all three terms of the Jacobi sum and leaves it at
     # zero: there the flip-field morphism, which reads [X, Y], catches it,
     # and over a base with a moving anchor the Jacobi law does too.
-    original = _NestedBracket.eval_jet
+    original = _NestedBracket._eval_coeffs
 
-    def flipped(self, mj):
-        c = self.spec.c_apply_jet(mj, self.S.eval_jet(mj), self.T.eval_jet(mj))
-        return original(self, mj) - c - c
+    def flipped(self, m):
+        c = self.spec._c_apply(m, self.S._eval_coeffs(m), self.T._eval_coeffs(m))
+        return original(self, m) - c - c
 
     reports = {}
     for name in ("so3", "action-so3-r3"):
         inv = involution_from_spec(catalog.get(name))
         assert check_bracket_laws(inv, samples=10, seed=4).passed
-        with mock.patch.object(_NestedBracket, "eval_jet", flipped):
+        with mock.patch.object(_NestedBracket, "_eval_coeffs", flipped):
             reports[name] = check_bracket_laws(inv, samples=10, seed=4)
     assert reports["so3"]["flip-field-morphism"].max_residual > 0.1
     assert reports["action-so3-r3"]["bracket-jacobi"].max_residual > 0.1

@@ -400,16 +400,17 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, case):
 
 def test_no_kept_evaluation_outlives_main(tmp_path, capsys, monkeypatch):
     # eval_jet keeps its results on each map, not at module level: once main
-    # returns, no map it evaluated and no result it returned is reachable
+    # returns, no map it evaluated and no result it returned is reachable.
+    # Every evaluation, kept or not, is a call of _evaluate.
     evaluated = []
-    eval_jet = PolyMap.eval_jet
+    evaluate = PolyMap._evaluate
 
-    def spy(pm, x):
-        out = eval_jet(pm, x)
-        evaluated.extend((weakref.ref(pm), weakref.ref(out.coeffs)))
+    def spy(pm, xs):
+        out = evaluate(pm, xs)
+        evaluated.extend((weakref.ref(pm), weakref.ref(out)))
         return out
 
-    monkeypatch.setattr(PolyMap, "eval_jet", spy)
+    monkeypatch.setattr(PolyMap, "_evaluate", spy)
     out = str(tmp_path / "out")
     for argv in (["check", str(FIXTURES / "action-cross.json"), "--samples", "5"],
                  ["check", catalog_fixture(tmp_path, "lie-algebra-bundle"), "--samples", "5"],

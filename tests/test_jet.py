@@ -18,6 +18,7 @@ from invalg.jet import (
     JetPoint,
     JetScalar,
     PolyMap,
+    _max_abs,
     _product,
     add_tangent,
     apply_poly,
@@ -375,7 +376,7 @@ def _add_at_evaluate(pm: PolyMap, xs: np.ndarray) -> np.ndarray:
         powers[..., 1] = xs
         for e in range(2, top + 1):
             powers[..., e] = _product(powers[..., e - 1], xs)
-        for n, (i, exps) in enumerate(factors):
+        for n, (i, exps, _) in enumerate(factors):
             power = powers[..., i, exps]
             mono = power if n == 0 else np.where(exps > 0, _product(mono, power), mono)
     out = np.zeros(xs.shape[:-1] + (pm.out_dim,))
@@ -407,7 +408,7 @@ def test_scatter_reproduces_the_add_at_scatter_bit_for_bit():
                     xs = rng.uniform(-2, 2, shape)
                     special = rng.random(shape) < 0.3
                     xs[special] = rng.choice(SCATTER_VALUES, int(special.sum()))
-                    got = pm._evaluate(xs).coeffs
+                    got = pm._evaluate(xs)
                     want = _add_at_evaluate(pm, xs)
                     assert got.dtype == np.float64 and got.shape == want.shape
                     nan = np.isnan(want)
@@ -632,6 +633,28 @@ def test_residual_is_nan_when_any_difference_is():
     # a NaN after a finite maximum is not dropped either
     y = jp(1, [[0.0, 9.0], [0.0, nan]])
     assert math.isnan(residual(y, jp(1, [[0.0, 0.0], [0.0, 0.0]])))
+
+
+def test_reductions_propagate_nan_and_read_zero_on_an_empty_axis():
+    nan = math.nan
+    x = JetPoint.from_rows(1, [[[0.0, 1.0], [2.0, 3.0]], [[0.5, 0.5], [1.0, 1.0]]])
+    y = JetPoint.from_rows(1, [[[0.0, 9.0], [2.0, 3.5]], [[0.5, nan], [1.0, -1.0]]])
+    # a NaN after a larger finite difference of the same batch entry is kept
+    got = residuals(x, y)
+    assert math.isnan(got[0]) and got[1] == 2.0
+    got = _max_abs(np.array([[-3.0, nan, 1.0], [-2.0, 0.5, 1.0]]))
+    assert math.isnan(got[0]) and got[1] == 2.0
+    # so is a NaN in a shared slot of two summands, whatever the tolerance
+    shared = x.coeffs.copy()
+    shared[0, 0, 0], shared[0, 1, 1] = 5.0, nan
+    with pytest.raises(ValueError, match="incompatible summands: shared coefficient differs by nan"):
+        add_tangent(x, JetPoint._of(shared), 1, tol=math.inf)
+    # no coordinates: every reduction reads 0.0, and the summands agree
+    empty = JetPoint.constant(np.zeros((3, 0)), 1)
+    assert residual(empty, empty) == 0.0
+    assert residuals(empty, empty).tolist() == [0.0] * 3
+    assert _max_abs(np.zeros((3, 0))).tolist() == [0.0] * 3
+    assert add_tangent(empty, empty).coeffs.shape == (2, 3, 0)
 
 
 def test_run_check_fails_on_non_finite_residuals():
