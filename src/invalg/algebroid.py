@@ -362,7 +362,7 @@ class InvolutionAlgebroid(Anchored):
     w.depth == v.depth + 1 and returns a jet of w's depth; depth-0/1 inputs
     give the flip itself, deeper inputs give its tangent prolongations.  The
     jets may carry batch axes (the same ones for v and w), which the output
-    keeps.
+    keeps.  Every flip checks this contract in _flip_args, at its entry.
     """
 
     dim_M: int
@@ -382,7 +382,7 @@ def involution_from_spec(spec: AlgebroidSpec, describe: str = "") -> InvolutionA
     dm, da = spec.dim_M, spec.dim_A
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
-        v, w = _flip_args(spec, v, w)
+        v, w = _flip_args(dm, da, v, w)
         m, av = v[..., :dm], v[..., dm:]
         aw, aw_dot = w[:len(v), ..., dm:], w[len(v):, ..., dm:]
         dot = np.concatenate((spec._anchor(m, aw), aw_dot + spec._c_apply(m, av, aw)), axis=-1)
@@ -407,7 +407,7 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
     dm, da = spec.dim_M, spec.dim_A
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
-        v, w = _flip_args(spec, v, w)
+        v, w = _flip_args(dm, da, v, w)
         m, av = v[..., :dm], v[..., dm:]
         aw, w_dot = w[:len(v), ..., dm:], w[len(v):]
         u_w, u_v = spec._anchor(m, aw), spec._anchor(m, av)
@@ -425,14 +425,18 @@ def flip_from_bracket(spec: AlgebroidSpec, conn: ConnectionSpec = None,
     return InvolutionAlgebroid(dm, da, spec.rho, flip, spec=spec, describe=describe)
 
 
-def _flip_args(spec: AlgebroidSpec, v: JetPoint, w: JetPoint) -> tuple:
-    """The coefficients of a spec flip's arguments, checked once: w one level
-    deeper than v, both over the dim_M + dim_A total-space coordinates."""
+def _flip_args(dim_M: int, dim_A: int, v: JetPoint, w: JetPoint) -> tuple:
+    """The coefficients of a flip's arguments, checked by the one contract of
+    every flip: w one level deeper than v, both over the dim_M + dim_A
+    total-space coordinates and with the same batch axes."""
     if w.depth != v.depth + 1:
         raise ValueError("flip needs w one level deeper than v")
-    width = spec.dim_M + spec.dim_A
+    width = dim_M + dim_A
     if v.dim != width or w.dim != width:
         raise ValueError("flip needs %d coordinates, got %d and %d" % (width, v.dim, w.dim))
+    if v.coeffs.shape[1:-1] != w.coeffs.shape[1:-1]:
+        raise ValueError("flip needs the same batch axes, got %r and %r"
+                         % (v.coeffs.shape[1:-1], w.coeffs.shape[1:-1]))
     return v.coeffs, w.coeffs
 
 

@@ -37,7 +37,7 @@ from .jet import PolyMap, check_tangent_axioms, residuals
 from .report import FixtureError, Report, _fold, _judged, quiet
 
 SCHEMA_VERSION = 1
-MAX_STEPS = 10 ** 6  # the most fixed steps per unit time that --step may ask for
+MAX_STEPS = 10 ** 6  # the most fixed steps --step may ask for per unit time and per apath
 MAX_EXPONENT = int(np.iinfo(np.intp).max)  # PolyMap's evaluator holds exponents as np.intp
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
@@ -443,6 +443,9 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an apath or ahomotopy fixture, got %r" % kind)
     if "initial" not in fx:
         raise FixtureError("transport needs an initial element in the fixture")
+    if kind == "apath" and args.step * MAX_STEPS < fx["variation"].t_end:
+        raise FixtureError("--step %r takes over %d steps up to apath t_end %r"
+                           % (args.step, MAX_STEPS, fx["variation"].t_end))
     from .flow import ahomotopy_transport, apath_transport
     inv = involution_from_spec(fx["spec"])
     if kind == "apath":

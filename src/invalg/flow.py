@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import InvolutionAlgebroid
+from .algebroid import InvolutionAlgebroid, ProlongElement
 from .bundle import AElement, TAElement
 from .jet import JetPoint, PolyMap, _max_abs, flip_c, residuals
 from .report import quiet, worst_of
@@ -388,7 +388,7 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
     dm, da = inv.dim_M, inv.dim_A
     with quiet():
         # a NaN gap fails every tolerance, an infinite one included
-        gap = _start_gap(inv, a0, phi.phi.eval_floats([0.0]))
+        gap = ProlongElement(a0, phi.blocks(0.0)).residual(inv)
         if not gap <= composability_tol:
             raise ValueError(
                 "initial element is not composable with the variation (defect %.3e)" % gap)
@@ -402,14 +402,6 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
             float(np.max(np.abs(inv.anchor_apply(base, fiber) - mdot_phi), initial=0.0)),
         ])
     return PathTransport(times, base, fiber, worst)
-
-
-def _start_gap(inv: InvolutionAlgebroid, a0: AElement, start: np.ndarray) -> float:
-    """How far a0 is from composable with a variation whose blocks are start
-    at its start: the gap in base point and in anchored base speed."""
-    m, _, mdot, _ = _split_blocks(start, inv.dim_M, inv.dim_A)
-    return worst_of([float(_max_abs(a0.m - m)),
-                     float(_max_abs(inv.anchor_apply(a0.m, a0.a) - mdot))])
 
 
 def _square_stages(pm: PolyMap, fixed, times: np.ndarray, along_s: bool) -> np.ndarray:
@@ -443,7 +435,8 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
     homotopy variations the two surfaces agree; the discrepancy is measured
     and returned either way."""
     with quiet():
-        gap = _start_gap(inv, a0, hv.h0.eval_floats([0.0, 0.0]))
+        start = TAElement(*_split_blocks(hv.h0.eval_floats([0.0, 0.0]), hv.dim_M, hv.dim_A))
+        gap = ProlongElement(a0, start).residual(inv)
     if not gap <= 1e-9:
         raise ValueError(
             "initial element is not composable with the homotopy (defect %.3e)" % gap)

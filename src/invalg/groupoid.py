@@ -29,6 +29,7 @@ import numpy as np
 from .algebroid import (
     InvolutionAlgebroid,
     _constant_brackets,
+    _flip_args,
     _sample_pairs,
     check_axioms,
     check_yang_baxter,
@@ -44,7 +45,6 @@ from .jet import (
     flip_c,
     residual,
     residuals,
-    split_innermost,
 )
 from .report import Report, _fold
 
@@ -194,13 +194,11 @@ def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
     k = spec.dim
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
-        if w.depth != v.depth + 1:
-            raise ValueError("flip needs w one level deeper than v")
+        vc, wc = _flip_args(0, k, v, w)
         # the innermost direction of w is the high bit of its masks, so its
         # value and velocity are the two halves of the mask axis
-        half = 1 << v.depth
-        W = spec.matrix_jet(w)
-        g1, g2, g12 = group_flip_slots(spec, spec.matrix_jet(v), W[:half], W[half:])
+        W = spec._combine(wc)
+        g1, g2, g12 = group_flip_slots(spec, spec._combine(vc), W[:len(vc)], W[len(vc):])
         if not np.all(g2 == 0.0):
             raise ArithmeticError("source slot of the flip composite did not cancel")
         return spec.project_jet(np.concatenate((g1, g12)), w.depth)
@@ -268,15 +266,12 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
     output coincides bit for bit with the tangent-bundle flip; its spec is
     that tangent algebroid."""
     d = spec.dim
-    rho = PolyMap.constant(np.eye(d).reshape(-1), d)
 
     def flip(v: JetPoint, w: JetPoint) -> JetPoint:
-        if w.depth != v.depth + 1:
-            raise ValueError("flip needs w one level deeper than v")
-        w_val, w_dot = (x.coeffs for x in split_innermost(w))
-        mj, av = v.coeffs[..., :d], v.coeffs[..., d:]
-        aw = w_val[..., d:]
-        mdot, adot = w_dot[..., :d], w_dot[..., d:]
+        v, w = _flip_args(d, d, v, w)
+        mj, av = v[..., :d], v[..., d:]
+        aw = w[:len(v), ..., d:]
+        mdot, adot = w[len(v):, ..., :d], w[len(v):, ..., d:]
         zero = np.zeros_like(mj)
         jet = lambda *blocks: JetPoint._of(_assemble4(*blocks))
         # embeddings: first component carries the moving endpoint, second the
@@ -296,7 +291,8 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
         dot = np.concatenate((move[1::4], move[3::4]), axis=-1)
         return JetPoint._of(np.concatenate((value, dot)))
 
-    return InvolutionAlgebroid(d, d, rho, flip, spec=tangent(d), describe=spec.name)
+    base = tangent(d)
+    return InvolutionAlgebroid(d, d, base.rho, flip, spec=base, describe=spec.name)
 
 
 def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,

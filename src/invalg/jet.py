@@ -124,10 +124,10 @@ def _frozen(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _check_depth(depth: int, rows: int) -> None:
+def _check_depth(depth: int, rows: int = None) -> None:
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError("depth must be between 0 and %d" % MAX_DEPTH)
-    if rows != 1 << depth:
+    if rows is not None and rows != 1 << depth:
         raise ValueError("depth %d needs %d coefficients, got %d" % (depth, 1 << depth, rows))
 
 
@@ -151,6 +151,7 @@ class JetScalar:
 
     @staticmethod
     def constant(value: float, depth: int = 0) -> "JetScalar":
+        _check_depth(depth)
         return JetScalar(depth, [float(value)] + [0.0] * ((1 << depth) - 1))
 
     @property
@@ -221,6 +222,7 @@ class JetPoint:
             depth, coeffs = d, np.stack([e._c for e in entries], axis=1)
         else:
             depth = 0 if depth is None else depth
+            _check_depth(depth)
             coeffs = np.zeros((1 << depth, 0))
         self.depth = depth
         self.coeffs = _frozen(coeffs)
@@ -261,7 +263,7 @@ class JetPoint:
         vec = np.asarray(vec, dtype=float)
         if vec.ndim == 0:
             vec = vec.reshape(1)
-        _check_depth(depth, 1 << depth)
+        _check_depth(depth)
         coeffs = np.zeros((1 << depth,) + vec.shape)
         coeffs[0] = vec
         return JetPoint._of(coeffs)

@@ -314,6 +314,9 @@ def test_loader_raises_only_fixture_errors(tmp_path):
     # a step below the cap, one whose step count overflows, and negative seeds
     ["transport", "{path}", "--step", "1e-300", "--out", "{out}"],
     ["transport", "{path}", "--step", "5e-324", "--out", "{out}"],
+    # an apath whose t_end takes over MAX_STEPS steps at the default step,
+    # refused before its table is allocated
+    ["transport", "{long}", "--out", "{out}"],
     ["check", "{so3}", "--seed", "-1"],
     ["differentiate-group", "so3", "--seed", "-5"],
     # flags the parser itself rejects: a bad type, an unknown flag, a missing fixture
@@ -331,6 +334,8 @@ def test_loader_raises_only_fixture_errors(tmp_path):
 ])
 def test_unusable_flags_exit_2_with_one_error_line(tmp_path, capsys, argv):
     paths = {"path": write_fixture(tmp_path, "tp.json", tangent_path_payload()),
+             "long": write_fixture(tmp_path, "long.json",
+                                   mutated(tangent_path_payload(), 1e300, "t_end")),
              "so3": catalog_fixture(tmp_path, "so3"),
              "out": str(tmp_path / "out.csv"),
              "missing": str(tmp_path / "no-such-dir" / "r.json")}

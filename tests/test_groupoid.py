@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from invalg import catalog
 from invalg.algebroid import (
     AlgebroidSpec,
+    _sample_pairs,
+    flip_from_bracket,
     involution_from_spec,
     sample_prolongation,
     spec_from_flip,
@@ -25,6 +27,7 @@ from invalg.groupoid import (
     group_involution,
     pair_compose,
     pair_inverse,
+    pair_involution,
     sl2_group,
     so3_group,
 )
@@ -517,6 +520,43 @@ def test_pair_flip_is_shift_of_input():
     w = JetPoint.from_rows(1, [[0.3, -0.2], [0.7, 0.4]])
     out = final.flip(v, w)
     assert np.array_equal(np.array(out.to_rows()), [[0.3, 0.7], [-0.2, 0.4]])
+
+
+# -- the flip contract --------------------------------------------------------
+
+
+FLIP_BUILDERS = {
+    "spec": lambda: involution_from_spec(catalog.action_so3_r3()),
+    "connection": lambda: flip_from_bracket(catalog.action_so3_r3()),
+    "group": lambda: group_involution(so3_group()),
+    "pair-groupoid": lambda: pair_involution(PairGroupoidSpec(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_BUILDERS))
+def test_every_flip_keeps_one_argument_contract(name):
+    inv = FLIP_BUILDERS[name]()
+    n = inv.dim_M + inv.dim_A
+    pes = _sample_pairs(inv, np.random.default_rng(8), 3)
+    v, w = pes.v_jet(0), pes.w_jet(0)
+    v3, w3 = pes.v_jet(slice(None)), pes.w_jet(slice(None))
+    assert inv.flip(v, w).coeffs.shape == (2, n)
+    assert inv.flip(v3, w3).coeffs.shape == (2, 3, n)
+    for args in ((v, v), (w, w), (v, JetPoint.constant(np.zeros(n), 2))):
+        with pytest.raises(ValueError, match="^flip needs w one level deeper than v$"):
+            inv.flip(*args)
+    # one coordinate short: 3-coordinate jets for the pair groupoid over the plane
+    narrow = (JetPoint.constant([0.1, 0.2, 0.3, 0.4, 0.5][:n - 1], 0),
+              JetPoint.from_rows(1, [[0.1, 0.2, 0.5, 0.6, 0.7][:n - 1],
+                                     [0.3, 0.3, 0.7, 0.8, 0.9][:n - 1]]))
+    for args in (narrow, (narrow[0], w), (v, narrow[1])):
+        with pytest.raises(ValueError, match="^flip needs %d coordinates, got %d and %d$"
+                           % (n, args[0].dim, args[1].dim)):
+            inv.flip(*args)
+    v13 = JetPoint._of(pes.v[None, None])
+    for args in ((v3, pes.w_jet(slice(2))), (v3, w), (v, w3), (v13, w3)):
+        with pytest.raises(ValueError, match="^flip needs the same batch axes, got "):
+            inv.flip(*args)
 
 
 # -- catalog ------------------------------------------------------------------

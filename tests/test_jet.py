@@ -15,6 +15,7 @@ from invalg import (
     lie_derivative,
 )
 from invalg.jet import (
+    MAX_DEPTH,
     JetPoint,
     JetScalar,
     PolyMap,
@@ -765,6 +766,20 @@ def test_depth_cap_enforced():
         promote(x, 1)
     with pytest.raises(ValueError):
         JetScalar(4, [0.0] * 16)
+
+
+@pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1, 7])
+def test_every_jet_constructor_refuses_a_depth_out_of_range(depth):
+    message = "^depth must be between 0 and %d$" % MAX_DEPTH
+    with pytest.raises(ValueError, match=message):
+        JetPoint([], depth=depth)
+    with pytest.raises(ValueError, match=message):
+        JetPoint.constant([1.0], depth=depth)
+    with pytest.raises(ValueError, match=message):
+        JetPoint.from_rows(depth, [[0.0]] * 2)
+    with pytest.raises(ValueError, match=message):
+        JetScalar.constant(1.0, depth)
+    assert JetPoint([], depth=MAX_DEPTH).coeffs.shape == (1 << MAX_DEPTH, 0)
 
 
 # -- sample batches -----------------------------------------------------------
