@@ -448,7 +448,7 @@ def sigma(inv: InvolutionAlgebroid, pe: ProlongElement, tol: float = 1e-9) -> Pr
     return ProlongElement(AElement(pe.w.m, pe.w.a), flipped)
 
 
-def spec_from_flip(inv: InvolutionAlgebroid, describe: str = "") -> AlgebroidSpec:
+def spec_from_flip(inv: InvolutionAlgebroid) -> AlgebroidSpec:
     """Recover constant structure data from a flip over a point base by
     evaluating all basis brackets in one batch."""
     if inv.dim_M != 0:
@@ -507,6 +507,18 @@ class _PairBatch:
         if self.x is not None:
             out["x"] = self.x[:, i].tolist()
         return out
+
+
+def _flips_agree(name: str, inv: InvolutionAlgebroid, other: InvolutionAlgebroid,
+                 pes: _PairBatch, tolerance: float, seed: Optional[int]):
+    """The check that two flips agree on every sampled pair of a batch: the
+    residual between their values, folded with the worst pair described."""
+
+    def defect(rows):
+        v, w = pes.v_jet(rows), pes.w_jet(rows)
+        return residuals(inv.flip(v, w), other.flip(v, w))
+
+    return _fold(name, len(pes.v), defect, tolerance, seed, pes.describe)
 
 
 def _prolongation_pairs(owner, draws: np.ndarray) -> _PairBatch:
@@ -959,10 +971,5 @@ def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
     if dm == 0:
         rebuilt = involution_from_spec(spec_from_flip(inv))
         pes = _sample_pairs(spec, rng, samples)
-
-        def flip_defect(rows):
-            v, w = pes.v_jet(rows), pes.w_jet(rows)
-            return residuals(inv.flip(v, w), rebuilt.flip(v, w))
-
-        report.add(_fold("flip-roundtrip", samples, flip_defect, 1e-12, seed, pes.describe))
+        report.add(_flips_agree("flip-roundtrip", inv, rebuilt, pes, 1e-12, seed))
     return report

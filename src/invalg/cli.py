@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebroid import (
     AlgebroidSpec,
+    _flips_agree,
     _random_section_poly,
     _SectionTable,
     _sample_pairs,
@@ -33,7 +34,7 @@ from .algebroid import (
 from .bundle import AElement, ConnectionSpec, ScalarFieldSpec, SectionSpec
 from .catalog import ENTRIES, GROUP_CATALOG_NAMES
 from .catalog import get as catalog_get, names as catalog_names
-from .jet import PolyMap, check_tangent_axioms, residuals
+from .jet import PolyMap, check_tangent_axioms
 from .report import FixtureError, Report, _fold, _judged, quiet
 
 SCHEMA_VERSION = 1
@@ -305,12 +306,7 @@ def _connection_report(spec, conn, samples: int, seed: int) -> Report:
     inv_canon = involution_from_spec(spec)
     report = check_axioms(inv_conn, samples=samples, seed=seed)
     pes = _sample_pairs(inv_canon, np.random.default_rng(seed), samples)
-
-    def agreement(rows):
-        v, w = pes.v_jet(rows), pes.w_jet(rows)
-        return residuals(inv_conn.flip(v, w), inv_canon.flip(v, w))
-
-    report.add(_fold("connection-independence", samples, agreement, 1e-12, seed))
+    report.add(_flips_agree("connection-independence", inv_conn, inv_canon, pes, 1e-12, seed))
     return report
 
 

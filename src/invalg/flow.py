@@ -20,8 +20,8 @@ base point, its matrix and offset contracted from the anchor at 0, e_1,
 an anchor of degree 2 or more the base equation is nonlinear and is solved
 stage by stage.  Several transports along different variations run as
 rows of one state; a path transport is the one-row case, and a homotopy
-transport integrates its spine, then all rows of the square at once, in
-each order.  The same machinery gives the differentiation / integration
+transport integrates the spines of both orders as one state, then the rows
+of both orders as one state.  The same machinery gives the differentiation / integration
 maps between fiber paths and infinitesimal variations.
 """
 
@@ -456,22 +456,21 @@ def _homotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
         stage_times = _quarter_times(1.0, 1.0 / n)
         at_nodes = slice(None, None, n // segments)
 
-        def surface(first_dir: bool):
-            # first_dir True: along t on the edge s = 0, then along s on every
-            # row t = t_j, all rows at once; False: the transposed order
-            edge_pm, row_pm = (hv.h1, hv.h0) if first_dir else (hv.h0, hv.h1)
-            _, spine_base, spine_fiber = _transport_rows(
-                inv, _square_stages(edge_pm, [0.0], stage_times, not first_dir), a0.m, a0.a, 1.0)
-            _, base, fiber = _transport_rows(
-                inv, _square_stages(row_pm, nodes, stage_times, first_dir),
-                spine_base[at_nodes, 0], spine_fiber[at_nodes, 0], 1.0)
-            base, fiber = base[at_nodes], fiber[at_nodes]  # (along the rows, rows, dim)
-            if first_dir:
-                return base, fiber
-            return base.swapaxes(0, 1), fiber.swapaxes(0, 1)
-
-        base0, fiber0 = surface(True)
-        base1, fiber1 = surface(False)
+        # the spines of both orders, one row each: along t on the edge s = 0
+        # under h1, and along s on the edge t = 0 under h0
+        spines = np.concatenate((_square_stages(hv.h1, [0.0], stage_times, False),
+                                 _square_stages(hv.h0, [0.0], stage_times, True)))
+        _, base, fiber = _transport_rows(
+            inv, spines, np.tile(a0.m, (2, 1)), np.tile(a0.a, (2, 1)), 1.0)
+        # then the rows of both orders from the spine nodes: along s on every
+        # row t = t_j under h0, and along t on every row s = s_i under h1
+        rows = np.concatenate((_square_stages(hv.h0, nodes, stage_times, True),
+                               _square_stages(hv.h1, nodes, stage_times, False)))
+        spine_nodes = lambda x: x[at_nodes].swapaxes(0, 1).reshape(2 * grid, x.shape[-1])
+        _, base, fiber = _transport_rows(inv, rows, spine_nodes(base), spine_nodes(fiber), 1.0)
+        base, fiber = base[at_nodes], fiber[at_nodes]  # (along the rows, rows, dim)
+        base0, base1 = base[:, :grid], base[:, grid:].swapaxes(0, 1)
+        fiber0, fiber1 = fiber[:, :grid], fiber[:, grid:].swapaxes(0, 1)
         discrepancy = worst_of([
             float(np.max(np.abs(base0 - base1), initial=0.0)),
             float(np.max(np.abs(fiber0 - fiber1), initial=0.0)),

@@ -755,6 +755,23 @@ def test_transport_divergence_exit_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: trajectory diverged")
 
 
+def test_homotopy_transport_divergence_exit_1(tmp_path, capsys):
+    # the same blow-up on both spines of a homotopy with constant blocks
+    const = lambda c: [{"coeff": c, "exponents": [0, 0]}]
+    part = [const(2.0), const(1.0), const(4.0), []]
+    fx = write_fixture(tmp_path, "blowup.json", {
+        "schema_version": 1, "kind": "ahomotopy",
+        "algebroid": {"dim_M": 1, "dim_A": 1,
+                      "anchor": [[{"coeff": 1.0, "exponents": [2]}]]},
+        "h0": part, "h1": part,
+        "initial": {"m": [2.0], "a": [1.0]},
+    })
+    code = main(["transport", fx, "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: trajectory diverged at t = 0.5015"]
+
+
 def test_transport_requires_out_and_initial(tmp_path):
     payload = tangent_path_payload()
     fx = write_fixture(tmp_path, "path.json", payload)
@@ -787,6 +804,29 @@ def test_differentiate_group_pair_groupoid(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["constants"] == []
     assert all(row["passed"] for row in payload["report"]["checks"])
+
+
+def test_flip_agreement_rows_name_their_worst_pair(tmp_path, capsys):
+    # connection-independence and matches-tangent-flip fold two flips over
+    # sampled pairs, as flip-roundtrip does, and report the worst pair too
+    gamma = ConnectionSpec.random_poly(np.random.default_rng(5), 3, 3).gamma
+    fx = write_fixture(tmp_path, "conn.json", {
+        "schema_version": 1, "kind": "connection",
+        "algebroid": {"catalog": "action-so3-r3"},
+        "gamma": gamma.to_table(),
+    })
+    assert main(["check", fx, "--samples", "20", "--format", "json"]) == 0
+    connection = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert main(["differentiate-group", "pair-groupoid(2)", "--samples", "20",
+                 "--format", "json"]) == 0
+    pair = {row["name"]: row
+            for row in json.loads(capsys.readouterr().out)["report"]["checks"]}
+    for row, dim_M, dim_A in ((connection["connection-independence"], 3, 3),
+                              (pair["matches-tangent-flip"], 2, 2)):
+        worst = row["worst_input"]
+        assert sorted(worst) == ["a_v", "m", "w"]
+        assert (len(worst["m"]), len(worst["a_v"])) == (dim_M, dim_A)
+        assert [len(part) for part in worst["w"]] == [dim_A, dim_M, dim_A]
 
 
 def test_differentiate_group_unknown_name_exit_2(capsys):

@@ -25,7 +25,11 @@ from invalg.flow import (
     _affine_anchor,
     _affine_rk4,
     _fiber_coefficients,
+    _quarter_times,
+    _square_stages,
     _stage_index,
+    _step_count,
+    _transport_rows,
     ahomotopy_transport,
     alg1_residuals,
     alg2_residuals,
@@ -78,12 +82,16 @@ def action_generic_variation(spec):
     return APathVariation(3, 3, PolyMap.from_terms(1, rows), 1.0), m0, b0
 
 
-def quadratic_anchor_path(m0: float):
-    # rank 1 over a line with anchor m^2 and zero bracket, driven by a = 1:
-    # the base solves m' = m^2, so m(t) = m0 / (1 - m0 t)
+def quadratic_anchor():
+    # rank 1 over a line with anchor m^2 and zero bracket
     spec = AlgebroidSpec.from_structure(1, 1, PolyMap.from_terms(1, [((1.0, (2,)),)]), [])
+    return involution_from_spec(spec)
+
+
+def quadratic_anchor_path(m0: float):
+    # driven by a = 1 the base solves m' = m^2, so m(t) = m0 / (1 - m0 t)
     phi = PolyMap.from_terms(1, [((m0, (0,)),), ((1.0, (0,)),), ((m0 * m0, (0,)),), ()])
-    return involution_from_spec(spec), APathVariation(1, 1, phi, 1.0), AElement([m0], [1.0])
+    return quadratic_anchor(), APathVariation(1, 1, phi, 1.0), AElement([m0], [1.0])
 
 
 def so3_path():
@@ -652,17 +660,22 @@ def test_homotopy_transport_runs_on_broken_pairing():
     assert abs(run.discrepancy - 3.0) < 1e-6  # the planted mismatch at (1,1)
 
 
+def curved_action_homotopy(spec):
+    # not a member: both directions sweep one generic path at other speeds
+    phi, m0, b0 = action_generic_variation(spec)
+    along = lambda cs, ct: PolyMap.from_terms(2, [[(cs, (1, 0)), (ct, (0, 1))]])
+    hv = AHomotopyVariation(3, 3, phi.phi.compose(along(1.0, 0.5)),
+                            phi.phi.compose(along(0.3, 1.0)))
+    return hv, AElement(m0, b0)
+
+
 def test_homotopy_flip_route_matches_spec_route():
     # a curved anchor with nonzero structure functions, so the coefficients
     # read off flip evaluations differ from entry to entry of the table
     spec = action_so3_r3()
     inv = involution_from_spec(spec)
     bare = InvolutionAlgebroid(3, 3, inv.rho, inv.flip)
-    phi, m0, b0 = action_generic_variation(spec)
-    along = lambda cs, ct: PolyMap.from_terms(2, [[(cs, (1, 0)), (ct, (0, 1))]])
-    hv = AHomotopyVariation(3, 3, phi.phi.compose(along(1.0, 0.5)),
-                            phi.phi.compose(along(0.3, 1.0)))
-    a0 = AElement(m0, b0)
+    hv, a0 = curved_action_homotopy(spec)
     run_s = ahomotopy_transport(inv, hv, a0, 0.1, grid=3)
     run_f = ahomotopy_transport(bare, hv, a0, 0.1, grid=3)
     for ours, theirs in ((run_s.base0, run_f.base0), (run_s.fiber0, run_f.fiber0),
@@ -671,6 +684,87 @@ def test_homotopy_flip_route_matches_spec_route():
         assert float(np.max(np.abs(ours - theirs))) < 1e-12
     assert run_s.discrepancy > 1e-3  # not a member, so the two orders differ
     assert abs(run_s.discrepancy - run_f.discrepancy) < 1e-12
+
+
+def per_order_homotopy(inv, hv, a0, h, grid=11):
+    # one integration order at a time, its spine and then its rows, the
+    # second order transposed at the end: the oracle of the batched stages
+    segments = grid - 1
+    n = max(segments, _step_count(1.0, h))
+    n = ((n + segments - 1) // segments) * segments
+    nodes = np.linspace(0.0, 1.0, grid)
+    stage_times = _quarter_times(1.0, 1.0 / n)
+    at_nodes = slice(None, None, n // segments)
+
+    def surface(first_dir: bool):
+        edge_pm, row_pm = (hv.h1, hv.h0) if first_dir else (hv.h0, hv.h1)
+        _, spine_base, spine_fiber = _transport_rows(
+            inv, _square_stages(edge_pm, [0.0], stage_times, not first_dir), a0.m, a0.a, 1.0)
+        _, base, fiber = _transport_rows(
+            inv, _square_stages(row_pm, nodes, stage_times, first_dir),
+            spine_base[at_nodes, 0], spine_fiber[at_nodes, 0], 1.0)
+        base, fiber = base[at_nodes], fiber[at_nodes]
+        if first_dir:
+            return base, fiber
+        return base.swapaxes(0, 1), fiber.swapaxes(0, 1)
+
+    with quiet():
+        return surface(True) + surface(False)
+
+
+def quadratic_anchor_homotopy():
+    # the base equation of anchor m^2 is solved stage by stage; not a
+    # member, but composable with its start (m, a) = (0.25, 1)
+    h0 = PolyMap.from_terms(2, [
+        ((0.25, (0, 0)), (0.2, (1, 0)), (-0.1, (0, 1))),
+        ((1.0, (0, 0)), (0.5, (0, 1))),
+        ((0.0625, (0, 0)), (1.0, (1, 0))),
+        ((0.3, (1, 1)),),
+    ])
+    h1 = PolyMap.from_terms(2, [
+        ((0.25, (0, 0)), (0.2, (1, 0)), (-0.1, (0, 1))),
+        ((1.0, (0, 0)), (-1.0, (1, 0))),
+        ((0.0625, (0, 0)), (0.4, (0, 1))),
+        ((0.1, (0, 0)),),
+    ])
+    return quadratic_anchor(), AHomotopyVariation(1, 1, h0, h1), AElement([0.25], [1.0])
+
+
+def homotopy_case(case):
+    if case == "holonomic":
+        zero = AElement([0.0, 0.0], [0.0, 0.0])
+        return involution_from_spec(tangent(2)), holonomic_homotopy()[0], zero
+    if case == "quadratic anchor":
+        return quadratic_anchor_homotopy()
+    spec = action_so3_r3()
+    inv = involution_from_spec(spec)
+    if case == "curved action, flip route":
+        inv = InvolutionAlgebroid(3, 3, inv.rho, inv.flip)
+    return (inv,) + curved_action_homotopy(spec)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.01])
+@pytest.mark.parametrize("case", ["holonomic", "curved action, spec route",
+                                  "curved action, flip route", "quadratic anchor"])
+def test_homotopy_transport_matches_per_order_solves_bit_for_bit(case, h):
+    inv, hv, a0 = homotopy_case(case)
+    run = ahomotopy_transport(inv, hv, a0, h)
+    expected = per_order_homotopy(inv, hv, a0, h)
+    for got, want in zip((run.base0, run.fiber0, run.base1, run.fiber1), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    if case != "holonomic":
+        assert run.discrepancy > 1e-3  # not members, so the two orders differ
+
+
+def test_homotopy_transport_divergence_raises():
+    # anchor m^2 with constant blocks (2, 1, 4, 0) in both directions: each
+    # spine solves m' = m^2 from m = 2, which blows up at t = 0.5
+    const = lambda c: ((c, (0, 0)),)
+    part = PolyMap.from_terms(2, [const(2.0), const(1.0), const(4.0), ()])
+    hv = AHomotopyVariation(1, 1, part, part)
+    with pytest.raises(ArithmeticError, match=r"^trajectory diverged at t = 0\.5015$"):
+        ahomotopy_transport(quadratic_anchor(), hv, AElement([2.0], [1.0]), 1e-3)
 
 
 def test_homotopy_transport_rejects_noncomposable_start():

@@ -542,6 +542,9 @@ def test_every_flip_keeps_one_argument_contract(name):
     v3, w3 = pes.v_jet(slice(None)), pes.w_jet(slice(None))
     assert inv.flip(v, w).coeffs.shape == (2, n)
     assert inv.flip(v3, w3).coeffs.shape == (2, 3, n)
+    # an empty batch flips to an empty batch
+    v0, w0 = pes.v_jet(slice(0)), pes.w_jet(slice(0))
+    assert inv.flip(v0, w0).coeffs.shape == (2, 0, n)
     for args in ((v, v), (w, w), (v, JetPoint.constant(np.zeros(n), 2))):
         with pytest.raises(ValueError, match="^flip needs w one level deeper than v$"):
             inv.flip(*args)
