@@ -923,9 +923,9 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
 def _random_section_poly(rng, dm: int, da: int, degree: int = 2) -> PolyMap:
     exps = [e for e in itertools.product(range(degree + 1), repeat=dm) if sum(e) <= degree]
     rows = []
-    for _ in range(da):
-        chosen = [e for e in exps if rng.uniform() < 0.7] or [exps[0]]
-        rows.append(tuple((float(rng.uniform(-1, 1)), tuple(e)) for e in chosen))
+    for _ in range(da):  # two draws per row, the stream of one draw per monomial and term
+        chosen = [e for e, u in zip(exps, rng.uniform(size=len(exps))) if u < 0.7] or [exps[0]]
+        rows.append(tuple(zip(rng.uniform(-1, 1, len(chosen)).tolist(), chosen)))
     return PolyMap(dm, da, tuple(rows))
 
 

@@ -522,7 +522,10 @@ def _check_flags(args) -> None:
         raise FixtureError("transport needs --out for the trajectory table")
 
 
-def _add_common(sub, formats=("json", "text", "csv"), step=False):
+def _add_common(sub, *positionals, formats=("json", "text", "csv"), step=False):
+    """Add each (name, add_argument keywords) positional, then the flags of all but catalog."""
+    for name, kwargs in positionals:
+        sub.add_argument(name, **kwargs)
     sub.add_argument("--samples", type=int, default=200)
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--tolerance", action="append", metavar="CHECK=VALUE",
@@ -531,6 +534,29 @@ def _add_common(sub, formats=("json", "text", "csv"), step=False):
     sub.add_argument("--format", choices=formats, default="text")
     if step:
         sub.add_argument("--step", type=float, default=1e-3)
+
+
+def _add_catalog_args(sub):
+    sub.add_argument("action", choices=("list",))
+    sub.add_argument("--format", choices=("json", "text"), default="text")
+    sub.add_argument("--out", metavar="PATH", default=None)
+
+
+# each command's handler, help line and the function that adds its arguments
+COMMANDS = {
+    "check": (do_check, "run the verification suites on a fixture",
+              lambda sub: _add_common(sub, ("fixture", {}))),
+    "convert": (do_convert, "convert between bracket and flip presentations",
+                lambda sub: _add_common(sub, ("fixture", {}),
+                                        ("direction", {"choices": ("to-flip", "to-bracket")}),
+                                        formats=("json", "text"))),
+    "transport": (do_transport, "integrate a path or homotopy transport to CSV",
+                  lambda sub: _add_common(sub, ("fixture", {}), step=True)),
+    "differentiate-group": (do_differentiate_group, "differentiate a matrix group",
+                            lambda sub: _add_common(
+                                sub, ("group", {"help": "catalog name or group fixture path"}))),
+    "catalog": (do_catalog, "list built-in fixtures", _add_catalog_args),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -546,45 +572,29 @@ class _Parser(argparse.ArgumentParser):
         raise FixtureError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """A new parser on each call, kept by nothing once the call that parses
+    with it returns.  Given command, a name in COMMANDS, it adds that
+    subcommand's parser only; otherwise all five, which the top-level help
+    and an unknown command's "invalid choice" error list."""
     parser = _Parser(
         prog="invalg",
         description="verify and integrate involution algebroids from fixture files")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run the verification suites on a fixture")
-    p.set_defaults(handler=do_check)
-    p.add_argument("fixture")
-    _add_common(p)
-
-    p = sub.add_parser("convert", help="convert between bracket and flip presentations")
-    p.set_defaults(handler=do_convert)
-    p.add_argument("fixture")
-    p.add_argument("direction", choices=("to-flip", "to-bracket"))
-    _add_common(p, formats=("json", "text"))
-
-    p = sub.add_parser("transport", help="integrate a path or homotopy transport to CSV")
-    p.set_defaults(handler=do_transport)
-    p.add_argument("fixture")
-    _add_common(p, step=True)
-
-    p = sub.add_parser("differentiate-group", help="differentiate a matrix group")
-    p.set_defaults(handler=do_differentiate_group)
-    p.add_argument("group", help="catalog name or group fixture path")
-    _add_common(p)
-
-    p = sub.add_parser("catalog", help="list built-in fixtures")
-    p.set_defaults(handler=do_catalog)
-    p.add_argument("action", choices=("list",))
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", metavar="PATH", default=None)
-
+    for name in [command] if command else COMMANDS:
+        handler, help_line, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(handler=handler)
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the invalg command in argv (default sys.argv[1:]); return its exit code.
+    Only that command's parser is built: --help or an unknown command builds all five."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         _check_flags(args)
         # an overflow shows as an inf or NaN residual in the report, which
         # fails its check; numpy's warnings about it would only be noise

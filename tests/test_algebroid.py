@@ -1,15 +1,17 @@
 """Flip construction, axiom suite, and bracket recovery."""
 
 import contextlib
+import itertools
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invalg import algebroid, catalog, groupoid, jet
+from invalg import algebroid, catalog, cli, groupoid, jet
 from invalg.algebroid import (
     AlgebroidSpec,
     InvolutionAlgebroid,
@@ -542,6 +544,41 @@ def test_bracket_from_flip_so3_structure():
                 continue
             got = bracket_from_flip(inv, const_section(e[i]), const_section(e[j]))(np.zeros(0))
             assert np.array_equal(got, np.cross(e[i], e[j]))
+
+
+def one_draw_per_term_section_poly(rng, dm, da, degree=2):
+    """The random section as first written, one rng call per candidate
+    monomial and one per kept term: the oracle of the batched draws."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=dm) if sum(e) <= degree]
+    rows = []
+    for _ in range(da):
+        chosen = [e for e in exps if rng.uniform() < 0.7] or [exps[0]]
+        rows.append(tuple((float(rng.uniform(-1, 1)), tuple(e)) for e in chosen))
+    return PolyMap(dm, da, tuple(rows))
+
+
+@pytest.mark.parametrize("dm, da, degree", [(0, 1, 2), (0, 3, 2), (1, 1, 2), (1, 2, 3),
+                                            (2, 2, 2), (2, 1, 3), (3, 1, 2), (3, 3, 2)])
+def test_random_sections_draw_the_stream_of_one_draw_per_term(dm, da, degree):
+    for seed in range(25):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):  # consecutive draws, as a check makes them
+            got = _random_section_poly(rng, dm, da, degree)
+            assert got.terms == one_draw_per_term_section_poly(oracle, dm, da, degree).terms
+            assert all(type(c) is float for row in got.terms for c, _ in row)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("fixture", ["so3.json", "action-cross.json"])
+def test_check_json_is_byte_identical_under_the_section_oracle(capsys, fixture):
+    path = str(Path(__file__).resolve().parent.parent / "fixtures" / fixture)
+    printed = []
+    for draw in (_random_section_poly, one_draw_per_term_section_poly):
+        with mock.patch.object(cli, "_random_section_poly", draw):
+            assert cli.main(["check", path, "--format", "json", "--samples", "20",
+                             "--seed", "1"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_bracket_laws_so3_and_action():

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invalg import cli
 from invalg.algebroid import bracket_from_flip, check_axioms, involution_from_spec
 from invalg.bundle import ConnectionSpec, SectionSpec
 from invalg.catalog import ENTRIES, names as catalog_names
@@ -364,7 +365,9 @@ def test_closed_stdout_exits_2_with_one_error_line(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check", "--help"], ["convert", "--help"], ["transport", "--help"],
+    ["differentiate-group", "--help"], ["catalog", "list", "--help"]])
 def test_help_is_laid_out_for_80_columns_on_any_terminal(argv):
     printed = []
     for columns in ("40", "200"):
@@ -374,6 +377,52 @@ def test_help_is_laid_out_for_80_columns_on_any_terminal(argv):
         printed.append(proc.stdout)
     assert printed[0] == printed[1]
     assert max(len(line) for line in printed[0].splitlines()) <= 80
+
+
+# what the parser prints: --help of invalg and of each command, and the exit
+# code and one error line of argvs the parser rejects, as written by the
+# parser that built all five commands on every call, under Python 3.11
+PARSER_TEXT = json.loads((Path(__file__).with_name("cli_parser_text.json")).read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help and errors differently in other versions")
+@pytest.mark.parametrize("case", PARSER_TEXT, ids=lambda case: " ".join(case["argv"]) or "[]")
+def test_parser_text_is_byte_identical_to_the_full_parser(case):
+    proc = subprocess.run([sys.executable, "-m", "invalg.cli"] + case["argv"],
+                          capture_output=True, env=src_env(), timeout=600)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["exit"], case["stdout"].encode(), case["stderr"].encode())
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["check", str(FIXTURES / "so3.json"), "--samples", "5"], 2),
+    (["transport", str(FIXTURES / "tangent-path.json"), "--step", "0.01", "--out", "{out}"], 2),
+    (["differentiate-group", "so3", "--samples", "5"], 2),
+    (["--help"], 6),
+    (["chek", str(FIXTURES / "so3.json")], 6),
+], ids=["check", "transport", "differentiate-group", "--help", "unknown command"])
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch, argv, parsers):
+    # the top-level parser plus the invoked command's, or all five commands'
+    # when argv names none; none of them is kept once main returns
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(parser, **kwargs):
+        init(parser, **kwargs)
+        built.append(weakref.ref(parser))
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    argv = [a.format(out=tmp_path / "t.csv") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help exits from inside parse_args
+        code = exc.code
+    capsys.readouterr()
+    assert code == (2 if argv[0] == "chek" else 0)
+    assert len(built) == parsers
+    gc.collect()
+    assert not [ref for ref in built if ref() is not None]
 
 
 # each command and the one of the lazily loaded layers, invalg.flow and
