@@ -38,20 +38,23 @@ from .jet import PolyMap, check_tangent_axioms
 from .report import FixtureError, Report, _fold, _judged, quiet
 
 SCHEMA_VERSION = 1
-MAX_STEPS = 10 ** 6  # the most fixed steps --step may ask for per unit time and per apath
 MAX_EXPONENT = int(np.iinfo(np.intp).max)  # PolyMap's evaluator holds exponents as np.intp
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
 
 
 def __getattr__(name):
-    """Serve ``group_catalog`` as an attribute of this module (PEP 562).
+    """Serve ``group_catalog`` and the transport step cap ``MAX_STEPS`` as
+    attributes of this module (PEP 562).
 
     The groupoid and transport layers are imported inside the code paths
     that use them, so a command that needs neither does not load them."""
     if name == "group_catalog":
         from .groupoid import group_catalog
         return group_catalog
+    if name == "MAX_STEPS":
+        from .flow import MAX_STEPS
+        return MAX_STEPS
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
@@ -439,10 +442,10 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an apath or ahomotopy fixture, got %r" % kind)
     if "initial" not in fx:
         raise FixtureError("transport needs an initial element in the fixture")
+    from .flow import MAX_STEPS, ahomotopy_transport, apath_transport
     if kind == "apath" and args.step * MAX_STEPS < fx["variation"].t_end:
         raise FixtureError("--step %r takes over %d steps up to apath t_end %r"
                            % (args.step, MAX_STEPS, fx["variation"].t_end))
-    from .flow import ahomotopy_transport, apath_transport
     inv = involution_from_spec(fx["spec"])
     if kind == "apath":
         run = apath_transport(inv, fx["variation"], fx["initial"], h=args.step)
@@ -513,11 +516,13 @@ def _check_flags(args) -> None:
     for flag in ("samples", "seed"):
         if getattr(args, flag, 0) < 0:
             raise FixtureError("--%s must be nonnegative, got %d" % (flag, getattr(args, flag)))
-    step = getattr(args, "step", 1.0)
-    if not (math.isfinite(step) and step > 0):
-        raise FixtureError("--step must be a positive finite number, got %r" % step)
-    if step * MAX_STEPS < 1.0:
-        raise FixtureError("--step %r takes over %d steps per unit time" % (step, MAX_STEPS))
+    step = getattr(args, "step", None)
+    if step is not None:
+        from .flow import MAX_STEPS
+        if not (math.isfinite(step) and step > 0):
+            raise FixtureError("--step must be a positive finite number, got %r" % step)
+        if step * MAX_STEPS < 1.0:
+            raise FixtureError("--step %r takes over %d steps per unit time" % (step, MAX_STEPS))
     if getattr(args, "command", None) == "transport" and not args.out:
         raise FixtureError("transport needs --out for the trajectory table")
 
@@ -590,8 +595,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the invalg command in argv (default sys.argv[1:]); return its exit code.
-    Only that command's parser is built: --help or an unknown command builds all five."""
+    """Run the invalg command in argv (default sys.argv[1:]); return its exit code,
+    0 after --help.  Only that command's parser is built: --help or an unknown
+    command builds all five."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
@@ -602,6 +608,8 @@ def main(argv=None) -> int:
             code = args.handler(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code
+    except SystemExit as exc:  # --help prints its text and exits from inside parse_args
+        return exc.code
     except FixtureError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

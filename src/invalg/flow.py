@@ -36,6 +36,8 @@ from .bundle import AElement, TAElement
 from .jet import JetPoint, PolyMap, _max_abs, flip_c, residuals
 from .report import quiet, worst_of
 
+MAX_STEPS = 10 ** 6  # the most fixed steps a caller may ask for, checked before it allocates
+
 
 def rk4_solve(field, x0, t_end: float, h: float):
     """Classical fourth-order Runge-Kutta with a fixed step.
@@ -45,7 +47,11 @@ def rk4_solve(field, x0, t_end: float, h: float):
     """
     if t_end <= 0:
         raise ValueError("final time must be positive")
-    n = _step_count(t_end, h)
+    return _rk4(field, x0, t_end, _step_count(t_end, h))
+
+
+def _rk4(field, x0, t_end: float, n: int):
+    """rk4_solve in n steps, past its checks of t_end and the step."""
     hs = t_end / n
     x = np.array(x0, dtype=float).reshape(-1)
     times = np.empty(n + 1)
@@ -67,10 +73,14 @@ def rk4_solve(field, x0, t_end: float, h: float):
 
 
 def _step_count(t_end: float, h: float) -> int:
-    """Number of fixed steps of about h that land on t_end, at least one."""
+    """Number of fixed steps of about h that land on t_end, at least one and
+    at most MAX_STEPS."""
     if not (0 < h < np.inf and np.isfinite(t_end / h)):
         raise ValueError("step %r gives no finite step count up to %r" % (h, t_end))
-    return max(1, int(round(t_end / h)))
+    n = max(1, int(round(t_end / h)))
+    if n > MAX_STEPS:
+        raise ValueError("step %r takes %d steps, over the cap of %d" % (h, n, MAX_STEPS))
+    return n
 
 
 def _rk4_step_maps(mats, offs, h: float) -> np.ndarray:
@@ -367,16 +377,10 @@ def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end:
             k = _stage_index(t, quarter, count)
             return inv.anchor_apply(m.reshape(rows, dm), a_phi[:, k]).reshape(-1)
 
-        base = rk4_solve(base_field, m0, t_end, 2 * quarter)[1].reshape(2 * n + 1, rows, dm)
+        base = _rk4(base_field, m0, t_end, 2 * n)[1].reshape(2 * n + 1, rows, dm)
     mats, offs = _fiber_coefficients(inv, stages[:, ::2].swapaxes(0, 1), base)
     fiber = _affine_rk4(mats, offs, a0, t_end / n)
     return np.arange(n + 1) * (t_end / n), base[::2], fiber
-
-
-def _quarter_times(t_end: float, h: float) -> np.ndarray:
-    """Quarter-step times of the fixed-step grid from 0 to t_end."""
-    n = _step_count(t_end, h)
-    return np.arange(4 * n + 1) * (t_end / (4 * n))
 
 
 def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
@@ -386,6 +390,7 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
     the affine equation read off from the flip.  The anchor identity the
     result satisfies is measured and returned, not assumed."""
     dm, da = inv.dim_M, inv.dim_A
+    n = _step_count(phi.t_end, h)
     with quiet():
         # a NaN gap fails every tolerance, an infinite one included
         gap = ProlongElement(a0, phi.blocks(0.0)).residual(inv)
@@ -393,7 +398,8 @@ def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
             raise ValueError(
                 "initial element is not composable with the variation (defect %.3e)" % gap)
 
-        stages = phi.phi.eval_floats(_quarter_times(phi.t_end, h)[:, None])
+        quarter_times = np.arange(4 * n + 1) * (phi.t_end / (4 * n))
+        stages = phi.phi.eval_floats(quarter_times[:, None])
         times, base, fiber = _transport_rows(inv, stages[None], a0.m, a0.a, phi.t_end)
         base, fiber = base[:, 0], fiber[:, 0]
         m_phi, _, mdot_phi, _ = _split_blocks(stages[::4], dm, da)
@@ -453,7 +459,7 @@ def _homotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
         n = max(segments, _step_count(1.0, h))
         n = ((n + segments - 1) // segments) * segments
         nodes = np.linspace(0.0, 1.0, grid)
-        stage_times = _quarter_times(1.0, 1.0 / n)
+        stage_times = np.arange(4 * n + 1) * (1.0 / (4 * n))  # the quarter steps
         at_nodes = slice(None, None, n // segments)
 
         # the spines of both orders, one row each: along t on the edge s = 0

@@ -16,7 +16,9 @@ has the exact inverse e - eps2 W_H.  Matrix jets make the resulting
 involution algebroid fully checkable by the axiom suite.
 
 For the pair groupoid over R^m the same composite is pure index bookkeeping
-on pairs of endpoint-path jets and lands exactly on the tangent-bundle flip.
+on pairs of endpoint-path jets, each a coefficient array laid out by
+_assemble4, and lands exactly on the tangent-bundle flip: c on the two outer
+directions swaps blocks 1 and 2, so it is the block order (b0, b2, b1, b3).
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ from .algebroid import (
     spec_from_flip,
 )
 from .catalog import GROUP_CATALOG_NAMES, tangent
-from .jet import (
-    JetPoint,
-    PolyMap,
-    _max_abs,
-    _product,
-    flip_c,
-    residual,
-)
+from .jet import JetPoint, PolyMap, _max_abs, _product
 from .report import Report, _fold
 
 
@@ -248,9 +243,11 @@ class PairGroupoidSpec:
 
 
 def pair_compose(x, y, tol: float = 1e-9):
-    """Second-order composition: components are jets of the two endpoint
-    paths, composable when the middle paths agree."""
-    if not residual(x[1], y[0]) <= tol:
+    """Second-order composition: components are the coefficient arrays of
+    jets of the two endpoint paths, composable when the middle paths have
+    one shape and agree within tol (NaN never does)."""
+    middle, start = x[1], y[0]
+    if middle.shape != start.shape or not float(np.abs(middle - start).max(initial=0.0)) <= tol:
         raise ValueError("pair jets are not composable: middle paths differ")
     return (x[0], y[1])
 
@@ -273,14 +270,15 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
         aw = w[:len(v), ..., d:]
         mdot, adot = w[len(v):, ..., :d], w[len(v):, ..., d:]
         zero = np.zeros_like(mj)
-        jet = lambda *blocks: JetPoint._of(_assemble4(*blocks))
+        still = _assemble4(mj, zero, zero, zero)
         # embeddings: first component carries the moving endpoint, second the
-        # anchored one; the fiber direction sits on the second outer slot
-        cw = (flip_c(jet(mj, mdot, aw, adot), 1, 2), flip_c(jet(mj, mdot, zero, zero), 1, 2))
-        zero_v = (jet(mj, zero, av, zero), jet(mj, zero, zero, zero))
-        c0pw = (jet(mj, aw, zero, zero), jet(mj, zero, zero, zero))
-        move, anchor = (x.coeffs for x in pair_compose(pair_compose(cw, zero_v),
-                                                       pair_inverse(c0pw)))
+        # anchored one; the fiber direction sits on the second outer slot.
+        # w embeds as (mj, mdot, aw, adot) and (mj, mdot, 0, 0); c puts their
+        # blocks in the order (b0, b2, b1, b3)
+        cw = (_assemble4(mj, aw, mdot, adot), _assemble4(mj, zero, mdot, zero))
+        zero_v = (_assemble4(mj, zero, av, zero), still)
+        c0pw = (_assemble4(mj, aw, zero, zero), still)
+        move, anchor = pair_compose(pair_compose(cw, zero_v), pair_inverse(c0pw))
         # consistency of the output embedding: anchored component must be the
         # base path prolonged by the new fiber value, with nothing higher
         if not (float(np.abs(anchor[0::4] - move[0::4]).max(initial=0.0)) <= 1e-9

@@ -774,11 +774,9 @@ def _law_lift_flip_exchange(x: JetPoint) -> np.ndarray:
     return residuals(lhs, rhs)
 
 
-def _law_add_bundle(x, y, z, w) -> np.ndarray:
-    """Commutative-monoid laws plus the interchange of the two additions."""
+def _law_add_bundle(x, y, z, yq, wq, zq) -> np.ndarray:
+    """Commutative-monoid laws, and the interchange of the two additions on x, yq, wq, zq."""
     zero = insert_zero(proj_p(x, 1), 1)
-    # interchange over a compatible square rebuilt from the sampled material
-    xq, yq, wq, zq = _interchange_square(x, y, z, w)
     return worst_of([
         # associativity and commutativity in direction 1 (x, y, z share non-1 slots)
         residuals(add_tangent(add_tangent(x, y, 1), z, 1),
@@ -787,18 +785,9 @@ def _law_add_bundle(x, y, z, w) -> np.ndarray:
         # unit and inverse
         residuals(add_tangent(x, zero, 1), x),
         residuals(add_tangent(x, neg_tangent(x, 1), 1), zero),
-        residuals(add_tangent(add_tangent(xq, yq, 2), add_tangent(wq, zq, 2), 1),
-                  add_tangent(add_tangent(xq, wq, 1), add_tangent(yq, zq, 1), 2)),
+        residuals(add_tangent(add_tangent(x, yq, 2), add_tangent(wq, zq, 2), 1),
+                  add_tangent(add_tangent(x, wq, 1), add_tangent(yq, zq, 1), 2)),
     ])
-
-
-def _interchange_square(x, y, z, w):
-    """Rebuild four depth-2 jets sharing the slots the interchange law needs:
-    all share mask 0; (x, y) and (w, z) share mask 1; (x, w) and (y, z) share mask 2."""
-    q, r1, s1 = x.coeffs[:3]
-    r2, s2 = w.coeffs[1:3]
-    square = lambda r, s, p: JetPoint.from_rows(2, [q, r, s, p.coeffs[3]])
-    return x, square(r1, s2, y), square(r2, s1, w), square(r2, s2, z)
 
 
 def _law_lift_zero_additive(x, y) -> np.ndarray:
@@ -818,6 +807,25 @@ def _law_flip_id_additive(x, y) -> np.ndarray:
     ])
 
 
+# Each law, with the rows of its draw table that each of its jets reads, mask by mask
+_TANGENT_LAWS = (
+    ("flip-involutive", _law_flip_involutive, [range(4)]),
+    ("flip-braid", _law_flip_braid, [range(8)]),
+    ("lift-flip-fixed", _law_lift_flip_fixed, [range(4)]),
+    ("lift-coassociative", _law_lift_coassociative, [range(2)]),
+    ("lift-flip-exchange", _law_lift_flip_exchange, [range(4)]),
+    # x, y, z share masks 0 and 2 (rows 0 and 1), the slots without direction
+    # 1; the square x, yq, wq, zq shares the base, (x, yq) and (wq, zq) share
+    # mask 1, and (x, wq) and (yq, zq) share mask 2
+    ("add-bundle-laws", _law_add_bundle,
+     [[0, 2, 1, 3], [0, 4, 1, 5], [0, 6, 1, 7], [0, 2, 9, 5], [0, 8, 1, 10], [0, 8, 9, 7]]),
+    # a depth-1 jet and a second velocity at its base
+    ("lift-zero-additive", _law_lift_zero_additive, [[0, 1], [0, 2]]),
+    # a depth-2 jet and a second one sharing its value and direction-1 slot
+    ("flip-id-additive", _law_flip_id_additive, [[0, 1, 2, 3], [0, 1, 4, 5]]),
+)
+
+
 def check_tangent_axioms(samples: int = 200, seed: int = 0) -> Report:
     """Evaluate the structural laws of nested tangents on random jets.
 
@@ -825,41 +833,20 @@ def check_tangent_axioms(samples: int = 200, seed: int = 0) -> Report:
     the fibered-addition bundle laws with the interchange of the two
     additions, and additivity of (lift, zero) and (flip, identity).
 
-    Each sample is a tuple of jets over its own dimension 1-3, cut from rows
-    of doubles that a law draws for all its samples in one call.  A law
-    evaluates all samples in one batch of jets over three coordinates, zero
-    past each sample's own dimension: every law acts coordinatewise, so the
-    padding adds nothing to a residual.
+    Each law draws one table of shape (samples, rows, 2) and evaluates all
+    samples in one batch: a jet of a sample reads its coefficient rows from
+    the sample's rows of the table, two coordinates each.  A law is a
+    function of those rows alone, so the jets its worst_input lists give its
+    max_residual again.
     """
     rng = np.random.default_rng(seed)
     report = Report()
-    dims = rng.integers(1, 4, size=samples)
-
-    def law(name, fn, parts):
-        # parts lists, for each jet of a sample, the rows it is cut from
-        table = np.zeros((samples, 1 + max(map(max, parts)), 3))
-        fill = np.broadcast_to(np.arange(3) < dims[:, None, None], table.shape)
-        table[fill] = rng.uniform(-1, 1, table.shape[1] * int(dims.sum()))
+    for name, fn, parts in _TANGENT_LAWS:
+        table = rng.uniform(-1, 1, (samples, 1 + max(map(max, parts)), 2))
         batch = [table[:, part].swapaxes(0, 1) for part in parts]
         evaluate = lambda rows: fn(*(JetPoint._of(p[:, rows]) for p in batch))
-        serialize = lambda i: _serialize_law_input([table[i, part, :dims[i]] for part in parts])
+        serialize = lambda i: _serialize_law_input([table[i, part] for part in parts])
         report.add(_fold(name, samples, evaluate, 1e-12, seed, serialize))
-
-    one_jet = lambda depth: [range(1 << depth)]
-    law("flip-involutive", _law_flip_involutive, one_jet(2))
-    law("flip-braid", _law_flip_braid, one_jet(3))
-    law("lift-flip-fixed", _law_lift_flip_fixed, one_jet(2))
-    law("lift-coassociative", _law_lift_coassociative, one_jet(1))
-    law("lift-flip-exchange", _law_lift_flip_exchange, one_jet(2))
-    # rows q, s, then two fresh rows each for x, y, z, then three for w: x, y,
-    # z share every non-direction-1 slot (monoid laws); w is fresh apart from
-    # the common base and supplies the second interchange row
-    law("add-bundle-laws", _law_add_bundle,
-        [[0, 2, 1, 3], [0, 4, 1, 5], [0, 6, 1, 7], [0, 8, 9, 10]])
-    # a depth-1 jet and a second velocity at its base
-    law("lift-zero-additive", _law_lift_zero_additive, [[0, 1], [0, 2]])
-    # a depth-2 jet and a second one sharing its value and direction-1 slot
-    law("flip-id-additive", _law_flip_id_additive, [[0, 1, 2, 3], [0, 1, 4, 5]])
     return report
 
 

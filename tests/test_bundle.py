@@ -109,9 +109,11 @@ def test_projection_guards_reject_nan():
         so3_group().project(mat)
     with pytest.raises(ValueError):
         add_tangent(JetPoint.from_rows(1, [[nan], [1.0]]), JetPoint.from_rows(1, [[0.2], [1.0]]))
-    a = JetPoint.from_rows(1, [[0.0], [1.0]])
+    a = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        pair_compose((a, JetPoint.from_rows(1, [[nan], [1.0]])), (a, a))
+        pair_compose((a, np.array([[nan], [1.0]])), (a, a))
+    with pytest.raises(ValueError):  # any tolerance, an infinite one included
+        pair_compose((a, np.array([[nan], [1.0]])), (a, a), tol=np.inf)
     inv = involution_from_spec(catalog.tangent(1))
     pe = ProlongElement(AElement([0.3], [1.0]), TAElement([0.3], [0.5], [nan], [0.0]))
     with pytest.raises(ValueError):

@@ -365,9 +365,12 @@ def test_closed_stdout_exits_2_with_one_error_line(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+HELP_ARGVS = [
     ["--help"], ["check", "--help"], ["convert", "--help"], ["transport", "--help"],
-    ["differentiate-group", "--help"], ["catalog", "list", "--help"]])
+    ["differentiate-group", "--help"], ["catalog", "list", "--help"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS)
 def test_help_is_laid_out_for_80_columns_on_any_terminal(argv):
     printed = []
     for columns in ("40", "200"):
@@ -377,6 +380,15 @@ def test_help_is_laid_out_for_80_columns_on_any_terminal(argv):
         printed.append(proc.stdout)
     assert printed[0] == printed[1]
     assert max(len(line) for line in printed[0].splitlines()) <= 80
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS)
+def test_main_returns_0_after_help(argv, capsys):
+    # an in-process caller gets the exit code back, as from any other argv
+    code = main(argv)
+    assert isinstance(code, int) and code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: invalg") and err == ""
 
 
 # what the parser prints: --help of invalg and of each command, and the exit
@@ -414,12 +426,9 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch, arg
 
     monkeypatch.setattr(cli._Parser, "__init__", spy)
     argv = [a.format(out=tmp_path / "t.csv") for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # --help exits from inside parse_args
-        code = exc.code
+    code = main(argv)
     capsys.readouterr()
-    assert code == (2 if argv[0] == "chek" else 0)
+    assert isinstance(code, int) and code == (2 if argv[0] == "chek" else 0)
     assert len(built) == parsers
     gc.collect()
     assert not [ref for ref in built if ref() is not None]
@@ -503,7 +512,9 @@ def test_step_cap_is_checked_before_anything_is_allocated():
     with pytest.raises(FixtureError, match="steps per unit time"):
         _check_flags(Namespace(samples=5, seed=0, step=1e-9))
     _check_flags(Namespace(samples=5, seed=0, step=1.0 / MAX_STEPS))
-    assert _step_count(1.0, 1e-9) == 10 ** 9
+    assert _step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    with pytest.raises(ValueError, match="over the cap"):
+        _step_count(1.0, 1e-9)
     with pytest.raises(ValueError, match="no finite step count"):
         _step_count(1.0, 5e-324)
 

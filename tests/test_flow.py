@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from invalg.catalog import (
 )
 from invalg.cli import load_fixture
 from invalg.flow import (
+    MAX_STEPS,
     AHomotopyVariation,
     APathVariation,
     FiberPath,
@@ -25,7 +27,6 @@ from invalg.flow import (
     _affine_anchor,
     _affine_rk4,
     _fiber_coefficients,
-    _quarter_times,
     _square_stages,
     _stage_index,
     _step_count,
@@ -612,6 +613,50 @@ def test_transport_rejects_bad_steps():
             ahomotopy_transport(inv, hv, AElement([0.0, 0.0], [0.0, 0.0]), h)
 
 
+def test_step_cap_is_checked_before_anything_is_allocated():
+    # t_end = 1e300 would overflow np.arange, and t_end = 1e7 at h = 1e-3
+    # would ask it for 4e10 quarter times; both are refused at once
+    a0 = AElement([0.4], [1.0])
+    phi = tangent_member().phi
+    hv, _, _ = holonomic_homotopy()
+    calls = [lambda t_end=t_end: apath_transport(involution_from_spec(tangent(1)),
+                                                 APathVariation(1, 1, phi, t_end), a0, 1e-3)
+             for t_end in (1e300, 1e7)]
+    calls.append(lambda: rk4_solve(lambda t, x: x, [1.0], 1e7, 1e-3))
+    calls.append(lambda: ahomotopy_transport(involution_from_spec(tangent(2)), hv,
+                                             AElement([0.0, 0.0], [0.0, 0.0]),
+                                             1.0 / (MAX_STEPS + 1)))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the cap of %d" % MAX_STEPS):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_step_cap_bounds_the_steps_asked_for_not_the_half_steps(monkeypatch):
+    # a nonlinear base is solved at half steps, 2 * MAX_STEPS of them at the
+    # cap; only the step count the caller asks for is held to MAX_STEPS
+    inv, phi, a0 = quadratic_anchor_path(0.5)
+    _, hv, b0 = quadratic_anchor_homotopy()
+    path = apath_transport(inv, phi, a0, 1.0 / 40)
+    square = ahomotopy_transport(inv, hv, b0, 1.0 / 40)
+    monkeypatch.setattr("invalg.flow.MAX_STEPS", 40)
+    capped = apath_transport(inv, phi, a0, 1.0 / 40)
+    assert len(capped.times) == 41
+    assert np.array_equal(capped.fiber, path.fiber) and np.array_equal(capped.base, path.base)
+    capped = ahomotopy_transport(inv, hv, b0, 1.0 / 40)
+    assert all(np.array_equal(getattr(capped, f), getattr(square, f))
+               for f in ("base0", "fiber0", "base1", "fiber1", "discrepancy"))
+    with pytest.raises(ValueError, match="over the cap of 40"):
+        apath_transport(inv, phi, a0, 1.0 / 41)
+    with pytest.raises(ValueError, match="over the cap of 40"):
+        ahomotopy_transport(inv, hv, b0, 1.0 / 41)
+
+
 def test_stage_lookup_rejects_off_grid_times():
     assert _stage_index(0.5, 0.5, 3) == 1
     assert _stage_index(1.0 - 1e-15, 0.5, 3) == 2
@@ -693,7 +738,7 @@ def per_order_homotopy(inv, hv, a0, h, grid=11):
     n = max(segments, _step_count(1.0, h))
     n = ((n + segments - 1) // segments) * segments
     nodes = np.linspace(0.0, 1.0, grid)
-    stage_times = _quarter_times(1.0, 1.0 / n)
+    stage_times = np.arange(4 * n + 1) * (1.0 / (4 * n))
     at_nodes = slice(None, None, n // segments)
 
     def surface(first_dir: bool):

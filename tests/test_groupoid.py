@@ -496,12 +496,18 @@ def test_differentiate_abelian():
 
 
 def test_pair_compose_requires_matching_middle():
-    a = JetPoint.from_rows(1, [[0.0], [1.0]])
-    b = JetPoint.from_rows(1, [[0.5], [1.0]])
-    assert pair_compose((a, b), (b, a)) == (a, a)
-    with pytest.raises(ValueError):
+    # pairs of endpoint-path jets as coefficient arrays (2**d, dim)
+    a = np.array([[0.0], [1.0]])
+    b = np.array([[0.5], [1.0]])
+    composed = pair_compose((a, b), (b, a))
+    assert composed[0] is a and composed[1] is a
+    with pytest.raises(ValueError, match="middle paths differ"):
         pair_compose((a, b), (a, b))
-    assert pair_inverse((a, b)) == (b, a)
+    # a middle path of another shape never matches, even where it would broadcast
+    with pytest.raises(ValueError, match="middle paths differ"):
+        pair_compose((a, b), (b[:, None], a))
+    inverse = pair_inverse((a, b))
+    assert inverse[0] is b and inverse[1] is a
 
 
 def test_differentiate_pair_groupoid_lands_on_tangent_flip():

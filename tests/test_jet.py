@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invalg import jet
 from invalg import (
     AlgebroidSpec,
     ConnectionSpec,
@@ -625,6 +626,40 @@ def test_tangent_axiom_suite_passes():
     # worst offender is recorded with the input that produced it
     worst = report["add-bundle-laws"].worst_input
     assert worst is not None
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken lift and sum"])
+def test_tangent_rows_rerun_from_their_worst_input(broken, monkeypatch):
+    # each law is a function of its draw table's rows alone: the jets its
+    # worst_input lists give its max_residual again, bit for bit, also where
+    # a broken lift (a zero section) makes residuals nonzero and a scaled sum
+    # makes sums raise
+    if broken:
+        add = jet.add_tangent
+        monkeypatch.setattr(jet, "lift_l", lambda x, direction=1: insert_zero(x, direction))
+        monkeypatch.setattr(jet, "add_tangent", lambda x, y, direction=1, tol=1e-12:
+                            JetPoint._of(add(x, y, direction, tol).coeffs * 1.001))
+    report = check_tangent_axioms(samples=20, seed=5)
+    laws = {name: law for name, law, _ in jet._TANGENT_LAWS}
+    assert report.names() == list(laws)
+    for row in report.results:
+        described = row.worst_input if isinstance(row.worst_input, list) else [row.worst_input]
+        # one jet of the worst sample per part, two coordinates each
+        jets = [JetPoint.from_rows(j["depth"], np.array(j["coeff_rows"])[:, None])
+                for j in described]
+        assert {j.coeffs.shape[1:] for j in jets} == {(1, 2)}
+        try:
+            rerun = np.float64(laws[row.name](*jets)[0])
+        except ValueError:  # the fold counts a sample that raises as NaN
+            rerun = np.float64(math.nan)
+        assert rerun.tobytes() == np.float64(row.max_residual).tobytes()
+    failed = [row.name for row in report.results if not row.passed]
+    if broken:
+        assert failed == ["lift-flip-fixed", "add-bundle-laws"]
+        assert math.isnan(report["add-bundle-laws"].max_residual)
+    else:
+        assert not failed
+        assert report["flip-involutive"].max_residual == report["flip-braid"].max_residual == 0.0
 
 
 def test_residual_is_nan_when_any_difference_is():
