@@ -146,21 +146,13 @@ class ConnectionSpec:
         return ConnectionSpec(dim_M, dim_A, PolyMap.zero(dim_M, dim_A * dim_M * dim_A))
 
     @staticmethod
-    def random_poly(rng, dim_M: int, dim_A: int, degree: int = 1, scale: float = 0.5,
-                    lattice: int = 0) -> "ConnectionSpec":
-        """Random polynomial Christoffel data; lattice > 0 snaps coefficients to
-        multiples of 1/lattice so small-degree evaluations stay float-exact."""
+    def random_poly(rng, dim_M: int, dim_A: int, degree: int = 1) -> "ConnectionSpec":
+        """Random polynomial Christoffel data: every monomial of degree at most
+        degree in every entry, with a coefficient uniform in [-0.5, 0.5]."""
         exps = [e for e in itertools.product(range(degree + 1), repeat=dim_M) if sum(e) <= degree]
-        rows = []
-        for _ in range(dim_A * dim_M * dim_A):
-            row = []
-            for e in exps:
-                c = rng.uniform(-scale, scale)
-                if lattice:
-                    c = round(c * lattice) / lattice
-                row.append((float(c), tuple(e)))
-            rows.append(tuple(row))
-        return ConnectionSpec(dim_M, dim_A, PolyMap(dim_M, len(rows), tuple(rows)))
+        coeffs = rng.uniform(-0.5, 0.5, (dim_A * dim_M * dim_A, len(exps)))
+        rows = tuple(tuple(zip(row.tolist(), exps)) for row in coeffs)
+        return ConnectionSpec(dim_M, dim_A, PolyMap(dim_M, len(rows), rows))
 
     def apply(self, m, w, a) -> np.ndarray:
         """result_k = sum G[k, alpha, j] w_alpha a_j: the value row of apply_jet."""

@@ -39,22 +39,19 @@ from .report import FixtureError, Report, _fold, _judged, quiet
 
 SCHEMA_VERSION = 1
 MAX_EXPONENT = int(np.iinfo(np.intp).max)  # PolyMap's evaluator holds exponents as np.intp
+MAX_SAMPLES = 10 ** 6  # the most --samples a command accepts, as many as transport's steps
 KINDS = ("algebroid", "involution-flip", "group", "section", "scalar-field",
          "apath", "ahomotopy", "connection")
 
 
 def __getattr__(name):
-    """Serve ``group_catalog`` and the transport step cap ``MAX_STEPS`` as
-    attributes of this module (PEP 562).
+    """Serve ``group_catalog`` as an attribute of this module (PEP 562).
 
     The groupoid and transport layers are imported inside the code paths
     that use them, so a command that needs neither does not load them."""
     if name == "group_catalog":
         from .groupoid import group_catalog
         return group_catalog
-    if name == "MAX_STEPS":
-        from .flow import MAX_STEPS
-        return MAX_STEPS
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
@@ -281,8 +278,13 @@ def _dumps(payload, compact: bool) -> str:
 
 
 def _differentiate(group_spec, samples: int, seed: int):
+    """The involution of a group fixture and its report, which has no rows
+    at samples 0."""
     from .groupoid import _routes
-    return _routes(group_spec)[1](group_spec, samples=samples, seed=seed)
+    involution, differentiate = _routes(group_spec)
+    if samples == 0:
+        return involution(group_spec), Report()
+    return differentiate(group_spec, samples=samples, seed=seed)
 
 
 # -- check suites -------------------------------------------------------------
@@ -442,10 +444,9 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an apath or ahomotopy fixture, got %r" % kind)
     if "initial" not in fx:
         raise FixtureError("transport needs an initial element in the fixture")
-    from .flow import MAX_STEPS, ahomotopy_transport, apath_transport
-    if kind == "apath" and args.step * MAX_STEPS < fx["variation"].t_end:
-        raise FixtureError("--step %r takes over %d steps up to apath t_end %r"
-                           % (args.step, MAX_STEPS, fx["variation"].t_end))
+    from .flow import _step_count, ahomotopy_transport, apath_transport
+    with _unusable("--step"):  # the step cap, judged before any table is allocated
+        _step_count(fx["variation"].t_end if kind == "apath" else 1.0, args.step)
     inv = involution_from_spec(fx["spec"])
     if kind == "apath":
         run = apath_transport(inv, fx["variation"], fx["initial"], h=args.step)
@@ -516,13 +517,11 @@ def _check_flags(args) -> None:
     for flag in ("samples", "seed"):
         if getattr(args, flag, 0) < 0:
             raise FixtureError("--%s must be nonnegative, got %d" % (flag, getattr(args, flag)))
+    if getattr(args, "samples", 0) > MAX_SAMPLES:
+        raise FixtureError("--samples must be at most %d, got %d" % (MAX_SAMPLES, args.samples))
     step = getattr(args, "step", None)
-    if step is not None:
-        from .flow import MAX_STEPS
-        if not (math.isfinite(step) and step > 0):
-            raise FixtureError("--step must be a positive finite number, got %r" % step)
-        if step * MAX_STEPS < 1.0:
-            raise FixtureError("--step %r takes over %d steps per unit time" % (step, MAX_STEPS))
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise FixtureError("--step must be a positive finite number, got %r" % step)
     if getattr(args, "command", None) == "transport" and not args.out:
         raise FixtureError("transport needs --out for the trajectory table")
 

@@ -79,7 +79,8 @@ def _step_count(t_end: float, h: float) -> int:
         raise ValueError("step %r gives no finite step count up to %r" % (h, t_end))
     n = max(1, int(round(t_end / h)))
     if n > MAX_STEPS:
-        raise ValueError("step %r takes %d steps, over the cap of %d" % (h, n, MAX_STEPS))
+        raise ValueError("step %r takes %.7g steps up to %r, over the cap of %d"
+                         % (h, t_end / h, t_end, MAX_STEPS))
     return n
 
 

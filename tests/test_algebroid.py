@@ -836,7 +836,8 @@ def test_a_raising_sample_is_the_only_nan():
         return canonical.flip(v, w)
 
     inv = InvolutionAlgebroid(0, 3, spec.rho, guarded, spec=spec)
-    pairs = _sample_pairs(inv, np.random.default_rng(5), 30)
+    # the pairs check_axioms draws at seed 5
+    pairs = _sample_pairs(inv, np.random.default_rng(5), 30, double=True)
     bad = np.flatnonzero(pairs.v[:, 0] > 0.9)
     assert 0 < len(bad) < 5
 
@@ -852,8 +853,48 @@ def test_a_raising_sample_is_the_only_nan():
     # through a whole suite: the check fails on the first refused sample
     report = check_axioms(inv, samples=30, seed=5)
     assert math.isnan(report["projection"].max_residual)
-    assert report["projection"].worst_input["a_v"] == pairs.v[bad[0]].tolist()
+    assert report["projection"].worst_input == pairs.describe(bad[0])
 
+
+
+def _suite_involution(name, route, seed):
+    if route == "group":
+        spec = groupoid.group_catalog(name)
+        return groupoid._routes(spec)[0](spec)
+    spec = catalog.get(name)
+    if route == "spec":
+        return involution_from_spec(spec)
+    rng = np.random.default_rng(seed)
+    return flip_from_bracket(spec, ConnectionSpec.random_poly(rng, spec.dim_M, spec.dim_A))
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("name,route", [
+    *((name, route) for name in catalog.names() for route in ("spec", "connection")),
+    *((name, "group") for name in ("so3", "sl2", "diag-abelian(3)", "pair-groupoid(2)")),
+])
+def test_involution_rows_rerun_from_their_worst_input(name, route, seed, monkeypatch):
+    # every sampled row of the involution suites reads one batch of double
+    # prolongations row by row: the draw its worst_input records, as the
+    # only row of a batch, gives its max_residual and worst_input again,
+    # bit for bit
+    inv = _suite_involution(name, route, seed)
+    dm = inv.dim_M
+    report = check_axioms(inv, samples=12, seed=seed)
+    report.extend(check_yang_baxter(inv, samples=12, seed=seed))
+    sampled = [row for row in report.results if row.name != "permutation-braid"]
+    assert len(sampled) == 10
+    for row in sampled:
+        worst = row.worst_input
+        # the drawn slots: m, a_v, a_w, adot_w, then the fiber rows of x by mask
+        draw = np.concatenate([worst["m"], worst["a_v"], worst["w"][0], worst["w"][2],
+                               np.array(worst["x"])[:, dm:].reshape(-1)])
+        monkeypatch.setattr(algebroid, "_sample_pairs", lambda owner, rng, count, double=False:
+                            algebroid._prolongation_pairs(owner, draw[None]))
+        suite = check_yang_baxter if row.name == "yang-baxter" else check_axioms
+        rerun = suite(inv, samples=1, seed=seed)[row.name]
+        assert np.float64(rerun.max_residual).tobytes() == np.float64(row.max_residual).tobytes()
+        assert rerun.worst_input == worst
 
 def test_library_checks_stay_silent_on_overflow():
     # an anchor term of 1e308 overflows inside the checks; the non-finite

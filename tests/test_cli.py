@@ -7,8 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
-from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,8 @@ from invalg import cli
 from invalg.algebroid import bracket_from_flip, check_axioms, involution_from_spec
 from invalg.bundle import ConnectionSpec, SectionSpec
 from invalg.catalog import ENTRIES, names as catalog_names
-from invalg.cli import MAX_STEPS, FixtureError, _check_flags, _check_report, load_fixture, main
-from invalg.flow import _step_count
+from invalg.cli import FixtureError, _check_report, load_fixture, main
+from invalg.flow import MAX_STEPS, _step_count
 from invalg.groupoid import group_catalog
 from invalg.jet import PolyMap
 from invalg.report import Report
@@ -149,6 +149,16 @@ def test_check_zero_samples_empty_report(tmp_path):
     code = main(["check", fx, "--samples", "0", "--format", "json", "--out", str(out)])
     assert code == 0
     assert json.loads(open(out).read())["checks"] == []
+
+
+def test_differentiate_group_zero_samples_empty_report(capsys):
+    # no rows, as for check, and still the recovered constants
+    assert main(["differentiate-group", "so3", "--samples", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["checks"] == []
+    assert sorted((e["i"], e["j"], e["k"]) for e in doc["constants"]) == [
+        (0, 1, 2), (0, 2, 1), (1, 2, 0)]
+    assert main(["differentiate-group", "so3", "--samples", "0", "--tolerance", "flip=1"]) == 2
 
 
 def test_check_explicit_tables_with_mirrored_entries(tmp_path):
@@ -309,6 +319,9 @@ def test_loader_raises_only_fixture_errors(tmp_path):
     ["transport", "{path}", "--step", "0", "--out", "{out}"],
     ["transport", "{path}", "--step", "nan", "--out", "{out}"],
     ["check", "{so3}", "--samples", "-5"],
+    # more samples than any command takes, which numpy could not even allocate
+    ["check", "{so3}", "--samples", "1000000000000"],
+    ["check", "{so3}", "--samples", "1000000000000000000"],
     ["differentiate-group", "diag-abelian(0)"],
     ["differentiate-group", "pair-groupoid(0)"],
     ["check", "{so3}", "--samples", "5", "--out", "{missing}"],
@@ -507,11 +520,25 @@ def test_overflowing_anchor_fails_checks_without_warnings(tmp_path):
         assert not math.isfinite(checks[name]["max_residual"])
 
 
-def test_step_cap_is_checked_before_anything_is_allocated():
-    # a step of 1e-9 is checked, not run: its 10**9 steps would be allocated
-    with pytest.raises(FixtureError, match="steps per unit time"):
-        _check_flags(Namespace(samples=5, seed=0, step=1e-9))
-    _check_flags(Namespace(samples=5, seed=0, step=1.0 / MAX_STEPS))
+def test_step_cap_is_checked_before_anything_is_allocated(tmp_path, capsys):
+    # a step of 1e-9 over a homotopy's unit square, and the default step up
+    # to an apath's t_end of 1e300, are checked, not run: their steps would
+    # be allocated.  One short line names the flag
+    long = write_fixture(tmp_path, "long.json", mutated(tangent_path_payload(), 1e300, "t_end"))
+    out = str(tmp_path / "out.csv")
+    for argv in (["transport", str(FIXTURES / "holonomy.json"), "--step", "1e-9", "--out", out],
+                 ["transport", long, "--out", out]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("error: --step: ") and err.count("\n") == 1 and len(err) < 100
+        assert "over the cap of %d" % MAX_STEPS in err
+    assert not os.path.exists(out)
     assert _step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
     with pytest.raises(ValueError, match="over the cap"):
         _step_count(1.0, 1e-9)
