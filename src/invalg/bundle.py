@@ -190,9 +190,6 @@ class SectionSpec:
     def dim_A(self) -> int:
         return self.x_poly.out_dim
 
-    def eval(self, m) -> np.ndarray:
-        return self.x_poly.eval_floats(_vec(m))
-
 
 @dataclass(frozen=True)
 class ScalarFieldSpec:
@@ -207,9 +204,6 @@ class ScalarFieldSpec:
     @property
     def dim_M(self) -> int:
         return self.f_poly.in_dim
-
-    def eval(self, m) -> float:
-        return float(self.f_poly.eval_floats(_vec(m))[0])
 
 
 def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, rho: PolyMap, m):

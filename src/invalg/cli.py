@@ -444,9 +444,12 @@ def do_transport(args) -> int:
         raise FixtureError("transport needs an apath or ahomotopy fixture, got %r" % kind)
     if "initial" not in fx:
         raise FixtureError("transport needs an initial element in the fixture")
-    from .flow import _step_count, ahomotopy_transport, apath_transport
+    from .flow import _square_steps, _step_count, ahomotopy_transport, apath_transport
     with _unusable("--step"):  # the step cap, judged before any table is allocated
-        _step_count(fx["variation"].t_end if kind == "apath" else 1.0, args.step)
+        if kind == "apath":
+            _step_count(fx["variation"].t_end, args.step)
+        else:
+            _square_steps(args.step)
     inv = involution_from_spec(fx["spec"])
     if kind == "apath":
         run = apath_transport(inv, fx["variation"], fx["initial"], h=args.step)
@@ -617,6 +620,9 @@ def main(argv=None) -> int:
         # devnull so that the flush at exit cannot fail again (signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: cannot write to stdout: %s" % exc.strerror, file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, numpy's refusals included
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -21,8 +21,10 @@ an anchor of degree 2 or more the base equation is nonlinear and is solved
 stage by stage.  Several transports along different variations run as
 rows of one state; a path transport is the one-row case, and a homotopy
 transport integrates the spines of both orders as one state, then the rows
-of both orders as one state.  The same machinery gives the differentiation / integration
-maps between fiber paths and infinitesimal variations.
+of both orders as one state.  The tables of a solve grow with its rows
+times its steps, so MAX_STEPS bounds that product before anything is
+allocated.  The same machinery gives the differentiation / integration maps
+between fiber paths and infinitesimal variations.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .bundle import AElement, TAElement
 from .jet import JetPoint, PolyMap, _max_abs, flip_c, residuals
 from .report import quiet, worst_of
 
-MAX_STEPS = 10 ** 6  # the most fixed steps a caller may ask for, checked before it allocates
+MAX_STEPS = 10 ** 6  # the most rows x steps a caller may ask for, checked before it allocates
+_GRID = 11  # nodes per axis of a homotopy transport's output grid
 
 
 def rk4_solve(field, x0, t_end: float, h: float):
@@ -72,16 +75,26 @@ def _rk4(field, x0, t_end: float, n: int):
     return times, states
 
 
-def _step_count(t_end: float, h: float) -> int:
-    """Number of fixed steps of about h that land on t_end, at least one and
-    at most MAX_STEPS."""
+def _step_count(t_end: float, h: float, rows: int = 1, multiple: int = 1) -> int:
+    """Number of fixed steps of about h that land on t_end: at least one,
+    rounded up to a multiple of multiple, and at most MAX_STEPS row-steps
+    for rows transports solved as one state."""
     if not (0 < h < np.inf and np.isfinite(t_end / h)):
         raise ValueError("step %r gives no finite step count up to %r" % (h, t_end))
-    n = max(1, int(round(t_end / h)))
-    if n > MAX_STEPS:
-        raise ValueError("step %r takes %.7g steps up to %r, over the cap of %d"
-                         % (h, t_end / h, t_end, MAX_STEPS))
+    n = -(-max(1, int(round(t_end / h))) // multiple) * multiple
+    if rows * n > MAX_STEPS:
+        steps = "steps" if rows == 1 else "steps of %d rows" % rows
+        raise ValueError("step %r takes %.7g %s up to %r, over the cap of %d"
+                         % (h, n, steps, t_end, MAX_STEPS))
     return n
+
+
+def _square_steps(h: float, grid: int = _GRID) -> int:
+    """_step_count of a homotopy transport on grid nodes per axis: its 2 grid
+    rows solved as one state in a multiple of its grid - 1 segments."""
+    if grid < 2:
+        raise ValueError("output grid needs at least two nodes per axis")
+    return _step_count(1.0, h, 2 * grid, grid - 1)
 
 
 def _rk4_step_maps(mats, offs, h: float) -> np.ndarray:
@@ -307,14 +320,6 @@ def _square_csv(s_nodes, t_nodes, values) -> str:
     return _csv(s, t, values.reshape(s.size, values.shape[-1]))
 
 
-def _stage_index(t: float, spacing: float, count: int) -> int:
-    """Position of a solver time on a uniform table of count entries."""
-    k = int(round(t / spacing))
-    if not 0 <= k < count or abs(t / spacing - k) > 1e-6:
-        raise ValueError("time %g is off the stage grid" % t)
-    return k
-
-
 def _fiber_coefficients(inv: InvolutionAlgebroid, blocks: np.ndarray, base: np.ndarray):
     """The affine right side (matrix, offset) of the fiber equation at every
     entry of a table: blocks (..., 2(dim_M + dim_A)) of variations, base
@@ -375,7 +380,7 @@ def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end:
         quarter = t_end / (count - 1)
 
         def base_field(t, m):
-            k = _stage_index(t, quarter, count)
+            k = round(t / quarter)  # step i of _rk4 asks for k = 2i, 2i + 1 and 2i + 2
             return inv.anchor_apply(m.reshape(rows, dm), a_phi[:, k]).reshape(-1)
 
         base = _rk4(base_field, m0, t_end, 2 * n)[1].reshape(2 * n + 1, rows, dm)
@@ -431,12 +436,12 @@ class HomotopyTransport:
     fiber1: np.ndarray
     discrepancy: float
 
-    def to_csv(self, which: int = 0) -> str:
-        return _square_csv(self.s_nodes, self.t_nodes, self.fiber0 if which == 0 else self.fiber1)
+    def to_csv(self) -> str:
+        return _square_csv(self.s_nodes, self.t_nodes, self.fiber0)
 
 
 def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
-                        h: float = 1e-3, grid: int = 11) -> HomotopyTransport:
+                        h: float = 1e-3, grid: int = _GRID) -> HomotopyTransport:
     """Transport a fiber element over the unit square both ways: vertically
     then horizontally, and in the transposed order.  For well-formed
     homotopy variations the two surfaces agree; the discrepancy is measured
@@ -453,12 +458,9 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
 def _homotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
                         h: float, grid: int) -> HomotopyTransport:
     """ahomotopy_transport past its check that a0 is composable with hv."""
-    if grid < 2:
-        raise ValueError("output grid needs at least two nodes per axis")
+    n = _square_steps(h, grid)
     with quiet():
         segments = grid - 1
-        n = max(segments, _step_count(1.0, h))
-        n = ((n + segments - 1) // segments) * segments
         nodes = np.linspace(0.0, 1.0, grid)
         stage_times = np.arange(4 * n + 1) * (1.0 / (4 * n))  # the quarter steps
         at_nodes = slice(None, None, n // segments)
@@ -598,7 +600,7 @@ class FiberSurface:
 
 
 def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: float = 1e-3,
-                        grid: int = 11, membership_tol: float = 1e-9) -> FiberSurface:
+                        grid: int = _GRID, membership_tol: float = 1e-9) -> FiberSurface:
     """Integrate an infinitesimal homotopy variation into a fiber surface by
     transporting the zero vector over the square; both integration orders are
     run and must agree."""

@@ -198,7 +198,7 @@ def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
             raise ArithmeticError("source slot of the flip composite did not cancel")
         return spec.project_jet(np.concatenate((g1, g12)), w.depth)
 
-    inv = InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip, describe=spec.name)
+    inv = InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip)
     return replace(inv, spec=spec_from_flip(inv))
 
 
@@ -290,7 +290,7 @@ def pair_involution(spec: PairGroupoidSpec) -> InvolutionAlgebroid:
         return JetPoint._of(np.concatenate((value, dot)))
 
     base = tangent(d)
-    return InvolutionAlgebroid(d, d, base.rho, flip, spec=base, describe=spec.name)
+    return InvolutionAlgebroid(d, d, base.rho, flip, spec=base)
 
 
 def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,

@@ -28,7 +28,6 @@ from invalg.flow import (
     _affine_rk4,
     _fiber_coefficients,
     _square_stages,
-    _stage_index,
     _step_count,
     _transport_rows,
     ahomotopy_transport,
@@ -112,7 +111,7 @@ def stepwise_transport(inv, phi, a0, h):
     mats, offs = _fiber_coefficients(inv, blocks, base)
 
     def fiber_field(t, b):
-        k = _stage_index(t, half, 2 * n + 1)
+        k = round(t / half)
         return mats[k] @ b + offs[k]
 
     _, fiber = rk4_solve(fiber_field, a0.a, phi.t_end, 2 * half)
@@ -639,7 +638,8 @@ def test_step_cap_is_checked_before_anything_is_allocated():
 
 def test_step_cap_bounds_the_steps_asked_for_not_the_half_steps(monkeypatch):
     # a nonlinear base is solved at half steps, 2 * MAX_STEPS of them at the
-    # cap; only the step count the caller asks for is held to MAX_STEPS
+    # cap; only the steps the caller asks for, times the rows solved as one
+    # state (22 for a homotopy on the default grid), are held to MAX_STEPS
     inv, phi, a0 = quadratic_anchor_path(0.5)
     _, hv, b0 = quadratic_anchor_homotopy()
     path = apath_transport(inv, phi, a0, 1.0 / 40)
@@ -648,21 +648,14 @@ def test_step_cap_bounds_the_steps_asked_for_not_the_half_steps(monkeypatch):
     capped = apath_transport(inv, phi, a0, 1.0 / 40)
     assert len(capped.times) == 41
     assert np.array_equal(capped.fiber, path.fiber) and np.array_equal(capped.base, path.base)
+    with pytest.raises(ValueError, match="over the cap of 40"):
+        apath_transport(inv, phi, a0, 1.0 / 41)
+    monkeypatch.setattr("invalg.flow.MAX_STEPS", 22 * 40)
     capped = ahomotopy_transport(inv, hv, b0, 1.0 / 40)
     assert all(np.array_equal(getattr(capped, f), getattr(square, f))
                for f in ("base0", "fiber0", "base1", "fiber1", "discrepancy"))
-    with pytest.raises(ValueError, match="over the cap of 40"):
-        apath_transport(inv, phi, a0, 1.0 / 41)
-    with pytest.raises(ValueError, match="over the cap of 40"):
+    with pytest.raises(ValueError, match="takes 50 steps of 22 rows up to 1.0, over the cap of 880"):
         ahomotopy_transport(inv, hv, b0, 1.0 / 41)
-
-
-def test_stage_lookup_rejects_off_grid_times():
-    assert _stage_index(0.5, 0.5, 3) == 1
-    assert _stage_index(1.0 - 1e-15, 0.5, 3) == 2
-    for t in (0.3, 1.5, -0.5):
-        with pytest.raises(ValueError, match="off the stage grid"):
-            _stage_index(t, 0.5, 3)
 
 
 # -- homotopy variations and transport ----------------------------------------
@@ -1018,8 +1011,7 @@ def test_square_csv_bytes_match_joined_rows():
     hv, _, _ = holonomic_homotopy()
     run = ahomotopy_transport(involution_from_spec(tangent(2)), hv,
                               AElement([0.0, 0.0], [0.0, 0.0]), 0.01, grid=6)
-    for which, fiber in ((0, run.fiber0), (1, run.fiber1)):
-        assert run.to_csv(which) == joined_csv(square_rows(run.s_nodes, run.t_nodes, fiber))
+    assert run.to_csv() == joined_csv(square_rows(run.s_nodes, run.t_nodes, run.fiber0))
     inv = involution_from_spec(action_so3_r3())
     eta = PolyMap.from_terms(2, [((1.0, (1, 1)),), ((1.0, (2, 0)),), ((1.0, (3, 2)),)])
     surf = inf_ahomotopy_wedge(inv, inf_ahomotopy_vee(inv, eta, [0.3, -0.2, 0.5]), 0.05, grid=4)
@@ -1027,7 +1019,7 @@ def test_square_csv_bytes_match_joined_rows():
     for sf in (surf, one):
         assert sf.to_csv() == joined_csv(square_rows(sf.s_nodes, sf.t_nodes, sf.values))
     single = HomotopyTransport(np.array([0.0]), np.array([1.0]), *[np.ones((1, 1, 2))] * 4, 0.0)
-    assert single.to_csv(1) == "0,1,1,1\n"
+    assert single.to_csv() == "0,1,1,1\n"
 
 
 def test_grid_derivative_exact_on_quartics():

@@ -756,7 +756,8 @@ def test_worst_of_an_array_matches_its_parts_one_by_one():
 def test_fold_picks_the_sample_worst_of_ranks_worst():
     # random residuals with planted NaN, +-inf, -0.0 and ties: _fold's worst
     # sample is the one the per-sample ranking by sort key picks, and the
-    # first sample holding the value worst_of returns
+    # first sample holding the value worst_of returns, at any tolerance, so
+    # re-judging a row (--tolerance) is folding it at that tolerance
     def ranked_pick(values):
         key = lambda r: r if math.isfinite(r) else math.inf
         return max(range(len(values)), key=lambda i: key(values[i]))
@@ -777,6 +778,10 @@ def test_fold_picks_the_sample_worst_of_ranks_worst():
         picked = values.tolist()
         assert result.worst_input == ranked_pick(picked) == worst_of_pick(picked)
         assert np.float64(result.max_residual).tobytes() == values[result.worst_input].tobytes()
+        strict = _fold("ranked", len(values), lambda rows: values[rows], 0.0, 0,
+                       serialize=lambda i: i)
+        assert (strict.worst_input, np.float64(strict.max_residual).tobytes()) \
+            == (result.worst_input, np.float64(result.max_residual).tobytes())
 
 
 def test_corrupted_lift_is_detected(monkeypatch):

@@ -1,7 +1,13 @@
 """The public surface of ``import invalg``: the same names whether a layer is
-loaded at import or on first use."""
+loaded at import or on first use, and the same signatures as the pinned file.
+
+After a deliberate change of a public signature, rewrite the pinned file with
+
+    PYTHONPATH=src python tests/test_package.py
+"""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +19,7 @@ import pytest
 import invalg
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SIGNATURES = Path(__file__).resolve().parent / "public_signatures.json"
 
 # dir(invalg) after a fresh ``import invalg``, without its underscored names
 PUBLIC_NAMES = [
@@ -88,3 +95,50 @@ def test_each_lazy_name_is_its_home_module_attribute(module):
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
         invalg.nosuch
+
+
+def public_signatures() -> dict:
+    """The parameters of every public function and class that a layer of
+    invalg defines, and of every public method of those classes, inherited
+    ones too: "layer.name" or "layer.Class.method" -> [[parameter, kind,
+    default repr or None]].  The layers are the modules in invalg.__all__,
+    the lazy ones included, so every callable export is among them.
+    Exception classes, which take any arguments, are left out."""
+
+    def parameters(fn) -> list:
+        return [[p.name, p.kind.name, None if p.default is p.empty else repr(p.default)]
+                for p in inspect.signature(fn).parameters.values()]
+
+    def is_method(attr, member) -> bool:
+        return not attr.startswith("_") and (inspect.isfunction(member)
+                                             or inspect.ismethod(member))
+
+    found = {}
+    for layer in [name for name in invalg.__all__ if inspect.ismodule(getattr(invalg, name))]:
+        module = getattr(invalg, layer)
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                found["%s.%s" % (layer, name)] = parameters(value)
+            elif inspect.isclass(value) and not issubclass(value, Exception):
+                found["%s.%s" % (layer, name)] = parameters(value)
+                for attr, member in inspect.getmembers(value):
+                    if is_method(attr, member):
+                        found["%s.%s.%s" % (layer, name, attr)] = parameters(member)
+    return found
+
+
+def test_public_signatures_match_the_pinned_file():
+    # an option added to or removed from the public API shows up in review
+    pinned = json.loads(SIGNATURES.read_text())
+    found = public_signatures()
+    changed = sorted(name for name in pinned.keys() | found.keys()
+                     if pinned.get(name) != found.get(name))
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    entries = sorted(public_signatures().items())
+    SIGNATURES.write_text("{\n%s\n}\n" % ",\n".join(
+        "%s: %s" % (json.dumps(name), json.dumps(params)) for name, params in entries))
