@@ -7,7 +7,9 @@ differentiates matrix groupoids, and integrates path and homotopy transport.
 ``import invalg`` loads the jet, report, bundle, algebroid and catalog layers.
 The groupoid and transport layers (``invalg.groupoid``, ``invalg.flow``) load
 on first use of one of their names, so code that never differentiates a
-groupoid or integrates a transport does not pay to import them.
+groupoid or integrates a transport does not pay to import them.  The value
+classes are plain classes with written-out constructors, not dataclasses, so
+importing a layer compiles nothing but its own file.
 """
 
 from importlib import import_module as _import_module

@@ -14,7 +14,6 @@ sections whose nested brackets are evaluated on jets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -42,7 +41,7 @@ from .jet import (
     residual,
     residuals,
 )
-from .report import Report, _fold, quiet, run_check, worst_of
+from .report import Report, _Frozen, _Value, _fold, quiet, run_check, worst_of
 
 DEFAULT_AXIOM_TOLERANCES = {
     "projection": 1e-12,
@@ -100,8 +99,7 @@ class Anchored:
         return np.add.reduce(_product(rho, a[..., None, :]), axis=-1)
 
 
-@dataclass(frozen=True)
-class AlgebroidSpec(Anchored):
+class AlgebroidSpec(Anchored, _Value):
     """Anchor plus antisymmetric structure functions on a trivialized bundle.
 
     rho maps base coordinates to the flattened anchor matrix (row-major
@@ -113,19 +111,17 @@ class AlgebroidSpec(Anchored):
     fixtures are first-class.
     """
 
-    dim_M: int
-    dim_A: int
-    rho: PolyMap
-    c_pairs: PolyMap
+    _fields = ("dim_M", "dim_A", "rho", "c_pairs")
 
-    def __post_init__(self):
-        if self.dim_M < 0 or self.dim_A < 1:
+    def __init__(self, dim_M: int, dim_A: int, rho: PolyMap, c_pairs: PolyMap):
+        if dim_M < 0 or dim_A < 1:
             raise ValueError("need dim_M >= 0 and dim_A >= 1")
-        if self.rho.in_dim != self.dim_M or self.rho.out_dim != self.dim_M * self.dim_A:
+        if rho.in_dim != dim_M or rho.out_dim != dim_M * dim_A:
             raise ValueError("anchor must map base to dim_M*dim_A entries")
-        n_pairs = self.dim_A * (self.dim_A - 1) // 2
-        if self.c_pairs.in_dim != self.dim_M or self.c_pairs.out_dim != self.dim_A * n_pairs:
+        n_pairs = dim_A * (dim_A - 1) // 2
+        if c_pairs.in_dim != dim_M or c_pairs.out_dim != dim_A * n_pairs:
             raise ValueError("structure functions must emit dim_A*%d entries" % n_pairs)
+        self.__dict__.update(dim_M=dim_M, dim_A=dim_A, rho=rho, c_pairs=c_pairs)
 
     # pair bookkeeping
 
@@ -296,13 +292,12 @@ def _structure_entries(spec: AlgebroidSpec) -> list:
 # -- prolongation elements ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProlongElement:
+class ProlongElement(_Frozen):
     """Pair (v, w): a bundle element and a tangent over the same base whose
     base velocity is the anchored image of v."""
 
-    v: AElement
-    w: TAElement
+    def __init__(self, v: AElement, w: TAElement):
+        self.__dict__.update(v=v, w=w)
 
     def residual(self, owner) -> float:
         expected = _as_anchor(owner).anchor_apply(self.v.m, self.v.a)
@@ -312,15 +307,13 @@ class ProlongElement:
         ])
 
 
-@dataclass(frozen=True)
-class DoubleProlongElement:
+class DoubleProlongElement(_Frozen):
     """Triple (v, w, x) with x a depth-2 jet over the total space, matched to
     w through the anchor: the flipped double-base of x equals the tangent
     prolongation of the anchor applied to w."""
 
-    v: AElement
-    w: TAElement
-    x: JetPoint
+    def __init__(self, v: AElement, w: TAElement, x: JetPoint):
+        self.__dict__.update(v=v, w=w, x=x)
 
     def residual(self, owner) -> float:
         spec_like = _as_anchor(owner)
@@ -353,8 +346,7 @@ def _t_rho(owner, w: np.ndarray) -> np.ndarray:
 # -- involution algebroids ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvolutionAlgebroid(Anchored):
+class InvolutionAlgebroid(Anchored, _Frozen):
     """Anchored bundle with a flip evaluator on prolongation pairs.
 
     flip(v, w) takes jets over the total-space coordinates with
@@ -365,11 +357,10 @@ class InvolutionAlgebroid(Anchored):
     spec, when given, is the anchored bracket the flip comes from.
     """
 
-    dim_M: int
-    dim_A: int
-    rho: PolyMap
-    flip: Callable[[JetPoint, JetPoint], JetPoint]
-    spec: Optional[AlgebroidSpec] = None
+    def __init__(self, dim_M: int, dim_A: int, rho: PolyMap,
+                 flip: Callable[[JetPoint, JetPoint], JetPoint],
+                 spec: Optional[AlgebroidSpec] = None):
+        self.__dict__.update(dim_M=dim_M, dim_A=dim_A, rho=rho, flip=flip, spec=spec)
 
     def flip_elements(self, pe: ProlongElement) -> TAElement:
         out = self.flip(JetPoint.constant(np.concatenate([pe.v.m, pe.v.a]), 0), pe.w.to_jet())
@@ -464,18 +455,15 @@ def spec_from_flip(inv: InvolutionAlgebroid) -> AlgebroidSpec:
 # -- samplers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PairBatch:
+class _PairBatch(_Frozen):
     """Prolongation pairs stacked along a sample axis: v (N, n) holds the
     bundle points (m, a_v), w (2, N, n) the two mask rows (m, a_w) and
     (mdot, adot_w) of the tangents, and x (4, N, n), for double samples, the
     depth-2 jets; n = dim_M + dim_A.  The jet methods select samples with a
     slice and keep the sample axis as the batch axis."""
 
-    dim_M: int
-    v: np.ndarray
-    w: np.ndarray
-    x: Optional[np.ndarray] = None
+    def __init__(self, dim_M: int, v: np.ndarray, w: np.ndarray, x: Optional[np.ndarray] = None):
+        self.__dict__.update(dim_M=dim_M, v=v, w=w, x=x)
 
     def v_jet(self, rows) -> JetPoint:
         return JetPoint._of(self.v[None, rows])

@@ -10,11 +10,11 @@ zero sections, flip) acts on jets and lives in jet.py.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .jet import JetPoint, PolyMap, _product, residual
+from .report import _Frozen, _Value
 
 _PROJ_TOL = 1e-12
 
@@ -28,16 +28,11 @@ def _vec(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class AElement:
+class AElement(_Frozen):
     """Point of the total space: base coordinates m, fiber coordinates a."""
 
-    m: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _vec(self.m))
-        object.__setattr__(self, "a", _vec(self.a))
+    def __init__(self, m: np.ndarray, a: np.ndarray):
+        self.__dict__.update(m=_vec(m), a=_vec(a))
 
     @property
     def dim_M(self) -> int:
@@ -48,8 +43,7 @@ class AElement:
         return self.a.size
 
 
-@dataclass(frozen=True)
-class TAElement:
+class TAElement(_Frozen):
     """Tangent of the total space: (m, a) plus velocities (mdot, adot).
 
     Equivalently a depth-1 jet over the total-space coordinates; to_jet and
@@ -57,16 +51,11 @@ class TAElement:
     tangent of the bundle projection keeps (m, mdot).
     """
 
-    m: np.ndarray
-    a: np.ndarray
-    mdot: np.ndarray
-    adot: np.ndarray
-
-    def __post_init__(self):
-        for name in ("m", "a", "mdot", "adot"):
-            object.__setattr__(self, name, _vec(getattr(self, name)))
-        if self.mdot.size != self.m.size or self.adot.size != self.a.size:
+    def __init__(self, m: np.ndarray, a: np.ndarray, mdot: np.ndarray, adot: np.ndarray):
+        m, a, mdot, adot = _vec(m), _vec(a), _vec(mdot), _vec(adot)
+        if mdot.size != m.size or adot.size != a.size:
             raise ValueError("velocity blocks must match the point blocks")
+        self.__dict__.update(m=m, a=a, mdot=mdot, adot=adot)
 
     @property
     def dim_M(self) -> int:
@@ -122,8 +111,7 @@ def strong_difference_jet(x: JetPoint, y: JetPoint, dim_M: int,
 # -- connections -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionSpec:
+class ConnectionSpec(_Value):
     """Polynomial Christoffel data for a full connection.
 
     gamma maps base coordinates to the flattened coefficient array with
@@ -131,15 +119,14 @@ class ConnectionSpec:
     coordinate, alpha the base direction, j the input fiber coordinate.
     """
 
-    dim_M: int
-    dim_A: int
-    gamma: PolyMap
+    _fields = ("dim_M", "dim_A", "gamma")
 
-    def __post_init__(self):
-        if self.gamma.in_dim != self.dim_M:
+    def __init__(self, dim_M: int, dim_A: int, gamma: PolyMap):
+        if gamma.in_dim != dim_M:
             raise ValueError("gamma must take base coordinates")
-        if self.gamma.out_dim != self.dim_A * self.dim_M * self.dim_A:
+        if gamma.out_dim != dim_A * dim_M * dim_A:
             raise ValueError("gamma must emit dim_A*dim_M*dim_A coefficients")
+        self.__dict__.update(dim_M=dim_M, dim_A=dim_A, gamma=gamma)
 
     @staticmethod
     def flat(dim_M: int, dim_A: int) -> "ConnectionSpec":
@@ -176,11 +163,13 @@ class ConnectionSpec:
 # -- sections and scalar fields ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectionSpec:
+class SectionSpec(_Value):
     """Polynomial section of the bundle: base point to fiber vector."""
 
-    x_poly: PolyMap
+    _fields = ("x_poly",)
+
+    def __init__(self, x_poly: PolyMap):
+        self.__dict__.update(x_poly=x_poly)
 
     @property
     def dim_M(self) -> int:
@@ -191,15 +180,15 @@ class SectionSpec:
         return self.x_poly.out_dim
 
 
-@dataclass(frozen=True)
-class ScalarFieldSpec:
+class ScalarFieldSpec(_Value):
     """Polynomial scalar field on the base."""
 
-    f_poly: PolyMap
+    _fields = ("f_poly",)
 
-    def __post_init__(self):
-        if self.f_poly.out_dim != 1:
+    def __init__(self, f_poly: PolyMap):
+        if f_poly.out_dim != 1:
             raise ValueError("scalar fields have one output")
+        self.__dict__.update(f_poly=f_poly)
 
     @property
     def dim_M(self) -> int:

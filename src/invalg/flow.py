@@ -29,14 +29,12 @@ between fiber paths and infinitesimal variations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebroid import InvolutionAlgebroid, ProlongElement
 from .bundle import AElement, TAElement
 from .jet import JetPoint, PolyMap, _max_abs, flip_c, residuals
-from .report import quiet, worst_of
+from .report import _Frozen, _Value, quiet, worst_of
 
 MAX_STEPS = 10 ** 6  # the most rows x steps a caller may ask for, checked before it allocates
 _GRID = 11  # nodes per axis of a homotopy transport's output grid
@@ -183,7 +181,8 @@ def expm(a) -> np.ndarray:
     for k in range(1, 40):
         term = term @ scaled / k
         result = result + term
-        if float(np.max(np.abs(term))) <= 1e-17 * max(1.0, float(np.max(np.abs(result)))):
+        if (float(np.max(np.abs(term), initial=0.0))
+                <= 1e-17 * max(1.0, float(np.max(np.abs(result), initial=0.0)))):
             break
     for _ in range(squarings):
         result = result @ result
@@ -197,26 +196,23 @@ def _split_blocks(arr, dm: int, da: int):
     return arr[..., :dm], arr[..., dm:n], arr[..., n:n + dm], arr[..., n + dm:]
 
 
-@dataclass(frozen=True)
-class APathVariation:
+class APathVariation(_Value):
     """Polynomial curve of prolongation data: four blocks (base point,
     fiber point, base velocity, fiber velocity) as functions of one time
     parameter.  Nothing is forced at construction beyond shapes, so
     ill-formed curves are representable for negative tests; membership is a
     measurement."""
 
-    dim_M: int
-    dim_A: int
-    phi: PolyMap
-    t_end: float = 1.0
+    _fields = ("dim_M", "dim_A", "phi", "t_end")
 
-    def __post_init__(self):
-        if self.phi.in_dim != 1:
+    def __init__(self, dim_M: int, dim_A: int, phi: PolyMap, t_end: float = 1.0):
+        if phi.in_dim != 1:
             raise ValueError("path variation is a curve in one parameter")
-        if self.phi.out_dim != 2 * (self.dim_M + self.dim_A):
+        if phi.out_dim != 2 * (dim_M + dim_A):
             raise ValueError("path variation needs four blocks of output")
-        if not self.t_end > 0:
+        if not t_end > 0:
             raise ValueError("final time must be positive")
+        self.__dict__.update(dim_M=dim_M, dim_A=dim_A, phi=phi, t_end=t_end)
 
     def blocks(self, t: float) -> TAElement:
         m, a, mdot, adot = _split_blocks(self.phi.eval_floats([t]), self.dim_M, self.dim_A)
@@ -244,23 +240,20 @@ def _path_defects(inv: InvolutionAlgebroid, jet: JetPoint, mask: int) -> tuple:
     return _max_abs(vel.row(0) - m_d), _max_abs(vel.row(1) - mdot_d)
 
 
-@dataclass(frozen=True)
-class AHomotopyVariation:
+class AHomotopyVariation(_Value):
     """Two polynomial surfaces of prolongation data over the unit square,
     one for each parameter direction, sharing base blocks.  As with path
     variations the defining identities are measured, not forced."""
 
-    dim_M: int
-    dim_A: int
-    h0: PolyMap
-    h1: PolyMap
+    _fields = ("dim_M", "dim_A", "h0", "h1")
 
-    def __post_init__(self):
-        for part in (self.h0, self.h1):
+    def __init__(self, dim_M: int, dim_A: int, h0: PolyMap, h1: PolyMap):
+        for part in (h0, h1):
             if part.in_dim != 2:
                 raise ValueError("homotopy variation is a surface in two parameters")
-            if part.out_dim != 2 * (self.dim_M + self.dim_A):
+            if part.out_dim != 2 * (dim_M + dim_A):
                 raise ValueError("homotopy variation needs four blocks of output")
+        self.__dict__.update(dim_M=dim_M, dim_A=dim_A, h0=h0, h1=h1)
 
     def membership_residual(self, inv: InvolutionAlgebroid, grid: int = 9) -> dict:
         """Defects of the four identities an admissible homotopy variation
@@ -291,15 +284,13 @@ class AHomotopyVariation:
         return {name: worst_of(values) for name, values in found.items()}
 
 
-@dataclass(frozen=True)
-class PathTransport:
+class PathTransport(_Frozen):
     """Sampled solution of a transport along a path variation, with the
     measured defect of the anchor identity it must satisfy."""
 
-    times: np.ndarray
-    base: np.ndarray
-    fiber: np.ndarray
-    anchor_residual: float
+    def __init__(self, times: np.ndarray, base: np.ndarray, fiber: np.ndarray,
+                 anchor_residual: float):
+        self.__dict__.update(times=times, base=base, fiber=fiber, anchor_residual=anchor_residual)
 
     def to_csv(self) -> str:
         return _csv(self.times, self.base, self.fiber)
@@ -423,18 +414,14 @@ def _square_stages(pm: PolyMap, fixed, times: np.ndarray, along_s: bool) -> np.n
     return pm.eval_floats(np.stack((moving, still) if along_s else (still, moving), axis=-1))
 
 
-@dataclass(frozen=True)
-class HomotopyTransport:
+class HomotopyTransport(_Frozen):
     """Both integration orders of a transport over the unit square and
     their largest disagreement."""
 
-    s_nodes: np.ndarray
-    t_nodes: np.ndarray
-    base0: np.ndarray
-    fiber0: np.ndarray
-    base1: np.ndarray
-    fiber1: np.ndarray
-    discrepancy: float
+    def __init__(self, s_nodes: np.ndarray, t_nodes: np.ndarray, base0: np.ndarray,
+                 fiber0: np.ndarray, base1: np.ndarray, fiber1: np.ndarray, discrepancy: float):
+        self.__dict__.update(s_nodes=s_nodes, t_nodes=t_nodes, base0=base0, fiber0=fiber0,
+                             base1=base1, fiber1=fiber1, discrepancy=discrepancy)
 
     def to_csv(self) -> str:
         return _square_csv(self.s_nodes, self.t_nodes, self.fiber0)
@@ -522,13 +509,11 @@ def alg1_residuals(inv: InvolutionAlgebroid, phi: APathVariation, grid: int = 33
     }
 
 
-@dataclass(frozen=True)
-class FiberPath:
+class FiberPath(_Frozen):
     """Sampled path through a single fiber."""
 
-    m: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
+    def __init__(self, m: np.ndarray, times: np.ndarray, values: np.ndarray):
+        self.__dict__.update(m=m, times=times, values=values)
 
     def to_csv(self) -> str:
         return _csv(self.times, self.values)
@@ -586,14 +571,12 @@ def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation, grid: int =
             **hv.membership_residual(inv, grid)}
 
 
-@dataclass(frozen=True)
-class FiberSurface:
+class FiberSurface(_Frozen):
     """Sampled surface through a single fiber."""
 
-    m: np.ndarray
-    s_nodes: np.ndarray
-    t_nodes: np.ndarray
-    values: np.ndarray
+    def __init__(self, m: np.ndarray, s_nodes: np.ndarray, t_nodes: np.ndarray,
+                 values: np.ndarray):
+        self.__dict__.update(m=m, s_nodes=s_nodes, t_nodes=t_nodes, values=values)
 
     def to_csv(self) -> str:
         return _square_csv(self.s_nodes, self.t_nodes, self.values)

@@ -24,7 +24,6 @@ directions swaps blocks 1 and 2, so it is the block order (b0, b2, b1, b3).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,11 +40,10 @@ from .algebroid import (
 )
 from .catalog import GROUP_CATALOG_NAMES, tangent
 from .jet import JetPoint, PolyMap, _max_abs, _product
-from .report import Report, _fold
+from .report import Report, _Frozen, _Value, _fold
 
 
-@dataclass(frozen=True)
-class MatrixGroupSpec:
+class MatrixGroupSpec(_Frozen):
     """A matrix Lie group presented by a basis of its algebra inside gl(N).
 
     Construction checks that the basis is linearly independent and closed
@@ -54,24 +52,19 @@ class MatrixGroupSpec:
     of exact basis combinations exact for orthogonal bases.
     """
 
-    n: int
-    basis: tuple
-    name: str = ""
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(b, dtype=float) for b in self.basis)
-        object.__setattr__(self, "basis", mats)
+    def __init__(self, n: int, basis: tuple, name: str = ""):
+        mats = tuple(np.asarray(b, dtype=float) for b in basis)
         for b in mats:
-            if b.shape != (self.n, self.n):
-                raise ValueError("basis matrices must be %dx%d" % (self.n, self.n))
+            if b.shape != (n, n):
+                raise ValueError("basis matrices must be %dx%d" % (n, n))
         if not mats:
             raise ValueError("empty algebra basis")
         flat = np.stack([b.reshape(-1) for b in mats])
         if np.linalg.matrix_rank(flat) != len(mats):
             raise ValueError("algebra basis is linearly dependent")
         gram = flat @ flat.T
-        object.__setattr__(self, "_proj", np.linalg.solve(gram, flat))
-        object.__setattr__(self, "_stack", np.stack(mats))
+        self.__dict__.update(n=n, basis=mats, name=name, _proj=np.linalg.solve(gram, flat),
+                             _stack=np.stack(mats))
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 com = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -199,7 +192,7 @@ def group_involution(spec: MatrixGroupSpec) -> InvolutionAlgebroid:
         return spec.project_jet(np.concatenate((g1, g12)), w.depth)
 
     inv = InvolutionAlgebroid(0, k, PolyMap.zero(0, 0), flip)
-    return replace(inv, spec=spec_from_flip(inv))
+    return InvolutionAlgebroid(0, k, inv.rho, inv.flip, spec_from_flip(inv))
 
 
 def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0):
@@ -229,17 +222,16 @@ def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0)
 # -- pair groupoids over R^m --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairGroupoidSpec:
+class PairGroupoidSpec(_Value):
     """The groupoid of ordered pairs of points of R^dim; an arrow (a, b) runs
     from b to a and composition drops the matched middle point."""
 
-    dim: int
-    name: str = "pair-groupoid"
+    _fields = ("dim", "name")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, name: str = "pair-groupoid"):
+        if dim < 1:
             raise ValueError("the pair groupoid needs a base of dimension at least 1")
+        self.__dict__.update(dim=dim, name=name)
 
 
 def pair_compose(x, y, tol: float = 1e-9):

@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .report import Report, _fold, worst_of
+from .report import Report, _fold, _Value, worst_of
 
 MAX_DEPTH = 3
 
@@ -490,8 +489,7 @@ def _exponent(e) -> int:
     return int(e)
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Value):
     """Polynomial map between coordinate spaces.
 
     terms[k] lists (coefficient, exponent-tuple) pairs for output k, one row
@@ -510,21 +508,19 @@ class PolyMap:
     numpy's warnings.
     """
 
-    in_dim: int
-    out_dim: int
-    terms: tuple
+    _fields = ("in_dim", "out_dim", "terms")
 
-    def __post_init__(self):
-        if len(self.terms) != self.out_dim:
-            raise ValueError("%d rows of terms for %d outputs" % (len(self.terms), self.out_dim))
-        arity = self.in_dim
-        for row in self.terms:
+    def __init__(self, in_dim: int, out_dim: int, terms: tuple):
+        if len(terms) != out_dim:
+            raise ValueError("%d rows of terms for %d outputs" % (len(terms), out_dim))
+        for row in terms:
             for _, exps in row:
-                if len(exps) != arity:
+                if len(exps) != in_dim:
                     raise ValueError("exponent tuple arity does not match in_dim")
                 for e in exps:
                     if not (e >= 0 and e % 1 == 0):
                         raise ValueError("negative or non-integer exponent in %r" % (exps,))
+        self.__dict__.update(in_dim=in_dim, out_dim=out_dim, terms=terms)
 
     @staticmethod
     def from_terms(in_dim: int, rows: Sequence[Sequence[tuple]]) -> "PolyMap":

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -14,23 +13,54 @@ class FixtureError(ValueError):
     """Anything wrong with an input file or flag value; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    samples: int
-    seed: Optional[int]
-    max_residual: float
-    tolerance: float
-    passed: bool
-    worst_input: object = None
+class _Frozen:
+    """Base of the value classes: each __init__ fills vars(self) once, and
+    assigning or deleting an attribute afterwards raises AttributeError, so
+    whatever a class caches from its fields stays true."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class _Value(_Frozen):
+    """A _Frozen class that compares and hashes as the tuple of its fields,
+    the constructor arguments that _fields names."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class CheckResult(_Value):
+    _fields = ("name", "samples", "seed", "max_residual", "tolerance", "passed", "worst_input")
+
+    def __init__(self, name: str, samples: int, seed: Optional[int], max_residual: float,
+                 tolerance: float, passed: bool, worst_input: object = None):
+        self.__dict__.update(name=name, samples=samples, seed=seed, max_residual=max_residual,
+                             tolerance=tolerance, passed=passed, worst_input=worst_input)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._key()))
 
 
-@dataclass
 class Report:
-    results: list = field(default_factory=list)
+    def __init__(self, results: list = None):
+        self.results = [] if results is None else results
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.results == other.results
 
     def add(self, result: CheckResult) -> None:
         self.results.append(result)
@@ -101,8 +131,8 @@ def _judged(report: Report, overrides) -> Report:
     unknown = sorted(set(tolerances) - set(report.names()))
     if unknown:
         raise FixtureError("--tolerance names no check of this report: %s" % ", ".join(unknown))
-    return Report([replace(r, tolerance=tolerances[r.name],
-                           passed=_passes(r.max_residual, tolerances[r.name]))
+    return Report([CheckResult(r.name, r.samples, r.seed, r.max_residual, tolerances[r.name],
+                               _passes(r.max_residual, tolerances[r.name]), r.worst_input)
                    if r.name in tolerances else r for r in report.results])
 
 

@@ -252,6 +252,11 @@ def test_expm_zero_is_identity():
     assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
 
+def test_expm_of_the_empty_matrix_is_the_empty_identity():
+    out = expm(np.zeros((0, 0)))
+    assert out.shape == (0, 0) and out.dtype == np.eye(0).dtype
+
+
 def test_expm_diagonal():
     out = expm(np.diag([1.0, -2.0, 0.5]))
     ref = np.diag(np.exp([1.0, -2.0, 0.5]))

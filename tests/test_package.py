@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invalg
@@ -59,11 +60,38 @@ def fresh(script: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_import_invalg_leaves_the_groupoid_and_transport_layers_unloaded():
-    loaded = fresh("import json, sys, invalg\n"
-                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('invalg'))))")
-    assert loaded == ["invalg", "invalg.algebroid", "invalg.bundle", "invalg.catalog",
-                      "invalg.jet", "invalg.report"]
+@pytest.fixture(scope="module")
+def first_import() -> dict:
+    """One fresh interpreter's import of invalg and then of every other layer,
+    after numpy and the standard modules invalg uses: the invalg modules that
+    ``import invalg`` loads, every source compiled on the way that is not a
+    file of src/invalg, and whether dataclasses got loaded."""
+    return fresh(
+        "import argparse, contextlib, functools, importlib, itertools, json, math, operator\n"
+        "import os, re, sys, typing\n"
+        "import numpy\n"
+        "home = os.path.realpath(os.path.join(%r, 'invalg'))\n"
+        "sources = []\n"
+        "sys.addaudithook(lambda event, args: sources.append(args[1]) if event == 'compile'"
+        " else None)\n"
+        "import invalg\n"
+        "layers = sorted(m for m in sys.modules if m.startswith('invalg'))\n"
+        "import invalg.cli, invalg.flow, invalg.groupoid\n"
+        "foreign = [str(f) for f in sources if not isinstance(f, str)"
+        " or os.path.dirname(os.path.realpath(f)) != home]\n"
+        "print(json.dumps({'layers': layers, 'foreign': foreign,"
+        " 'dataclasses': 'dataclasses' in sys.modules}))" % str(SRC))
+
+
+def test_import_invalg_leaves_the_groupoid_and_transport_layers_unloaded(first_import):
+    assert first_import["layers"] == ["invalg", "invalg.algebroid", "invalg.bundle",
+                                      "invalg.catalog", "invalg.jet", "invalg.report"]
+
+
+def test_importing_every_layer_generates_no_code(first_import):
+    # a dataclass compiles its generated methods from source text at import
+    assert first_import["foreign"] == []
+    assert first_import["dataclasses"] is False
 
 
 def test_dir_and_star_import_give_the_pinned_public_names():
@@ -95,6 +123,76 @@ def test_each_lazy_name_is_its_home_module_attribute(module):
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
         invalg.nosuch
+
+
+def value_objects() -> dict:
+    """One instance of each class whose fields are read-only, by class name."""
+    from invalg import algebroid, bundle, flow, groupoid, jet, report
+
+    line, square = np.zeros(3), np.zeros((2, 2))
+    spec = invalg.catalog_get("tangent-r1")
+    v, w = bundle.AElement([0.0], [1.0]), bundle.TAElement([0.0], [1.0], [1.0], [0.0])
+    objects = [
+        report.CheckResult("law", 1, None, 0.0, 0.0, True),
+        jet.PolyMap.zero(1, 1),
+        v, w,
+        bundle.ConnectionSpec.flat(1, 1),
+        bundle.SectionSpec(jet.PolyMap.zero(1, 1)),
+        bundle.ScalarFieldSpec(jet.PolyMap.zero(1, 1)),
+        spec,
+        algebroid.ProlongElement(v, w),
+        algebroid.DoubleProlongElement(v, w, jet.JetPoint.from_rows(2, np.zeros((4, 2)))),
+        algebroid.involution_from_spec(spec),
+        algebroid._PairBatch(1, np.zeros((1, 2)), np.zeros((2, 1, 2))),
+        flow.APathVariation(1, 1, jet.PolyMap.zero(1, 4)),
+        flow.AHomotopyVariation(1, 1, jet.PolyMap.zero(2, 4), jet.PolyMap.zero(2, 4)),
+        flow.PathTransport(line, line, line, 0.0),
+        flow.HomotopyTransport(line, line, square, square, square, square, 0.0),
+        flow.FiberPath(line, line, line),
+        flow.FiberSurface(line, line, line, square),
+        groupoid.group_catalog("so3"),
+        groupoid.PairGroupoidSpec(2),
+    ]
+    return {type(obj).__name__: obj for obj in objects}
+
+
+@pytest.mark.parametrize("name", sorted(value_objects()))
+def test_assigning_or_deleting_a_field_raises_attribute_error(name):
+    obj = value_objects()[name]
+    for field in inspect.signature(type(obj)).parameters:
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert getattr(obj, field) is before, field
+
+
+def test_a_report_is_mutable_and_owns_its_results():
+    first, second = invalg.Report(), invalg.Report()
+    first.add(invalg.CheckResult("law", 1, None, 0.0, 0.0, True))
+    assert second.results == [] and first.results is not second.results
+    second.results = first.results
+    assert second == first and second.names() == ["law"]
+
+
+def test_poly_maps_with_equal_fields_are_equal_and_hash_alike():
+    rows = [[(1.5, (2,)), (-1.0, (0,))]]
+    built = invalg.PolyMap.from_terms(1, rows)
+    literal = invalg.PolyMap(1, 1, (((1.5, (2,)), (-1.0, (0,))),))
+    built.eval_floats([0.5])  # what a map caches plays no part
+    assert built == literal and hash(built) == hash(literal)
+    assert built != invalg.PolyMap.from_terms(1, [[(1.5, (2,))]])
+    assert built != invalg.PolyMap.from_terms(2, [[(1.5, (2, 0)), (-1.0, (0, 0))]])
+
+
+def test_an_involution_algebroid_takes_a_flip_set_past_its_guard():
+    # how a tracer wraps the flip of an algebroid already built
+    inv = invalg.involution_from_spec(invalg.catalog_get("tangent-r1"))
+    flip = inv.flip
+    traced = lambda v, w: flip(v, w)
+    object.__setattr__(inv, "flip", traced)
+    assert inv.flip is traced
 
 
 def public_signatures() -> dict:
