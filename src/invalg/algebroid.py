@@ -7,8 +7,9 @@ composite (flip_from_bracket); both evaluators are jet-polymorphic, so the
 tangent of the flip comes for free and every axiom, including the depth-2
 flip law and its Yang-Baxter form, can be checked numerically.  Every law
 evaluates all of its samples at once on jets batched over them; a bracket
-law stacks all its brackets into one flip call, read from one table of
-sections whose nested brackets are evaluated on jets.
+law, the Leibniz rule among them, stacks all its brackets into one flip call,
+read from one table of sections, drawn with the points from one stream of the
+seed, whose nested brackets are evaluated on jets.
 """
 
 from __future__ import annotations
@@ -740,6 +741,13 @@ def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0
     return report
 
 
+def _involution_report(inv: InvolutionAlgebroid, samples: int, seed: int) -> Report:
+    """check_axioms, then check_yang_baxter on half the samples, at least 10."""
+    report = check_axioms(inv, samples=samples, seed=seed)
+    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
+    return report
+
+
 # -- brackets from flips -----------------------------------------------------
 
 
@@ -835,13 +843,15 @@ def _point_checks(report: Report, points: np.ndarray, tolerance: float, seed: in
 def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 40,
                        seed: int = 0) -> Report:
     """Laws of the induced section bracket at sampled base points: bilinear,
-    antisymmetric, Jacobi; the flip-field morphism; the anchor morphism; and
-    additivity of the section-to-flip-field assignment.
+    antisymmetric, Jacobi; the flip-field morphism; the anchor morphism;
+    additivity of the section-to-flip-field assignment; and the Leibniz rule.
 
+    One stream of the seed draws the sections X, Y, Z (unless given), the
+    base points, the total-space points and the scalar field f, in that order.
     Brackets come from one table of the sections, one flip per law, the
-    anchor morphism reusing the antisymmetry law's [X, Y]; the nested
-    sections [Y, Z], [Z, X], [X, Y] are the spec's bracket on jets, and the
-    two flip-field laws share one flip call for X, Y, [X, Y], X + Y."""
+    anchor morphism and the Leibniz rule reusing the antisymmetry law's
+    [X, Y]; the nested sections [Y, Z], [Z, X], [X, Y] are the spec's bracket
+    on jets, and the flip-field laws share one flip for X, Y, [X, Y], X + Y."""
     dm, da = inv.dim_M, inv.dim_A
     if inv.spec is None:
         raise ValueError("bracket laws need the defining spec for the nested brackets")
@@ -852,12 +862,14 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     X, Y, Z = (s.x_poly for s in (sections[0], sections[1], sections[2 % len(sections)]))
     report = Report()
     points = rng.uniform(-1, 1, (samples, dm))
+    total = rng.uniform(-1, 1, (samples, dm + da))  # per sample m, then a
+    f = ScalarFieldSpec(_random_section_poly(rng, dm, 1))
     at_points = _point_checks(report, points, 1e-9, seed)
     a_const, b_const = 0.75, -1.25
     b_xy = _NestedBracket(spec, X, Y)
-    # sections 0-6: X, Y, Z, a X + b Y, [Y, Z], [X, Y], [Z, X]
+    # sections 0-7: X, Y, Z, a X + b Y, [Y, Z], [X, Y], [Z, X], f Y
     table = _SectionTable(inv, [X, Y, Z, a_const * X + b_const * Y, _NestedBracket(spec, Y, Z),
-                                b_xy, _NestedBracket(spec, Z, X)], points)
+                                b_xy, _NestedBracket(spec, Z, X), f.f_poly * Y], points)
 
     def vanishes(name, brackets, weights):  # a combination of brackets that must be zero
         at_points(name, lambda rows: _max_abs(sum(
@@ -870,7 +882,6 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     vanishes("bracket-jacobi", stacked((0, 4), (2, 5), (1, 6)), (1.0, 1.0, 1.0))
 
     # flip fields: alpha_[X,Y] = [alpha_X, alpha_Y] as fields on the total space
-    total = rng.uniform(-1, 1, (samples, dm + da))  # per sample m, then a
     at_total = _point_checks(report, total, 1e-9, seed)
     at_z = lambda rows: total[None, rows]
     fields = _per_rows(lambda rows: _flip_fields(
@@ -900,6 +911,9 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return _max_abs(f_sum - (f_x + f_y))
 
     at_total("flip-field-additive", flip_field_additive)
+    at_points("leibniz", lambda rows: _leibniz(
+        inv, sections[0], sections[1], f, points[rows], table.brackets([(0, 7)], rows)[0],
+        xy_yx(rows)[0]))
     return report
 
 
@@ -914,22 +928,23 @@ def _random_section_poly(rng, dm: int, da: int, degree: int = 2) -> PolyMap:
 
 def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
                   f: ScalarFieldSpec, samples: int = 40, seed: int = 0) -> Report:
-    """Residual of the Leibniz law: bracketing against a scaled section picks
-    up the derivative of the scale along the anchored first section."""
+    """check_bracket_laws' Leibniz rule for a given field, at the points a seed
+    draws first: [X, f Y] picks up the derivative of f along rho(X)."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(-1, 1, (samples, inv.dim_M))
     table = _SectionTable(inv, [X.x_poly, Y.x_poly, f.f_poly * Y.x_poly], points)
-
-    def defect(rows):
-        m = points[rows]
-        b_fy, b_xy = table.brackets([(0, 2), (0, 1)], rows)
-        lie = lie_derivative(f, X, inv.rho, m)
-        expect = f.f_poly.eval_floats(m) * b_xy + lie[:, None] * Y.x_poly.eval_floats(m)
-        return _max_abs(b_fy - expect)
-
     report = Report()
-    _point_checks(report, points, 1e-9, seed)("leibniz", defect)
+    _point_checks(report, points, 1e-9, seed)("leibniz", lambda rows: _leibniz(
+        inv, X, Y, f, points[rows], *table.brackets([(0, 2), (0, 1)], rows)))
     return report
+
+
+def _leibniz(inv, X: SectionSpec, Y: SectionSpec, f: ScalarFieldSpec, m, b_fy, b_xy):
+    """Defect of [X, f Y] = f [X, Y] + (rho(X) f) Y at base points m, given
+    the brackets [X, f Y] and [X, Y] there."""
+    lie = lie_derivative(f, X, inv.rho, m)
+    expect = f.f_poly.eval_floats(m) * b_xy + lie[:, None] * Y.x_poly.eval_floats(m)
+    return _max_abs(b_fy - expect)
 
 
 def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,

@@ -19,14 +19,12 @@ import numpy as np
 from .algebroid import (
     AlgebroidSpec,
     _flips_agree,
-    _random_section_poly,
+    _involution_report,
     _SectionTable,
     _sample_pairs,
     _structure_entries,
     check_axioms,
     check_bracket_laws,
-    check_leibniz,
-    check_yang_baxter,
     flip_from_bracket,
     involution_from_spec,
     spec_from_flip,
@@ -291,18 +289,9 @@ def _differentiate(group_spec, samples: int, seed: int):
 
 
 def _algebroid_report(inv, samples: int, seed: int) -> Report:
-    report = Report()
-    report.extend(check_tangent_axioms(samples=samples, seed=seed))
-    report.extend(check_axioms(inv, samples=samples, seed=seed))
-    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
-    rng = np.random.default_rng(seed)
-    sections = [SectionSpec(_random_section_poly(rng, inv.dim_M, inv.dim_A))
-                for _ in range(3)]
-    field = ScalarFieldSpec(_random_section_poly(rng, inv.dim_M, 1))
-    point_count = max(10, samples // 5)
-    report.extend(check_bracket_laws(inv, sections=sections, samples=point_count, seed=seed))
-    report.extend(check_leibniz(inv, sections[0], sections[1], field, samples=point_count,
-                                seed=seed))
+    report = check_tangent_axioms(samples=samples, seed=seed)
+    report.extend(_involution_report(inv, samples, seed))
+    report.extend(check_bracket_laws(inv, samples=max(10, samples // 5), seed=seed))
     return report
 
 

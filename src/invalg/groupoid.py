@@ -32,15 +32,14 @@ from .algebroid import (
     _constant_brackets,
     _flip_args,
     _flips_agree,
+    _involution_report,
     _sample_pairs,
-    check_axioms,
-    check_yang_baxter,
     involution_from_spec,
     spec_from_flip,
 )
 from .catalog import GROUP_CATALOG_NAMES, tangent
 from .jet import JetPoint, PolyMap, _max_abs, _product
-from .report import Report, _Frozen, _Value, _fold
+from .report import _Frozen, _Value, _fold
 
 
 class MatrixGroupSpec(_Frozen):
@@ -201,9 +200,7 @@ def differentiate_group(spec: MatrixGroupSpec, samples: int = 60, seed: int = 0)
     defect of the recovered structure constants.  Returns the involution
     algebroid (carrying the recovered constants) and the report."""
     inv = group_involution(spec)
-    report = Report()
-    report.extend(check_axioms(inv, samples=samples, seed=seed))
-    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
+    report = _involution_report(inv, samples, seed)
 
     basis = np.eye(spec.dim)
     pairs = np.array([(i, j) for i in range(spec.dim) for j in range(spec.dim) if i != j],
@@ -291,9 +288,7 @@ def differentiate_pair_groupoid(spec: PairGroupoidSpec, samples: int = 40,
     algebroid of the base, bit for bit, besides passing the axiom suite."""
     inv = pair_involution(spec)
     ref_inv = involution_from_spec(inv.spec)
-    report = Report()
-    report.extend(check_axioms(inv, samples=samples, seed=seed))
-    report.extend(check_yang_baxter(inv, samples=max(10, samples // 2), seed=seed))
+    report = _involution_report(inv, samples, seed)
 
     pes = _sample_pairs(inv, np.random.default_rng(seed), samples)
     report.add(_flips_agree("matches-tangent-flip", inv, ref_inv, pes, 0.0, seed))

@@ -61,7 +61,7 @@ from invalg.jet import (
     residual,
     split_innermost,
 )
-from invalg.report import _fold, _residuals, quiet
+from invalg.report import Report, _fold, _residuals, quiet
 
 
 def const_section(vec, dim_M=0):
@@ -574,7 +574,7 @@ def test_check_json_is_byte_identical_under_the_section_oracle(capsys, fixture):
     path = str(Path(__file__).resolve().parent.parent / "fixtures" / fixture)
     printed = []
     for draw in (_random_section_poly, one_draw_per_term_section_poly):
-        with mock.patch.object(cli, "_random_section_poly", draw):
+        with mock.patch.object(algebroid, "_random_section_poly", draw):
             assert cli.main(["check", path, "--format", "json", "--samples", "20",
                              "--seed", "1"]) == 0
         printed.append(capsys.readouterr().out)
@@ -691,7 +691,8 @@ def test_a_raising_flip_sample_is_nan_only_in_the_laws_that_flip_it():
 
     _, clean = residuals_by_law(canonical)
     report, seen = residuals_by_law(InvolutionAlgebroid(3, 3, spec.rho, guarded, spec=spec))
-    at_points = {"bracket-antisymmetric", "bracket-bilinear", "bracket-jacobi", "anchor-morphism"}
+    at_points = {"bracket-antisymmetric", "bracket-bilinear", "bracket-jacobi", "anchor-morphism",
+                 "leibniz"}
     assert set(seen) == at_points | {"flip-field-morphism", "flip-field-additive"}
     for name, res in seen.items():
         if name in at_points:
@@ -722,6 +723,30 @@ def test_leibniz_rule():
     )))
     report = check_leibniz(inv, X, Y, f, samples=30, seed=11)
     assert report.passed, report.to_text()
+
+
+@pytest.mark.parametrize("route", ["spec", "connection"])
+@pytest.mark.parametrize("name", catalog.names())
+def test_the_suite_leibniz_row_is_check_leibniz_of_its_own_field(name, route):
+    # with sections given, the suite's base points are the first draw of its
+    # seed, as check_leibniz's are, and its field the last
+    spec = catalog.get(name)
+    dm, da = spec.dim_M, spec.dim_A
+    rng = np.random.default_rng(31)
+    if route == "spec":
+        inv = involution_from_spec(spec)
+    else:
+        inv = flip_from_bracket(spec, ConnectionSpec.random_poly(rng, dm, da))
+    sections = [SectionSpec(_random_section_poly(rng, dm, da)) for _ in range(3)]
+    for seed in (1, 42):
+        row = check_bracket_laws(inv, sections=sections, samples=12, seed=seed)["leibniz"]
+        replay = np.random.default_rng(seed)
+        replay.uniform(-1, 1, (12, dm))  # the base points
+        replay.uniform(-1, 1, (12, dm + da))  # the total-space points
+        f = ScalarFieldSpec(_random_section_poly(replay, dm, 1))
+        alone = check_leibniz(inv, sections[0], sections[1], f, samples=12, seed=seed)
+        assert alone.results == [row]
+        assert alone.to_json() == Report([row]).to_json()
 
 
 def test_roundtrip_bracket_and_flip():
@@ -812,7 +837,7 @@ def test_batched_laws_match_one_sample_slices(name, route, seed):
         check_bracket_laws(inv, samples=4, seed=seed)
         check_leibniz(inv, *sections, field, samples=4, seed=seed)
         spec.well_formed(samples=4, seed=seed)
-    assert len(compared) == 9 + 1 + 6 + 1 + 2
+    assert len(compared) == 9 + 1 + 7 + 1 + 2
 
 
 def test_batched_tangent_and_group_laws_match_one_sample_slices():

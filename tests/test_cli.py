@@ -1,5 +1,6 @@
 """End-to-end command line tests: fixture files in, exit codes and files out."""
 
+import contextlib
 import copy
 import gc
 import json
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from invalg import cli
-from invalg.algebroid import bracket_from_flip, involution_from_spec
+from invalg.algebroid import bracket_from_flip, check_bracket_laws, involution_from_spec
 from invalg.bundle import ConnectionSpec, SectionSpec
 from invalg.catalog import ENTRIES, names as catalog_names
 from invalg.cli import FixtureError, load_fixture, main
@@ -38,6 +39,27 @@ def src_env() -> dict:
     """The environment of a child interpreter that imports this checkout's invalg."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(FIXTURES.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def main_in_one_child(cases) -> list:
+    """(exit code, stdout, stderr) of invalg.cli.main on each (argv, environ)
+    of cases, all run in one new interpreter, in order: each case updates
+    os.environ with its environ and gets streams of its own."""
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        "from invalg.cli import main\n"
+        "runs = []\n"
+        "for argv, environ in json.loads(sys.argv[1]):\n"
+        "    os.environ.update(environ)\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(cases)], capture_output=True,
+                          text=True, env=src_env(), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return [(code, out.encode(), err.encode()) for code, out, err in json.loads(proc.stdout)]
 
 
 def catalog_fixture(tmp_path, name) -> str:
@@ -140,6 +162,32 @@ def test_check_incompatible_anchor_fails_target(tmp_path):
     assert code == 1
     checks = read_report(out)
     assert not checks["target"]["passed"] and checks["target"]["max_residual"] > 1e-3
+
+
+# the sound algebroids: the catalog's, and the six fixtures of the verify benchmark
+SOUND_CHECKS = [name for name in catalog_names()
+                if name not in ("broken-jacobi", "incompatible-anchor")] + [
+    "fixtures/so3.json", "fixtures/action-cross.json"] + [
+    "perfbench/fixtures/%s.json" % name
+    for name in ("abelian", "lie-algebra-bundle", "sl2", "tangent-r2")]
+
+
+@pytest.mark.parametrize("source", SOUND_CHECKS)
+def test_check_takes_its_bracket_rows_from_one_library_call(tmp_path, capsys, source):
+    # the bracket rows of check are the suite's own draws: the command line
+    # draws no sections or field of its own
+    path = (str(FIXTURES.parent / source) if source.endswith(".json")
+            else catalog_fixture(tmp_path, source))
+    inv = involution_from_spec(load_fixture(path)["spec"])
+    for samples in (20, 200):
+        for seed in (1, 42):
+            assert main(["check", path, "--format", "json", "--samples", str(samples),
+                         "--seed", str(seed)]) == 0
+            printed = json.loads(capsys.readouterr().out)["checks"][-7:]
+            suite = check_bracket_laws(inv, samples=max(10, samples // 5), seed=seed)
+            assert printed[-1]["name"] == "leibniz"
+            assert json.dumps(printed, sort_keys=True) == json.dumps(
+                suite.to_dict()["checks"], sort_keys=True)
 
 
 def test_check_zero_samples_empty_report(tmp_path):
@@ -388,14 +436,37 @@ HELP_ARGVS = [
     ["differentiate-group", "--help"], ["catalog", "list", "--help"]]
 
 
+COLUMNS = ("40", "200")
+
+
+@pytest.fixture(scope="module")
+def help_runs() -> dict:
+    """(exit code, stdout, stderr) of each argv of HELP_ARGVS under each
+    COLUMNS value, keyed by (columns, argv): all of them from one child, and
+    --help also from a real ``python -m invalg.cli`` at each value, run
+    alongside that child."""
+    cases = [(argv, {"COLUMNS": columns}) for columns in COLUMNS for argv in HELP_ARGVS]
+    with contextlib.ExitStack() as stack:
+        processes = {columns: stack.enter_context(subprocess.Popen(
+            [sys.executable, "-m", "invalg.cli", "--help"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(src_env(), COLUMNS=columns))) for columns in COLUMNS}
+        runs = dict(zip([(env["COLUMNS"], tuple(argv)) for argv, env in cases],
+                        main_in_one_child(cases)))
+        for columns, proc in processes.items():
+            out, err = proc.communicate(timeout=600)
+            runs[columns, "process"] = (proc.returncode, out, err)
+    return runs
+
+
 @pytest.mark.parametrize("argv", HELP_ARGVS)
-def test_help_is_laid_out_for_80_columns_on_any_terminal(argv):
+def test_help_is_laid_out_for_80_columns_on_any_terminal(argv, help_runs):
     printed = []
-    for columns in ("40", "200"):
-        proc = subprocess.run([sys.executable, "-m", "invalg.cli"] + argv, capture_output=True,
-                              env=dict(src_env(), COLUMNS=columns), timeout=600)
-        assert proc.returncode == 0 and proc.stderr == b""
-        printed.append(proc.stdout)
+    for columns in COLUMNS:
+        code, out, err = help_runs[columns, tuple(argv)]
+        if argv == ["--help"]:  # the process boundary gives the same bytes
+            assert help_runs[columns, "process"] == (code, out, err)
+        assert code == 0 and err == b""
+        printed.append(out)
     assert printed[0] == printed[1]
     assert max(len(line) for line in printed[0].splitlines()) <= 80
 
@@ -418,11 +489,16 @@ PARSER_TEXT = json.loads((Path(__file__).with_name("cli_parser_text.json")).read
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="argparse words its help and errors differently in other versions")
 @pytest.mark.parametrize("case", PARSER_TEXT, ids=lambda case: " ".join(case["argv"]) or "[]")
-def test_parser_text_is_byte_identical_to_the_full_parser(case):
-    proc = subprocess.run([sys.executable, "-m", "invalg.cli"] + case["argv"],
-                          capture_output=True, env=src_env(), timeout=600)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
+def test_parser_text_is_byte_identical_to_the_full_parser(case, parser_text_runs):
+    assert parser_text_runs[tuple(case["argv"])] == (
         case["exit"], case["stdout"].encode(), case["stderr"].encode())
+
+
+@pytest.fixture(scope="module")
+def parser_text_runs() -> dict:
+    """(exit code, stdout, stderr) of each argv of PARSER_TEXT, all from one child."""
+    argvs = [case["argv"] for case in PARSER_TEXT]
+    return dict(zip(map(tuple, argvs), main_in_one_child([(argv, {}) for argv in argvs])))
 
 
 @pytest.mark.parametrize("argv, parsers", [
