@@ -430,9 +430,9 @@ def _flip_args(dim_M: int, dim_A: int, v: JetPoint, w: JetPoint) -> tuple:
     return v.coeffs, w.coeffs
 
 
-def sigma(inv: InvolutionAlgebroid, pe: ProlongElement, tol: float = 1e-9) -> ProlongElement:
-    """Prolongation endomap: (v, w) -> (p w, flip(v, w))."""
-    if not pe.residual(inv) <= tol:
+def sigma(inv: InvolutionAlgebroid, pe: ProlongElement) -> ProlongElement:
+    """Prolongation endomap: (v, w) -> (p w, flip(v, w)), for residual(inv) <= 1e-9."""
+    if not pe.residual(inv) <= 1e-9:
         raise ValueError("input does not satisfy the prolongation constraint")
     flipped = inv.flip_elements(pe)
     return ProlongElement(AElement(pe.w.m, pe.w.a), flipped)
@@ -756,7 +756,7 @@ def _flip_bracket(inv: InvolutionAlgebroid, v: JetPoint, w: JetPoint, second: Je
     prolongation w of the second section along the anchored first, and
     subtract the prolongation second of the first section along the
     anchored second in the strong sense."""
-    return strong_difference_jet(inv.flip(v, w), second, inv.dim_M, tol=1e-9)
+    return strong_difference_jet(inv.flip(v, w), second, inv.dim_M)
 
 
 def _constant_brackets(inv: InvolutionAlgebroid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -846,8 +846,9 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     antisymmetric, Jacobi; the flip-field morphism; the anchor morphism;
     additivity of the section-to-flip-field assignment; and the Leibniz rule.
 
-    One stream of the seed draws the sections X, Y, Z (unless given), the
-    base points, the total-space points and the scalar field f, in that order.
+    One stream of the seed draws the sections X, Y, Z (unless two or three
+    are given, Z = X for two), the base points, the total-space points and
+    the scalar field f, in that order.
     Brackets come from one table of the sections, one flip per law, the
     anchor morphism and the Leibniz rule reusing the antisymmetry law's
     [X, Y]; the nested sections [Y, Z], [Z, X], [X, Y] are the spec's bracket
@@ -859,6 +860,8 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
     rng = np.random.default_rng(seed)
     if sections is None:
         sections = [SectionSpec(_random_section_poly(rng, dm, da)) for _ in range(3)]
+    elif len(sections) not in (2, 3):
+        raise ValueError("bracket laws take two or three sections, got %d" % len(sections))
     X, Y, Z = (s.x_poly for s in (sections[0], sections[1], sections[2 % len(sections)]))
     report = Report()
     points = rng.uniform(-1, 1, (samples, dm))
@@ -947,15 +950,13 @@ def _leibniz(inv, X: SectionSpec, Y: SectionSpec, f: ScalarFieldSpec, m, b_fy, b
     return _max_abs(b_fy - expect)
 
 
-def roundtrip_bracket(spec: AlgebroidSpec, sections=None, samples: int = 40,
-                      seed: int = 0) -> Report:
-    """Brackets survive the trip through the flip and back; over a point base
-    the flip itself survives the trip through the bracket and back."""
+def roundtrip_bracket(spec: AlgebroidSpec, samples: int = 40, seed: int = 0) -> Report:
+    """Brackets of two sections the seed draws survive the trip through the
+    flip and back; over a point base the flip itself survives the trip
+    through the bracket and back."""
     rng = np.random.default_rng(seed)
     dm, da = spec.dim_M, spec.dim_A
-    if sections is None:
-        sections = [SectionSpec(_random_section_poly(rng, dm, da)) for _ in range(2)]
-    X, Y = sections[0], sections[1]
+    X, Y = (SectionSpec(_random_section_poly(rng, dm, da)) for _ in range(2))
     inv = involution_from_spec(spec)
     recovered = bracket_from_flip(inv, X, Y)
     oracle = spec.bracket_poly(X.x_poly, Y.x_poly)

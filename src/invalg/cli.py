@@ -306,9 +306,9 @@ def _connection_report(spec, conn, samples: int, seed: int) -> Report:
 
 def _membership_report(fx: dict) -> Report:
     inv = involution_from_spec(fx["spec"])
-    grid = 33 if fx["kind"] == "apath" else 9
-    defects = fx["variation"].membership_residual(inv, grid)
-    samples = grid if fx["kind"] == "apath" else grid * grid
+    from .flow import _PATH_GRID, _SQUARE_GRID
+    defects = fx["variation"].membership_residual(inv)  # at the default grid of its kind
+    samples = _PATH_GRID if fx["kind"] == "apath" else _SQUARE_GRID ** 2
     return Report([_fold(name, samples, lambda rows, name=name: defects[name], 1e-9, None)
                    for name in sorted(defects)])
 

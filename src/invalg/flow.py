@@ -38,6 +38,7 @@ from .report import _Frozen, _Value, quiet, worst_of
 
 MAX_STEPS = 10 ** 6  # the most rows x steps a caller may ask for, checked before it allocates
 _GRID = 11  # nodes per axis of a homotopy transport's output grid
+_PATH_GRID, _SQUARE_GRID = 33, 9  # membership grids: times of a path, nodes per axis of a square
 
 
 def rk4_solve(field, x0, t_end: float, h: float):
@@ -87,11 +88,16 @@ def _step_count(t_end: float, h: float, rows: int = 1, multiple: int = 1) -> int
     return n
 
 
-def _square_steps(h: float, grid: int = _GRID) -> int:
-    """_step_count of a homotopy transport on grid nodes per axis: its 2 grid
-    rows solved as one state in a multiple of its grid - 1 segments."""
+def _nodes(grid: int, end: float = 1.0) -> np.ndarray:
+    """grid evenly spaced nodes from 0 to end, at least the two ends."""
     if grid < 2:
-        raise ValueError("output grid needs at least two nodes per axis")
+        raise ValueError("a grid needs at least two nodes per axis, got %d" % grid)
+    return np.linspace(0.0, end, grid)
+
+
+def _square_steps(h: float, grid: int = _GRID) -> int:
+    """_step_count of a homotopy transport on grid >= 2 nodes per axis: its 2
+    grid rows solved as one state in a multiple of its grid - 1 segments."""
     return _step_count(1.0, h, 2 * grid, grid - 1)
 
 
@@ -218,12 +224,12 @@ class APathVariation(_Value):
         m, a, mdot, adot = _split_blocks(self.phi.eval_floats([t]), self.dim_M, self.dim_A)
         return TAElement(m, a, mdot, adot)
 
-    def membership_residual(self, inv: InvolutionAlgebroid, grid: int = 33) -> dict:
+    def membership_residual(self, inv: InvolutionAlgebroid, grid: int = _PATH_GRID) -> dict:
         """Largest defect of the two defining identities of a variation of
         admissible paths over a uniform time grid: the anchor matching the
         base speed, and its derivative matching along the variation.  The
-        grid is one batch of depth-1 jets."""
-        times = np.linspace(0.0, self.t_end, grid)[:, None]
+        grid, at least two times, is one batch of depth-1 jets."""
+        times = _nodes(grid, self.t_end)[:, None]
         jet = self.phi.eval_jet(JetPoint.from_rows(1, [times, np.ones_like(times)]))
         anchor, variation = _path_defects(inv, jet, 1)
         return {"anchor": worst_of(anchor), "variation": worst_of(variation)}
@@ -255,14 +261,14 @@ class AHomotopyVariation(_Value):
                 raise ValueError("homotopy variation needs four blocks of output")
         self.__dict__.update(dim_M=dim_M, dim_A=dim_A, h0=h0, h1=h1)
 
-    def membership_residual(self, inv: InvolutionAlgebroid, grid: int = 9) -> dict:
+    def membership_residual(self, inv: InvolutionAlgebroid, grid: int = _SQUARE_GRID) -> dict:
         """Defects of the four identities an admissible homotopy variation
         satisfies: shared base blocks, each direction a path variation, and
-        the flip exchanging the two directions' prolongations.  The grid, s
-        major, is one batch of depth-2 jets."""
+        the flip exchanging the two directions' prolongations.  The grid, at
+        least two nodes per axis, s major, is one batch of depth-2 jets."""
         dm, da = self.dim_M, self.dim_A
         n = dm + da
-        nodes = np.linspace(0.0, 1.0, grid)
+        nodes = _nodes(grid)
         square = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
         e_s, e_t = (np.broadcast_to(e, square.shape) for e in np.eye(2))
         x = JetPoint.from_rows(2, [square, e_s, e_t, np.zeros_like(square)])
@@ -381,17 +387,17 @@ def _transport_rows(inv: InvolutionAlgebroid, stages: np.ndarray, m0, a0, t_end:
 
 
 def apath_transport(inv: InvolutionAlgebroid, phi: APathVariation, a0: AElement,
-                    h: float = 1e-3, composability_tol: float = 1e-9) -> PathTransport:
+                    h: float = 1e-3) -> PathTransport:
     """Transport a fiber element along a path variation: the base point
     follows the anchor of the variation's fiber block and the fiber follows
-    the affine equation read off from the flip.  The anchor identity the
-    result satisfies is measured and returned, not assumed."""
+    the affine equation read off from the flip.  a0 must be composable with
+    the blocks at time 0 within 1e-9 (a NaN gap never is).  The anchor
+    identity the result satisfies is measured and returned, not assumed."""
     dm, da = inv.dim_M, inv.dim_A
     n = _step_count(phi.t_end, h)
     with quiet():
-        # a NaN gap fails every tolerance, an infinite one included
         gap = ProlongElement(a0, phi.blocks(0.0)).residual(inv)
-        if not gap <= composability_tol:
+        if not gap <= 1e-9:
             raise ValueError(
                 "initial element is not composable with the variation (defect %.3e)" % gap)
 
@@ -445,12 +451,11 @@ def ahomotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AE
 def _homotopy_transport(inv: InvolutionAlgebroid, hv: AHomotopyVariation, a0: AElement,
                         h: float, grid: int) -> HomotopyTransport:
     """ahomotopy_transport past its check that a0 is composable with hv."""
+    nodes = _nodes(grid)
     n = _square_steps(h, grid)
     with quiet():
-        segments = grid - 1
-        nodes = np.linspace(0.0, 1.0, grid)
         stage_times = np.arange(4 * n + 1) * (1.0 / (4 * n))  # the quarter steps
-        at_nodes = slice(None, None, n // segments)
+        at_nodes = slice(None, None, n // (grid - 1))
 
         # the spines of both orders, one row each: along t on the edge s = 0
         # under h1, and along s on the edge t = 0 under h0
@@ -493,19 +498,19 @@ def inf_apath_vee(inv: InvolutionAlgebroid, chi: PolyMap, m) -> APathVariation:
     return APathVariation(dm, da, blocks.stack(chi.partial(0)), 1.0)
 
 
-def alg1_residuals(inv: InvolutionAlgebroid, phi: APathVariation, grid: int = 33) -> dict:
+def alg1_residuals(inv: InvolutionAlgebroid, phi: APathVariation) -> dict:
     """Defects of the three conditions cutting out infinitesimal path
     variations: zero value part over a constant base, no base speed at the
-    start, and the path-variation identity."""
+    start, and the path-variation identity, over the membership grid."""
     dm, da = inv.dim_M, inv.dim_A
     start = phi.blocks(0.0)
     bm, ba, _, _ = _split_blocks(
-        phi.phi.eval_floats(np.linspace(0.0, phi.t_end, grid)[:, None]), dm, da)
+        phi.phi.eval_floats(_nodes(_PATH_GRID, phi.t_end)[:, None]), dm, da)
     return {
         "starts-at-zero": worst_of([float(np.max(np.abs(ba), initial=0.0)),
                                     float(np.max(np.abs(bm - start.m), initial=0.0))]),
         "source-constant": float(np.max(np.abs(start.mdot), initial=0.0)),
-        "variation": worst_of(phi.membership_residual(inv, grid).values()),
+        "variation": worst_of(phi.membership_residual(inv, _PATH_GRID).values()),
     }
 
 
@@ -519,18 +524,16 @@ class FiberPath(_Frozen):
         return _csv(self.times, self.values)
 
 
-def inf_apath_wedge(inv: InvolutionAlgebroid, phi: APathVariation, h: float = 1e-3,
-                    membership_tol: float = 1e-9) -> FiberPath:
-    """Integrate an infinitesimal path variation back into a fiber path
-    starting at zero, by transporting the zero vector along it.  The base
-    must not move along the way; that is verified, not assumed."""
+def inf_apath_wedge(inv: InvolutionAlgebroid, phi: APathVariation, h: float = 1e-3) -> FiberPath:
+    """Integrate an infinitesimal path variation (alg1_residuals at most 1e-9)
+    into a fiber path from zero by transporting the zero vector along it.  The
+    base must not move along the way; that is verified, not assumed."""
     defect = worst_of(alg1_residuals(inv, phi).values())
-    if not defect <= membership_tol:
+    if not defect <= 1e-9:
         raise ValueError(
             "curve is not an infinitesimal path variation (defect %.3e)" % defect)
     m = phi.blocks(0.0).m
-    run = apath_transport(inv, phi, AElement(m, np.zeros(inv.dim_A)), h,
-                          composability_tol=membership_tol)
+    run = apath_transport(inv, phi, AElement(m, np.zeros(inv.dim_A)), h)
     drift = float(np.max(np.abs(run.base - m), initial=0.0))
     if not drift <= 1e-9:
         raise ArithmeticError("base point drifted by %.3e during integration" % drift)
@@ -553,11 +556,11 @@ def inf_ahomotopy_vee(inv: InvolutionAlgebroid, eta: PolyMap, m) -> AHomotopyVar
     return AHomotopyVariation(dm, da, blocks.stack(eta.partial(0)), blocks.stack(eta.partial(1)))
 
 
-def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation, grid: int = 9) -> dict:
+def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation) -> dict:
     """Defects of the five conditions cutting out infinitesimal homotopy
     variations, plus the shared-base pairing of the two halves."""
     dm, da = inv.dim_M, inv.dim_A
-    nodes = np.linspace(0.0, 1.0, grid)
+    nodes = _nodes(_SQUARE_GRID)
     square = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
     m, _, _, _ = _split_blocks(hv.h0.eval_floats([0.0, 0.0]), dm, da)
     starts, source = [], []
@@ -568,7 +571,7 @@ def alg2_residuals(inv: InvolutionAlgebroid, hv: AHomotopyVariation, grid: int =
         mdot = _split_blocks(pm.eval_floats([0.0, 0.0]), dm, da)[2]
         source.append(float(np.max(np.abs(mdot), initial=0.0)))
     return {"starts-at-zero": worst_of(starts), "source-constant": worst_of(source),
-            **hv.membership_residual(inv, grid)}
+            **hv.membership_residual(inv, _SQUARE_GRID)}
 
 
 class FiberSurface(_Frozen):
@@ -583,12 +586,12 @@ class FiberSurface(_Frozen):
 
 
 def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: float = 1e-3,
-                        grid: int = _GRID, membership_tol: float = 1e-9) -> FiberSurface:
-    """Integrate an infinitesimal homotopy variation into a fiber surface by
-    transporting the zero vector over the square; both integration orders are
-    run and must agree."""
+                        grid: int = _GRID) -> FiberSurface:
+    """Integrate an infinitesimal homotopy variation, alg2_residuals at most
+    1e-9, into a fiber surface by transporting the zero vector over the
+    square; both integration orders are run and must agree."""
     defect = worst_of(alg2_residuals(inv, hv).values())
-    if not defect <= membership_tol:
+    if not defect <= 1e-9:
         raise ValueError(
             "surface is not an infinitesimal homotopy variation (defect %.3e)" % defect)
     dm, da = inv.dim_M, inv.dim_A
@@ -601,13 +604,12 @@ def inf_ahomotopy_wedge(inv: InvolutionAlgebroid, hv: AHomotopyVariation, h: flo
     return FiberSurface(m, run.s_nodes, run.t_nodes, run.fiber0)
 
 
-def grid_derivative(values, spacing: float, axis: int = 0) -> np.ndarray:
-    """Fourth-order finite-difference derivative of uniformly sampled data,
-    with one-sided stencils at the edges.  Needs five samples along the
-    axis."""
-    values = np.asarray(values, dtype=float)
-    v = np.moveaxis(values, axis, 0)
-    if v.shape[0] < 5:
+def grid_derivative(values, spacing: float) -> np.ndarray:
+    """Fourth-order finite-difference derivative of data sampled uniformly
+    along its first axis, with one-sided stencils at the edges.  Needs five
+    samples along that axis."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.shape[0] < 5:
         raise ValueError("need at least five samples along the axis")
     out = np.empty_like(v)
     out[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / 12
@@ -615,4 +617,4 @@ def grid_derivative(values, spacing: float, axis: int = 0) -> np.ndarray:
     out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / 12
     out[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / 12
     out[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / 12
-    return np.moveaxis(out / spacing, 0, axis)
+    return out / spacing

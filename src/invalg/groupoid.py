@@ -82,9 +82,9 @@ class MatrixGroupSpec(_Frozen):
     def to_matrix(self, coords) -> np.ndarray:
         return self._combine(np.asarray(coords, dtype=float)[None])[0]
 
-    def project(self, mat, tol: float = 1e-9) -> np.ndarray:
+    def project(self, mat) -> np.ndarray:
         """Basis coordinates of a matrix: project_jet on a depth-0 matrix jet."""
-        return self.project_jet(np.reshape(mat, (1, self.n, self.n)), 0, tol).row(0)
+        return self.project_jet(np.reshape(mat, (1, self.n, self.n)), 0).row(0)
 
     def as_matrix(self, value) -> np.ndarray:
         """Accept either basis coordinates or a matrix already in the span."""
@@ -109,16 +109,16 @@ class MatrixGroupSpec(_Frozen):
             raise ValueError("expected %d coordinates, got %d" % (self.dim, coords.dim))
         return self._combine(coords.coeffs)
 
-    def project_jet(self, mat: np.ndarray, depth: int, tol: float = 1e-9) -> JetPoint:
+    def project_jet(self, mat: np.ndarray, depth: int) -> JetPoint:
         """Basis coordinates of a matrix jet (2**depth, *batch, n, n), mask by
         mask; raises unless the coordinates rebuild every coefficient within
-        tol (NaN never does)."""
+        1e-9 (NaN never does)."""
         mat = np.asarray(mat, dtype=float)
         if mat.ndim < 3 or mat.shape[0] != 1 << depth or mat.shape[-2:] != (self.n, self.n):
             raise ValueError("expected a (%d, ..., %d, %d) matrix jet"
                              % (1 << depth, self.n, self.n))
         rows = mat.reshape(mat.shape[:-2] + (self.n * self.n,)) @ self._proj.T
-        if not float(np.max(np.abs(mat - self._combine(rows)), initial=0.0)) <= tol:
+        if not float(np.max(np.abs(mat - self._combine(rows)), initial=0.0)) <= 1e-9:
             raise ValueError("matrix lies outside the algebra span")
         return JetPoint.from_rows(depth, rows)
 
@@ -223,20 +223,21 @@ class PairGroupoidSpec(_Value):
     """The groupoid of ordered pairs of points of R^dim; an arrow (a, b) runs
     from b to a and composition drops the matched middle point."""
 
-    _fields = ("dim", "name")
+    _fields = ("dim",)
+    name = "pair-groupoid"
 
-    def __init__(self, dim: int, name: str = "pair-groupoid"):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("the pair groupoid needs a base of dimension at least 1")
-        self.__dict__.update(dim=dim, name=name)
+        self.__dict__.update(dim=dim)
 
 
-def pair_compose(x, y, tol: float = 1e-9):
+def pair_compose(x, y):
     """Second-order composition: components are the coefficient arrays of
     jets of the two endpoint paths, composable when the middle paths have
-    one shape and agree within tol (NaN never does)."""
+    one shape and agree within 1e-9 (NaN never does)."""
     middle, start = x[1], y[0]
-    if middle.shape != start.shape or not float(np.abs(middle - start).max(initial=0.0)) <= tol:
+    if middle.shape != start.shape or not float(np.abs(middle - start).max(initial=0.0)) <= 1e-9:
         raise ValueError("pair jets are not composable: middle paths differ")
     return (x[0], y[1])
 

@@ -50,7 +50,7 @@ from .report import Report, _fold, _Value, worst_of
 
 MAX_DEPTH = 3
 
-_ADD_COMPAT_TOL = 1e-12
+_ADD_COMPAT_TOL = 1e-12  # how far the shared coefficients of two summands may differ
 
 # PolyMap.eval_jet keeps this many results per map, of inputs up to this size
 _MEMO_ENTRIES = 16
@@ -400,13 +400,10 @@ def insert_zero(x: JetPoint, direction: int = 1) -> JetPoint:
     return x.map_coeffs(_insert_map(x.depth, direction))
 
 
-def promote(x: JetPoint, count: int = 1) -> JetPoint:
-    """Embed into a deeper jet: the new (innermost) directions carry zeros, so
-    projecting them away recovers x."""
-    out = x
-    for _ in range(count):
-        out = insert_zero(out, out.depth + 1)
-    return out
+def promote(x: JetPoint) -> JetPoint:
+    """Embed one level deeper: the new innermost direction carries zeros, so
+    projecting it away recovers x."""
+    return insert_zero(x, x.depth + 1)
 
 
 def flip_c(x: JetPoint, i: int = 1, j: int = 2) -> JetPoint:
@@ -428,9 +425,9 @@ def lift_l(x: JetPoint, direction: int = 1) -> JetPoint:
     return x.map_coeffs(_lift_map(x.depth, direction))
 
 
-def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_COMPAT_TOL) -> JetPoint:
+def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1) -> JetPoint:
     """Fibered addition in one direction: coefficients containing the direction
-    add, the rest must agree (within tol) and are kept from x."""
+    add, the rest must agree within _ADD_COMPAT_TOL and are kept from x."""
     if x.coeffs.shape != y.coeffs.shape:
         raise ValueError("addition needs matching jet shapes")
     if not 1 <= direction <= x.depth:
@@ -438,14 +435,14 @@ def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_
     moving = _with_bit(x.depth, direction, x.coeffs.ndim)
     gap = float(np.maximum.reduce(np.abs(np.where(moving, 0.0, x.coeffs - y.coeffs)),
                                   axis=None, initial=0.0))
-    if not gap <= tol:
+    if not gap <= _ADD_COMPAT_TOL:
         raise ValueError("incompatible summands: shared coefficient differs by %g" % gap)
     return JetPoint._of(np.where(moving, x.coeffs + y.coeffs, x.coeffs))
 
 
-def sub_tangent(x: JetPoint, y: JetPoint, direction: int = 1, tol: float = _ADD_COMPAT_TOL) -> JetPoint:
+def sub_tangent(x: JetPoint, y: JetPoint, direction: int = 1) -> JetPoint:
     """Fibered subtraction in one direction (inverse of add_tangent)."""
-    return add_tangent(x, neg_tangent(y, direction), direction, tol)
+    return add_tangent(x, neg_tangent(y, direction), direction)
 
 
 def neg_tangent(x: JetPoint, direction: int = 1) -> JetPoint:

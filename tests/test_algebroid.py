@@ -594,6 +594,21 @@ def test_bracket_laws_so3_and_action():
     assert report.passed, report.to_text()
 
 
+def test_bracket_laws_take_two_or_three_sections():
+    # two given sections stand for X, Y, Z = X; any other count is refused
+    # rather than raising IndexError or dropping a section unread
+    inv = involution_from_spec(catalog.action_so3_r3())
+    rng = np.random.default_rng(8)
+    X, Y, Z = (SectionSpec(_random_section_poly(rng, 3, 3)) for _ in range(3))
+    two = check_bracket_laws(inv, sections=[X, Y], samples=6, seed=2)
+    assert two == check_bracket_laws(inv, sections=[X, Y, X], samples=6, seed=2)
+    assert two.passed, two.to_text()
+    assert check_bracket_laws(inv, sections=[X, Y, Z], samples=6, seed=2).passed
+    for sections in ([], [X], [X, Y, Z, X]):
+        with pytest.raises(ValueError, match="two or three sections, got %d" % len(sections)):
+            check_bracket_laws(inv, sections=sections, samples=6, seed=2)
+
+
 def graph_route_bracket(inv, X, Y, m):
     """The bracket [X, Y] of PolyMap sections through the graph maps
     m -> (m, S(m)), one pair per flip call."""
@@ -602,7 +617,7 @@ def graph_route_bracket(inv, X, Y, m):
     w = graph(Y).eval_jet(JetPoint.from_rows(1, [m, inv.anchor_apply(m, xv)]))
     second = graph(X).eval_jet(JetPoint.from_rows(1, [m, inv.anchor_apply(m, yv)]))
     v = JetPoint.constant(np.concatenate([m, xv], axis=-1), 0)
-    return strong_difference_jet(inv.flip(v, w), second, inv.dim_M, tol=1e-9)
+    return strong_difference_jet(inv.flip(v, w), second, inv.dim_M)
 
 
 @pytest.mark.parametrize("route", ["spec", "connection"])

@@ -338,6 +338,24 @@ def test_membership_flags_variation_violation():
     assert res["variation"] > 1e-3
 
 
+def test_membership_needs_two_nodes_per_axis():
+    # both variations have a defect of 1.0 at every node; a grid of no node
+    # would read 0.0 and one of a single node sees no second time or node
+    inv = involution_from_spec(tangent(1))
+    path = APathVariation(1, 1, PolyMap.from_terms(1, [((0.4, (0,)),), ((1.0, (0,)),), (), ()]))
+    square = AHomotopyVariation(1, 1, PolyMap.zero(2, 4),
+                                PolyMap.from_terms(2, [((1.0, (0, 0)),), (), (), ()]))
+    for grid in (2, 33):
+        assert path.membership_residual(inv, grid)["anchor"] == 1.0
+    for grid in (2, 9):
+        assert square.membership_residual(inv, grid)["paired-base"] == 1.0
+    for grid in (-1, 0, 1):
+        with pytest.raises(ValueError, match="at least two nodes per axis, got %d" % grid):
+            path.membership_residual(inv, grid)
+        with pytest.raises(ValueError, match="at least two nodes per axis, got %d" % grid):
+            square.membership_residual(inv, grid)
+
+
 def test_variation_shape_checks():
     with pytest.raises(ValueError):
         APathVariation(1, 1, PolyMap.zero(2, 4), 1.0)
@@ -393,12 +411,10 @@ def test_transport_rejects_noncomposable_start():
         apath_transport(inv, tangent_member(), AElement([0.9], [1.0]))
     with pytest.raises(ValueError, match="composable"):
         apath_transport(inv, tangent_member(), AElement([0.4], [0.3]))
-    # a NaN gap is no small gap: it fails every tolerance, an infinite one
-    # included, rather than diverging later in the integration
-    for tol in (1e-9, math.inf):
-        with pytest.raises(ValueError, match="composable"):
-            apath_transport(inv, tangent_member(), AElement([math.nan], [1.0]), h=1e-2,
-                            composability_tol=tol)
+    # a NaN gap is no small gap: it fails the tolerance rather than diverging
+    # later in the integration
+    with pytest.raises(ValueError, match="composable"):
+        apath_transport(inv, tangent_member(), AElement([math.nan], [1.0]), h=1e-2)
 
 
 def test_coefficient_routes_agree_on_curved_anchor():
@@ -939,7 +955,7 @@ def test_homotopy_wedge_rejects_nonmember():
 def test_homotopy_wedge_judges_the_start_at_its_membership_tolerance():
     # a base speed of 1e-7 at the origin is the one defect: the start gap of
     # the zero vector equals h0's source-constant defect, so the wedge's own
-    # membership check at membership_tol decides it, as in the path twin
+    # membership check at 1e-9 rejects it, as in the path twin
     inv = involution_from_spec(tangent(1))
     eta = PolyMap.from_terms(2, [((1.0, (1, 1)), (0.5, (2, 0)))])
     hv = inf_ahomotopy_vee(inv, eta, [0.3])
@@ -947,11 +963,6 @@ def test_homotopy_wedge_judges_the_start_at_its_membership_tolerance():
     hv = AHomotopyVariation(1, 1, hv.h0 + speed, hv.h1 + speed)
     res = alg2_residuals(inv, hv)
     assert res.pop("source-constant") == 1e-7 and max(res.values()) == 0.0
-
-    surf = inf_ahomotopy_wedge(inv, hv, 1e-2, membership_tol=1e-6)
-    assert isinstance(surf, FiberSurface)
-    ref = np.array([[eta.eval_floats([s, t]) for t in surf.t_nodes] for s in surf.s_nodes])
-    assert float(np.max(np.abs(surf.values - ref))) < 1e-9
     with pytest.raises(ValueError, match="infinitesimal"):
         inf_ahomotopy_wedge(inv, hv, 1e-2)
     with pytest.raises(ValueError, match="not composable"):

@@ -197,7 +197,7 @@ def test_square_on_nested_jet_frozen():
 
 def test_promote_and_project_bookkeeping():
     x = jp(2, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    up = promote(x, 1)
+    up = promote(x)
     assert up.depth == 3
     # the added innermost direction is all zero, so dropping it recovers x
     assert residual(proj_p(up, 3), x) == 0.0
@@ -637,8 +637,8 @@ def test_tangent_rows_rerun_from_their_worst_input(broken, monkeypatch):
     if broken:
         add = jet.add_tangent
         monkeypatch.setattr(jet, "lift_l", lambda x, direction=1: insert_zero(x, direction))
-        monkeypatch.setattr(jet, "add_tangent", lambda x, y, direction=1, tol=1e-12:
-                            JetPoint._of(add(x, y, direction, tol).coeffs * 1.001))
+        monkeypatch.setattr(jet, "add_tangent", lambda x, y, direction=1:
+                            JetPoint._of(add(x, y, direction).coeffs * 1.001))
     report = check_tangent_axioms(samples=20, seed=5)
     laws = {name: law for name, law, _ in jet._TANGENT_LAWS}
     assert report.names() == list(laws)
@@ -680,11 +680,11 @@ def test_reductions_propagate_nan_and_read_zero_on_an_empty_axis():
     assert math.isnan(got[0]) and got[1] == 2.0
     got = _max_abs(np.array([[-3.0, nan, 1.0], [-2.0, 0.5, 1.0]]))
     assert math.isnan(got[0]) and got[1] == 2.0
-    # so is a NaN in a shared slot of two summands, whatever the tolerance
+    # so is a NaN in a shared slot of two summands, past a larger finite gap
     shared = x.coeffs.copy()
     shared[0, 0, 0], shared[0, 1, 1] = 5.0, nan
     with pytest.raises(ValueError, match="incompatible summands: shared coefficient differs by nan"):
-        add_tangent(x, JetPoint._of(shared), 1, tol=math.inf)
+        add_tangent(x, JetPoint._of(shared), 1)
     # no coordinates: every reduction reads 0.0, and the summands agree
     empty = JetPoint.constant(np.zeros((3, 0)), 1)
     assert residual(empty, empty) == 0.0
@@ -803,7 +803,7 @@ def test_depth_cap_enforced():
     with pytest.raises(ValueError):
         lift_l(x, 1)
     with pytest.raises(ValueError):
-        promote(x, 1)
+        promote(x)
     with pytest.raises(ValueError):
         JetScalar(4, [0.0] * 16)
 

@@ -1,15 +1,18 @@
 """The public surface of ``import invalg``: the same names whether a layer is
-loaded at import or on first use, and the same signatures as the pinned file.
+loaded at import or on first use, the same signatures as the pinned file, and
+no default among them that no call overrides.
 
 After a deliberate change of a public signature, rewrite the pinned file with
 
     PYTHONPATH=src python tests/test_package.py
 """
 
+import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +22,8 @@ import pytest
 
 import invalg
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SIGNATURES = Path(__file__).resolve().parent / "public_signatures.json"
 
 # dir(invalg) after a fresh ``import invalg``, without its underscored names
@@ -234,6 +238,41 @@ def test_public_signatures_match_the_pinned_file():
     changed = sorted(name for name in pinned.keys() | found.keys()
                      if pinned.get(name) != found.get(name))
     assert not changed, changed
+
+
+def python_sources() -> list:
+    """The Python text of src/, tests/ and perfbench/, and the Python blocks
+    of README.md."""
+    texts = [path.read_text() for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    return texts + re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a default that no call overrides is a constant dressed as an option:
+    # each one is set somewhere, by keyword or by position, or it is retired.
+    # Calls are matched by the callee's last name, so a.b.f(...) is f
+    calls = {}  # last name -> [(positional count, keywords)]; None counts every one
+    for text in python_sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (None if starred else len(node.args), None if None in keywords else keywords))
+    unpassed = []
+    for callee, params in json.loads(SIGNATURES.read_text()).items():
+        shift = 1 if params and params[0][0] == "self" else 0  # a bound call's self
+        for index, (param, kind, default) in enumerate(params):
+            if default is None:
+                continue
+            by_position = kind != "KEYWORD_ONLY"
+            if not any(count is None or (by_position and count > index - shift)
+                       or keywords is None or param in keywords
+                       for count, keywords in calls.get(callee.split(".")[-1], [])):
+                unpassed.append("%s(%s)" % (callee, param))
+    assert unpassed == []
 
 
 if __name__ == "__main__":
