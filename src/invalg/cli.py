@@ -228,7 +228,10 @@ def load_fixture(path: str) -> dict:
                 basis = tuple(_reals(np.asarray(b, dtype=object).reshape(n, n),
                                      "group basis entry")
                               for b in _require(raw, "basis", kind))
-                out["group"] = MatrixGroupSpec(n, basis, name=str(raw.get("name", "")))
+                name = raw.get("name", "")
+                if not isinstance(name, str):
+                    raise FixtureError("'name' in group must be a string, got %r" % (name,))
+                out["group"] = MatrixGroupSpec(n, basis, name=name)
         elif kind == "section":
             dm = _count(raw, "dim_M", kind)
             da = _count(raw, "dim_A", kind)

@@ -12,8 +12,8 @@ come last, and any axes between them are batch axes, one jet per entry.  A
 law checked on N random samples evaluates all of them at once on jets of
 shape (2**d, N, dim) (vector forward mode); an unbatched jet is
 (2**d, dim).  A JetScalar is the one-coordinate case.  The structural maps
-below are gathers on the mask axis and act on every batch entry alike;
-take, concat and the coordinate blocks act on the last axis.  residual
+below read the mask axis as an axis per direction, alike in every batch
+entry; take, concat and the coordinate blocks act on the last axis.  residual
 folds a whole jet into one number, residuals one number per batch entry.
 JetPoint is the public type at entry and return; the kernels behind it
 (PolyMap._eval_coeffs, which shares eval_jet's memo, and _join) pass bare
@@ -299,14 +299,6 @@ class JetPoint:
         self._same_shape(other)
         return JetPoint._of(self.coeffs - other.coeffs)
 
-    def map_coeffs(self, index_map) -> "JetPoint":
-        """index_map: new mask -> old mask or None (zero); shared by all entries."""
-        index, zeros = _gather(tuple(index_map))
-        out = self.coeffs[index]
-        if zeros is not None:
-            out[zeros] = 0.0
-        return JetPoint._of(out)
-
     def __repr__(self) -> str:
         return "JetPoint(depth=%d, dim=%d)" % (self.depth, self.dim)
 
@@ -334,70 +326,43 @@ def _max_abs(diff) -> np.ndarray:
 # -- structural maps ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gather(index_map: tuple) -> tuple:
-    """A mask map as a row gather: source rows, and the rows set to zero
-    (None when there are none)."""
-    index = np.array([0 if m is None else m for m in index_map], dtype=np.intp)
-    zeros = np.array([m is None for m in index_map], dtype=bool)
-    return _frozen(index), _frozen(zeros) if zeros.any() else None
+def _axes(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs (2**d, *batch, dim) viewed as (2,)*d + (*batch, dim): direction
+    k on axis d - k, so the innermost leads as in split_innermost, and slot 1
+    of a direction's axis holds the masks with it.  The maps below read jets
+    through this view and each return a new C-ordered array."""
+    return coeffs.reshape((2,) * (len(coeffs).bit_length() - 1) + coeffs.shape[1:])
 
 
-# Each map sends a new mask to the old mask it reads, or to None for a zero.
+def _slot(axis: int, slot: int) -> tuple:
+    """The index of one slot of the direction on axis."""
+    return (slice(None),) * axis + (slot,)
 
 
-@lru_cache(maxsize=None)
-def _proj_map(depth: int, direction: int) -> tuple:
-    k = direction - 1
-    return tuple((m >> k << (k + 1)) | (m & ((1 << k) - 1)) for m in range(1 << (depth - 1)))
-
-
-@lru_cache(maxsize=None)
-def _insert_map(depth: int, direction: int) -> tuple:
-    k = direction - 1
-    return tuple(None if m >> k & 1 else (m >> (k + 1) << k) | (m & ((1 << k) - 1))
-                 for m in range(2 << depth))
-
-
-@lru_cache(maxsize=None)
-def _flip_map(depth: int, i: int, j: int) -> tuple:
-    both = (1 << (i - 1)) | (1 << (j - 1))
-    return tuple(m ^ both if (m & both) not in (0, both) else m for m in range(1 << depth))
-
-
-@lru_cache(maxsize=None)
-def _lift_map(depth: int, direction: int) -> tuple:
-    # the pair of directions k + 1, k + 2 reads direction k + 1 when both are
-    # present, the base when neither is, and nothing otherwise
-    k = direction - 1
-    return tuple(None if (m >> k & 3) in (1, 2)
-                 else (m >> (k + 2) << (k + 1)) | (m >> (k + 1) & 1) << k | (m & ((1 << k) - 1))
-                 for m in range(2 << depth))
-
-
-@lru_cache(maxsize=None)
-def _with_bit(depth: int, direction: int, ndim: int) -> np.ndarray:
-    """Which masks of a depth-d jet contain one direction, shaped to
-    broadcast against coefficients of ndim axes."""
-    bits = np.arange(1 << depth) & (1 << (direction - 1)) != 0
-    return _frozen(bits.reshape((-1,) + (1,) * (ndim - 1)))
+def _axis_of(x: JetPoint, direction: int) -> int:
+    """The axis of one direction of x in the _axes view."""
+    if not 1 <= direction <= x.depth:
+        raise ValueError("no direction %d in a depth-%d jet" % (direction, x.depth))
+    return x.depth - direction
 
 
 def proj_p(x: JetPoint, direction: int = 1) -> JetPoint:
-    """Drop one direction.  Direction 1 realizes p, direction k realizes T^(k-1)(p)."""
-    if not 1 <= direction <= x.depth:
-        raise ValueError("no direction %d in a depth-%d jet" % (direction, x.depth))
-    return x.map_coeffs(_proj_map(x.depth, direction))
+    """Drop one direction, keeping its slot 0.  Direction 1 realizes p,
+    direction k realizes T^(k-1)(p)."""
+    c, axis = x.coeffs, _axis_of(x, direction)
+    return JetPoint._of(_axes(c).take(0, axis).reshape((len(c) >> 1,) + c.shape[1:]))
 
 
 def insert_zero(x: JetPoint, direction: int = 1) -> JetPoint:
-    """Insert a fresh all-zero direction.  Direction 1 realizes the zero section 0,
-    direction k realizes T^(k-1)(0)."""
+    """Insert a fresh direction whose slot 1 is all zero.  Direction 1
+    realizes the zero section 0, direction k realizes T^(k-1)(0)."""
     if not 1 <= direction <= x.depth + 1:
         raise ValueError("cannot insert direction %d into a depth-%d jet" % (direction, x.depth))
     if x.depth + 1 > MAX_DEPTH:
         raise ValueError("depth cap %d exceeded" % MAX_DEPTH)
-    return x.map_coeffs(_insert_map(x.depth, direction))
+    out = np.zeros((len(x.coeffs) << 1,) + x.coeffs.shape[1:], x.coeffs.dtype)
+    _axes(out)[_slot(x.depth + 1 - direction, 0)] = _axes(x.coeffs)
+    return JetPoint._of(out)
 
 
 def promote(x: JetPoint) -> JetPoint:
@@ -407,48 +372,55 @@ def promote(x: JetPoint) -> JetPoint:
 
 
 def flip_c(x: JetPoint, i: int = 1, j: int = 2) -> JetPoint:
-    """Swap two direction labels.  (1, 2) realizes the canonical flip c, (2, 3)
-    realizes T(c)."""
+    """Swap the axes of two directions.  (1, 2) realizes the canonical flip
+    c, (2, 3) realizes T(c)."""
     if i == j or not (1 <= i <= x.depth and 1 <= j <= x.depth):
         raise ValueError("bad flip directions (%d, %d) at depth %d" % (i, j, x.depth))
-    return x.map_coeffs(_flip_map(x.depth, i, j))
+    c = x.coeffs
+    # no view merges the swapped axes, so reshape copies in C order
+    return JetPoint._of(_axes(c).swapaxes(x.depth - i, x.depth - j).reshape(c.shape))
 
 
 def lift_l(x: JetPoint, direction: int = 1) -> JetPoint:
-    """Vertical lift: split one direction into a consecutive pair, moving its
-    coefficient to the mixed slot ((base; v) becomes (base; 0; 0; v)).
-    Direction 1 realizes l, direction 2 realizes T(l)."""
-    if not 1 <= direction <= x.depth:
-        raise ValueError("no direction %d in a depth-%d jet" % (direction, x.depth))
+    """Vertical lift: split one direction into a consecutive pair, its slots
+    0 and 1 on the diagonal of the pair's two axes ((base; v) becomes
+    (base; 0; 0; v)).  Direction 1 realizes l, direction 2 realizes T(l)."""
+    axis = _axis_of(x, direction)
     if x.depth + 1 > MAX_DEPTH:
         raise ValueError("depth cap %d exceeded" % MAX_DEPTH)
-    return x.map_coeffs(_lift_map(x.depth, direction))
+    out = np.zeros((len(x.coeffs) << 1,) + x.coeffs.shape[1:], x.coeffs.dtype)
+    xs, outs = _axes(x.coeffs), _axes(out)
+    for s in (0, 1):
+        outs[_slot(axis, s) + (s,)] = xs[_slot(axis, s)]
+    return JetPoint._of(out)
 
 
 def add_tangent(x: JetPoint, y: JetPoint, direction: int = 1) -> JetPoint:
-    """Fibered addition in one direction: coefficients containing the direction
-    add, the rest must agree within _ADD_COMPAT_TOL and are kept from x."""
+    """Fibered addition in one direction: slot 1 of its axis adds, slot 0
+    must agree within _ADD_COMPAT_TOL and is kept from x."""
     if x.coeffs.shape != y.coeffs.shape:
         raise ValueError("addition needs matching jet shapes")
-    if not 1 <= direction <= x.depth:
-        raise ValueError("no direction %d in a depth-%d jet" % (direction, x.depth))
-    moving = _with_bit(x.depth, direction, x.coeffs.ndim)
-    gap = float(np.maximum.reduce(np.abs(np.where(moving, 0.0, x.coeffs - y.coeffs)),
-                                  axis=None, initial=0.0))
+    axis = _axis_of(x, direction)
+    xs, ys, keep, move = _axes(x.coeffs), _axes(y.coeffs), _slot(axis, 0), _slot(axis, 1)
+    gap = float(np.maximum.reduce(np.abs(xs[keep] - ys[keep]), axis=None, initial=0.0))
     if not gap <= _ADD_COMPAT_TOL:
         raise ValueError("incompatible summands: shared coefficient differs by %g" % gap)
-    return JetPoint._of(np.where(moving, x.coeffs + y.coeffs, x.coeffs))
+    out = x.coeffs.copy()
+    np.add(xs[move], ys[move], out=_axes(out)[move])
+    return JetPoint._of(out)
 
 
-def sub_tangent(x: JetPoint, y: JetPoint, direction: int = 1) -> JetPoint:
-    """Fibered subtraction in one direction (inverse of add_tangent)."""
-    return add_tangent(x, neg_tangent(y, direction), direction)
+def sub_tangent(x: JetPoint, y: JetPoint) -> JetPoint:
+    """Fibered subtraction in direction 1 (inverse of add_tangent)."""
+    return add_tangent(x, neg_tangent(y, 1), 1)
 
 
 def neg_tangent(x: JetPoint, direction: int = 1) -> JetPoint:
-    """Fiberwise negation in one direction."""
-    return JetPoint._of(np.where(_with_bit(x.depth, direction, x.coeffs.ndim),
-                                 -x.coeffs, x.coeffs))
+    """Fiberwise negation in one direction: slot 1 of its axis changes sign."""
+    out = x.coeffs.copy()
+    moving = _axes(out)[_slot(_axis_of(x, direction), 1)]
+    np.negative(moving, out=moving)
+    return JetPoint._of(out)
 
 
 def split_innermost(x: JetPoint):

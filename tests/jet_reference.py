@@ -9,6 +9,11 @@ padded_product is the array product that invalg.jet used before its direct
 one: every complementary pair of a mask gathered, the pair lists padded with
 zero sums to one width and sorted.  The direct product must reproduce its
 bits, the sign of a zero and the position of a NaN included.
+
+The structural maps below are the ones invalg.jet used before it read the
+mask axis as one axis per direction: bit formulas that send each new mask to
+the old mask it reads, applied to the mask axis as a row gather.  The maps
+of invalg.jet must reproduce their bits.
 """
 
 import math
@@ -101,3 +106,62 @@ def padded_product(a: np.ndarray, b: np.ndarray, mul=np.multiply) -> np.ndarray:
         for k in range(rest.shape[1]):
             acc = acc + terms[:, k]
     return np.concatenate((head, acc))
+
+
+# -- reference structural maps -------------------------------------------------
+#
+# Each map sends a new mask to the old mask it reads, or to None for a zero.
+
+
+def gather(coeffs: np.ndarray, index_map) -> np.ndarray:
+    """The rows of coeffs that index_map names, zero rows where it has None."""
+    index_map = tuple(index_map)
+    out = coeffs[np.array([0 if m is None else m for m in index_map], dtype=np.intp)]
+    out[np.array([m is None for m in index_map], dtype=bool)] = 0.0
+    return out
+
+
+def proj_map(depth: int, direction: int) -> tuple:
+    k = direction - 1
+    return tuple((m >> k << (k + 1)) | (m & ((1 << k) - 1)) for m in range(1 << (depth - 1)))
+
+
+def insert_map(depth: int, direction: int) -> tuple:
+    k = direction - 1
+    return tuple(None if m >> k & 1 else (m >> (k + 1) << k) | (m & ((1 << k) - 1))
+                 for m in range(2 << depth))
+
+
+def flip_map(depth: int, i: int, j: int) -> tuple:
+    both = (1 << (i - 1)) | (1 << (j - 1))
+    return tuple(m ^ both if (m & both) not in (0, both) else m for m in range(1 << depth))
+
+
+def lift_map(depth: int, direction: int) -> tuple:
+    # the pair of directions k + 1, k + 2 reads direction k + 1 when both are
+    # present, the base when neither is, and nothing otherwise
+    k = direction - 1
+    return tuple(None if (m >> k & 3) in (1, 2)
+                 else (m >> (k + 2) << (k + 1)) | (m >> (k + 1) & 1) << k | (m & ((1 << k) - 1))
+                 for m in range(2 << depth))
+
+
+def with_bit(coeffs: np.ndarray, direction: int) -> np.ndarray:
+    """Which masks of coeffs contain one direction, shaped to broadcast
+    against coeffs."""
+    bits = np.arange(len(coeffs)) & (1 << (direction - 1)) != 0
+    return bits.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+
+
+def add_tangent(x: np.ndarray, y: np.ndarray, direction: int) -> np.ndarray:
+    """Fibered sum: the masks with the direction add, the others must agree
+    within 1e-12 and are kept from x."""
+    moving = with_bit(x, direction)
+    gap = float(np.maximum.reduce(np.abs(np.where(moving, 0.0, x - y)), axis=None, initial=0.0))
+    if not gap <= 1e-12:
+        raise ValueError("incompatible summands: shared coefficient differs by %g" % gap)
+    return np.where(moving, x + y, x)
+
+
+def neg_tangent(x: np.ndarray, direction: int) -> np.ndarray:
+    return np.where(with_bit(x, direction), -x, x)

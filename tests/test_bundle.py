@@ -90,7 +90,7 @@ def test_strong_difference_matches_fiber_composite():
             # over the shared point
             lifted = _lambda_jet(JetPoint.constant(
                 np.concatenate([point[:, :dm], delta], axis=1), 0), dm)
-            assert np.array_equal(sub_tangent(x, y, 1).row(1), lifted.row(1))
+            assert np.array_equal(sub_tangent(x, y).row(1), lifted.row(1))
             assert float(np.max(np.abs(strong_difference_jet(x, x, dm)))) == 0.0
 
 

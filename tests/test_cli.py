@@ -276,6 +276,11 @@ def test_check_rejects_bad_exponent_length(tmp_path, capsys):
                 "anchor": [[{"coeff": 1.0, "exponents": [1.7]}]]}),
     json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 0, "dim_A": 2,
                 "anchor": [], "structure": [{"i": 0.5, "j": 1, "k": 0, "coeff": 1.0}]}),
+    # a structure index out of range, a diagonal entry, an entry with no value
+    json.dumps(mutated(structure_payload(1.0), 2, "structure", 0, "k")),
+    json.dumps(mutated(structure_payload(1.0), 0, "structure", 0, "j")),
+    json.dumps({"schema_version": 1, "kind": "algebroid", "dim_M": 0, "dim_A": 2,
+                "anchor": [], "structure": [{"i": 0, "j": 1, "k": 0}]}),
     # a catalog name that is not a string, on an algebroid, an apath and a group
     json.dumps({"schema_version": 1, "kind": "algebroid", "catalog": []}),
     json.dumps({"schema_version": 1, "kind": "algebroid", "catalog": {}}),
@@ -283,6 +288,9 @@ def test_check_rejects_bad_exponent_length(tmp_path, capsys):
     json.dumps(mutated(tangent_path_payload(), {}, "algebroid", "catalog")),
     json.dumps({"schema_version": 1, "kind": "group", "catalog": []}),
     json.dumps({"schema_version": 1, "kind": "group", "catalog": {}}),
+    # a group name that is not a string
+    json.dumps(mutated(group_payload(), None, "name")),
+    json.dumps(mutated(group_payload(), ["x"], "name")),
     # an integer beyond float range, and an exponent beyond the evaluator's
     # integer type
     json.dumps(mutated(tangent_path_payload(), 10 ** 400, "t_end")),

@@ -248,29 +248,42 @@ def python_sources() -> list:
     return texts + re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
+def literal(node):
+    """The repr of a literal argument, as the pinned file writes a default;
+    None for any other expression."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
 def test_every_defaulted_parameter_is_passed_by_some_call():
     # a default that no call overrides is a constant dressed as an option:
-    # each one is set somewhere, by keyword or by position, or it is retired.
-    # Calls are matched by the callee's last name, so a.b.f(...) is f
-    calls = {}  # last name -> [(positional count, keywords)]; None counts every one
+    # each one is set somewhere to another value, by keyword or by position,
+    # or it is retired.  A call that passes the default's own literal does
+    # not set it.  Calls are matched by the callee's last name, so a.b.f(...)
+    # is f
+    calls = {}  # last name -> [(positional literals, keyword literals)]; None counts every one
     for text in python_sources():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
-                keywords = {k.arg for k in node.keywords}
+                keywords = {k.arg: literal(k.value) for k in node.keywords}
                 calls.setdefault(name, []).append(
-                    (None if starred else len(node.args), None if None in keywords else keywords))
+                    (None if starred else [literal(a) for a in node.args],
+                     None if None in keywords else keywords))
     unpassed = []
     for callee, params in json.loads(SIGNATURES.read_text()).items():
         shift = 1 if params and params[0][0] == "self" else 0  # a bound call's self
         for index, (param, kind, default) in enumerate(params):
             if default is None:
                 continue
-            by_position = kind != "KEYWORD_ONLY"
-            if not any(count is None or (by_position and count > index - shift)
-                       or keywords is None or param in keywords
-                       for count, keywords in calls.get(callee.split(".")[-1], [])):
+            by_position, at = kind != "KEYWORD_ONLY", index - shift
+            if not any(args is None or keywords is None
+                       or (args[at] if by_position and at < len(args)
+                           else keywords.get(param, default)) != default
+                       for args, keywords in calls.get(callee.split(".")[-1], [])):
                 unpassed.append("%s(%s)" % (callee, param))
     assert unpassed == []
 
