@@ -15,6 +15,7 @@ seed, whose nested brackets are evaluated on jets.
 from __future__ import annotations
 
 import itertools
+import numbers
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -106,10 +107,10 @@ class AlgebroidSpec(Anchored, _Value):
     rho maps base coordinates to the flattened anchor matrix (row-major
     (i, j) -> i*dim_A + j, i a base index, j a fiber index).  The structure
     functions are stored only for fiber pairs i < j (k-major, pairs in
-    lexicographic order) and reflected with a sign elsewhere, which keeps
-    antisymmetry exact in floating point.  Ill-formed data is representable
-    on purpose; well_formed() is a checked predicate, so that negative
-    fixtures are first-class.
+    lexicographic order), and C(m)(a, b) reads them against the wedge
+    a_i b_j - a_j b_i, which keeps antisymmetry exact in floating point.
+    Ill-formed data is representable on purpose; well_formed() is a checked
+    predicate, so that negative fixtures are first-class.
     """
 
     _fields = ("dim_M", "dim_A", "rho", "c_pairs")
@@ -138,8 +139,9 @@ class AlgebroidSpec(Anchored, _Value):
     @staticmethod
     def from_structure(dim_M: int, dim_A: int, rho, entries) -> "AlgebroidSpec":
         """Build from an anchor (PolyMap, or a constant matrix) and structure
-        entries (i, j, k, value) with 0 <= i < j < dim_A; value is a constant
-        or a term table [(coeff, exponents)] over the base coordinates.
+        entries (i, j, k, value) with 0 <= i < j < dim_A; value is a real
+        constant (a numpy scalar too) or a term table [(coeff, exponents)]
+        over the base coordinates.
         Duplicate (i, j, k) triples are rejected as inconsistent.
         """
         if not isinstance(rho, PolyMap):
@@ -159,24 +161,13 @@ class AlgebroidSpec(Anchored, _Value):
             if (i, j, k) in seen:
                 raise ValueError("inconsistent duplicate structure entry (%d, %d, %d)" % (i, j, k))
             seen.add((i, j, k))
-            if isinstance(value, (int, float)):
+            if isinstance(value, numbers.Real):
                 value = [(value, [0] * dim_M)]
             rows[k * len(pairs) + pairs.index((i, j))] += PolyMap.from_terms(dim_M, [value])
         c_pairs = PolyMap(dim_M, len(rows), tuple(r.terms[0] for r in rows))
         return AlgebroidSpec(dim_M, dim_A, rho, c_pairs)
 
     # structure-function evaluation
-
-    def c_tensor(self, m) -> np.ndarray:
-        """C[k, i, j] at a base point, or at each point of a (..., dim_M) batch."""
-        m = _vec(m)
-        da = self.dim_A
-        flat = self.c_pairs.eval_floats(m).reshape(m.shape[:-1] + (da, len(self.pairs)))
-        first, second = self._pair_index
-        tensor = np.zeros(m.shape[:-1] + (da, da, da))
-        tensor[..., first, second] = flat
-        tensor[..., second, first] = -flat
-        return tensor
 
     def c_apply(self, m, a, b) -> np.ndarray:
         """C(m)(a, b) at a base point or a batch: the value row of c_apply_jet."""
@@ -196,15 +187,6 @@ class AlgebroidSpec(Anchored, _Value):
         coeffs = self.c_pairs._eval_coeffs(m)
         coeffs = coeffs.reshape(coeffs.shape[:-1] + (self.dim_A, len(first)))
         return np.add.reduce(_product(coeffs, wedge[..., None, :]), axis=-1)
-
-    def c_full(self) -> PolyMap:
-        """The structure functions as a full dim_A^3 polynomial tensor."""
-        pos = {pair: n for n, pair in enumerate(self.pairs)}
-        rows = []
-        for k, i, j in itertools.product(range(self.dim_A), repeat=3):
-            row = self.c_pairs.terms[k * len(pos) + pos[min(i, j), max(i, j)]] if i != j else ()
-            rows.append(row if i < j else tuple((-c, e) for c, e in row))
-        return PolyMap(self.dim_M, self.dim_A ** 3, tuple(rows))
 
     # bracket on polynomial sections, as exact polynomial algebra
 
@@ -945,7 +927,7 @@ def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
 def _leibniz(inv, X: SectionSpec, Y: SectionSpec, f: ScalarFieldSpec, m, b_fy, b_xy):
     """Defect of [X, f Y] = f [X, Y] + (rho(X) f) Y at base points m, given
     the brackets [X, f Y] and [X, Y] there."""
-    lie = lie_derivative(f, X, inv.rho, m)
+    lie = lie_derivative(f, X, inv, m)
     expect = f.f_poly.eval_floats(m) * b_xy + lie[:, None] * Y.x_poly.eval_floats(m)
     return _max_abs(b_fy - expect)
 

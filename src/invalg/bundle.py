@@ -194,18 +194,15 @@ class ScalarFieldSpec(_Value):
         return self.f_poly.in_dim
 
 
-def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, rho: PolyMap, m):
+def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, owner, m):
     """Derivative of f along the anchored section: push the anchored vector
-    through the tangent of f and read off the velocity slot.  At a base
-    point (dim_M,) a float; at each point of a batch (N, dim_M) an array."""
+    rho(m) X(m) through the tangent of f and read off the velocity slot.
+    owner is the algebroid (a spec or an involution algebroid) whose anchor
+    kernel gives rho(m) X(m) and checks the dimensions.  At a base point
+    (dim_M,) a float; at each point of a batch (N, dim_M) an array."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2:
         m = _vec(m)
-    dim_M, dim_A = X.dim_M, X.dim_A
-    if rho.out_dim != dim_M * dim_A or rho.in_dim != dim_M:
-        raise ValueError("anchor shape does not match the section")
-    v = (rho.eval_floats(m).reshape(m.shape[:-1] + (dim_M, dim_A))
-         * X.x_poly.eval_floats(m)[..., None, :]).sum(axis=-1)
-    tangent = JetPoint.from_rows(1, [m, v])
+    tangent = JetPoint.from_rows(1, [m, owner.anchor_apply(m, X.x_poly.eval_floats(m))])
     out = f.f_poly.eval_jet(tangent).coeffs[1, ..., 0]
     return float(out) if out.ndim == 0 else out

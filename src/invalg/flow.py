@@ -320,17 +320,19 @@ def _square_csv(s_nodes, t_nodes, values) -> str:
 def _fiber_coefficients(inv: InvolutionAlgebroid, blocks: np.ndarray, base: np.ndarray):
     """The affine right side (matrix, offset) of the fiber equation at every
     entry of a table: blocks (..., 2(dim_M + dim_A)) of variations, base
-    (..., dim_M) of points on the base trajectory.  Read off the attached
-    structure data in one batch when present, and otherwise from one batched
-    flip of the fiber vectors 0, e_1, ..., e_dim_A at every entry."""
+    (..., dim_M) of points on the base trajectory.  With attached structure
+    data, column i of the matrix is C(m)(e_i, a_phi), read from the kernel
+    the flip reads C through, in one call over the probes e_1, ..., e_dim_A;
+    otherwise both come from one batched flip of the fiber vectors 0, e_1,
+    ..., e_dim_A at every entry."""
     dm, da = inv.dim_M, inv.dim_A
     _, a_phi, mdot_phi, adot_phi = _split_blocks(blocks, dm, da)
-    if inv.spec is not None:
-        mats = np.matmul(inv.spec.c_tensor(base), a_phi[..., None, :, None])[..., 0]
-        return mats, adot_phi
-
     lead = base.shape[:-1]
     probes = np.vstack((np.zeros(da), np.eye(da))).reshape((da + 1,) + (1,) * len(lead) + (da,))
+    if inv.spec is not None:
+        columns = inv.spec._c_apply(base[None], probes[None, 1:], a_phi[None])[0]
+        return np.moveaxis(columns, 0, -1), adot_phi
+
     shape = (da + 1,) + lead
     v = np.concatenate((np.broadcast_to(base, shape + (dm,)),
                         np.broadcast_to(probes, shape + (da,))), axis=-1)
@@ -348,7 +350,10 @@ def _affine_anchor(inv: InvolutionAlgebroid, a_t: np.ndarray):
     offset (steps, rows, dim_M): rho(m) a = rho(0) a + sum_k m_k (rho(e_k) -
     rho(0)) a, with rho read off the one anchor evaluator at 0, e_1, ...,
     e_dim_M.  The contraction with a_t runs one fiber index at a time,
-    adding in index order, with the table axis innermost."""
+    adding in index order, with the table axis innermost.  The anchor
+    kernel, _anchor, at those probes gives the same bits (a test pins them
+    together), but it reduces over a short last axis, which made a transport
+    pass about 10% slower."""
     dm, da = inv.dim_M, inv.dim_A
     lead = a_t.shape[:-1]
     rho = inv.anchor_matrix(np.vstack([np.zeros(dm), np.eye(dm)]))[..., None]

@@ -62,6 +62,7 @@ from invalg.jet import (
     split_innermost,
 )
 from invalg.report import Report, _fold, _residuals, quiet
+from structure_reference import c_on_basis, reference_c_tensor
 
 
 def const_section(vec, dim_M=0):
@@ -86,6 +87,16 @@ def test_from_structure_rejects_bad_entries():
     with pytest.raises(ValueError):
         AlgebroidSpec.from_structure(0, 3, PolyMap.zero(0, 0),
                                      [(0, 1, 2, 1.0), (0, 1, 2, 2.0)])
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.float32(0.5), 2, 0.5],
+                         ids=["int64", "float32", "int", "float"])
+def test_from_structure_takes_any_real_constant(value):
+    got = AlgebroidSpec.from_structure(0, 2, PolyMap.zero(0, 0), [(0, 1, 0, value)])
+    want = AlgebroidSpec.from_structure(0, 2, PolyMap.zero(0, 0), [(0, 1, 0, float(value))])
+    assert got == want
+    assert got.c_pairs.terms == (((float(value), ()),), ())
+    assert type(got.c_pairs.terms[0][0][0]) is float
 
 
 def test_c_apply_matches_cross_product():
@@ -134,14 +145,13 @@ def test_structure_functions_reject_fiber_vectors_of_the_wrong_length():
 
 
 def test_c_tensor_reflection():
+    # the pairs i < j are stored; c_apply reads (j, i) as their negative
     spec = catalog.so3()
-    t = spec.c_tensor(np.zeros(0))
     eps = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[k, i, j], eps[k, j, i] = 1.0, -1.0
-    assert np.array_equal(t, eps)
-    full = spec.c_full()
-    assert np.array_equal(full.eval_floats(np.zeros(0)).reshape(3, 3, 3), eps)
+    assert np.array_equal(c_on_basis(spec, np.zeros(0)), eps)
+    assert np.array_equal(reference_c_tensor(spec, np.zeros(0)), eps)
 
 
 def test_anchor_jet_matches_matrix():

@@ -147,15 +147,31 @@ def test_ta_jet_roundtrip_and_projections():
 def test_lie_derivative():
     f = ScalarFieldSpec(PolyMap.from_terms(1, [[(1.0, (2,))]]))
     X = SectionSpec(PolyMap.constant([1.0], 1))
-    rho = PolyMap.constant([1.0], 1)
+    unit = catalog.tangent(1)  # the unit anchor
     for m in (-1.0, 0.0, 0.5, 2.0):
-        assert abs(lie_derivative(f, X, rho, [m]) - 2.0 * m) < 1e-14
+        assert abs(lie_derivative(f, X, unit, [m]) - 2.0 * m) < 1e-14
     const = ScalarFieldSpec(PolyMap.constant([4.2], 1))
-    assert lie_derivative(const, X, rho, [0.3]) == 0.0
+    assert lie_derivative(const, X, unit, [0.3]) == 0.0
     rng = np.random.default_rng(15)
     g = ScalarFieldSpec(PolyMap.from_terms(1, [[(0.5, (3,)), (-2.0, (1,))]]))
     for _ in range(20):
         m = rng.uniform(-1, 1, 1)
-        lf, lg = lie_derivative(f, X, rho, m), lie_derivative(g, X, rho, m)
+        lf, lg = lie_derivative(f, X, unit, m), lie_derivative(g, X, unit, m)
         fg = ScalarFieldSpec(PolyMap.from_terms(1, [list(f.f_poly.terms[0]) + list(g.f_poly.terms[0])]))
-        assert abs(lie_derivative(fg, X, rho, m) - (lf + lg)) < 1e-12
+        assert abs(lie_derivative(fg, X, unit, m) - (lf + lg)) < 1e-12
+
+
+@pytest.mark.parametrize("owner", [catalog.tangent(1), involution_from_spec(catalog.tangent(1))],
+                         ids=["spec", "involution"])
+def test_lie_derivative_rejects_mismatched_dimensions(owner):
+    line = ScalarFieldSpec(PolyMap.from_terms(1, [[(1.0, (2,))]]))
+    X = SectionSpec(PolyMap.constant([1.0], 1))
+    assert lie_derivative(line, X, owner, [0.5]) == 1.0
+    with pytest.raises(ValueError, match="fiber dim 2, expected 1"):
+        lie_derivative(line, SectionSpec(PolyMap.constant([1.0, 0.0], 1)), owner, [0.5])
+    plane = ScalarFieldSpec(PolyMap.from_terms(2, [[(1.0, (2, 0))]]))
+    with pytest.raises(ValueError, match="input dim 2, expected 1"):
+        lie_derivative(plane, SectionSpec(PolyMap.constant([1.0], 2)), owner, [0.5, 0.1])
+    for m in ([0.5, 0.1], np.zeros((4, 2))):
+        with pytest.raises(ValueError, match="expected trailing 1"):
+            lie_derivative(line, X, owner, m)

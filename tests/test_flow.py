@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -44,6 +45,7 @@ from invalg.flow import (
 )
 from invalg.jet import JetPoint, PolyMap
 from invalg.report import quiet
+from structure_reference import reference_c_tensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -454,18 +456,91 @@ def test_affine_anchor_is_the_jacobian_route_exactly(name):
     assert np.array_equal(mats, want_mats) and np.array_equal(offs, want_offs)
 
 
-def test_affine_anchor_matches_jacobian_route_on_non_dyadic_anchor():
-    rng = np.random.default_rng(11)
+def non_dyadic_anchor(rng):
+    # an affine anchor over the plane with random coefficients
     rho = PolyMap.from_terms(2, [[(c, e) for c, e in zip(rng.uniform(-1, 1, 3),
                                                             [(0, 0), (1, 0), (0, 1)])]
                                  for _ in range(6)])
-    inv = involution_from_spec(AlgebroidSpec(2, 3, rho, PolyMap.zero(2, 9)))
+    return involution_from_spec(AlgebroidSpec(2, 3, rho, PolyMap.zero(2, 9)))
+
+
+def test_affine_anchor_matches_jacobian_route_on_non_dyadic_anchor():
+    rng = np.random.default_rng(11)
+    inv = non_dyadic_anchor(rng)
     a_t = rng.uniform(-1, 1, (9, 2, 3))
     got, want = _affine_anchor(inv, a_t), jacobian_route(inv, a_t)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert float(np.max(np.abs(g - w))) <= 1e-15
     assert float(np.max(np.abs(got[0]))) > 0.1  # the anchor does depend on m
+
+
+def anchor_kernel_route(inv, a_t):
+    # the affine base equation from rho(m) a_t at m = 0, e_1, ..., e_dim_M,
+    # each read from the anchor kernel in one call over those probes
+    dm = inv.dim_M
+    probes = np.vstack([np.zeros(dm), np.eye(dm)])
+    probes = probes.reshape((dm + 1,) + (1,) * (a_t.ndim - 1) + (dm,))
+    at = inv._anchor(probes[None], a_t[None])[0]
+    return np.moveaxis(at[1:] - at[0], 0, -1), at[0]
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_get(n).rho.degree <= 1]
+                         + ["non-dyadic"])
+def test_affine_anchor_is_the_anchor_kernel_bit_for_bit(name):
+    # _affine_anchor contracts the anchor with a_t by its own loop; it must
+    # give the kernel's bits, the sign of a zero included
+    rng = np.random.default_rng(3)
+    if name == "non-dyadic":
+        inv = non_dyadic_anchor(rng)
+    else:
+        inv = involution_from_spec(catalog_get(name))
+    a_t = rng.uniform(-1, 1, (9, 2, inv.dim_A))
+    for got, want in zip(_affine_anchor(inv, a_t), anchor_kernel_route(inv, a_t)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def random_curved_spec(rng, dim_M: int, dim_A: int) -> AlgebroidSpec:
+    # random structure functions of degree <= 2 over the base, non-dyadic
+    # coefficients; the anchor plays no part in the fiber matrix
+    exps = [e for e in itertools.product(range(3), repeat=dim_M) if sum(e) <= 2]
+    rows = dim_A * dim_A * (dim_A - 1) // 2
+    c_pairs = PolyMap.from_terms(dim_M, [list(zip(rng.uniform(-2, 2, len(exps)).tolist(), exps))
+                                         for _ in range(rows)])
+    return AlgebroidSpec(dim_M, dim_A, PolyMap.zero(dim_M, dim_M * dim_A), c_pairs)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["random curved"])
+def test_fiber_matrix_is_the_reflected_tensor_contraction(name):
+    # column i of the fiber matrix is C(m)(e_i, a_phi) from the C kernel; the
+    # fiber equation once contracted the full reflected tensor with a_phi by
+    # matmul.  Every catalog column sums at most one nonzero product, so the
+    # two agree bit for bit.  A generic C sums several, and matmul may fuse
+    # its multiply-adds (OpenBLAS does): there the kernel gives the bits of
+    # the sum in index order, each product rounded (with fewer than 8 pairs
+    # its reduce runs in sequence), within rounding of matmul.
+    rng = np.random.default_rng(17)
+    spec = random_curved_spec(rng, 2, 4) if name == "random curved" else catalog_get(name)
+    inv = involution_from_spec(spec)
+    dm, da = spec.dim_M, spec.dim_A
+    blocks = rng.uniform(-2, 2, (7, 3, 2 * (dm + da)))
+    base = rng.uniform(-2, 2, (7, 3, dm))
+    mats, offs = _fiber_coefficients(inv, blocks, base)
+    a_phi, adot_phi = blocks[..., dm:dm + da], blocks[..., 2 * dm + da:]
+    tensor = reference_c_tensor(spec, base)
+    want = np.matmul(tensor, a_phi[..., None, :, None])[..., 0]
+    assert mats.shape == want.shape == (7, 3, da, da)
+    assert offs.tobytes() == np.ascontiguousarray(adot_phi).tobytes()
+    if name != "random curved":
+        assert mats.tobytes() == want.tobytes()
+        return
+    in_order = tensor[..., 0] * a_phi[..., None, None, 0]
+    for j in range(1, da):
+        in_order = in_order + tensor[..., j] * a_phi[..., None, None, j]
+    assert mats.tobytes() == in_order.tobytes()
+    scale = np.abs(tensor * a_phi[..., None, None, :]).sum(axis=-1)
+    assert np.all(np.abs(mats - want) <= 4 * np.finfo(float).eps * scale)
+    assert not np.array_equal(mats[0, 0], mats[1, 1])  # C varies with m
 
 
 def test_affine_anchor_on_a_point_base_is_empty():

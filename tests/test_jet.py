@@ -565,7 +565,7 @@ def test_results_do_not_depend_on_memory_layout():
         assert _same_bytes([conn.apply_jet(*map(JetPoint._of, (mi, wi, ui))).coeffs
                             for conn, mi, wi, ui in zip(conns, m, w, u)])
     assert _same_bytes([lie_derivative(ScalarFieldSpec(_copy(f)), SectionSpec(_copy(x)),
-                                       _copy(rho), m)
+                                       AlgebroidSpec(dm, da, _copy(rho), _copy(c_pairs)), m)
                         for m in _layouts(rng.uniform(-1, 1, (50, dm)))])
 
 
