@@ -14,12 +14,11 @@ importing a layer compiles nothing but its own file.
 
 from importlib import import_module as _import_module
 
-from .report import CheckResult, Report, run_check, worst_of
+from .report import CheckResult, Report, worst_of
 from .jet import (
     JetScalar,
     JetPoint,
     PolyMap,
-    apply_poly,
     add_tangent,
     sub_tangent,
     neg_tangent,
@@ -40,7 +39,6 @@ from .bundle import (
     ScalarFieldSpec,
     ConnectionSpec,
     lie_derivative,
-    ta_residual,
 )
 from .algebroid import (
     AlgebroidSpec,
@@ -54,7 +52,6 @@ from .algebroid import (
     check_axioms,
     check_yang_baxter,
     check_bracket_laws,
-    check_leibniz,
 )
 from .catalog import get as catalog_get, names as catalog_names
 

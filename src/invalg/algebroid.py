@@ -43,7 +43,7 @@ from .jet import (
     residual,
     residuals,
 )
-from .report import Report, _Frozen, _Value, _fold, quiet, run_check, worst_of
+from .report import Report, _Frozen, _Value, _fold, quiet, worst_of
 
 DEFAULT_AXIOM_TOLERANCES = {
     "projection": 1e-12,
@@ -718,8 +718,8 @@ def check_yang_baxter(inv: InvolutionAlgebroid, samples: int = 60, seed: int = 0
     left = p1(p2(p1(symbols)))
     right = p2(p1(p2(symbols)))
     ok = left == right == expected(symbols)
-    report.add(run_check("permutation-braid", [symbols], lambda t: 0.0 if ok else 1.0,
-                         DEFAULT_AXIOM_TOLERANCES["permutation-braid"], None, serialize=list))
+    report.add(_fold("permutation-braid", 1, lambda rows: 0.0 if ok else 1.0,
+                     DEFAULT_AXIOM_TOLERANCES["permutation-braid"], None, lambda i: list(symbols)))
     return report
 
 
@@ -896,9 +896,14 @@ def check_bracket_laws(inv: InvolutionAlgebroid, sections=None, samples: int = 4
         return _max_abs(f_sum - (f_x + f_y))
 
     at_total("flip-field-additive", flip_field_additive)
-    at_points("leibniz", lambda rows: _leibniz(
-        inv, sections[0], sections[1], f, points[rows], table.brackets([(0, 7)], rows)[0],
-        xy_yx(rows)[0]))
+
+    def leibniz(rows):  # [X, f Y] = f [X, Y] + (rho(X) f) Y
+        m = points[rows]
+        expect = (f.f_poly.eval_floats(m) * xy_yx(rows)[0]
+                  + lie_derivative(f, sections[0], inv, m)[:, None] * Y.eval_floats(m))
+        return _max_abs(table.brackets([(0, 7)], rows)[0] - expect)
+
+    at_points("leibniz", leibniz)
     return report
 
 
@@ -909,27 +914,6 @@ def _random_section_poly(rng, dm: int, da: int, degree: int = 2) -> PolyMap:
         chosen = [e for e, u in zip(exps, rng.uniform(size=len(exps))) if u < 0.7] or [exps[0]]
         rows.append(tuple(zip(rng.uniform(-1, 1, len(chosen)).tolist(), chosen)))
     return PolyMap(dm, da, tuple(rows))
-
-
-def check_leibniz(inv: InvolutionAlgebroid, X: SectionSpec, Y: SectionSpec,
-                  f: ScalarFieldSpec, samples: int = 40, seed: int = 0) -> Report:
-    """check_bracket_laws' Leibniz rule for a given field, at the points a seed
-    draws first: [X, f Y] picks up the derivative of f along rho(X)."""
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(-1, 1, (samples, inv.dim_M))
-    table = _SectionTable(inv, [X.x_poly, Y.x_poly, f.f_poly * Y.x_poly], points)
-    report = Report()
-    _point_checks(report, points, 1e-9, seed)("leibniz", lambda rows: _leibniz(
-        inv, X, Y, f, points[rows], *table.brackets([(0, 2), (0, 1)], rows)))
-    return report
-
-
-def _leibniz(inv, X: SectionSpec, Y: SectionSpec, f: ScalarFieldSpec, m, b_fy, b_xy):
-    """Defect of [X, f Y] = f [X, Y] + (rho(X) f) Y at base points m, given
-    the brackets [X, f Y] and [X, Y] there."""
-    lie = lie_derivative(f, X, inv, m)
-    expect = f.f_poly.eval_floats(m) * b_xy + lie[:, None] * Y.x_poly.eval_floats(m)
-    return _max_abs(b_fy - expect)
 
 
 def roundtrip_bracket(spec: AlgebroidSpec, samples: int = 40, seed: int = 0) -> Report:

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .jet import JetPoint, PolyMap, _product, residual
+from .jet import JetPoint, PolyMap, _product
 from .report import _Frozen, _Value
 
 _PROJ_TOL = 1e-9  # how far the shared projections of a strong difference may differ
@@ -82,11 +82,6 @@ class TAElement(_Frozen):
 
     def tpi_proj(self) -> tuple:
         return self.m.copy(), self.mdot.copy()
-
-
-def ta_residual(x: TAElement, y: TAElement) -> float:
-    """Largest absolute difference of two tangents, NaN when any is NaN."""
-    return residual(x.to_jet(), y.to_jet())
 
 
 def _check_shared(label: str, bx: np.ndarray, by: np.ndarray):
@@ -200,6 +195,8 @@ def lie_derivative(f: ScalarFieldSpec, X: SectionSpec, owner, m):
     owner is the algebroid (a spec or an involution algebroid) whose anchor
     kernel gives rho(m) X(m) and checks the dimensions.  At a base point
     (dim_M,) a float; at each point of a batch (N, dim_M) an array."""
+    if not callable(getattr(owner, "anchor_apply", None)):
+        raise TypeError("expected an algebroid spec or involution algebroid")
     m = np.asarray(m, dtype=float)
     if m.ndim < 2:
         m = _vec(m)

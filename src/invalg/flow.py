@@ -351,9 +351,11 @@ def _affine_anchor(inv: InvolutionAlgebroid, a_t: np.ndarray):
     rho(0)) a, with rho read off the one anchor evaluator at 0, e_1, ...,
     e_dim_M.  The contraction with a_t runs one fiber index at a time,
     adding in index order, with the table axis innermost.  The anchor
-    kernel, _anchor, at those probes gives the same bits (a test pins them
-    together), but it reduces over a short last axis, which made a transport
-    pass about 10% slower."""
+    kernel, _anchor, at those probes gives the same bits up to dim_A 7 and
+    agrees within 4 eps of the summed magnitudes of the products beyond,
+    where its reduce stops adding in index order (a test pins both), but it
+    reduces over a short last axis, which made a transport pass about 10%
+    slower."""
     dm, da = inv.dim_M, inv.dim_A
     lead = a_t.shape[:-1]
     rho = inv.anchor_matrix(np.vstack([np.zeros(dm), np.eye(dm)]))[..., None]

@@ -273,10 +273,6 @@ class JetPoint:
     def to_rows(self) -> list:
         return self.coeffs.tolist()
 
-    @property
-    def base(self) -> np.ndarray:
-        return self.row(0)
-
     def take(self, start: int, stop: int) -> "JetPoint":
         return JetPoint._of(self.coeffs[..., start:stop])
 
@@ -701,11 +697,6 @@ class PolyMap(_Value):
 
     def to_table(self) -> list:
         return [[{"coeff": c, "exponents": list(e)} for c, e in row] for row in self.terms]
-
-
-def apply_poly(f: PolyMap, x: JetPoint) -> JetPoint:
-    """Evaluate a polynomial map on a jet point: its nested-tangent extension."""
-    return f.eval_jet(x)
 
 
 # -- axiom suite -------------------------------------------------------------

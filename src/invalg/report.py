@@ -207,13 +207,3 @@ def _fold(name: str, count: int, evaluate: Callable[[slice], object], tolerance:
     worst = float(residuals[worst_idx])
     return CheckResult(name, count, seed, worst, tolerance, _passes(worst, tolerance),
                        worst_input)
-
-
-def run_check(name: str, inputs: list, evaluate: Callable[[object], float], tolerance: float,
-              seed: Optional[int], serialize: Callable[[object], object] = None) -> CheckResult:
-    """Evaluate a residual over pre-drawn inputs, one at a time, and fold
-    into a CheckResult as _fold does: a sample whose evaluation raises
-    ValueError or ArithmeticError counts as a NaN residual."""
-    inputs = list(inputs)
-    return _fold(name, len(inputs), lambda rows: [evaluate(x) for x in inputs[rows]],
-                 tolerance, seed, None if serialize is None else lambda i: serialize(inputs[i]))

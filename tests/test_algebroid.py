@@ -24,7 +24,6 @@ from invalg.algebroid import (
     braid_permutations,
     check_axioms,
     check_bracket_laws,
-    check_leibniz,
     check_yang_baxter,
     flip_from_bracket,
     involution_from_spec,
@@ -41,7 +40,6 @@ from invalg.bundle import (
     SectionSpec,
     TAElement,
     strong_difference_jet,
-    ta_residual,
 )
 from invalg.groupoid import (
     PairGroupoidSpec,
@@ -61,8 +59,8 @@ from invalg.jet import (
     residual,
     split_innermost,
 )
-from invalg.report import Report, _fold, _residuals, quiet
-from structure_reference import c_on_basis, reference_c_tensor
+from invalg.report import _fold, _residuals, quiet
+from structure_reference import c_on_basis, leibniz_defect, reference_c_tensor
 
 
 def const_section(vec, dim_M=0):
@@ -746,15 +744,16 @@ def test_leibniz_rule():
     f = ScalarFieldSpec(PolyMap(3, 1, (
         ((1.0, (0, 0, 0)), (2.0, (1, 0, 0)), (-1.0, (0, 2, 1))),
     )))
-    report = check_leibniz(inv, X, Y, f, samples=30, seed=11)
-    assert report.passed, report.to_text()
+    points = np.random.default_rng(11).uniform(-1, 1, (30, 3))
+    defect = leibniz_defect(inv, X, Y, f, points)
+    assert np.all(defect <= 1e-9), defect
 
 
 @pytest.mark.parametrize("route", ["spec", "connection"])
 @pytest.mark.parametrize("name", catalog.names())
-def test_the_suite_leibniz_row_is_check_leibniz_of_its_own_field(name, route):
+def test_the_suite_leibniz_row_is_the_public_oracle_on_its_own_field(name, route):
     # with sections given, the suite's base points are the first draw of its
-    # seed, as check_leibniz's are, and its field the last
+    # seed and its field the last
     spec = catalog.get(name)
     dm, da = spec.dim_M, spec.dim_A
     rng = np.random.default_rng(31)
@@ -766,12 +765,14 @@ def test_the_suite_leibniz_row_is_check_leibniz_of_its_own_field(name, route):
     for seed in (1, 42):
         row = check_bracket_laws(inv, sections=sections, samples=12, seed=seed)["leibniz"]
         replay = np.random.default_rng(seed)
-        replay.uniform(-1, 1, (12, dm))  # the base points
+        points = replay.uniform(-1, 1, (12, dm))
         replay.uniform(-1, 1, (12, dm + da))  # the total-space points
         f = ScalarFieldSpec(_random_section_poly(replay, dm, 1))
-        alone = check_leibniz(inv, sections[0], sections[1], f, samples=12, seed=seed)
-        assert alone.results == [row]
-        assert alone.to_json() == Report([row]).to_json()
+        defect = leibniz_defect(inv, sections[0], sections[1], f, points)
+        worst = int(np.argmax(defect))
+        assert row.max_residual.hex() == float(defect[worst]).hex()
+        assert row.worst_input == points[worst].tolist()
+        assert (row.samples, row.seed, row.passed) == (12, seed, bool(defect[worst] <= 1e-9))
 
 
 def test_roundtrip_bracket_and_flip():
@@ -816,7 +817,7 @@ def test_nan_anchor_fails_source_and_yang_baxter():
     assert pe.residual(spec) == 0.0
     bad = ProlongElement(pe.v, TAElement(pe.w.m, pe.w.a, [math.nan], pe.w.adot))
     assert math.isnan(bad.residual(spec))
-    assert math.isnan(ta_residual(pe.w, bad.w))
+    assert math.isnan(residual(pe.w.to_jet(), bad.w.to_jet()))
 
 
 # -- sample batches -------------------------------------------------------------
@@ -855,14 +856,13 @@ def test_batched_laws_match_one_sample_slices(name, route, seed):
     else:
         inv = flip_from_bracket(spec, ConnectionSpec.random_poly(rng, spec.dim_M, spec.dim_A))
     sections = [SectionSpec(_random_section_poly(rng, spec.dim_M, spec.dim_A)) for _ in range(2)]
-    field = ScalarFieldSpec(_random_section_poly(rng, spec.dim_M, 1))
     with sliced_folds(algebroid) as compared:
         check_axioms(inv, samples=5, seed=seed)
         check_yang_baxter(inv, samples=4, seed=seed)
         check_bracket_laws(inv, samples=4, seed=seed)
-        check_leibniz(inv, *sections, field, samples=4, seed=seed)
+        check_bracket_laws(inv, sections=sections, samples=4, seed=seed)
         spec.well_formed(samples=4, seed=seed)
-    assert len(compared) == 9 + 1 + 7 + 1 + 2
+    assert len(compared) == 9 + 2 + 7 + 7 + 2
 
 
 def test_batched_tangent_and_group_laws_match_one_sample_slices():

@@ -8,7 +8,6 @@ from invalg.bundle import (
     TAElement,
     lie_derivative,
     strong_difference_jet,
-    ta_residual,
 )
 from invalg import catalog
 from invalg.algebroid import ProlongElement, _lambda_jet, involution_from_spec, sigma
@@ -118,25 +117,27 @@ def test_projection_guards_reject_nan():
         sigma(inv, pe)
 
 
-def test_ta_residual_is_the_residual_of_the_two_jets():
+def test_the_residual_of_two_tangents_reads_every_block():
     rng = np.random.default_rng(4)
     inf, nan = float("inf"), float("nan")
+    blocks = lambda x: np.concatenate((x.m, x.a, x.mdot, x.adot))
     for _ in range(20):
         x, y = (TAElement(*(lattice(rng, n) for n in (2, 3, 2, 3))) for _ in range(2))
-        assert ta_residual(x, y) == residual(x.to_jet(), y.to_jet()) > 0.0
+        want = float(np.max(np.abs(blocks(x) - blocks(y))))
+        assert residual(x.to_jet(), y.to_jet()) == want > 0.0
     # an inf in the m block and a NaN in a later block: NaN, as residual gives
     x = TAElement([inf, 0.0], [0.0], [0.0, 0.0], [nan])
     y = TAElement([0.0, 0.0], [0.0], [0.0, 0.0], [0.0])
-    assert np.isnan(ta_residual(x, y)) and np.isnan(residual(x.to_jet(), y.to_jet()))
+    assert np.isnan(residual(x.to_jet(), y.to_jet()))
     # over a point base the m and mdot blocks are empty
     x, y = TAElement([], [1.0], [], [2.0]), TAElement([], [1.0], [], [-0.5])
-    assert ta_residual(x, y) == residual(x.to_jet(), y.to_jet()) == 2.5
+    assert residual(x.to_jet(), y.to_jet()) == 2.5
 
 
 def test_ta_jet_roundtrip_and_projections():
     x = TAElement([1.0, 2.0], [3.0], [4.0, 5.0], [6.0])
     j = x.to_jet()
-    assert ta_residual(TAElement.from_jet(j, 2), x) == 0.0
+    assert residual(TAElement.from_jet(j, 2).to_jet(), j) == 0.0
     # outer projection of the jet is the underlying point
     assert proj_p(j, 1).row(0).tolist() == [1.0, 2.0, 3.0]
     assert x.p_proj().m.tolist() == [1.0, 2.0]
@@ -175,3 +176,6 @@ def test_lie_derivative_rejects_mismatched_dimensions(owner):
     for m in ([0.5, 0.1], np.zeros((4, 2))):
         with pytest.raises(ValueError, match="expected trailing 1"):
             lie_derivative(line, X, owner, m)
+    # the anchor alone, as a polynomial map, is not an algebroid
+    with pytest.raises(TypeError, match="expected an algebroid spec or involution algebroid"):
+        lie_derivative(line, X, owner.rho, [0.5])

@@ -23,7 +23,6 @@ from invalg.jet import (
     _max_abs,
     _product,
     add_tangent,
-    apply_poly,
     check_tangent_axioms,
     flip_c,
     insert_zero,
@@ -37,7 +36,7 @@ from invalg.jet import (
     split_innermost,
     sub_tangent,
 )
-from invalg.report import _fold, _residuals, run_check, worst_of
+from invalg.report import _fold, _residuals, worst_of
 import jet_reference as ref
 from jet_reference import padded_product, reference_product
 
@@ -192,7 +191,7 @@ def test_square_on_nested_jet_frozen():
     f = PolyMap.from_terms(1, [[(1.0, (2,))]])
     x = join_innermost(jp(1, [[3.0], [1.0]]), jp(1, [[1.0], [0.0]]))
     assert x.to_rows() == [[3.0], [1.0], [1.0], [0.0]]
-    y = apply_poly(f, x)
+    y = f.eval_jet(x)
     assert y.to_rows() == [[9.0], [6.0], [6.0], [2.0]]
 
 
@@ -611,7 +610,7 @@ def test_functoriality_exact_on_integer_polynomials():
     for depth in (1, 2, 3):
         rows = rng.integers(-3, 4, size=(1 << depth, 2)).astype(float)
         x = JetPoint.from_rows(depth, rows)
-        assert residual(apply_poly(fg, x), apply_poly(f, apply_poly(g, x))) == 0.0
+        assert residual(fg.eval_jet(x), f.eval_jet(g.eval_jet(x))) == 0.0
 
 
 def test_structural_naturality_exact():
@@ -628,14 +627,14 @@ def test_structural_naturality_exact():
     for _ in range(30):
         x3 = JetPoint.from_rows(3, rng.uniform(-1, 1, size=(8, 2)))
         for i, j in ((1, 2), (2, 3), (1, 3)):
-            assert residual(apply_poly(f, flip_c(x3, i, j)), flip_c(apply_poly(f, x3), i, j)) == 0.0
+            assert residual(f.eval_jet(flip_c(x3, i, j)), flip_c(f.eval_jet(x3), i, j)) == 0.0
         for k in (1, 2, 3):
-            assert residual(apply_poly(f, proj_p(x3, k)), proj_p(apply_poly(f, x3), k)) == 0.0
+            assert residual(f.eval_jet(proj_p(x3, k)), proj_p(f.eval_jet(x3), k)) == 0.0
         x2 = JetPoint.from_rows(2, rng.uniform(-1, 1, size=(4, 2)))
         for k in (1, 2, 3):
-            assert residual(apply_poly(f, insert_zero(x2, k)), insert_zero(apply_poly(f, x2), k)) == 0.0
+            assert residual(f.eval_jet(insert_zero(x2, k)), insert_zero(f.eval_jet(x2), k)) == 0.0
         for k in (1, 2):
-            assert residual(apply_poly(f, lift_l(x2, k)), lift_l(apply_poly(f, x2), k)) == 0.0
+            assert residual(f.eval_jet(lift_l(x2, k)), lift_l(f.eval_jet(x2), k)) == 0.0
 
 
 def test_pairing_equalizes_projections():
@@ -737,23 +736,26 @@ def test_reductions_propagate_nan_and_read_zero_on_an_empty_axis():
     assert add_tangent(empty, empty).coeffs.shape == (2, 3, 0)
 
 
-def test_run_check_fails_on_non_finite_residuals():
+def test_fold_fails_on_non_finite_residuals():
     cases = [([1e-15, math.nan, 1e-16], 1e-9), ([math.nan, 0.0], 1e-9),
              ([0.0, math.inf, math.nan], 1e-9), ([1e-15, math.inf], math.inf)]
     for values, tolerance in cases:
-        result = run_check("r", values, lambda r: r, tolerance, 0, serialize=repr)
+        result = _fold("r", len(values), lambda rows: values[rows], tolerance, 0,
+                       lambda i: repr(values[i]))
         assert not result.passed
         assert not math.isfinite(result.max_residual)
         # the worst input is the first non-finite one
         assert result.worst_input == repr(next(v for v in values if not math.isfinite(v)))
 
     # a sample whose evaluation raises fails the check as a NaN residual
-    def evaluate(r):
-        if r > 1.0:
-            raise ValueError("projection mismatch")
-        return r
+    inputs = [1e-15, 2.0, 3.0]
 
-    result = run_check("r", [1e-15, 2.0, 3.0], evaluate, 1e-9, 0, serialize=repr)
+    def evaluate(rows):
+        if max(inputs[rows]) > 1.0:
+            raise ValueError("projection mismatch")
+        return inputs[rows]
+
+    result = _fold("r", len(inputs), evaluate, 1e-9, 0, lambda i: repr(inputs[i]))
     assert not result.passed
     assert math.isnan(result.max_residual)
     assert result.worst_input == "2.0"

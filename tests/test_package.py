@@ -31,16 +31,15 @@ PUBLIC_NAMES = [
     "AElement", "AHomotopyVariation", "APathVariation", "AlgebroidSpec", "CheckResult",
     "ConnectionSpec", "InvolutionAlgebroid", "JetPoint", "JetScalar", "MatrixGroupSpec",
     "PairGroupoidSpec", "PolyMap", "Report", "ScalarFieldSpec", "SectionSpec", "TAElement",
-    "add_tangent", "ahomotopy_transport", "algebroid", "apath_transport", "apply_poly",
-    "bracket_from_flip", "bundle", "catalog", "catalog_get", "catalog_names", "check_axioms",
-    "check_bracket_laws", "check_leibniz", "check_tangent_axioms", "check_yang_baxter",
-    "differentiate_group", "differentiate_pair_groupoid", "expm", "flip_c",
-    "flip_from_bracket", "flow", "grid_derivative", "group_catalog", "groupoid",
-    "inf_ahomotopy_vee", "inf_ahomotopy_wedge", "inf_apath_vee", "inf_apath_wedge",
-    "insert_zero", "involution_from_spec", "jet", "join_innermost", "lie_derivative",
-    "lift_l", "neg_tangent", "proj_p", "promote", "report", "residual", "rk4_solve",
-    "run_check", "sample_double_prolongation", "sample_prolongation", "spec_from_flip",
-    "split_innermost", "sub_tangent", "ta_residual", "worst_of",
+    "add_tangent", "ahomotopy_transport", "algebroid", "apath_transport", "bracket_from_flip",
+    "bundle", "catalog", "catalog_get", "catalog_names", "check_axioms", "check_bracket_laws",
+    "check_tangent_axioms", "check_yang_baxter", "differentiate_group",
+    "differentiate_pair_groupoid", "expm", "flip_c", "flip_from_bracket", "flow",
+    "grid_derivative", "group_catalog", "groupoid", "inf_ahomotopy_vee", "inf_ahomotopy_wedge",
+    "inf_apath_vee", "inf_apath_wedge", "insert_zero", "involution_from_spec", "jet",
+    "join_innermost", "lie_derivative", "lift_l", "neg_tangent", "proj_p", "promote", "report",
+    "residual", "rk4_solve", "sample_double_prolongation", "sample_prolongation",
+    "spec_from_flip", "split_innermost", "sub_tangent", "worst_of",
 ]
 
 # the exports of the layers that load on first use
